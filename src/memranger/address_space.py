@@ -95,9 +95,6 @@ class FrameStore:
         self.fake_pfn = self.FAKE_PFN
         self.ensure(self.fake_pfn)
 
-    def is_mapped(self, pfn: int) -> bool:
-        return pfn in self.frames
-
     def ensure(self, pfn: int) -> None:
         """Map a frame if absent; fresh frames are zero-filled."""
         if not 0 <= pfn < PFN_LIMIT:
@@ -128,29 +125,33 @@ class FrameStore:
     def zero_fake(self) -> None:
         self.frames[self.fake_pfn][:] = bytes(PAGE_SIZE)
 
+    def _pieces(self, base: int, size: int):
+        """(pfn, offset, length) of each in-page piece of [base, base+size), in order."""
+        pos, end = base, base + size
+        while pos < end:
+            offset = offset_in_page(pos)
+            length = min(PAGE_SIZE - offset, end - pos)
+            yield page_of(pos), offset, length
+            pos += length
+
     def read_gpa_range(self, base: int, size: int) -> bytes:
         """Direct (policy-free) readout of a byte range, identity-mapped."""
-        out = bytearray()
-        pos = base
-        remaining = size
-        while remaining:
-            step = min(PAGE_SIZE - offset_in_page(pos), remaining)
-            out += self.read_bytes(page_of(pos), offset_in_page(pos), step)
-            pos += step
-            remaining -= step
-        return bytes(out)
+        return b"".join(self.read_bytes(*piece) for piece in self._pieces(base, size))
 
     def fill_gpa_range(self, base: int, size: int, pattern: bytes) -> None:
-        """Tile a pattern across a byte range, identity-mapped."""
+        """Tile a pattern across a byte range, identity-mapped. Pieces are cut
+        from one page-sized tile, so no range-sized buffer is built."""
         self.ensure_range(base, size)
-        data = (pattern * (size // len(pattern) + 1))[:size]
-        pos = base
-        written = 0
-        while written < size:
-            step = min(PAGE_SIZE - offset_in_page(pos), size - written)
-            self.write_bytes(page_of(pos), offset_in_page(pos), data[written:written + step])
-            pos += step
-            written += step
+        tile = memoryview(pattern * (PAGE_SIZE // len(pattern) + 2))
+        done = 0
+        for pfn, offset, length in self._pieces(base, size):
+            phase = done % len(pattern)
+            self.write_bytes(pfn, offset, tile[phase:phase + length])
+            done += length
 
     def digest_gpa_range(self, base: int, size: int) -> str:
-        return hashlib.sha256(self.read_gpa_range(base, size)).hexdigest()
+        """sha256 of a byte range, hashed piece by piece without copying it."""
+        digest = hashlib.sha256()
+        for pfn, offset, length in self._pieces(base, size):
+            digest.update(memoryview(self._frame(pfn))[offset:offset + length])
+        return digest.hexdigest()

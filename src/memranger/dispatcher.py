@@ -15,7 +15,7 @@ from enum import Enum
 from .address_space import PAGE_SHIFT, PAGE_SIZE, FrameStore, offset_in_page
 from .ept_model import Access, EptEntry, EptViolation, Rwx
 from .errors import PolicyLivelockError, SimulationError
-from .policy_map import DecisionKind, MapState
+from .policy_map import DecisionKind, RegionLedger
 
 RETRY_BUDGET = 4
 
@@ -61,7 +61,6 @@ def switch_ept(vcpu: VcpuState, policy, target: int) -> None:
     if target == vcpu.current_ept:
         return
     vcpu.current_ept = target
-    policy.current_ept = target
     vcpu.counters["ept_switches"] += 1
     vcpu.counters["tlb_flushes"] += 1
 
@@ -101,7 +100,7 @@ def _perform(store: FrameStore, hpa: int, access: Access, payload, length: int):
 
 def execute_access(
     vcpu: VcpuState,
-    policy: MapState,
+    policy: RegionLedger,
     store: FrameStore,
     src: int,
     dst: int,

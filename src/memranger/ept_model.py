@@ -1,17 +1,19 @@
-"""Second-level translation model: per-context page tables with R/W/X bits.
+"""Second-level translation model: per-context leaf entries with R/W/X bits.
 
-Each translation context is a 4-level radix of tables (512 slots per level)
-mapping guest page frames to host page frames. Permissions live on leaf
-entries only; intermediate tables are always permissive. Tables materialize
-lazily: an untouched page translates identity with the context's default
-attributes. A refused translation is reported as a value, not an exception.
+Each translation context maps guest page frames to host page frames. Only
+the leaf level is modelled, since permissions live on leaf entries and the
+intermediate tables are always permissive: the leaves a context has written
+sit in one flat map keyed by guest page number, and an untouched page
+translates identity with the context's default attributes. (The 9/9/9/9/12
+split of a gpa across the paging levels is address_space.split_gpa.) A
+refused translation is reported as a value, not an exception.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .address_space import GPA_LIMIT, PAGE_SHIFT, split_gpa
+from .address_space import GPA_LIMIT, OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
 
 
 class Access(Enum):
@@ -57,7 +59,7 @@ class EptViolation:
 
 
 class Ept:
-    """One translation hierarchy, identity-mapped over a gpa range."""
+    """One translation context, identity-mapped over a gpa range."""
 
     def __init__(self, ept_id: int, identity_range: tuple[int, int] = (0, GPA_LIMIT), default_attrs: Rwx = RW):
         base, end = identity_range
@@ -66,9 +68,7 @@ class Ept:
         self.id = ept_id
         self.default_attrs = default_attrs
         self.identity_pages = (base >> PAGE_SHIFT, (end - 1 >> PAGE_SHIFT) + 1)
-        self._root: dict[int, dict] = {}
-        # flat mirror of materialized leaves; keeps oracle sweeps off the radix
-        self._flat: dict[int, EptEntry] = {}
+        self._flat: dict[int, EptEntry] = {}    # page -> materialized leaf
         self.mutations = 0
 
     def _default_entry(self, page: int) -> EptEntry:
@@ -83,10 +83,8 @@ class Ept:
         return hit if hit is not None else self._default_entry(page)
 
     def set_page_entry(self, page: int, entry: EptEntry) -> None:
-        gpa = page << PAGE_SHIFT
-        pml4, pdpt, pd, pt, _ = split_gpa(gpa)
-        table = self._root.setdefault(pml4, {}).setdefault(pdpt, {}).setdefault(pd, {})
-        table[pt] = entry
+        if not 0 <= page < PFN_LIMIT:
+            raise ValueError(f"page {page:#x} outside 48-bit space")
         self._flat[page] = entry
         self.mutations += 1
 
@@ -110,19 +108,12 @@ class Ept:
 
     def translate(self, gpa: int, access: Access) -> int | EptViolation:
         """Pure lookup: host address on success, violation value on refusal."""
-        pml4, pdpt, pd, pt, offset = split_gpa(gpa)
-        entry = None
-        level = self._root.get(pml4)
-        if level is not None:
-            level = level.get(pdpt)
-            if level is not None:
-                level = level.get(pd)
-                if level is not None:
-                    entry = level.get(pt)
+        page = check_gpa(gpa) >> PAGE_SHIFT
+        entry = self._flat.get(page)
         if entry is None:
-            entry = self._default_entry(gpa >> PAGE_SHIFT)
+            entry = self._default_entry(page)
         if entry.attrs.permits(access):
-            return (entry.pfn << PAGE_SHIFT) | offset
+            return (entry.pfn << PAGE_SHIFT) | (gpa & OFFSET_MASK)
         return EptViolation(self.id, gpa, access, entry)
 
     def materialized_leaves(self) -> Iterator[tuple[int, EptEntry]]:

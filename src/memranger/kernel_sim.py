@@ -3,37 +3,31 @@
 Replays a trace of driver lifecycle, allocation, scheduling and access events
 against one of three protection modes:
 
-* ``off``        - plain memory, no policy, every access lands;
+* ``off``        - plain memory, every access lands; the region ledger
+  still validates the layout;
 * ``single-ept`` - one translation context that seals protected data and
   single-steps every touch of it, legal or not;
 * ``multi-ept``  - per-driver contexts with fake-page redirection and
   identity-checked grants.
 
-Also provides the trace JSON-lines codec and the trace generators (demo,
-privilege-escalation, benchmark, seeded random).
+The policies live in policy_map; this module owns the replay (Simulation),
+the pool allocator, the trace JSON-lines codec and the trace generators
+(demo, privilege-escalation, benchmark, seeded random).
 """
 
+import hashlib
+import itertools
+import json
 import random
 import string
-import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .address_space import PAGE_SIZE, FrameStore, pages_covering
+from .address_space import PAGE_SIZE, FrameStore
 from .dispatcher import VcpuState, execute_access
-from .ept_model import NONE, RW, RWX, Access, create_ept
+from .ept_model import Access
 from .errors import SimulationError, TraceParseError
-from .policy_map import (
-    GRANT,
-    REDIRECT,
-    AllocatedPool,
-    EnclaveRecord,
-    ProcessRecord,
-    StaticConfig,
-    deny,
-)
-from .policy_map import init as policy_init
+from .policy_map import MapState, RegionLedger, SingleEptPolicy, StaticConfig
 from .report_cli import CostModel, RunReport, access_ticks
 
 # Static fixture: one synthetic machine shared by every trace.
@@ -274,11 +268,17 @@ def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
         dkind = _str_field(raw_dst, "ref", line)
         if dkind not in _DST_KINDS:
             raise TraceParseError(f"unknown target kind {dkind!r}", line)
+        driver = raw_dst.get("driver")
+        if driver is not None:
+            driver = _str_field(raw_dst, "driver", line)
+        pid = raw_dst.get("pid")
+        if pid is not None:
+            pid = _int_field(raw_dst, "pid", line)
         dst = DstRef(
             kind=dkind,
-            driver=raw_dst.get("driver"),
+            driver=driver,
             index=_int_field(raw_dst, "index", line, default=0),
-            pid=raw_dst.get("pid"),
+            pid=pid,
             offset=_int_field(raw_dst, "offset", line, default=0),
         )
         access = _str_field(obj, "access", line)
@@ -342,154 +342,6 @@ class BumpAllocator:
         return start
 
 
-# -- single-context baseline --------------------------------------------------
-
-class SingleEptPolicy:
-    """Competitor baseline: one context for everyone.
-
-    Protected data (enclave pools, process regions, kernel structures) is
-    sealed outright, so every touch of it, legal or not, costs a trap plus a
-    single-stepped window. Code is never sealed and the context never changes.
-    """
-
-    def __init__(self, config: StaticConfig):
-        self.config = config
-        self.default_ept = 0
-        self.current_ept = 0
-        self.epts = {0: create_ept(0)}
-        self.enclaves: dict[int, EnclaveRecord] = {}
-        self.processes: dict[int, ProcessRecord] = {}
-        self.foreign_pools: list[AllocatedPool] = []
-        self.pool_pages: dict[int, list[AllocatedPool]] = {}
-        self._next_ept_id = 1
-        self._next_pool_id = 0
-        ept = self.epts[0]
-        for base, size in config.os_kernel_ranges + config.other_driver_ranges:
-            ept.set_region_attrs(base, size, RWX)
-        for base, size in config.os_structure_ranges:
-            ept.set_region_attrs(base, size, NONE)
-
-    def _enclave_of_code(self, gpa: int) -> int | None:
-        for rec in self.enclaves.values():
-            if rec.image_base <= gpa < rec.image_end:
-                return rec.ept_id
-        pool = self._byte_pool(gpa)
-        return pool.owner if pool is not None else None
-
-    def _byte_pool(self, gpa: int) -> AllocatedPool | None:
-        for pool in self.pool_pages.get(gpa >> 12, ()):
-            if pool.base <= gpa < pool.end:
-                return pool
-        return None
-
-    def _kernel_side_code(self, gpa: int) -> bool:
-        for base, size in self.config.os_kernel_ranges + self.config.other_driver_ranges:
-            if base <= gpa < base + size:
-                return True
-        return False
-
-    def _in_structures(self, gpa: int) -> bool:
-        return any(base <= gpa < base + size for base, size in self.config.os_structure_ranges)
-
-    def _reseal(self, pages) -> None:
-        ept = self.epts[0]
-        for page in pages:
-            pools = self.pool_pages.get(page, ())
-            sealed = any(p.owner is not None for p in pools)
-            ept.set_page_attrs(page, NONE if sealed else RW)
-
-    def on_driver_load(self, image_base: int, image_size: int) -> int:
-        eid = self._next_ept_id
-        self._next_ept_id += 1
-        self.enclaves[eid] = EnclaveRecord(eid, image_base, image_base + image_size)
-        self.epts[0].set_region_attrs(image_base, image_size, RWX)
-        return eid
-
-    def on_driver_unload(self, eid: int) -> None:
-        rec = self.enclaves.pop(eid)
-        self.epts[0].set_region_attrs(rec.image_base, rec.image_end - rec.image_base, RW)
-        released: list[int] = []
-        for pool in rec.drv_allocs:
-            for page in pages_covering(pool.base, pool.size):
-                remaining = self.pool_pages[page]
-                remaining.remove(pool)
-                if not remaining:
-                    del self.pool_pages[page]
-                if page not in released:
-                    released.append(page)
-        self._reseal(released)
-
-    def on_alloc(self, caller_addr: int, base: int, size: int) -> int | None:
-        owner = self._enclave_of_code(caller_addr)
-        pool = AllocatedPool(base, size, owner, pool_id=self._next_pool_id)
-        self._next_pool_id += 1
-        if owner is None:
-            self.foreign_pools.append(pool)
-        else:
-            self.enclaves[owner].drv_allocs.append(pool)
-        pages = pages_covering(base, size)
-        for page in pages:
-            self.pool_pages.setdefault(page, []).append(pool)
-        self._reseal(pages)
-        return pool.pool_id if owner is not None else None
-
-    def on_free(self, base: int) -> None:
-        pool = None
-        for rec in self.enclaves.values():
-            for candidate in rec.drv_allocs:
-                if candidate.base == base:
-                    pool = candidate
-                    rec.drv_allocs.remove(candidate)
-                    break
-            if pool is not None:
-                break
-        if pool is None:
-            for candidate in self.foreign_pools:
-                if candidate.base == base:
-                    pool = candidate
-                    self.foreign_pools.remove(candidate)
-                    break
-        if pool is None:
-            raise SimulationError(f"free of unknown pool base {base:#x}")
-        pages = pages_covering(pool.base, pool.size)
-        for page in pages:
-            remaining = self.pool_pages[page]
-            remaining.remove(pool)
-            if not remaining:
-                del self.pool_pages[page]
-        self._reseal(pages)
-
-    def on_process_create(self, pid: int, regions) -> None:
-        self.processes[pid] = ProcessRecord(pid, [tuple(r) for r in regions])
-        for base, size in regions:
-            self.epts[0].set_region_attrs(base, size, NONE)
-
-    def on_process_exit(self, pid: int) -> None:
-        rec = self.processes.pop(pid)
-        for base, size in rec.regions:
-            attrs = NONE if self._in_structures(base) else RW
-            self.epts[0].set_region_attrs(base, size, attrs)
-
-    def classify_access(self, current_ept: int, src: int, dst: int, access: Access):
-        if not (0 <= src < 1 << 48 and 0 <= dst < 1 << 48):
-            return deny("address outside modeled space")
-        if access is Access.EXECUTE:
-            return REDIRECT
-        actor = self._enclave_of_code(src)
-        pools = self.pool_pages.get(dst >> 12, ())
-        if pools:
-            identities = {p.owner for p in pools}
-            if len(identities) == 1:
-                return GRANT if actor == next(iter(identities)) else REDIRECT
-            pool = self._byte_pool(dst)
-            if pool is not None and pool.owner == actor:
-                return GRANT
-            return REDIRECT
-        if actor is None and self._kernel_side_code(src):
-            return GRANT
-        return REDIRECT
-
-
 # -- simulation ----------------------------------------------------------------
 
 @dataclass
@@ -512,6 +364,9 @@ def _static_config() -> StaticConfig:
     return StaticConfig((OS_KERNEL_CODE,), (OS_STRUCTURES,), (OTHER_DRIVER,))
 
 
+_POLICIES = {Mode.OFF: RegionLedger, Mode.SINGLE_EPT: SingleEptPolicy, Mode.MULTI_EPT: MapState}
+
+
 class Simulation:
     """One trace replay: regions, frames, policy, vcpu, and the access log."""
 
@@ -520,11 +375,8 @@ class Simulation:
         self.config = config or SimConfig()
         self.cost_model = self.config.resolved_cost_model()
         self.store = FrameStore()
-        if self.mode is Mode.SINGLE_EPT:
-            self.policy = SingleEptPolicy(_static_config())
-        else:
-            # mode off keeps the same bookkeeping but never consults it
-            self.policy = policy_init(OS_KERNEL_CODE, (OS_STRUCTURES,), (OTHER_DRIVER,))
+        # mode off keeps the bare ledger: the same input checks, no contexts
+        self.policy = _POLICIES[self.mode](_static_config())
         self.vcpu = VcpuState(current_ept=self.policy.default_ept)
         for (base, size), fill in (
             (OS_KERNEL_CODE, OS_KERNEL_FILL),
@@ -582,7 +434,8 @@ class Simulation:
 
     def _direct_access(self, actor: str, src: int, dst: int, access: Access, payload) -> dict:
         length = len(payload) if access is Access.WRITE else (1 if access is Access.EXECUTE else 4)
-        if (dst & (PAGE_SIZE - 1)) + length > PAGE_SIZE:
+        # the same bounds execute_access enforces in the protected modes
+        if length <= 0 or (dst & (PAGE_SIZE - 1)) + length > PAGE_SIZE:
             raise SimulationError(f"access at {dst:#x} length {length} crosses a page")
         self.vcpu.counters["accesses"] += 1
         pfn = dst >> 12
@@ -700,10 +553,9 @@ class Simulation:
         if info.kind != "driver":
             raise SimulationError(f"{event.name!r} is not an unloadable driver")
         self.policy.on_driver_unload(info.enclave_id)
-        if self.vcpu.current_ept not in self.policy.epts:
+        if self.vcpu.current_ept == info.enclave_id:
             # the departed context cannot stay active; fall back, counted
             self.vcpu.current_ept = self.policy.default_ept
-            self.policy.current_ept = self.policy.default_ept
             self.vcpu.counters["ept_switches"] += 1
             self.vcpu.counters["tlb_flushes"] += 1
             self.vcpu.counters["forced_switches"] += 1
@@ -894,6 +746,14 @@ def gen_benchmark_trace(n_accesses: int = 10_000, align: str = "page",
     return events
 
 
+def _driver_names():
+    """Driver names without end: A, B, ..., Z, then A1, ..., Z1, A2, ..."""
+    for round_no in itertools.count():
+        suffix = str(round_no) if round_no else ""
+        for letter in string.ascii_uppercase:
+            yield letter + suffix
+
+
 class _RandomTraceState:
     """Generator-side mirror of liveness, enough to label legality."""
 
@@ -902,7 +762,7 @@ class _RandomTraceState:
         self.events: list[TraceEvent] = []
         self.drivers: dict[str, int] = {}          # name -> image slot index
         self.free_slots = [0, 1]
-        self.names = iter(string.ascii_uppercase)
+        self.names = _driver_names()
         self.pools: dict[str, list[dict]] = {}     # actor -> [{size, live}]
         self.pids: list[int] = []
         self.free_pid_slots = list(range(PROCESS_SLOT_COUNT))

@@ -1,19 +1,24 @@
 """Memory access policy: who may touch what, and through which context.
 
-Holds the region bookkeeping (enclaves, pools, processes) and applies the
-permission choreography to the translation contexts as events arrive:
+RegionLedger holds the region facts every mode shares (static ranges, driver
+images, their pools, process regions), rejects any change that would make
+them overlap, and answers ownership queries. Mode ``off`` uses it bare. Its
+two subclasses turn the same facts into translation-context attributes:
 
-* the default context opens the kernel's world and seals every enclave's
-  image and pools;
-* each driver context opens its own image and pools plus kernel code, seals
-  kernel structures and every other enclave, and leaves pre-existing drivers
-  readable but not executable;
-* a page carrying bytes of two different owners is sealed in every context,
-  and only single-stepped grants let the owners through;
-* allocation ownership is attributed by the caller's code address.
+* MapState (``multi-ept``) keeps one default context plus one per enclave:
+  - the default context opens the kernel's world and seals every enclave's
+    image and pools;
+  - each driver context opens its own image and pools plus kernel code,
+    seals kernel structures and every other enclave, and leaves
+    pre-existing drivers readable but not executable;
+  - a page carrying bytes of two different owners is sealed in every
+    context, and only single-stepped grants let the owners through;
+* SingleEptPolicy (``single-ept``) keeps one context that seals protected
+  data outright.
 
-classify_access is the violation brain: for a refused translation it picks
-switch / redirect / grant / deny.
+Allocation ownership is attributed by the caller's code address.
+classify_access is each policy's violation brain: for a refused translation
+it picks switch / redirect / grant / deny.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +37,6 @@ class AllocatedPool:
     size: int
     owner: int | None            # enclave id; None for kernel-side callers
     pool_id: int = -1
-    page_shared: bool = False
 
     @property
     def end(self) -> int:
@@ -75,7 +79,6 @@ class Decision:
     reason: str = ""
 
 
-ALLOW = Decision(DecisionKind.ALLOW)
 REDIRECT = Decision(DecisionKind.REDIRECT_TO_FAKE)
 GRANT = Decision(DecisionKind.TEMPORARY_GRANT)
 
@@ -95,14 +98,23 @@ def _check_range(base: int, size: int, what: str) -> None:
         raise ConfigError(f"{what}: outside 48-bit space")
 
 
-class MapState:
-    """Live policy state: one default context plus one context per enclave."""
+def _region_pages(regions) -> dict[int, None]:
+    """Pages touched by any of the regions, in order, each once."""
+    return {page: None for base, size in regions for page in pages_covering(base, size)}
+
+
+class RegionLedger:
+    """Region facts, their validation and ownership queries; no contexts.
+
+    The event hooks keep the facts. The attribute steps they call
+    (_stamp_static, _stamp_load, _stamp_unload, _stamp_process, _revert_page,
+    _reseal) do nothing here; a policy subclass overrides them.
+    """
 
     def __init__(self, config: StaticConfig):
         self.config = config
         self.default_ept = DEFAULT_EPT
-        self.current_ept = DEFAULT_EPT
-        self.epts: dict[int, Ept] = {DEFAULT_EPT: create_ept(DEFAULT_EPT)}
+        self.epts: dict[int, Ept] = {}
         self.enclaves: dict[int, EnclaveRecord] = {}
         self.processes: dict[int, ProcessRecord] = {}
         self.foreign_pools: list[AllocatedPool] = []
@@ -114,12 +126,11 @@ class MapState:
         self._static_kind: dict[int, str] = {}
         self._overlay: dict[int, tuple] = {}   # page -> ("image", eid) | ("process", pid)
 
-        named = (
+        for what, kind, ranges in (
             ("os kernel code", "kernel", config.os_kernel_ranges),
             ("os structures", "structure", config.os_structure_ranges),
             ("other driver", "other", config.other_driver_ranges),
-        )
-        for what, kind, ranges in named:
+        ):
             for base, size in ranges:
                 _check_range(base, size, what)
                 for page in pages_covering(base, size):
@@ -127,12 +138,28 @@ class MapState:
                         raise ConfigError(f"{what}: page {page:#x} claimed twice")
                     self._static_kind[page] = kind
                     self.tracked.add(page)
-        # the kernel's world is fully open in the default context
-        default = self.epts[DEFAULT_EPT]
-        for _, _, ranges in named:
-            for base, size in ranges:
-                default.set_region_attrs(base, size, RWX)
+        self._stamp_static()
         self.layout_version += 1
+
+    # -- attribute steps, overridden by the policies -------------------------
+
+    def _stamp_static(self) -> None:
+        """Open the static regions in the initial contexts."""
+
+    def _stamp_load(self, eid: int, image_base: int, image_size: int) -> None:
+        """Give a new enclave its view; the ledger does not hold it yet."""
+
+    def _stamp_unload(self, eid: int) -> None:
+        """Drop a departed enclave's view."""
+
+    def _stamp_process(self, regions: list[tuple[int, int]]) -> None:
+        """Seal a new process's regions."""
+
+    def _revert_page(self, page: int) -> None:
+        """Restore a page that no image or process claims any more."""
+
+    def _reseal(self, pages) -> None:
+        """Recompute pool pages after their set of pools changed."""
 
     # -- queries -----------------------------------------------------------
 
@@ -161,59 +188,15 @@ class MapState:
                 return True
         return False
 
-    def _page_identities(self, page: int) -> set:
-        return {pool.owner for pool in self.pool_pages.get(page, ())}
-
-    def _page_locked(self, page: int) -> bool:
-        identities = self._page_identities(page)
-        return len(identities) >= 2 and any(i is not None for i in identities)
-
-    # -- attribute choreography --------------------------------------------
-
-    def _static_attrs(self, page: int, ept_id: int) -> Rwx:
-        kind = self._static_kind.get(page)
-        if kind == "kernel":
-            return RWX
-        if kind == "structure":
-            return RWX if ept_id == self.default_ept else NONE
-        if kind == "other":
-            return RWX if ept_id == self.default_ept else RW
-        return RW
-
-    def _revert_page(self, page: int) -> None:
-        for ept_id, ept in self.epts.items():
-            ept.set_page_attrs(page, self._static_attrs(page, ept_id))
-
-    def _reseal_pool_pages(self, pages) -> None:
-        """Recompute attrs for pool pages after ownership changed."""
-        touched: list[AllocatedPool] = []
+    def _unindex(self, pool: AllocatedPool) -> list[int]:
+        """Drop a pool from the page index; returns the pages it covered."""
+        pages = pages_covering(pool.base, pool.size)
         for page in pages:
-            pools = self.pool_pages.get(page, [])
-            touched.extend(p for p in pools if p not in touched)
-            identities = {p.owner for p in pools}
-            if not pools:
-                self._revert_page(page)
-            elif len(identities) >= 2 and any(i is not None for i in identities):
-                for ept in self.epts.values():
-                    ept.set_page_attrs(page, NONE)    # sealed for every owner
-            elif identities == {None}:
-                for ept in self.epts.values():
-                    ept.set_page_attrs(page, RW)      # kernel-side data stays open
-            else:
-                owner = next(iter(identities))
-                for ept_id, ept in self.epts.items():
-                    ept.set_page_attrs(page, RWX if ept_id == owner else NONE)
-        for pool in touched:
-            self._refresh_shared_flag(pool)
-
-    def _refresh_shared_flag(self, pool: AllocatedPool) -> None:
-        pool.page_shared = False
-        for page in pages_covering(pool.base, pool.size):
-            others = {p.owner for p in self.pool_pages.get(page, ()) if p is not pool}
-            others.discard(pool.owner)
-            if others:
-                pool.page_shared = True
-                return
+            remaining = self.pool_pages[page]
+            remaining.remove(pool)
+            if not remaining:
+                del self.pool_pages[page]
+        return pages
 
     # -- events --------------------------------------------------------------
 
@@ -225,26 +208,7 @@ class MapState:
                 raise ConfigError(f"driver image overlaps page {page:#x}")
         eid = self._next_ept_id
         self._next_ept_id += 1
-        ept = create_ept(eid)
-        ept.set_region_attrs(image_base, image_size, RWX)
-        for base, size in self.config.os_kernel_ranges:
-            ept.set_region_attrs(base, size, RWX)
-        for base, size in self.config.os_structure_ranges:
-            ept.set_region_attrs(base, size, NONE)
-        for base, size in self.config.other_driver_ranges:
-            ept.set_region_attrs(base, size, RW)
-        for other in self.enclaves.values():
-            ept.set_region_attrs(other.image_base, other.image_end - other.image_base, NONE)
-            for pool in other.drv_allocs:
-                for page in pages_covering(pool.base, pool.size):
-                    ept.set_page_attrs(page, NONE)
-        for proc in self.processes.values():
-            for base, size in proc.regions:
-                ept.set_region_attrs(base, size, NONE)
-        # hide the newcomer's image from every pre-existing context
-        for other_ept in self.epts.values():
-            other_ept.set_region_attrs(image_base, image_size, NONE)
-        self.epts[eid] = ept
+        self._stamp_load(eid, image_base, image_size)
         self.enclaves[eid] = EnclaveRecord(eid, image_base, image_base + image_size)
         for page in pages:
             self._overlay[page] = ("image", eid)
@@ -256,22 +220,14 @@ class MapState:
         rec = self.enclaves.pop(eid, None)
         if rec is None:
             raise ConfigError(f"unload of unknown enclave {eid}")
-        del self.epts[eid]
+        self._stamp_unload(eid)
         for page in pages_covering(rec.image_base, rec.image_end - rec.image_base):
             del self._overlay[page]
             self._revert_page(page)
-        released: list[int] = []
+        released: dict[int, None] = {}
         for pool in rec.drv_allocs:
-            for page in pages_covering(pool.base, pool.size):
-                remaining = self.pool_pages[page]
-                remaining.remove(pool)
-                if not remaining:
-                    del self.pool_pages[page]
-                if page not in released:
-                    released.append(page)
-        self._reseal_pool_pages(released)
-        if self.current_ept == eid:
-            self.current_ept = self.default_ept
+            released.update(dict.fromkeys(self._unindex(pool)))
+        self._reseal(released)
         self.layout_version += 1
 
     def on_alloc(self, caller_addr: int, base: int, size: int) -> int | None:
@@ -297,35 +253,19 @@ class MapState:
         for page in pages:
             self.pool_pages.setdefault(page, []).append(pool)
             self.tracked.add(page)
-        self._reseal_pool_pages(pages)
+        self._reseal(pages)
         self.layout_version += 1
         return pool.pool_id if owner is not None else None
 
     def on_free(self, base: int) -> None:
-        pool = None
-        for rec in self.enclaves.values():
-            for candidate in rec.drv_allocs:
-                if candidate.base == base:
-                    pool = candidate
-                    rec.drv_allocs.remove(candidate)
-                    break
-            if pool is not None:
-                break
-        if pool is None:
-            for candidate in self.foreign_pools:
-                if candidate.base == base:
-                    pool = candidate
-                    self.foreign_pools.remove(candidate)
-                    break
-        if pool is None:
+        pool = self._byte_pool(base)
+        if pool is None or pool.base != base:
             raise SimulationError(f"free of unknown pool base {base:#x}")
-        pages = pages_covering(pool.base, pool.size)
-        for page in pages:
-            remaining = self.pool_pages[page]
-            remaining.remove(pool)
-            if not remaining:
-                del self.pool_pages[page]
-        self._reseal_pool_pages(pages)
+        if pool.owner is None:
+            self.foreign_pools.remove(pool)
+        else:
+            self.enclaves[pool.owner].drv_allocs.remove(pool)
+        self._reseal(self._unindex(pool))
         self.layout_version += 1
 
     def on_process_create(self, pid: int, regions) -> None:
@@ -336,19 +276,16 @@ class MapState:
             raise ConfigError("process needs at least one region")
         for base, size in regions:
             _check_range(base, size, f"process {pid} region")
-            for page in pages_covering(base, size):
-                if page in self._overlay or page in self.pool_pages:
-                    raise ConfigError(f"process region overlaps page {page:#x}")
-                if self._static_kind.get(page) in ("kernel", "other"):
-                    raise ConfigError(f"process region overlaps code at page {page:#x}")
-        for base, size in regions:
-            self.epts[self.default_ept].set_region_attrs(base, size, RWX)
-            for ept_id, ept in self.epts.items():
-                if ept_id != self.default_ept:
-                    ept.set_region_attrs(base, size, NONE)
-            for page in pages_covering(base, size):
-                self._overlay[page] = ("process", pid)
-                self.tracked.add(page)
+        pages = _region_pages(regions)
+        for page in pages:
+            if page in self._overlay or page in self.pool_pages:
+                raise ConfigError(f"process region overlaps page {page:#x}")
+            if self._static_kind.get(page) in ("kernel", "other"):
+                raise ConfigError(f"process region overlaps code at page {page:#x}")
+        self._stamp_process(regions)
+        for page in pages:
+            self._overlay[page] = ("process", pid)
+            self.tracked.add(page)
         self.processes[pid] = ProcessRecord(pid, regions)
         self.layout_version += 1
 
@@ -356,11 +293,78 @@ class MapState:
         rec = self.processes.pop(pid, None)
         if rec is None:
             raise SimulationError(f"exit of unknown process {pid}")
-        for base, size in rec.regions:
-            for page in pages_covering(base, size):
-                del self._overlay[page]
-                self._revert_page(page)
+        for page in _region_pages(rec.regions):
+            del self._overlay[page]
+            self._revert_page(page)
         self.layout_version += 1
+
+
+class MapState(RegionLedger):
+    """Multi-context policy: one default context plus one context per enclave."""
+
+    # -- attribute choreography --------------------------------------------
+
+    def _static_attrs(self, page: int, ept_id: int) -> Rwx:
+        kind = self._static_kind.get(page)
+        if kind == "kernel":
+            return RWX
+        if kind == "structure":
+            return RWX if ept_id == self.default_ept else NONE
+        if kind == "other":
+            return RWX if ept_id == self.default_ept else RW
+        return RW
+
+    def _stamp_static(self) -> None:
+        # the kernel's world is fully open in the default context
+        default = self.epts[DEFAULT_EPT] = create_ept(DEFAULT_EPT)
+        for page in self._static_kind:
+            default.set_page_attrs(page, RWX)
+
+    def _stamp_load(self, eid: int, image_base: int, image_size: int) -> None:
+        ept = create_ept(eid)
+        ept.set_region_attrs(image_base, image_size, RWX)
+        for page in self._static_kind:
+            ept.set_page_attrs(page, self._static_attrs(page, eid))
+        for other in self.enclaves.values():
+            ept.set_region_attrs(other.image_base, other.image_end - other.image_base, NONE)
+            for pool in other.drv_allocs:
+                for page in pages_covering(pool.base, pool.size):
+                    ept.set_page_attrs(page, NONE)
+        for proc in self.processes.values():
+            for base, size in proc.regions:
+                ept.set_region_attrs(base, size, NONE)
+        # hide the newcomer's image from every pre-existing context
+        for other_ept in self.epts.values():
+            other_ept.set_region_attrs(image_base, image_size, NONE)
+        self.epts[eid] = ept
+
+    def _stamp_unload(self, eid: int) -> None:
+        del self.epts[eid]
+
+    def _stamp_process(self, regions: list[tuple[int, int]]) -> None:
+        for base, size in regions:
+            for ept_id, ept in self.epts.items():
+                ept.set_region_attrs(base, size, RWX if ept_id == self.default_ept else NONE)
+
+    def _revert_page(self, page: int) -> None:
+        for ept_id, ept in self.epts.items():
+            ept.set_page_attrs(page, self._static_attrs(page, ept_id))
+
+    def _reseal(self, pages) -> None:
+        for page in pages:
+            identities = {p.owner for p in self.pool_pages.get(page, ())}
+            if not identities:
+                self._revert_page(page)
+            elif len(identities) >= 2:
+                for ept in self.epts.values():
+                    ept.set_page_attrs(page, NONE)    # sealed for every owner
+            elif identities == {None}:
+                for ept in self.epts.values():
+                    ept.set_page_attrs(page, RW)      # kernel-side data stays open
+            else:
+                owner = next(iter(identities))
+                for ept_id, ept in self.epts.items():
+                    ept.set_page_attrs(page, RWX if ept_id == owner else NONE)
 
     # -- violation brain -----------------------------------------------------
 
@@ -372,7 +376,7 @@ class MapState:
         overlay = self._overlay.get(page)
         pools = self.pool_pages.get(page, ())
         identities = {pool.owner for pool in pools}
-        locked = len(identities) >= 2 and any(i is not None for i in identities)
+        locked = len(identities) >= 2    # two owners, so at least one enclave
 
         if access is Access.EXECUTE:
             if overlay is not None and overlay[0] == "image":
@@ -381,7 +385,7 @@ class MapState:
                     return switch_to(eid)
                 return REDIRECT
             if pools and not locked:
-                sole = next(iter(identities)) if len(identities) == 1 else None
+                sole = next(iter(identities))
                 if sole is not None:
                     # an enclave's pool runs only in its owner's context
                     if current_ept != sole:
@@ -409,18 +413,69 @@ class MapState:
             if self._kernel_side_code(src) and current_ept != self.default_ept:
                 return switch_to(self.default_ept)
             return REDIRECT
-        if pools:
-            if locked:
-                pool = self._byte_pool(dst)
-                if pool is not None:
-                    actor = self._enclave_of_code(src)
-                    if actor == pool.owner:
-                        # grants happen only in the owner identity's home context
-                        home = pool.owner if pool.owner is not None else self.default_ept
-                        if current_ept != home:
-                            return switch_to(home)
-                        return GRANT
+        if locked:
+            pool = self._byte_pool(dst)
+            if pool is not None and self._enclave_of_code(src) == pool.owner:
+                # grants happen only in the owner identity's home context
+                home = pool.owner if pool.owner is not None else self.default_ept
+                if current_ept != home:
+                    return switch_to(home)
+                return GRANT
+        return REDIRECT
+
+
+class SingleEptPolicy(RegionLedger):
+    """Competitor baseline: one context for everyone.
+
+    Protected data (enclave pools, process regions, kernel structures) is
+    sealed outright, so every touch of it, legal or not, costs a trap plus a
+    single-stepped window. Code is never sealed and the context never changes.
+    """
+
+    def _static_attrs(self, page: int) -> Rwx:
+        kind = self._static_kind.get(page)
+        if kind == "structure":
+            return NONE
+        return RW if kind is None else RWX
+
+    def _stamp_static(self) -> None:
+        ept = self.epts[DEFAULT_EPT] = create_ept(DEFAULT_EPT)
+        for page in self._static_kind:
+            ept.set_page_attrs(page, self._static_attrs(page))
+
+    def _stamp_load(self, eid: int, image_base: int, image_size: int) -> None:
+        self.epts[DEFAULT_EPT].set_region_attrs(image_base, image_size, RWX)
+
+    def _stamp_process(self, regions: list[tuple[int, int]]) -> None:
+        for base, size in regions:
+            self.epts[DEFAULT_EPT].set_region_attrs(base, size, NONE)
+
+    def _revert_page(self, page: int) -> None:
+        self.epts[DEFAULT_EPT].set_page_attrs(page, self._static_attrs(page))
+
+    def _reseal(self, pages) -> None:
+        ept = self.epts[DEFAULT_EPT]
+        for page in pages:
+            sealed = any(p.owner is not None for p in self.pool_pages.get(page, ()))
+            ept.set_page_attrs(page, NONE if sealed else RW)
+
+    def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
+        if not (0 <= src < GPA_LIMIT and 0 <= dst < GPA_LIMIT):
+            return deny("address outside modeled space")
+        if access is Access.EXECUTE:
             return REDIRECT
+        actor = self._enclave_of_code(src)
+        pools = self.pool_pages.get(dst >> PAGE_SHIFT, ())
+        if pools:
+            identities = {p.owner for p in pools}
+            if len(identities) == 1:
+                return GRANT if actor == next(iter(identities)) else REDIRECT
+            pool = self._byte_pool(dst)
+            if pool is not None and pool.owner == actor:
+                return GRANT
+            return REDIRECT
+        if actor is None and self._kernel_side_code(src):
+            return GRANT
         return REDIRECT
 
 

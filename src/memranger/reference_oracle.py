@@ -7,7 +7,7 @@ page. It shares no rule code with the policy engine it checks; agreement
 between the two is the product's central correctness property.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .address_space import PAGE_SHIFT, pages_covering
@@ -183,16 +183,6 @@ class FlatPolicy:
     universe: list[int]
     index: dict[int, int]
     table: dict[int, list[int]]
-    view: SnapshotView = field(repr=False, default=None)
-
-    def expected_bits(self, ept_id: int, page: int) -> int | None:
-        pos = self.index.get(page)
-        if pos is None:
-            return None
-        return self.table[ept_id][pos]
-
-    def legal(self, src: int, dst: int, access: Access) -> bool:
-        return self.view.legal(src, dst, access)
 
 
 def rebuild(snap: RegionSnapshot, extra_pages: Iterable[int] = ()) -> FlatPolicy:
@@ -230,7 +220,7 @@ def rebuild(snap: RegionSnapshot, extra_pages: Iterable[int] = ()) -> FlatPolicy
         for page in universe:
             row.append(_expected(kinds[page], ept_id))
         table[ept_id] = row
-    return FlatPolicy(universe=universe, index=index, table=table, view=view)
+    return FlatPolicy(universe=universe, index=index, table=table)
 
 
 def _expected(kind: tuple, ept_id: int) -> int:

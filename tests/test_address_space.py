@@ -94,7 +94,6 @@ def test_pages_covering_is_contiguous(base, size):
 class TestFrameStore:
     def test_unmapped_frames_fault(self):
         store = FrameStore()
-        assert not store.is_mapped(5)
         with pytest.raises(FrameFault):
             store.read_bytes(5, 0, 8)
         with pytest.raises(FrameFault):
@@ -138,6 +137,12 @@ class TestFrameStore:
         store = FrameStore()
         store.fill_gpa_range(0x1000, 10, b"\x01\x02\x03")
         assert store.read_gpa_range(0x1000, 10) == (b"\x01\x02\x03" * 4)[:10]
+        # the tiling runs on across page boundaries, and the digest covers every page
+        base, size = 2 * PAGE_SIZE - 5, 2 * PAGE_SIZE + 9
+        want = (b"\x01\x02\x03" * size)[:size]
+        store.fill_gpa_range(base, size, b"\x01\x02\x03")
+        assert store.read_gpa_range(base, size) == want
+        assert store.digest_gpa_range(base, size) == hashlib.sha256(want).hexdigest()
 
     def test_digest_matches_contents(self):
         store = FrameStore()

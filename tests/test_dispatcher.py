@@ -167,7 +167,6 @@ class _PingPongPolicy:
 
     def __init__(self):
         self.default_ept = 0
-        self.current_ept = 0
         self.epts = {0: create_ept(0), 1: create_ept(1)}
         for ept in self.epts.values():
             ept.set_page_attrs(0x7000_0000 >> 12, NONE)

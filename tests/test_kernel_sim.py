@@ -34,6 +34,8 @@ from memranger.kernel_sim import (
     run_trace,
     serialize_trace,
 )
+from memranger.reference_oracle import OracleChecker
+from memranger.report_cli import verify_run
 
 ALL_EVENTS = [
     LoadDriver("A", IMAGE_SLOTS[0]),
@@ -166,6 +168,26 @@ def test_same_trace_same_bytes():
 def test_generator_is_seed_deterministic():
     assert serialize_trace(gen_random_trace(3)) == serialize_trace(gen_random_trace(3))
     assert serialize_trace(gen_random_trace(3)) != serialize_trace(gen_random_trace(4))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_long_random_traces_replay_clean(seed):
+    """Past 26 driver loads the names go on (A1, B1, ...); every mode replays
+    the trace, and multi-ept stays oracle- and verifier-clean throughout."""
+    events = gen_random_trace(seed, length=2000)
+    assert len(events) == 2000
+    assert "A1" in {e.name for e in events if isinstance(e, LoadDriver)}
+    checker = OracleChecker()
+    mismatches = []
+
+    def audit(sim, index, event):
+        mismatches.extend(checker.verify(sim.policy, sim.policy.epts))
+
+    run_trace(events, "off")
+    run_trace(events, "single-ept")
+    report = run_trace(events, "multi-ept", after_event=audit)
+    assert mismatches == []
+    assert verify_run(events, report).ok
 
 
 def test_attack_probability_extremes():

@@ -1,0 +1,59 @@
+"""Every mode checks the region layout through the same ledger, and every
+mode rejects the same malformed traces."""
+
+import json
+
+import pytest
+
+from memranger.errors import ConfigError, SimulationError
+from memranger.kernel_sim import parse_trace, run_trace
+from memranger.report_cli import MODES, main, verify_run
+
+
+def load(name: str, base: str, size: str = "0x2000") -> dict:
+    return {"ev": "load_driver", "name": name, "image_base": base, "image_size": size}
+
+
+def process(pid: int, *regions) -> dict:
+    return {"ev": "create_process", "pid": pid, "regions": [list(r) for r in regions]}
+
+
+def trace_text(events) -> str:
+    return "".join(json.dumps(event) + "\n" for event in events)
+
+
+INVALID = {
+    "overlapping-images": [load("A", "0x30000000"), load("B", "0x30001000")],
+    "image-over-kernel-code": [load("A", "0x10000000")],
+    "process-over-kernel-code": [process(4, ("0x10000000", "0x200"))],
+    "duplicate-pid": [process(4, ("0x20002000", "0x200")), process(4, ("0x20003000", "0x200"))],
+    "process-over-image": [load("A", "0x30000000"), process(4, ("0x30000000", "0x200"))],
+    "zero-size-image": [load("A", "0x30000000", "0x0")],
+    "zero-size-process-region": [process(4, ("0x20002000", "0x0"))],
+    "image-past-48-bits": [load("A", "0xffffffffff000")],
+    "empty-write": [{"ev": "access", "actor": "os_kernel", "access": "write", "payload": "",
+                     "dst": {"ref": "os_structures", "offset": "0x10"}}],
+}
+
+
+@pytest.mark.parametrize("events", INVALID.values(), ids=INVALID.keys())
+def test_invalid_trace_rejected_in_every_mode(events, tmp_path, capsys):
+    text = trace_text(events)
+    parsed = parse_trace(text)
+    for mode in MODES:
+        with pytest.raises((ConfigError, SimulationError)):
+            run_trace(parsed, mode)
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    assert main(["run", str(path), "--mode", "single-ept"]) == 1
+    assert "simulation failed" in capsys.readouterr().err
+
+
+def test_process_regions_may_share_a_page():
+    events = parse_trace(trace_text([
+        process(4, ("0x20002000", "0x100"), ("0x20002080", "0x100")),
+        {"ev": "exit_process", "pid": 4},
+        process(8, ("0x20002000", "0x200")),
+    ]))
+    for mode in MODES:
+        assert verify_run(events, run_trace(events, mode)).ok

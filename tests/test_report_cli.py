@@ -144,6 +144,17 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dst", [
+        {"ref": "pool_of", "driver": ["A"], "index": 0},
+        {"ref": "eprocess", "pid": [4]},
+    ], ids=["driver-list", "pid-list"])
+    def test_ill_typed_target_exits_one(self, tmp_path, capsys, dst):
+        path = tmp_path / "bad.trace"
+        access = {"ev": "access", "actor": "os_kernel", "dst": dst, "access": "read"}
+        path.write_text('{"ev": "schedule", "actor": "os_kernel"}\n' + json.dumps(access) + "\n")
+        assert main(["run", str(path)]) == 1
+        assert f"{path}:2: " in capsys.readouterr().err
+
     def test_bad_cost_model_exits_one(self, demo, tmp_path):
         model = tmp_path / "model.json"
         model.write_text('{"vmexit": 3}')
