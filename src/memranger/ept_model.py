@@ -7,6 +7,10 @@ sit in one flat map keyed by guest page number, and an untouched page
 translates identity with the context's default attributes. (The 9/9/9/9/12
 split of a gpa across the paging levels is address_space.split_gpa.) A
 refused translation is reported as a value, not an exception.
+
+Every leaf write goes through Ept.set_page_entry, which also keeps a write
+journal: one entry per page, holding the serial of its latest write, so a
+reader that remembers a serial can ask which pages changed after it.
 """
 
 from dataclasses import dataclass
@@ -69,7 +73,10 @@ class Ept:
         self.default_attrs = default_attrs
         self.identity_pages = (base >> PAGE_SHIFT, (end - 1 >> PAGE_SHIFT) + 1)
         self._flat: dict[int, EptEntry] = {}    # page -> materialized leaf
-        self.mutations = 0
+        self.mutations = 0                       # serial of the latest write
+        # page -> serial of its latest write; re-inserted on every write, so
+        # iteration order is last-write order and the size is one per page
+        self._written: dict[int, int] = {}
 
     def _default_entry(self, page: int) -> EptEntry:
         lo, hi = self.identity_pages
@@ -87,6 +94,18 @@ class Ept:
             raise ValueError(f"page {page:#x} outside 48-bit space")
         self._flat[page] = entry
         self.mutations += 1
+        written = self._written
+        written.pop(page, None)
+        written[page] = self.mutations
+
+    def written_since(self, serial: int) -> list[int]:
+        """Pages written after write serial `serial`, newest first, each once."""
+        pages = []
+        for page, written in reversed(self._written.items()):
+            if written <= serial:
+                break
+            pages.append(page)
+        return pages
 
     def set_page_attrs(self, page: int, attrs: Rwx) -> None:
         self.set_page_entry(page, EptEntry(self.entry_for(page).pfn, attrs))

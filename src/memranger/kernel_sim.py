@@ -101,11 +101,14 @@ class ExitProcess:
     pid: int
 
 
+ALIGNS = ("natural", "page")    # "natural" packs at 16 bytes, "page" at 4 KiB
+
+
 @dataclass(frozen=True)
 class Alloc:
     actor: str
     size: int
-    align: str = "natural"      # "natural" packs at 16 bytes, "page" at 4 KiB
+    align: str = "natural"      # one of ALIGNS
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,7 @@ def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
         return ExitProcess(_int_field(obj, "pid", line))
     if kind == "alloc":
         align = obj.get("align", "natural")
-        if align not in ("natural", "page"):
+        if align not in ALIGNS:
             raise TraceParseError(f"unknown align {align!r}", line)
         return Alloc(_str_field(obj, "actor", line), _int_field(obj, "size", line), align)
     if kind == "free":
@@ -730,6 +733,12 @@ def gen_privesc_trace() -> list[TraceEvent]:
 def gen_benchmark_trace(n_accesses: int = 10_000, align: str = "page",
                         quantum: int = 64) -> list[TraceEvent]:
     """One driver reading its own pool, preempted every quantum accesses."""
+    if n_accesses < 0:
+        raise ValueError(f"n_accesses must be at least 0, not {n_accesses}")
+    if quantum < 1:
+        raise ValueError(f"quantum must be at least 1, not {quantum}")
+    if align not in ALIGNS:
+        raise ValueError(f"align must be one of {ALIGNS}, not {align!r}")
     events: list[TraceEvent] = [
         LoadDriver("X", IMAGE_SLOTS[0]),
         Schedule("X"),
@@ -821,6 +830,10 @@ def gen_random_trace(seed: int, length: int = 200,
     """Seeded random trace: driver churn, allocation churn, scheduling noise,
     and a mix of legal accesses and cross-boundary attacks. Labels are correct
     by construction: attacks always target bytes the actor does not own."""
+    if length < 0:
+        raise ValueError(f"length must be at least 0, not {length}")
+    if not 0.0 <= attack_probability <= 1.0:    # also rejects NaN
+        raise ValueError(f"attack_probability must lie in [0, 1], not {attack_probability}")
     rng = random.Random(seed)
     st = _RandomTraceState(rng)
 

@@ -1,14 +1,25 @@
 """Brute-force permission oracle, independent of the policy engine.
 
 The oracle consumes only raw region facts (static ranges, enclave image
-ranges, live pool extents, process regions) and recomputes, from scratch,
-the attribute triple every translation context must hold for every tracked
-page. It shares no rule code with the policy engine it checks; agreement
-between the two is the product's central correctness property.
+ranges, live pool extents, process regions) and recomputes the attribute
+triple every translation context must hold for every tracked page. It shares
+no rule code with the policy engine it checks; agreement between the two is
+the product's central correctness property.
+
+The check stays brute force on the expected side: after every layout change
+every page that an event can affect (images, pools, processes, unclaimed
+tracked pages) is classified again from the raw facts. The one memo is the
+rows of the static pages (kernel code, OS structures, other driver), a pure
+function of the static ranges, which no event changes. On the actual side,
+OracleChecker keeps each context's bits per page and rereads only the pages
+its Ept's write journal lists since the last check, then compares whole rows;
+check_against without a cache reads every page from scratch, and a caller
+can run that full sweep as a backstop against writes that bypass the journal.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import lru_cache
+from typing import Collection, Iterable, NamedTuple
 
 from .address_space import PAGE_SHIFT, pages_covering
 from .ept_model import Access, Ept
@@ -178,28 +189,62 @@ def _render(bits: int) -> str:
 
 @dataclass
 class FlatPolicy:
-    """Ground-truth attribute table: (context id, page) -> permission bits."""
+    """Ground-truth attribute table: context id -> {page: permission bits}.
+
+    Every row holds exactly the pages of the universe: the static pages, the
+    tracked pages and every page a live region claims, sorted.
+    """
 
     universe: list[int]
-    index: dict[int, int]
-    table: dict[int, list[int]]
+    table: dict[int, dict[int, int]]
+
+
+# Expected bits of a static page in (the default context, any enclave context).
+_STATIC_BITS = {
+    "kernel": (RWX_BITS, RWX_BITS),         # executable everywhere by design
+    "structure": (RWX_BITS, NONE_BITS),
+    "other": (RWX_BITS, DEFAULT_BITS),
+}
+
+
+@lru_cache(maxsize=8)
+def _static_rows(
+    os_kernel_ranges: tuple[tuple[int, int], ...],
+    os_structure_ranges: tuple[tuple[int, int], ...],
+    other_driver_ranges: tuple[tuple[int, int], ...],
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Expected rows of the static pages: (default context, every enclave context).
+
+    A pure function of the static ranges, which no event changes, so it is
+    memoised; the rows are shared by every caller and never mutated. Later
+    ranges take precedence where ranges share a page.
+    """
+    tags: dict[int, str] = {}
+    for tag, ranges in (("kernel", os_kernel_ranges), ("structure", os_structure_ranges),
+                        ("other", other_driver_ranges)):
+        for base, size in ranges:
+            for page in pages_covering(base, size):
+                tags[page] = tag
+    return (
+        {page: _STATIC_BITS[tag][0] for page, tag in tags.items()},
+        {page: _STATIC_BITS[tag][1] for page, tag in tags.items()},
+    )
 
 
 def rebuild(snap: RegionSnapshot, extra_pages: Iterable[int] = ()) -> FlatPolicy:
-    """Recompute the full expected table from scratch. Never incremental."""
+    """Recompute the expected table from the snapshot's raw facts.
+
+    Only the static pages' rows are memoised (see _static_rows). Every other
+    page is classified again from the snapshot on every call, and its bits in
+    every context recomputed; its claim overrides a static one on the same
+    page (a process region may lie over a structure page).
+    """
+    default_row, enclave_row = _static_rows(
+        snap.os_kernel_ranges, snap.os_structure_ranges, snap.other_driver_ranges,
+    )
     view = SnapshotView(snap)
-    kinds: dict[int, tuple] = {}
-    for page in extra_pages:
-        kinds[page] = ("unclaimed",)
-    for base, size in snap.os_kernel_ranges:
-        for page in pages_covering(base, size):
-            kinds[page] = ("kernel",)
-    for base, size in snap.os_structure_ranges:
-        for page in pages_covering(base, size):
-            kinds[page] = ("structure",)
-    for base, size in snap.other_driver_ranges:
-        for page in pages_covering(base, size):
-            kinds[page] = ("other",)
+    unclaimed = set(extra_pages).difference(default_row)
+    kinds: dict[int, tuple] = dict.fromkeys(unclaimed, ("unclaimed",))
     for pid, regions in snap.processes:
         for base, size in regions:
             for page in pages_covering(base, size):
@@ -211,26 +256,18 @@ def rebuild(snap: RegionSnapshot, extra_pages: Iterable[int] = ()) -> FlatPolicy
         identities = set(view.page_pool_identities(page))
         kinds[page] = ("pool", identities)
 
-    universe = sorted(kinds)
-    index = {page: pos for pos, page in enumerate(universe)}
-    ept_ids = [0] + [e.ept_id for e in snap.enclaves]
-    table: dict[int, list[int]] = {}
-    for ept_id in ept_ids:
-        row = []
-        for page in universe:
-            row.append(_expected(kinds[page], ept_id))
-        table[ept_id] = row
-    return FlatPolicy(universe=universe, index=index, table=table)
+    table = {}
+    for ept_id, static_row in [(0, default_row)] + [(e.ept_id, enclave_row) for e in snap.enclaves]:
+        dynamic = {page: _expected(kind, ept_id) for page, kind in kinds.items()}
+        table[ept_id] = {**static_row, **dynamic}
+    return FlatPolicy(universe=sorted(table[0]), table=table)
 
 
 def _expected(kind: tuple, ept_id: int) -> int:
+    """Expected bits of a page that is not static, in context ept_id."""
     tag = kind[0]
-    if tag == "kernel":
-        return RWX_BITS                      # executable everywhere by design
-    if tag == "structure" or tag == "process":
+    if tag == "process":
         return RWX_BITS if ept_id == 0 else NONE_BITS
-    if tag == "other":
-        return RWX_BITS if ept_id == 0 else DEFAULT_BITS
     if tag == "image":
         return RWX_BITS if ept_id == kind[1] else NONE_BITS
     if tag == "pool":
@@ -244,24 +281,82 @@ def _expected(kind: tuple, ept_id: int) -> int:
     return DEFAULT_BITS                      # unclaimed
 
 
-def _actual_bits(ept: Ept, policy: FlatPolicy) -> list[int]:
-    default = ept.default_attrs.bits()
-    row = [default] * len(policy.universe)
-    index = policy.index
+def _page_bits(ept: Ept, page: int) -> int:
+    entry = ept.entry_for(page)
+    return entry.attrs.bits() if entry.pfn == page else BAD_PFN_BITS
+
+
+def _read_row(ept: Ept, pages: Collection[int]) -> dict[int, int]:
+    """Actual bits of every page in pages, read from scratch: the written
+    leaves first, then the default entry of each page never written."""
+    row = {}
     for page, entry in ept.materialized_leaves():
-        pos = index.get(page)
-        if pos is None:
-            continue   # untracked pages are out of scope
-        row[pos] = entry.attrs.bits() if entry.pfn == page else BAD_PFN_BITS
+        if page in pages:
+            row[page] = entry.attrs.bits() if entry.pfn == page else BAD_PFN_BITS
+    if len(row) < len(pages):
+        for page in pages:
+            if page not in row:
+                row[page] = _page_bits(ept, page)
     return row
+
+
+class ActualRows:
+    """Each context's actual bits per universe page, kept current from its
+    Ept's write journal instead of being read again in full on every check.
+
+    Keyed by the Ept object itself, so a context that is dropped and created
+    again under the same id starts from a full read.
+    """
+
+    def __init__(self):
+        self._universe: list[int] = []
+        self._pages: frozenset[int] = frozenset()
+        self._rows: dict[Ept, tuple[int, dict[int, int]]] = {}   # ept -> (serial, row)
+
+    def follow(self, policy: FlatPolicy, epts: dict[int, Ept]) -> None:
+        """On a new universe, drop the pages that left it and read the ones
+        that joined it, and forget the contexts that are gone."""
+        if policy.universe is self._universe or policy.universe == self._universe:
+            return
+        pages = frozenset(policy.universe)
+        left, joined = self._pages - pages, pages - self._pages
+        rows = {}
+        for ept, (serial, row) in self._rows.items():
+            if epts.get(ept.id) is not ept:
+                continue
+            for page in left:
+                del row[page]
+            for page in joined:
+                row[page] = _page_bits(ept, page)
+            rows[ept] = (serial, row)
+        self._rows = rows
+        self._universe, self._pages = policy.universe, pages
+
+    def row(self, ept: Ept) -> dict[int, int]:
+        """The context's row, after rereading the pages written since the last call."""
+        cached = self._rows.get(ept)
+        if cached is None:
+            row = _read_row(ept, self._pages)
+        else:
+            serial, row = cached
+            if serial == ept.mutations:
+                return row
+            for page in ept.written_since(serial):
+                if page in row:
+                    row[page] = _page_bits(ept, page)
+        self._rows[ept] = (ept.mutations, row)
+        return row
 
 
 def check_against(
     policy: FlatPolicy,
     epts: dict[int, Ept],
-    cache: dict[int, tuple[int, int, list[int]]] | None = None,
+    cache: ActualRows | None = None,
 ) -> list[Mismatch]:
-    """Compare every context against the expected table; [] means agreement."""
+    """Compare every context against the expected table; [] means agreement.
+
+    Without a cache every context's universe pages are read from scratch.
+    """
     mismatches: list[Mismatch] = []
     for ept_id in policy.table:
         if ept_id not in epts:
@@ -269,41 +364,36 @@ def check_against(
     for ept_id in epts:
         if ept_id not in policy.table:
             mismatches.append(Mismatch(ept_id, -1, "absent", "present"))
+    if cache is not None:
+        cache.follow(policy, epts)
     for ept_id, expected_row in policy.table.items():
         ept = epts.get(ept_id)
         if ept is None:
             continue
-        key = (ept.mutations, len(policy.universe))
-        if cache is not None and cache.get(ept_id, (None, None, None))[:2] == key:
-            actual_row = cache[ept_id][2]
-        else:
-            actual_row = _actual_bits(ept, policy)
-            if cache is not None:
-                cache[ept_id] = (key[0], key[1], actual_row)
+        actual_row = _read_row(ept, expected_row) if cache is None else cache.row(ept)
         if actual_row == expected_row:
             continue
-        for pos, (want, got) in enumerate(zip(expected_row, actual_row)):
+        for page in policy.universe:
+            want, got = expected_row[page], actual_row[page]
             if want != got:
-                page = policy.universe[pos]
                 mismatches.append(Mismatch(ept_id, page, _render(want), _render(got)))
     return mismatches
 
 
 class OracleChecker:
-    """Stateful wrapper: rebuilds on layout changes, caches per-context sweeps."""
+    """Stateful wrapper: rebuilds on layout changes, keeps actual rows current."""
 
     def __init__(self):
         self._version = None
         self._policy: FlatPolicy | None = None
-        self._cache: dict[int, tuple[int, int, list[int]]] = {}
+        self._actual = ActualRows()
 
     def policy_for(self, map_state) -> FlatPolicy:
         if self._policy is None or map_state.layout_version != self._version:
             snap = snapshot_from_map(map_state)
             self._policy = rebuild(snap, extra_pages=map_state.tracked)
             self._version = map_state.layout_version
-            self._cache.clear()
         return self._policy
 
     def verify(self, map_state, epts: dict[int, Ept]) -> list[Mismatch]:
-        return check_against(self.policy_for(map_state), epts, cache=self._cache)
+        return check_against(self.policy_for(map_state), epts, cache=self._actual)

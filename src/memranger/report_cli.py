@@ -469,21 +469,25 @@ def cli_gen(args) -> int:
         except ValueError:
             print(f"RANGER_SEED is not an integer: {env_seed!r}", file=sys.stderr)
             return 1
-    if args.kind == "demo1":
-        events = ks.gen_demo1_trace()
-    elif args.kind == "privesc":
-        events = ks.gen_privesc_trace()
-    elif args.kind == "bench":
-        events = ks.gen_benchmark_trace(
-            n_accesses=args.n if args.n is not None else 10_000,
-            align=args.align,
-        )
-    else:
-        events = ks.gen_random_trace(
-            seed,
-            length=args.n if args.n is not None else 200,
-            attack_probability=args.attack_probability,
-        )
+    try:
+        if args.kind == "demo1":
+            events = ks.gen_demo1_trace()
+        elif args.kind == "privesc":
+            events = ks.gen_privesc_trace()
+        elif args.kind == "bench":
+            events = ks.gen_benchmark_trace(
+                n_accesses=args.n if args.n is not None else 10_000,
+                align=args.align,
+            )
+        else:
+            events = ks.gen_random_trace(
+                seed,
+                length=args.n if args.n is not None else 200,
+                attack_probability=args.attack_probability,
+            )
+    except ValueError as exc:
+        print(f"gen {args.kind}: {exc}", file=sys.stderr)
+        return 1
     try:
         Path(args.output).write_text(ks.serialize_trace(events))
     except OSError as exc:

@@ -100,6 +100,31 @@ def test_mutations_counter_tracks_writes():
     assert ept.mutations == before + 2
 
 
+def test_written_since_lists_later_pages_newest_first_once():
+    ept = create_ept(0)
+    ept.set_page_attrs(1, NONE)
+    mark = ept.mutations
+    assert ept.written_since(mark) == []
+    ept.set_page_attrs(2, RWX)
+    ept.set_page_pfn(3, 9)
+    ept.set_page_attrs(2, NONE)           # rewritten: moves to the front, listed once
+    ept.set_page_entry(4, EptEntry(4, RW))
+    assert ept.written_since(mark) == [4, 2, 3]
+    assert ept.written_since(0) == [4, 2, 3, 1]
+    assert ept.written_since(ept.mutations) == []
+    ept.set_page_attrs(1, RWX)            # a page written before the mark, written again
+    assert ept.written_since(mark) == [1, 4, 2, 3]
+
+
+def test_journal_holds_one_entry_per_page():
+    ept = create_ept(0)
+    for i in range(100_000):
+        ept.set_page_attrs(i % 3, RWX if i & 1 else NONE)
+    assert ept.mutations == 100_000
+    assert len(ept._written) == 3
+    assert ept.written_since(0) == [0, 2, 1]   # 99,999 % 3 == 0 was written last
+
+
 def test_materialized_leaves_mirror_the_radix():
     ept = create_ept(0)
     ept.set_page_attrs(10, NONE)

@@ -1,5 +1,6 @@
 """Scenario replay: trace codec, allocator grain, mode behavior, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -188,6 +189,49 @@ def test_long_random_traces_replay_clean(seed):
     report = run_trace(events, "multi-ept", after_event=audit)
     assert mismatches == []
     assert verify_run(events, report).ok
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"length": -3},
+    {"length": -1},
+    {"attack_probability": 2.0},
+    {"attack_probability": -1.0},
+    {"attack_probability": float("nan")},
+], ids=["length-3", "length-1", "p2", "p-1", "pnan"])
+def test_random_trace_rejects_bad_arguments(kwargs):
+    with pytest.raises(ValueError):
+        gen_random_trace(0, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_accesses": -1},
+    {"quantum": 0},
+    {"quantum": -64},
+    {"align": "bogus"},
+], ids=["n-1", "quantum0", "quantum-64", "align-bogus"])
+def test_benchmark_trace_rejects_bad_arguments(kwargs):
+    with pytest.raises(ValueError):
+        gen_benchmark_trace(**kwargs)
+
+
+def test_generators_accept_the_edges():
+    assert gen_random_trace(0, length=0) == []
+    assert len(gen_random_trace(0, length=5, attack_probability=1.0)) == 5
+    assert len(gen_benchmark_trace(n_accesses=0)) == 3
+    assert len(gen_benchmark_trace(n_accesses=3, quantum=1)) == 3 + 3 + 2 * 2
+
+
+def test_valid_generator_arguments_give_the_pinned_bytes():
+    """Argument checks must not move a valid trace by one byte: benchmark and
+    corpus inputs are identified by these bytes."""
+    digest = hashlib.sha256()
+    for seed in range(5):
+        trace = gen_random_trace(seed, length=300, attack_probability=seed / 4)
+        digest.update(serialize_trace(trace).encode())
+    for n_accesses, quantum in ((1000, 64), (0, 64), (500, 1), (300, 7)):
+        digest.update(serialize_trace(gen_benchmark_trace(n_accesses, quantum=quantum)).encode())
+    digest.update(serialize_trace(gen_random_trace(9, length=0)).encode())
+    assert digest.hexdigest() == "7604e20f806fcdf2b6437756a891be1fa4c87c6b37b9ada3fc578f2b20b0e6f9"
 
 
 def test_attack_probability_extremes():

@@ -1,14 +1,22 @@
 """Brute-force checker vs the incremental policy, driven by random event walks."""
 
+import random
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test
 
 from memranger.address_space import PAGE_SIZE
-from memranger.ept_model import RWX, Access, EptEntry
+from memranger.ept_model import NONE, RWX, Access, EptEntry, Rwx, create_ept
+from memranger.kernel_sim import gen_random_trace, run_trace
 from memranger.policy_map import DEFAULT_EPT, init
 from memranger.reference_oracle import (
+    DEFAULT_BITS,
+    NONE_BITS,
+    ActualRows,
+    FlatPolicy,
+    Mismatch,
     OracleChecker,
     check_against,
     rebuild,
@@ -80,6 +88,57 @@ def test_missing_context_is_caught():
     del epts[eid]
     found = check_against(policy, epts)
     assert any(m.ept == eid and m.actual == "missing" for m in found)
+
+
+def test_page_joining_the_universe_is_read():
+    ept = create_ept(0)
+    ept.set_page_attrs(3, RWX)            # outside the first universe: out of scope
+    cache = ActualRows()
+    first = FlatPolicy([1, 2], {0: {1: DEFAULT_BITS, 2: DEFAULT_BITS}})
+    assert check_against(first, {0: ept}, cache) == []
+    second = FlatPolicy([1, 3], {0: {1: DEFAULT_BITS, 3: DEFAULT_BITS}})
+    assert check_against(second, {0: ept}, cache) == [Mismatch(0, 3, "rw-", "rwx")]
+
+
+def test_replaced_context_is_read_again():
+    old, new = create_ept(1), create_ept(1)
+    old.set_page_attrs(1, NONE)
+    new.set_page_attrs(1, RWX)            # same id, same write serial, other leaves
+    policy = FlatPolicy([1], {1: {1: NONE_BITS}})
+    cache = ActualRows()
+    assert check_against(policy, {1: old}, cache) == []
+    assert check_against(policy, {1: new}, cache) == [Mismatch(1, 1, "---", "rwx")]
+
+
+def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
+    """The journal-fed checker must report exactly what a from-scratch sweep
+    reports, also when leaves are overwritten behind the policy's back."""
+    rng = random.Random(20261018)
+    checks = sabotaged = flagged = 0
+    for seed in range(40):
+        checker = OracleChecker()
+
+        def hook(sim, index, event):
+            nonlocal checks, sabotaged, flagged
+            m = sim.policy
+            if rng.random() < 0.05:
+                ept = m.epts[rng.choice(sorted(m.epts))]
+                page = rng.choice(sorted(m.tracked))
+                entry = ept.entry_for(page)
+                if rng.random() < 0.5:
+                    attrs = Rwx(*(rng.random() < 0.5 for _ in range(3)))
+                    ept.set_page_entry(page, EptEntry(entry.pfn, attrs))
+                else:
+                    ept.set_page_entry(page, EptEntry(entry.pfn + 1, entry.attrs))
+                sabotaged += 1
+            fresh_sweep = check_against(rebuild(snapshot_from_map(m), m.tracked), m.epts)
+            assert sorted(checker.verify(m, m.epts)) == sorted(fresh_sweep), (seed, index)
+            checks += 1
+            flagged += bool(fresh_sweep)
+
+        run_trace(gen_random_trace(seed, length=200), "multi-ept", after_event=hook)
+    assert checks >= 40 * 200 and sabotaged >= 200
+    assert flagged >= sabotaged      # a sabotaged leaf mostly stays wrong for a while
 
 
 class TestLegality:

@@ -200,6 +200,20 @@ class TestCli:
         main(["gen", "random", "--seed", "7", "-o", str(third)])
         assert first.read_text() == second.read_text() == third.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["random", "--n", "-3"],
+        ["random", "--attack-probability", "2"],
+        ["random", "--attack-probability", "-1"],
+        ["random", "--attack-probability", "nan"],
+        ["bench", "--n", "-1"],
+    ], ids=["random-n-3", "p2", "p-1", "pnan", "bench-n-1"])
+    def test_gen_bad_arguments_exit_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.trace"
+        assert main(["gen", *argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"gen {argv[0]}: ")
+        assert not out.exists()
+
     def test_gen_seed_env_must_be_an_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RANGER_SEED", "lucky")
         assert main(["gen", "random", "-o", str(tmp_path / "x.trace")]) == 1
