@@ -4,7 +4,7 @@ Each translation context maps guest page frames to host page frames. Only
 the leaf level is modelled, since permissions live on leaf entries and the
 intermediate tables are always permissive: the leaves a context has written
 sit in one flat map keyed by guest page number, and an untouched page
-translates identity with the context's default attributes. (The 9/9/9/9/12
+translates identity, readable and writable but not executable. (The 9/9/9/9/12
 split of a gpa across the paging levels is address_space.split_gpa.) A
 refused translation is reported as a value, not an exception.
 
@@ -63,15 +63,10 @@ class EptViolation:
 
 
 class Ept:
-    """One translation context, identity-mapped over a gpa range."""
+    """One translation context, identity-mapped over the whole gpa space."""
 
-    def __init__(self, ept_id: int, identity_range: tuple[int, int] = (0, GPA_LIMIT), default_attrs: Rwx = RW):
-        base, end = identity_range
-        if not (0 <= base < end <= GPA_LIMIT):
-            raise ValueError("bad identity range")
+    def __init__(self, ept_id: int):
         self.id = ept_id
-        self.default_attrs = default_attrs
-        self.identity_pages = (base >> PAGE_SHIFT, (end - 1 >> PAGE_SHIFT) + 1)
         self._flat: dict[int, EptEntry] = {}    # page -> materialized leaf
         self.mutations = 0                       # serial of the latest write
         # page -> serial of its latest write; re-inserted on every write, so
@@ -79,10 +74,7 @@ class Ept:
         self._written: dict[int, int] = {}
 
     def _default_entry(self, page: int) -> EptEntry:
-        lo, hi = self.identity_pages
-        if lo <= page < hi:
-            return EptEntry(page, self.default_attrs)
-        return EptEntry(page, NONE)
+        return EptEntry(page, RW)
 
     def entry_for(self, page: int) -> EptEntry:
         """Effective leaf entry governing a page (materialized or default)."""
@@ -139,6 +131,6 @@ class Ept:
         return iter(self._flat.items())
 
 
-def create_ept(ept_id: int, identity_range: tuple[int, int] = (0, GPA_LIMIT)) -> Ept:
+def create_ept(ept_id: int) -> Ept:
     """Fresh context: identity map, readable and writable, not executable."""
-    return Ept(ept_id, identity_range)
+    return Ept(ept_id)

@@ -102,6 +102,7 @@ class ExitProcess:
 
 
 ALIGNS = ("natural", "page")    # "natural" packs at 16 bytes, "page" at 4 KiB
+EXPECT_LABELS = (None, "legal", "illegal")
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class AccessEvent:
     dst: DstRef
     access: str                 # "read" | "write" | "execute"
     payload: bytes | None = None
-    expect: str | None = None   # generator's own legality label, carried for audits
+    expect: str | None = None   # one of EXPECT_LABELS: the generator's own legality label
 
 
 TraceEvent = (
@@ -294,7 +295,7 @@ def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
             except (TypeError, ValueError):
                 raise TraceParseError(f"payload is not hex: {obj['payload']!r}", line) from None
         expect = obj.get("expect")
-        if expect not in (None, "legal", "illegal"):
+        if expect not in EXPECT_LABELS:
             raise TraceParseError(f"unknown expect label {expect!r}", line)
         return AccessEvent(_str_field(obj, "actor", line), dst, access, payload, expect)
     raise TraceParseError(f"unknown event kind {kind!r}", line)
@@ -392,9 +393,7 @@ class Simulation:
             "os_kernel": ActorInfo("os_kernel", "os", OS_KERNEL_CODE[0] + CODE_ENTRY_OFFSET),
             "other_driver_0": ActorInfo("other_driver_0", "other", OTHER_DRIVER[0] + CODE_ENTRY_OFFSET),
         }
-        self.images: dict[str, tuple[int, int]] = {}
         self.pools: dict[str, list[PoolInfo]] = {}
-        self.processes: dict[int, tuple[tuple[int, int], ...]] = {}
         self.scheduled = "os_kernel"
         self.log: list[dict] = []
         self.allocations: list[dict] = []
@@ -498,15 +497,16 @@ class Simulation:
                 raise SimulationError("pool_of needs a driver name")
             return self._pool_addr(ref.driver, ref.index, ref.offset)
         if ref.kind == "image_of":
-            image = self.images.get(ref.driver)
-            if image is None:
+            owner = self.actors.get(ref.driver)
+            if owner is None or owner.kind != "driver":
                 raise SimulationError(f"no loaded image for {ref.driver!r}")
-            return bounded(*image)
+            image = self.policy.enclaves[owner.enclave_id]
+            return bounded(image.image_base, image.image_size)
         if ref.kind == "eprocess":
-            regions = self.processes.get(ref.pid)
-            if regions is None:
+            proc = self.policy.processes.get(ref.pid)
+            if proc is None:
                 raise SimulationError(f"no live process {ref.pid}")
-            return bounded(*regions[0])
+            return bounded(*proc.regions[0])
         if ref.kind == "os_kernel_code":
             return bounded(*OS_KERNEL_CODE)
         if ref.kind == "os_structures":
@@ -548,7 +548,6 @@ class Simulation:
         self.actors[event.name] = ActorInfo(
             event.name, "driver", event.image_base + CODE_ENTRY_OFFSET, eid,
         )
-        self.images[event.name] = (event.image_base, event.image_size)
         self.pools.setdefault(event.name, [])
 
     def _on_unload(self, event: UnloadDriver) -> None:
@@ -563,27 +562,23 @@ class Simulation:
             self.vcpu.counters["tlb_flushes"] += 1
             self.vcpu.counters["forced_switches"] += 1
         del self.actors[event.name]
-        del self.images[event.name]
         for pool in self.pools.get(event.name, ()):
             pool.live = False
         if self.scheduled == event.name:
             self.scheduled = "os_kernel"
 
     def _on_process_create(self, event: CreateProcess) -> None:
-        regions = tuple((int(base), int(size)) for base, size in event.regions)
-        self.policy.on_process_create(event.pid, regions)
-        for base, size in regions:
+        self.policy.on_process_create(event.pid, event.regions)
+        for base, size in self.policy.processes[event.pid].regions:
             self.store.fill_gpa_range(base, size, SECRET_FILL)
-        self.processes[event.pid] = regions
 
     def _on_process_exit(self, event: ExitProcess) -> None:
-        if event.pid not in self.processes:
-            raise SimulationError(f"exit of unknown process {event.pid}")
         self.policy.on_process_exit(event.pid)
-        del self.processes[event.pid]
 
     def _on_alloc(self, event: Alloc) -> None:
         info = self._actor(event.actor)
+        if event.align not in ALIGNS:
+            raise SimulationError(f"unknown align {event.align!r}")
         self._ensure_running(event.actor)
         align = "page" if self.config.force_page_aligned else event.align
         base = self.allocator.take(event.size, align)
@@ -615,9 +610,14 @@ class Simulation:
 
     def _on_access(self, event: AccessEvent) -> None:
         info = self._actor(event.actor)
+        try:
+            access = Access(event.access)
+        except ValueError:
+            raise SimulationError(f"unknown access kind {event.access!r}") from None
+        if event.expect not in EXPECT_LABELS:
+            raise SimulationError(f"unknown expect label {event.expect!r}")
         self._ensure_running(event.actor)
         dst = self._resolve(info, event.dst)
-        access = Access(event.access)
         payload = event.payload
         if access is Access.WRITE and payload is None:
             payload = DEFAULT_WRITE
@@ -639,15 +639,17 @@ class Simulation:
             "os_structures": self.store.digest_gpa_range(*OS_STRUCTURES),
             "other_driver:0": self.store.digest_gpa_range(*OTHER_DRIVER),
         }
-        for name, (base, size) in self.images.items():
-            out[f"image:{name}"] = self.store.digest_gpa_range(base, size)
+        for name, info in self.actors.items():
+            if info.kind == "driver":
+                image = self.policy.enclaves[info.enclave_id]
+                out[f"image:{name}"] = self.store.digest_gpa_range(image.image_base, image.image_size)
         for name, pools in self.pools.items():
             for ordinal, pool in enumerate(pools):
                 if pool.live:
                     out[f"pool:{name}:{ordinal}"] = self.store.digest_gpa_range(pool.base, pool.size)
-        for pid, regions in self.processes.items():
+        for pid, proc in self.policy.processes.items():
             digest = hashlib.sha256()
-            for base, size in regions:
+            for base, size in proc.regions:
                 digest.update(self.store.read_gpa_range(base, size))
             out[f"eprocess:{pid}"] = digest.hexdigest()
         return out
@@ -730,13 +732,18 @@ def gen_privesc_trace() -> list[TraceEvent]:
     ]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value}")
+
+
 def gen_benchmark_trace(n_accesses: int = 10_000, align: str = "page",
                         quantum: int = 64) -> list[TraceEvent]:
     """One driver reading its own pool, preempted every quantum accesses."""
-    if n_accesses < 0:
-        raise ValueError(f"n_accesses must be at least 0, not {n_accesses}")
-    if quantum < 1:
-        raise ValueError(f"quantum must be at least 1, not {quantum}")
+    _check_count("n_accesses", n_accesses, 0)
+    _check_count("quantum", quantum, 1)
     if align not in ALIGNS:
         raise ValueError(f"align must be one of {ALIGNS}, not {align!r}")
     events: list[TraceEvent] = [
@@ -830,8 +837,7 @@ def gen_random_trace(seed: int, length: int = 200,
     """Seeded random trace: driver churn, allocation churn, scheduling noise,
     and a mix of legal accesses and cross-boundary attacks. Labels are correct
     by construction: attacks always target bytes the actor does not own."""
-    if length < 0:
-        raise ValueError(f"length must be at least 0, not {length}")
+    _check_count("length", length, 0)
     if not 0.0 <= attack_probability <= 1.0:    # also rejects NaN
         raise ValueError(f"attack_probability must lie in [0, 1], not {attack_probability}")
     rng = random.Random(seed)

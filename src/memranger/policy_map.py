@@ -2,8 +2,11 @@
 
 RegionLedger holds the region facts every mode shares (static ranges, driver
 images, their pools, process regions), rejects any change that would make
-them overlap, and answers ownership queries. Mode ``off`` uses it bare. Its
-two subclasses turn the same facts into translation-context attributes:
+them overlap, and answers ownership queries. Each event hook updates the
+facts and then restamps the pages it changed in every translation context.
+A policy subclass says two things only: which contexts exist (_context_ids)
+and which bits a page holds in a context (_attrs, a pure function of the
+facts). Mode ``off`` uses the ledger bare, with no contexts to stamp.
 
 * MapState (``multi-ept``) keeps one default context plus one per enclave:
   - the default context opens the kernel's world and seals every enclave's
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
-from .ept_model import NONE, RW, RWX, Access, Ept, Rwx, create_ept
+from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry, Rwx, create_ept
 from .errors import ConfigError, SimulationError
 
 DEFAULT_EPT = 0
@@ -49,6 +52,10 @@ class EnclaveRecord:
     image_base: int
     image_end: int
     drv_allocs: list[AllocatedPool] = field(default_factory=list)
+
+    @property
+    def image_size(self) -> int:
+        return self.image_end - self.image_base
 
 
 @dataclass
@@ -104,12 +111,7 @@ def _region_pages(regions) -> dict[int, None]:
 
 
 class RegionLedger:
-    """Region facts, their validation and ownership queries; no contexts.
-
-    The event hooks keep the facts. The attribute steps they call
-    (_stamp_static, _stamp_load, _stamp_unload, _stamp_process, _revert_page,
-    _reseal) do nothing here; a policy subclass overrides them.
-    """
+    """Region facts, their validation, ownership queries and the restamp loop."""
 
     def __init__(self, config: StaticConfig):
         self.config = config
@@ -138,28 +140,37 @@ class RegionLedger:
                         raise ConfigError(f"{what}: page {page:#x} claimed twice")
                     self._static_kind[page] = kind
                     self.tracked.add(page)
-        self._stamp_static()
+        self._sync_contexts()
         self.layout_version += 1
 
-    # -- attribute steps, overridden by the policies -------------------------
+    # -- the page rule, given by the policies --------------------------------
 
-    def _stamp_static(self) -> None:
-        """Open the static regions in the initial contexts."""
+    def _context_ids(self) -> list[int]:
+        """Contexts the facts call for; the bare ledger keeps none."""
+        return []
 
-    def _stamp_load(self, eid: int, image_base: int, image_size: int) -> None:
-        """Give a new enclave its view; the ledger does not hold it yet."""
+    def _attrs(self, page: int, ept_id: int) -> Rwx:
+        """Bits a page holds in a context, from the facts alone."""
+        raise NotImplementedError
 
-    def _stamp_unload(self, eid: int) -> None:
-        """Drop a departed enclave's view."""
+    def _restamp(self, pages) -> None:
+        """Give every page its rule's bits in every context."""
+        for ept_id, ept in self.epts.items():
+            for page in pages:
+                ept.set_page_attrs(page, self._attrs(page, ept_id))
 
-    def _stamp_process(self, regions: list[tuple[int, int]]) -> None:
-        """Seal a new process's regions."""
-
-    def _revert_page(self, page: int) -> None:
-        """Restore a page that no image or process claims any more."""
-
-    def _reseal(self, pages) -> None:
-        """Recompute pool pages after their set of pools changed."""
+    def _sync_contexts(self) -> None:
+        """Drop contexts the facts no longer call for and create the missing
+        ones, each stamped over every claimed page. A fresh context maps
+        every page identity, so the stamp writes identity leaves directly."""
+        wanted = self._context_ids()
+        for ept_id in [e for e in self.epts if e not in wanted]:
+            del self.epts[ept_id]
+        for ept_id in wanted:
+            if ept_id not in self.epts:
+                ept = self.epts[ept_id] = create_ept(ept_id)
+                for page in {**self._static_kind, **self._overlay, **self.pool_pages}:
+                    ept.set_page_entry(page, EptEntry(page, self._attrs(page, ept_id)))
 
     # -- queries -----------------------------------------------------------
 
@@ -208,11 +219,12 @@ class RegionLedger:
                 raise ConfigError(f"driver image overlaps page {page:#x}")
         eid = self._next_ept_id
         self._next_ept_id += 1
-        self._stamp_load(eid, image_base, image_size)
         self.enclaves[eid] = EnclaveRecord(eid, image_base, image_base + image_size)
         for page in pages:
             self._overlay[page] = ("image", eid)
             self.tracked.add(page)
+        self._sync_contexts()
+        self._restamp(pages)
         self.layout_version += 1
         return eid
 
@@ -220,14 +232,13 @@ class RegionLedger:
         rec = self.enclaves.pop(eid, None)
         if rec is None:
             raise ConfigError(f"unload of unknown enclave {eid}")
-        self._stamp_unload(eid)
-        for page in pages_covering(rec.image_base, rec.image_end - rec.image_base):
+        pages = dict.fromkeys(pages_covering(rec.image_base, rec.image_size))
+        for page in pages:
             del self._overlay[page]
-            self._revert_page(page)
-        released: dict[int, None] = {}
         for pool in rec.drv_allocs:
-            released.update(dict.fromkeys(self._unindex(pool)))
-        self._reseal(released)
+            pages.update(dict.fromkeys(self._unindex(pool)))
+        self._sync_contexts()
+        self._restamp(pages)
         self.layout_version += 1
 
     def on_alloc(self, caller_addr: int, base: int, size: int) -> int | None:
@@ -253,7 +264,7 @@ class RegionLedger:
         for page in pages:
             self.pool_pages.setdefault(page, []).append(pool)
             self.tracked.add(page)
-        self._reseal(pages)
+        self._restamp(pages)
         self.layout_version += 1
         return pool.pool_id if owner is not None else None
 
@@ -265,7 +276,7 @@ class RegionLedger:
             self.foreign_pools.remove(pool)
         else:
             self.enclaves[pool.owner].drv_allocs.remove(pool)
-        self._reseal(self._unindex(pool))
+        self._restamp(self._unindex(pool))
         self.layout_version += 1
 
     def on_process_create(self, pid: int, regions) -> None:
@@ -282,89 +293,52 @@ class RegionLedger:
                 raise ConfigError(f"process region overlaps page {page:#x}")
             if self._static_kind.get(page) in ("kernel", "other"):
                 raise ConfigError(f"process region overlaps code at page {page:#x}")
-        self._stamp_process(regions)
         for page in pages:
             self._overlay[page] = ("process", pid)
             self.tracked.add(page)
         self.processes[pid] = ProcessRecord(pid, regions)
+        self._restamp(pages)
         self.layout_version += 1
 
     def on_process_exit(self, pid: int) -> None:
         rec = self.processes.pop(pid, None)
         if rec is None:
             raise SimulationError(f"exit of unknown process {pid}")
-        for page in _region_pages(rec.regions):
+        pages = _region_pages(rec.regions)
+        for page in pages:
             del self._overlay[page]
-            self._revert_page(page)
+        self._restamp(pages)
         self.layout_version += 1
 
 
 class MapState(RegionLedger):
     """Multi-context policy: one default context plus one context per enclave."""
 
-    # -- attribute choreography --------------------------------------------
+    def _context_ids(self) -> list[int]:
+        return [DEFAULT_EPT, *self.enclaves]
 
-    def _static_attrs(self, page: int, ept_id: int) -> Rwx:
+    def _attrs(self, page: int, ept_id: int) -> Rwx:
+        overlay = self._overlay.get(page)
+        if overlay is not None:
+            kind, who = overlay
+            if kind == "image":
+                return RWX if ept_id == who else NONE
+            return RWX if ept_id == DEFAULT_EPT else NONE     # process region
+        pools = self.pool_pages.get(page)
+        if pools:
+            identities = {p.owner for p in pools}
+            if len(identities) >= 2:
+                return NONE                                    # sealed for every owner
+            owner = next(iter(identities))
+            if owner is None:
+                return RW                                      # kernel-side data stays open
+            return RWX if ept_id == owner else NONE
         kind = self._static_kind.get(page)
-        if kind == "kernel":
-            return RWX
-        if kind == "structure":
-            return RWX if ept_id == self.default_ept else NONE
-        if kind == "other":
-            return RWX if ept_id == self.default_ept else RW
-        return RW
-
-    def _stamp_static(self) -> None:
-        # the kernel's world is fully open in the default context
-        default = self.epts[DEFAULT_EPT] = create_ept(DEFAULT_EPT)
-        for page in self._static_kind:
-            default.set_page_attrs(page, RWX)
-
-    def _stamp_load(self, eid: int, image_base: int, image_size: int) -> None:
-        ept = create_ept(eid)
-        ept.set_region_attrs(image_base, image_size, RWX)
-        for page in self._static_kind:
-            ept.set_page_attrs(page, self._static_attrs(page, eid))
-        for other in self.enclaves.values():
-            ept.set_region_attrs(other.image_base, other.image_end - other.image_base, NONE)
-            for pool in other.drv_allocs:
-                for page in pages_covering(pool.base, pool.size):
-                    ept.set_page_attrs(page, NONE)
-        for proc in self.processes.values():
-            for base, size in proc.regions:
-                ept.set_region_attrs(base, size, NONE)
-        # hide the newcomer's image from every pre-existing context
-        for other_ept in self.epts.values():
-            other_ept.set_region_attrs(image_base, image_size, NONE)
-        self.epts[eid] = ept
-
-    def _stamp_unload(self, eid: int) -> None:
-        del self.epts[eid]
-
-    def _stamp_process(self, regions: list[tuple[int, int]]) -> None:
-        for base, size in regions:
-            for ept_id, ept in self.epts.items():
-                ept.set_region_attrs(base, size, RWX if ept_id == self.default_ept else NONE)
-
-    def _revert_page(self, page: int) -> None:
-        for ept_id, ept in self.epts.items():
-            ept.set_page_attrs(page, self._static_attrs(page, ept_id))
-
-    def _reseal(self, pages) -> None:
-        for page in pages:
-            identities = {p.owner for p in self.pool_pages.get(page, ())}
-            if not identities:
-                self._revert_page(page)
-            elif len(identities) >= 2:
-                for ept in self.epts.values():
-                    ept.set_page_attrs(page, NONE)    # sealed for every owner
-            elif identities == {None}:
-                for ept in self.epts.values():
-                    ept.set_page_attrs(page, RW)      # kernel-side data stays open
-            else:
-                owner = next(iter(identities))
-                for ept_id, ept in self.epts.items():
-                    ept.set_page_attrs(page, RWX if ept_id == owner else NONE)
+        if kind is None:
+            return RW
+        if kind == "kernel" or ept_id == DEFAULT_EPT:
+            return RWX                   # the default context opens the kernel's world
+        return NONE if kind == "structure" else RW
 
     # -- violation brain -----------------------------------------------------
 
@@ -432,32 +406,20 @@ class SingleEptPolicy(RegionLedger):
     single-stepped window. Code is never sealed and the context never changes.
     """
 
-    def _static_attrs(self, page: int) -> Rwx:
+    def _context_ids(self) -> list[int]:
+        return [DEFAULT_EPT]
+
+    def _attrs(self, page: int, ept_id: int) -> Rwx:
+        overlay = self._overlay.get(page)
+        if overlay is not None:
+            return RWX if overlay[0] == "image" else NONE
+        pools = self.pool_pages.get(page)
+        if pools:
+            return NONE if any(p.owner is not None for p in pools) else RW
         kind = self._static_kind.get(page)
-        if kind == "structure":
-            return NONE
-        return RW if kind is None else RWX
-
-    def _stamp_static(self) -> None:
-        ept = self.epts[DEFAULT_EPT] = create_ept(DEFAULT_EPT)
-        for page in self._static_kind:
-            ept.set_page_attrs(page, self._static_attrs(page))
-
-    def _stamp_load(self, eid: int, image_base: int, image_size: int) -> None:
-        self.epts[DEFAULT_EPT].set_region_attrs(image_base, image_size, RWX)
-
-    def _stamp_process(self, regions: list[tuple[int, int]]) -> None:
-        for base, size in regions:
-            self.epts[DEFAULT_EPT].set_region_attrs(base, size, NONE)
-
-    def _revert_page(self, page: int) -> None:
-        self.epts[DEFAULT_EPT].set_page_attrs(page, self._static_attrs(page))
-
-    def _reseal(self, pages) -> None:
-        ept = self.epts[DEFAULT_EPT]
-        for page in pages:
-            sealed = any(p.owner is not None for p in self.pool_pages.get(page, ()))
-            ept.set_page_attrs(page, NONE if sealed else RW)
+        if kind is None:
+            return RW
+        return NONE if kind == "structure" else RWX
 
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
         if not (0 <= src < GPA_LIMIT and 0 <= dst < GPA_LIMIT):

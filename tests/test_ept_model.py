@@ -9,7 +9,6 @@ from memranger.ept_model import (
     RW,
     RWX,
     Access,
-    Ept,
     EptEntry,
     EptViolation,
     Rwx,
@@ -51,14 +50,6 @@ def test_violation_carries_the_refusing_entry():
     assert result.gpa == 5 * PAGE_SIZE + 0x10
     assert result.access is Access.READ
     assert result.entry == EptEntry(5, NONE)
-
-
-def test_outside_identity_range_is_unmapped():
-    ept = Ept(1, identity_range=(0, 0x10000))
-    assert ept.translate(0x8000, Access.READ) == 0x8000
-    miss = ept.translate(0x20000, Access.READ)
-    assert isinstance(miss, EptViolation)
-    assert miss.entry.attrs == NONE
 
 
 def test_set_region_attrs_is_page_granular():
@@ -151,8 +142,3 @@ def test_translate_agrees_with_entry_for(gpa, access):
     else:
         assert isinstance(result, EptViolation)
         assert result.entry == entry
-
-
-def test_bad_identity_range_rejected():
-    with pytest.raises(ValueError):
-        Ept(0, identity_range=(0x2000, 0x1000))

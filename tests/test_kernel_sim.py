@@ -197,7 +197,10 @@ def test_long_random_traces_replay_clean(seed):
     {"attack_probability": 2.0},
     {"attack_probability": -1.0},
     {"attack_probability": float("nan")},
-], ids=["length-3", "length-1", "p2", "p-1", "pnan"])
+    {"length": 2.5},
+    {"length": True},
+    {"length": "5"},
+], ids=["length-3", "length-1", "p2", "p-1", "pnan", "length2.5", "length-true", "length-str"])
 def test_random_trace_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         gen_random_trace(0, **kwargs)
@@ -208,7 +211,10 @@ def test_random_trace_rejects_bad_arguments(kwargs):
     {"quantum": 0},
     {"quantum": -64},
     {"align": "bogus"},
-], ids=["n-1", "quantum0", "quantum-64", "align-bogus"])
+    {"quantum": 2.5},
+    {"n_accesses": True},
+    {"n_accesses": 10.0},
+], ids=["n-1", "quantum0", "quantum-64", "align-bogus", "quantum2.5", "n-true", "n10.0"])
 def test_benchmark_trace_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         gen_benchmark_trace(**kwargs)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from memranger.address_space import GPA_LIMIT, PAGE_SIZE
+from memranger.address_space import GPA_LIMIT, PAGE_SIZE, pages_covering
 from memranger.ept_model import NONE, RW, RWX, Access
 from memranger.errors import ConfigError, SimulationError
+from memranger.kernel_sim import Simulation, gen_random_trace
 from memranger.policy_map import DEFAULT_EPT, DecisionKind, init
 
 KERNEL = (0x1000_0000, 0x0010_0000)
@@ -230,3 +231,47 @@ class TestClassify:
         state.on_alloc(KERNEL_CODE, POOL + 16, 16)
         verdict = state.classify_access(DEFAULT_EPT, KERNEL_CODE, POOL + 20, Access.READ)
         assert verdict.kind is DecisionKind.TEMPORARY_GRANT
+
+
+def _single_ept_expectation(sim) -> dict[int, object]:
+    """single-ept's table from raw region facts: protected data sealed, code
+    executable, everything else plain data."""
+    policy = sim.policy
+    config = policy.config
+    expected = {}
+    for ranges, bits in (
+        (config.os_kernel_ranges, RWX),
+        (config.other_driver_ranges, RWX),
+        (config.os_structure_ranges, NONE),
+    ):
+        for base, size in ranges:
+            for page in pages_covering(base, size):
+                expected[page] = bits
+    for proc in policy.processes.values():
+        for base, size in proc.regions:
+            for page in pages_covering(base, size):
+                expected[page] = NONE
+    for rec in policy.enclaves.values():
+        for page in pages_covering(rec.image_base, rec.image_end - rec.image_base):
+            expected[page] = RWX
+        for pool in rec.drv_allocs:
+            for page in pages_covering(pool.base, pool.size):
+                expected[page] = NONE
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_single_ept_table_matches_raw_facts(seed):
+    """No oracle watches the single-ept context, so pin its whole table: after
+    every event every tracked page holds the bits the raw facts call for."""
+    events = gen_random_trace(seed, length=200, attack_probability=0.4)
+    sim = Simulation("single-ept")
+    for index, event in enumerate(events):
+        sim.step(event)
+        assert set(sim.policy.epts) == {DEFAULT_EPT}
+        ept = sim.policy.epts[DEFAULT_EPT]
+        expected = _single_ept_expectation(sim)
+        for page in sim.policy.tracked:
+            want = expected.get(page, RW)
+            got = ept.entry_for(page).attrs
+            assert got == want, f"seed {seed} event {index} page {page:#x}: {got} != {want}"

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from memranger.errors import ConfigError, SimulationError
-from memranger.kernel_sim import parse_trace, run_trace
+from memranger.errors import ConfigError, SimulationError, TraceParseError
+from memranger.kernel_sim import AccessEvent, Alloc, DstRef, parse_trace, run_trace, serialize_trace
 from memranger.report_cli import MODES, main, verify_run
 
 
@@ -57,3 +57,18 @@ def test_process_regions_may_share_a_page():
     ]))
     for mode in MODES:
         assert verify_run(events, run_trace(events, mode)).ok
+
+
+@pytest.mark.parametrize("event", [
+    Alloc("os_kernel", 0x100, "bogus"),
+    AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "fetch"),
+    AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "read", expect="bogus"),
+], ids=["align-bogus", "access-fetch", "expect-bogus"])
+def test_events_the_codec_rejects_fail_in_every_mode(event):
+    """An event built in Python gets no further than the same event read
+    from a trace file."""
+    with pytest.raises(TraceParseError):
+        parse_trace(serialize_trace([event]))
+    for mode in MODES:
+        with pytest.raises(SimulationError):
+            run_trace([event], mode)
