@@ -15,7 +15,7 @@ from .address_space import (
     split_gpa,
 )
 from .dispatcher import VcpuState, execute_access, handle_mtf, switch_ept
-from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry, EptViolation, Rwx, create_ept
+from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry, EptViolation
 from .errors import (
     ConfigError,
     FrameFault,
@@ -78,7 +78,6 @@ __all__ = [
     "RW",
     "RWX",
     "RunReport",
-    "Rwx",
     "Schedule",
     "SimConfig",
     "Simulation",
@@ -88,7 +87,6 @@ __all__ = [
     "UnloadDriver",
     "VcpuState",
     "access_ticks",
-    "create_ept",
     "execute_access",
     "gen_benchmark_trace",
     "gen_demo1_trace",

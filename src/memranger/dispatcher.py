@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .address_space import PAGE_SHIFT, PAGE_SIZE, FrameStore, offset_in_page
-from .ept_model import Access, EptEntry, EptViolation, Rwx
+from .ept_model import ACCESS_BIT, Access, EptEntry, EptViolation
 from .errors import PolicyLivelockError, SimulationError
 from .policy_map import DecisionKind, RegionLedger
 
@@ -76,14 +76,6 @@ def handle_mtf(vcpu: VcpuState, policy, store: FrameStore) -> None:
         store.zero_fake()
     vcpu.mtf = None
     vcpu.counters["mtf_windows"] += 1
-
-
-def _raise_bit(attrs: Rwx, access: Access) -> Rwx:
-    return Rwx(
-        attrs.r or access is Access.READ,
-        attrs.w or access is Access.WRITE,
-        attrs.x or access is Access.EXECUTE,
-    )
 
 
 def _perform(store: FrameStore, hpa: int, access: Access, payload, length: int):
@@ -162,31 +154,28 @@ def execute_access(
             raise SimulationError(f"access to {dst:#x} denied: {decision.reason}")
 
         page = dst >> PAGE_SHIFT
-        before = ept.entry_for(page)
+        saved = ept.entry_for(page)
         if decision.kind is DecisionKind.REDIRECT_TO_FAKE:
             redirected = True
             decision_label = "redirect_to_fake"
             vcpu.counters["redirects"] += 1
-            saved = ept.set_page_pfn(page, store.fake_pfn)
             window_pfn = store.fake_pfn
             kind = MtfKind.RESTORE_AFTER_FAKE
         else:    # TEMPORARY_GRANT
             granted = True
             decision_label = "temporary_grant"
             vcpu.counters["grants"] += 1
-            saved = ept.entry_for(page)
             window_pfn = saved.pfn
             kind = MtfKind.RELOCK_AFTER_GRANT
         # permit exactly this access kind for the single stepped instruction
-        ept.set_page_entry(page, EptEntry(window_pfn, _raise_bit(saved.attrs, access)))
+        ept.set_page_entry(page, EptEntry(window_pfn, saved.attrs | ACCESS_BIT[access]))
         vcpu.mtf = MtfPending(kind, ept.id, page, saved)
         window = ept.translate(dst, access)
         if isinstance(window, EptViolation):
             raise RuntimeError("window entry still refuses the access")
         data = _perform(store, window, access, payload, length)
         handle_mtf(vcpu, policy, store)
-        after = ept.entry_for(page)
-        if after != before:
+        if ept.entry_for(page) != saved:
             raise RuntimeError("single-step window failed to restore the leaf entry")
         break
 

@@ -4,9 +4,11 @@ Each translation context maps guest page frames to host page frames. Only
 the leaf level is modelled, since permissions live on leaf entries and the
 intermediate tables are always permissive: the leaves a context has written
 sit in one flat map keyed by guest page number, and an untouched page
-translates identity, readable and writable but not executable. (The 9/9/9/9/12
-split of a gpa across the paging levels is address_space.split_gpa.) A
-refused translation is reported as a value, not an exception.
+translates identity, readable and writable but not executable. A leaf's
+attributes are the int R|W|X, bits 0-2 as in an Intel EPT entry. (The
+9/9/9/9/12 split of a gpa across the paging levels is
+address_space.split_gpa.) A refused translation is reported as a value, not
+an exception.
 
 Every leaf write goes through Ept.set_page_entry, which also keeps a write
 journal: one entry per page, holding the serial of its latest write, so a
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .address_space import GPA_LIMIT, OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
+from .address_space import OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
 
 
 class Access(Enum):
@@ -26,30 +28,17 @@ class Access(Enum):
     EXECUTE = "execute"
 
 
-class Rwx(NamedTuple):
-    r: bool
-    w: bool
-    x: bool
+R, W, X = 1, 2, 4
+RWX = R | W | X
+RW = R | W
+NONE = 0
 
-    def permits(self, access: Access) -> bool:
-        if access is Access.READ:
-            return self.r
-        if access is Access.WRITE:
-            return self.w
-        return self.x
-
-    def bits(self) -> int:
-        return self.r | self.w << 1 | self.x << 2
-
-
-RWX = Rwx(True, True, True)
-RW = Rwx(True, True, False)
-NONE = Rwx(False, False, False)
+ACCESS_BIT = {Access.READ: R, Access.WRITE: W, Access.EXECUTE: X}
 
 
 class EptEntry(NamedTuple):
     pfn: int
-    attrs: Rwx
+    attrs: int                   # R|W|X bits
 
 
 @dataclass(frozen=True)
@@ -99,23 +88,8 @@ class Ept:
             pages.append(page)
         return pages
 
-    def set_page_attrs(self, page: int, attrs: Rwx) -> None:
+    def set_page_attrs(self, page: int, attrs: int) -> None:
         self.set_page_entry(page, EptEntry(self.entry_for(page).pfn, attrs))
-
-    def set_region_attrs(self, base: int, size: int, attrs: Rwx) -> None:
-        """Apply attrs to every page touched by [base, base+size). Page granular."""
-        if size <= 0:
-            raise ValueError("size must be positive")
-        if base + size > GPA_LIMIT:
-            raise ValueError("region extends beyond 48-bit space")
-        for page in range(base >> PAGE_SHIFT, (base + size - 1 >> PAGE_SHIFT) + 1):
-            self.set_page_attrs(page, attrs)
-
-    def set_page_pfn(self, page: int, target_pfn: int) -> EptEntry:
-        """Repoint a leaf at another frame; returns the prior entry for restore."""
-        prior = self.entry_for(page)
-        self.set_page_entry(page, EptEntry(target_pfn, prior.attrs))
-        return prior
 
     def translate(self, gpa: int, access: Access) -> int | EptViolation:
         """Pure lookup: host address on success, violation value on refusal."""
@@ -123,14 +97,10 @@ class Ept:
         entry = self._flat.get(page)
         if entry is None:
             entry = self._default_entry(page)
-        if entry.attrs.permits(access):
+        if entry.attrs & ACCESS_BIT[access]:
             return (entry.pfn << PAGE_SHIFT) | (gpa & OFFSET_MASK)
         return EptViolation(self.id, gpa, access, entry)
 
     def materialized_leaves(self) -> Iterator[tuple[int, EptEntry]]:
         return iter(self._flat.items())
 
-
-def create_ept(ept_id: int) -> Ept:
-    """Fresh context: identity map, readable and writable, not executable."""
-    return Ept(ept_id)

@@ -20,8 +20,9 @@ import itertools
 import json
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from types import NoneType
 
 from .address_space import PAGE_SIZE, FrameStore
 from .dispatcher import VcpuState, execute_access
@@ -70,10 +71,7 @@ class Mode(Enum):
 @dataclass
 class SimConfig:
     force_page_aligned: bool = False
-    cost_model: CostModel | None = None
-
-    def resolved_cost_model(self) -> CostModel:
-        return self.cost_model if self.cost_model is not None else CostModel()
+    cost_model: CostModel = field(default_factory=CostModel)
 
 
 # -- trace events -----------------------------------------------------------
@@ -152,6 +150,42 @@ _DST_KINDS = (
     "os_kernel_code", "os_structures", "other_driver",
 )
 _INDEXED_KINDS = ("own_pool", "pool_of", "other_driver")
+
+# value -> Access; a dict lookup costs a tenth of calling Access(value)
+_ACCESS_OF = {access.value: access for access in Access}
+
+# Whether each event's fields hold exactly the types the codec builds from a
+# trace line (so ints are never bools) and name a known align, access kind,
+# target kind and expect label. Written out rather than read from the
+# annotations because Simulation.step runs them on every event.
+_FIELDS_OK = {
+    LoadDriver: lambda e: (
+        type(e.name) is str and type(e.image_base) is int and type(e.image_size) is int),
+    UnloadDriver: lambda e: type(e.name) is str,
+    CreateProcess: lambda e: type(e.pid) is int and type(e.regions) is tuple and all(
+        type(r) is tuple and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
+        for r in e.regions),
+    ExitProcess: lambda e: type(e.pid) is int,
+    Alloc: lambda e: type(e.actor) is str and type(e.size) is int and e.align in ALIGNS,
+    Free: lambda e: type(e.actor) is str and type(e.pool) is int,
+    Schedule: lambda e: type(e.actor) is str,
+    AccessEvent: lambda e: (
+        type(e.actor) is str and type(e.access) is str and e.access in _ACCESS_OF
+        and e.expect in EXPECT_LABELS
+        and type(e.payload) in (bytes, NoneType) and type(e.dst) is DstRef
+        and e.dst.kind in _DST_KINDS and type(e.dst.driver) in (str, NoneType)
+        and type(e.dst.index) is int and type(e.dst.pid) in (int, NoneType)
+        and type(e.dst.offset) is int),
+}
+
+
+def _check_event(event) -> None:
+    """Reject an event built in Python that no trace line could produce."""
+    fields_ok = _FIELDS_OK.get(type(event))
+    if fields_ok is None:
+        raise SimulationError(f"unknown event {event!r}")
+    if not fields_ok(event):
+        raise SimulationError(f"field of the wrong type or value in {event!r}")
 
 
 def _hex(value: int) -> str:
@@ -286,7 +320,7 @@ def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
             offset=_int_field(raw_dst, "offset", line, default=0),
         )
         access = _str_field(obj, "access", line)
-        if access not in ("read", "write", "execute"):
+        if access not in _ACCESS_OF:
             raise TraceParseError(f"unknown access kind {access!r}", line)
         payload = None
         if "payload" in obj:
@@ -377,7 +411,7 @@ class Simulation:
     def __init__(self, mode, config: SimConfig | None = None):
         self.mode = mode if isinstance(mode, Mode) else Mode(mode)
         self.config = config or SimConfig()
-        self.cost_model = self.config.resolved_cost_model()
+        self.cost_model = self.config.cost_model
         self.store = FrameStore()
         # mode off keeps the bare ledger: the same input checks, no contexts
         self.policy = _POLICIES[self.mode](_static_config())
@@ -397,7 +431,6 @@ class Simulation:
         self.scheduled = "os_kernel"
         self.log: list[dict] = []
         self.allocations: list[dict] = []
-        self.seq = 0
         self.event_index = -1
         self.ticks = 0
 
@@ -410,10 +443,9 @@ class Simulation:
         return info
 
     def _record(self, record: dict, expect: str | None = None) -> None:
-        record["seq"] = self.seq
+        record["seq"] = len(self.log)
         record["event"] = self.event_index
         record["expect"] = expect
-        self.seq += 1
         self.ticks += access_ticks(record, self.cost_model)
         self.log.append(record)
 
@@ -520,8 +552,13 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def step(self, event: TraceEvent) -> None:
+        _check_event(event)
         self.event_index += 1
-        if isinstance(event, LoadDriver):
+        if isinstance(event, AccessEvent):    # the common case first
+            self._on_access(event)
+        elif isinstance(event, Schedule):
+            self._fetch(event.actor)
+        elif isinstance(event, LoadDriver):
             self._on_load(event)
         elif isinstance(event, UnloadDriver):
             self._on_unload(event)
@@ -531,14 +568,8 @@ class Simulation:
             self._on_process_exit(event)
         elif isinstance(event, Alloc):
             self._on_alloc(event)
-        elif isinstance(event, Free):
+        else:    # Free, the last kind _check_event admits
             self._on_free(event)
-        elif isinstance(event, Schedule):
-            self._fetch(event.actor)
-        elif isinstance(event, AccessEvent):
-            self._on_access(event)
-        else:
-            raise SimulationError(f"unknown event {event!r}")
 
     def _on_load(self, event: LoadDriver) -> None:
         if event.name in self.actors:
@@ -577,8 +608,6 @@ class Simulation:
 
     def _on_alloc(self, event: Alloc) -> None:
         info = self._actor(event.actor)
-        if event.align not in ALIGNS:
-            raise SimulationError(f"unknown align {event.align!r}")
         self._ensure_running(event.actor)
         align = "page" if self.config.force_page_aligned else event.align
         base = self.allocator.take(event.size, align)
@@ -610,12 +639,7 @@ class Simulation:
 
     def _on_access(self, event: AccessEvent) -> None:
         info = self._actor(event.actor)
-        try:
-            access = Access(event.access)
-        except ValueError:
-            raise SimulationError(f"unknown access kind {event.access!r}") from None
-        if event.expect not in EXPECT_LABELS:
-            raise SimulationError(f"unknown expect label {event.expect!r}")
+        access = _ACCESS_OF[event.access]
         self._ensure_running(event.actor)
         dst = self._resolve(info, event.dst)
         payload = event.payload

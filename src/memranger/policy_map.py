@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
-from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry, Rwx, create_ept
+from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import ConfigError, SimulationError
 
 DEFAULT_EPT = 0
@@ -72,7 +72,6 @@ class StaticConfig:
 
 
 class DecisionKind(Enum):
-    ALLOW = "allow"
     SWITCH_EPT = "switch_ept"
     REDIRECT_TO_FAKE = "redirect_to_fake"
     TEMPORARY_GRANT = "temporary_grant"
@@ -149,7 +148,7 @@ class RegionLedger:
         """Contexts the facts call for; the bare ledger keeps none."""
         return []
 
-    def _attrs(self, page: int, ept_id: int) -> Rwx:
+    def _attrs(self, page: int, ept_id: int) -> int:
         """Bits a page holds in a context, from the facts alone."""
         raise NotImplementedError
 
@@ -168,7 +167,7 @@ class RegionLedger:
             del self.epts[ept_id]
         for ept_id in wanted:
             if ept_id not in self.epts:
-                ept = self.epts[ept_id] = create_ept(ept_id)
+                ept = self.epts[ept_id] = Ept(ept_id)
                 for page in {**self._static_kind, **self._overlay, **self.pool_pages}:
                     ept.set_page_entry(page, EptEntry(page, self._attrs(page, ept_id)))
 
@@ -317,7 +316,7 @@ class MapState(RegionLedger):
     def _context_ids(self) -> list[int]:
         return [DEFAULT_EPT, *self.enclaves]
 
-    def _attrs(self, page: int, ept_id: int) -> Rwx:
+    def _attrs(self, page: int, ept_id: int) -> int:
         overlay = self._overlay.get(page)
         if overlay is not None:
             kind, who = overlay
@@ -409,7 +408,7 @@ class SingleEptPolicy(RegionLedger):
     def _context_ids(self) -> list[int]:
         return [DEFAULT_EPT]
 
-    def _attrs(self, page: int, ept_id: int) -> Rwx:
+    def _attrs(self, page: int, ept_id: int) -> int:
         overlay = self._overlay.get(page)
         if overlay is not None:
             return RWX if overlay[0] == "image" else NONE

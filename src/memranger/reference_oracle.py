@@ -22,11 +22,8 @@ from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple
 
 from .address_space import PAGE_SHIFT, pages_covering
-from .ept_model import Access, Ept
+from .ept_model import NONE, RW, RWX, Access, Ept, R, W, X
 
-DEFAULT_BITS = 0b011   # readable, writable, not executable
-RWX_BITS = 0b111
-NONE_BITS = 0b000
 BAD_PFN_BITS = 0xFF    # sentinel: leaf points at a non-identity frame
 
 
@@ -184,7 +181,7 @@ class Mismatch(NamedTuple):
 def _render(bits: int) -> str:
     if bits == BAD_PFN_BITS:
         return "redirected-pfn"
-    return ("r" if bits & 1 else "-") + ("w" if bits & 2 else "-") + ("x" if bits & 4 else "-")
+    return ("r" if bits & R else "-") + ("w" if bits & W else "-") + ("x" if bits & X else "-")
 
 
 @dataclass
@@ -201,9 +198,9 @@ class FlatPolicy:
 
 # Expected bits of a static page in (the default context, any enclave context).
 _STATIC_BITS = {
-    "kernel": (RWX_BITS, RWX_BITS),         # executable everywhere by design
-    "structure": (RWX_BITS, NONE_BITS),
-    "other": (RWX_BITS, DEFAULT_BITS),
+    "kernel": (RWX, RWX),    # executable everywhere by design
+    "structure": (RWX, NONE),
+    "other": (RWX, RW),
 }
 
 
@@ -267,23 +264,23 @@ def _expected(kind: tuple, ept_id: int) -> int:
     """Expected bits of a page that is not static, in context ept_id."""
     tag = kind[0]
     if tag == "process":
-        return RWX_BITS if ept_id == 0 else NONE_BITS
+        return RWX if ept_id == 0 else NONE
     if tag == "image":
-        return RWX_BITS if ept_id == kind[1] else NONE_BITS
+        return RWX if ept_id == kind[1] else NONE
     if tag == "pool":
         identities = kind[1]
         if len(identities) >= 2 and any(i is not None for i in identities):
-            return NONE_BITS                 # shared page: sealed in every context
+            return NONE                      # shared page: sealed in every context
         sole = next(iter(identities))
         if sole is None:
-            return DEFAULT_BITS              # non-enclaved allocations stay open
-        return RWX_BITS if ept_id == sole else NONE_BITS
-    return DEFAULT_BITS                      # unclaimed
+            return RW                        # non-enclaved allocations stay open
+        return RWX if ept_id == sole else NONE
+    return RW                                # unclaimed
 
 
 def _page_bits(ept: Ept, page: int) -> int:
     entry = ept.entry_for(page)
-    return entry.attrs.bits() if entry.pfn == page else BAD_PFN_BITS
+    return entry.attrs if entry.pfn == page else BAD_PFN_BITS
 
 
 def _read_row(ept: Ept, pages: Collection[int]) -> dict[int, int]:
@@ -292,7 +289,7 @@ def _read_row(ept: Ept, pages: Collection[int]) -> dict[int, int]:
     row = {}
     for page, entry in ept.materialized_leaves():
         if page in pages:
-            row[page] = entry.attrs.bits() if entry.pfn == page else BAD_PFN_BITS
+            row[page] = entry.attrs if entry.pfn == page else BAD_PFN_BITS
     if len(row) < len(pages):
         for page in pages:
             if page not in row:

@@ -10,7 +10,7 @@ from memranger.dispatcher import (
     handle_mtf,
     switch_ept,
 )
-from memranger.ept_model import NONE, RWX, Access, create_ept
+from memranger.ept_model import NONE, Access, Ept
 from memranger.errors import PolicyLivelockError, SimulationError
 from memranger.policy_map import DEFAULT_EPT, init, switch_to
 
@@ -98,6 +98,23 @@ def test_execute_fetch_switches_into_the_enclave(world):
     assert vcpu.counters["tlb_flushes"] == 1
 
 
+def test_window_writes_the_leaf_twice_and_restores_it(world):
+    """A single-step window writes exactly two leaves, open and restore, for a
+    redirect as for a grant, and leaves the leaf bit for bit as it was."""
+    policy, store, vcpu, a, b = world
+    policy.on_alloc(CODE_B, POOL_A + 0x100, 0x10)     # same page as A's pool
+    page = POOL_A >> 12
+    switch_ept(vcpu, policy, b)
+    ept = policy.epts[b]
+    for dst, decision in ((POOL_A + 4, "redirect_to_fake"), (POOL_A + 0x104, "temporary_grant")):
+        before, writes = ept.entry_for(page), ept.mutations
+        _, record = execute_access(vcpu, policy, store, CODE_B, dst, Access.READ)
+        assert record["decision"] == decision
+        assert record["ept_after"] == b
+        assert ept.mutations == writes + 2
+        assert ept.entry_for(page) == before
+
+
 def test_home_restore_happens_before_translation(world):
     policy, store, vcpu, a, _ = world
     switch_ept(vcpu, policy, a)
@@ -167,7 +184,7 @@ class _PingPongPolicy:
 
     def __init__(self):
         self.default_ept = 0
-        self.epts = {0: create_ept(0), 1: create_ept(1)}
+        self.epts = {0: Ept(0), 1: Ept(1)}
         for ept in self.epts.values():
             ept.set_page_attrs(0x7000_0000 >> 12, NONE)
 

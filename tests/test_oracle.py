@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test
 
 from memranger.address_space import PAGE_SIZE
-from memranger.ept_model import NONE, RWX, Access, EptEntry, Rwx, create_ept
+from memranger.ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
 from memranger.kernel_sim import gen_random_trace, run_trace
 from memranger.policy_map import DEFAULT_EPT, init
 from memranger.reference_oracle import (
-    DEFAULT_BITS,
-    NONE_BITS,
     ActualRows,
     FlatPolicy,
     Mismatch,
@@ -91,20 +89,20 @@ def test_missing_context_is_caught():
 
 
 def test_page_joining_the_universe_is_read():
-    ept = create_ept(0)
+    ept = Ept(0)
     ept.set_page_attrs(3, RWX)            # outside the first universe: out of scope
     cache = ActualRows()
-    first = FlatPolicy([1, 2], {0: {1: DEFAULT_BITS, 2: DEFAULT_BITS}})
+    first = FlatPolicy([1, 2], {0: {1: RW, 2: RW}})
     assert check_against(first, {0: ept}, cache) == []
-    second = FlatPolicy([1, 3], {0: {1: DEFAULT_BITS, 3: DEFAULT_BITS}})
+    second = FlatPolicy([1, 3], {0: {1: RW, 3: RW}})
     assert check_against(second, {0: ept}, cache) == [Mismatch(0, 3, "rw-", "rwx")]
 
 
 def test_replaced_context_is_read_again():
-    old, new = create_ept(1), create_ept(1)
+    old, new = Ept(1), Ept(1)
     old.set_page_attrs(1, NONE)
     new.set_page_attrs(1, RWX)            # same id, same write serial, other leaves
-    policy = FlatPolicy([1], {1: {1: NONE_BITS}})
+    policy = FlatPolicy([1], {1: {1: NONE}})
     cache = ActualRows()
     assert check_against(policy, {1: old}, cache) == []
     assert check_against(policy, {1: new}, cache) == [Mismatch(1, 1, "---", "rwx")]
@@ -126,7 +124,7 @@ def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
                 page = rng.choice(sorted(m.tracked))
                 entry = ept.entry_for(page)
                 if rng.random() < 0.5:
-                    attrs = Rwx(*(rng.random() < 0.5 for _ in range(3)))
+                    attrs = sum(bit for bit in (R, W, X) if rng.random() < 0.5)
                     ept.set_page_entry(page, EptEntry(entry.pfn, attrs))
                 else:
                     ept.set_page_entry(page, EptEntry(entry.pfn + 1, entry.attrs))

@@ -6,7 +6,17 @@ import json
 import pytest
 
 from memranger.errors import ConfigError, SimulationError, TraceParseError
-from memranger.kernel_sim import AccessEvent, Alloc, DstRef, parse_trace, run_trace, serialize_trace
+from memranger.kernel_sim import (
+    AccessEvent,
+    Alloc,
+    DstRef,
+    Free,
+    LoadDriver,
+    Simulation,
+    parse_trace,
+    run_trace,
+    serialize_trace,
+)
 from memranger.report_cli import MODES, main, verify_run
 
 
@@ -72,3 +82,31 @@ def test_events_the_codec_rejects_fail_in_every_mode(event):
     for mode in MODES:
         with pytest.raises(SimulationError):
             run_trace([event], mode)
+
+
+ILL_TYPED = {
+    "alloc-size-str": Alloc("os_kernel", "0x100"),
+    "payload-str": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "write",
+                               payload="abcd"),
+    "offset-str": AccessEvent("os_kernel", DstRef("os_structures", offset="0x10"), "read"),
+    "image-base-str": LoadDriver("A", "0x30000000"),
+    "free-pool-str": Free("os_kernel", "0"),
+    "access-list": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), ["read"]),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("event", ILL_TYPED.values(), ids=ILL_TYPED.keys())
+def test_ill_typed_event_fails_before_touching_state(event, mode):
+    """A field of the wrong type is a SimulationError, not a TypeError from
+    deep inside the replay, and the rejected event changes nothing."""
+    sim = Simulation(mode)
+    sim.step(Alloc("os_kernel", 0x100))
+
+    def state():
+        return sim.report().to_json(), sim.event_index, sim.policy.layout_version
+
+    before = state()
+    with pytest.raises(SimulationError, match="wrong type or value"):
+        sim.step(event)
+    assert state() == before
