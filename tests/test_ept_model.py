@@ -18,13 +18,16 @@ from memranger.ept_model import (
 )
 
 
-def test_translate_permits_exactly_the_set_bits():
-    """R, W and X are bits 0-2 of a leaf, as in an Intel EPT entry; every
-    combination permits exactly the accesses whose bit is set, through the
-    leaf's frame."""
+def test_rwx_bits_packing():
+    """R, W and X are bits 0-2 of a leaf, as in an Intel EPT entry."""
     assert (R, W, X) == (1, 2, 4)
     assert (NONE, RW, RWX) == (0, 3, 7)
     assert ACCESS_BIT == {Access.READ: 1, Access.WRITE: 2, Access.EXECUTE: 4}
+
+
+def test_rwx_permits():
+    """Every combination of bits permits exactly the accesses whose bit is
+    set, through the leaf's frame."""
     gpa = 7 * PAGE_SIZE + 0x20
     for attrs in range(8):
         ept = Ept(0)
