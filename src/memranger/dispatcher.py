@@ -5,6 +5,9 @@ violations as values: switch contexts and retry, or open a one-instruction
 window (decoy frame for refusals, the real frame for grants), perform the
 access, then restore the leaf entry bit for bit on the single-step exit.
 
+A policy that keeps no contexts (mode ``off``) runs with translation off:
+each access passes the same checks and lands on its identity frame untrapped.
+
 Every access returns a log record carrying the trap/switch/window counts the
 cost model is computed from.
 """
@@ -133,6 +136,9 @@ def execute_access(
         switch_ept(vcpu, policy, home_ept)
 
     while True:
+        if not policy.epts:    # no contexts: translation is off
+            data = _perform(store, dst, access, payload, length)
+            break
         ept = policy.epts[vcpu.current_ept]
         result = ept.translate(dst, access)
         if not isinstance(result, EptViolation):

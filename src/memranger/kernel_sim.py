@@ -3,12 +3,15 @@
 Replays a trace of driver lifecycle, allocation, scheduling and access events
 against one of three protection modes:
 
-* ``off``        - plain memory, every access lands; the region ledger
-  still validates the layout;
+* ``off``        - plain memory: the bare region ledger validates the layout
+  but keeps no contexts, so every access lands untrapped;
 * ``single-ept`` - one translation context that seals protected data and
   single-steps every touch of it, legal or not;
 * ``multi-ept``  - per-driver contexts with fake-page redirection and
   identity-checked grants.
+
+The mode picks the policy class and names the report; every mode replays
+through the same handlers and the same dispatcher.execute_access.
 
 The policies live in policy_map; this module owns the replay (Simulation),
 the pool allocator, the trace JSON-lines codec and the trace generators
@@ -25,7 +28,7 @@ from enum import Enum
 from types import NoneType
 
 from .address_space import PAGE_SIZE, FrameStore
-from .dispatcher import VcpuState, execute_access
+from .dispatcher import VcpuState, execute_access, switch_ept
 from .ept_model import Access
 from .errors import SimulationError, TraceParseError
 from .policy_map import MapState, RegionLedger, SingleEptPolicy, StaticConfig
@@ -154,40 +157,6 @@ _INDEXED_KINDS = ("own_pool", "pool_of", "other_driver")
 # value -> Access; a dict lookup costs a tenth of calling Access(value)
 _ACCESS_OF = {access.value: access for access in Access}
 
-# Whether each event's fields hold exactly the types the codec builds from a
-# trace line (so ints are never bools) and name a known align, access kind,
-# target kind and expect label. Written out rather than read from the
-# annotations because Simulation.step runs them on every event.
-_FIELDS_OK = {
-    LoadDriver: lambda e: (
-        type(e.name) is str and type(e.image_base) is int and type(e.image_size) is int),
-    UnloadDriver: lambda e: type(e.name) is str,
-    CreateProcess: lambda e: type(e.pid) is int and type(e.regions) is tuple and all(
-        type(r) is tuple and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
-        for r in e.regions),
-    ExitProcess: lambda e: type(e.pid) is int,
-    Alloc: lambda e: type(e.actor) is str and type(e.size) is int and e.align in ALIGNS,
-    Free: lambda e: type(e.actor) is str and type(e.pool) is int,
-    Schedule: lambda e: type(e.actor) is str,
-    AccessEvent: lambda e: (
-        type(e.actor) is str and type(e.access) is str and e.access in _ACCESS_OF
-        and e.expect in EXPECT_LABELS
-        and type(e.payload) in (bytes, NoneType) and type(e.dst) is DstRef
-        and e.dst.kind in _DST_KINDS and type(e.dst.driver) in (str, NoneType)
-        and type(e.dst.index) is int and type(e.dst.pid) in (int, NoneType)
-        and type(e.dst.offset) is int),
-}
-
-
-def _check_event(event) -> None:
-    """Reject an event built in Python that no trace line could produce."""
-    fields_ok = _FIELDS_OK.get(type(event))
-    if fields_ok is None:
-        raise SimulationError(f"unknown event {event!r}")
-    if not fields_ok(event):
-        raise SimulationError(f"field of the wrong type or value in {event!r}")
-
-
 def _hex(value: int) -> str:
     return f"{value:#x}"
 
@@ -195,44 +164,46 @@ def _hex(value: int) -> str:
 # -- JSON-lines codec --------------------------------------------------------
 
 def event_to_dict(event: TraceEvent) -> dict:
-    if isinstance(event, LoadDriver):
-        return {
-            "ev": "load_driver",
-            "name": event.name,
-            "image_base": _hex(event.image_base),
-            "image_size": _hex(event.image_size),
-        }
-    if isinstance(event, UnloadDriver):
-        return {"ev": "unload_driver", "name": event.name}
-    if isinstance(event, CreateProcess):
-        return {
-            "ev": "create_process",
-            "pid": event.pid,
-            "regions": [[_hex(base), _hex(size)] for base, size in event.regions],
-        }
-    if isinstance(event, ExitProcess):
-        return {"ev": "exit_process", "pid": event.pid}
-    if isinstance(event, Alloc):
-        return {"ev": "alloc", "actor": event.actor, "size": _hex(event.size), "align": event.align}
-    if isinstance(event, Free):
-        return {"ev": "free", "actor": event.actor, "pool": event.pool}
-    if isinstance(event, Schedule):
-        return {"ev": "schedule", "actor": event.actor}
-    if isinstance(event, AccessEvent):
-        dst: dict = {"ref": event.dst.kind}
-        if event.dst.driver is not None:
-            dst["driver"] = event.dst.driver
-        if event.dst.pid is not None:
-            dst["pid"] = event.dst.pid
-        if event.dst.kind in _INDEXED_KINDS:
-            dst["index"] = event.dst.index
-        dst["offset"] = _hex(event.dst.offset)
-        out: dict = {"ev": "access", "actor": event.actor, "dst": dst, "access": event.access}
-        if event.payload is not None:
-            out["payload"] = event.payload.hex()
-        if event.expect is not None:
-            out["expect"] = event.expect
-        return out
+    match event:
+        case LoadDriver():
+            return {
+                "ev": "load_driver",
+                "name": event.name,
+                "image_base": _hex(event.image_base),
+                "image_size": _hex(event.image_size),
+            }
+        case UnloadDriver():
+            return {"ev": "unload_driver", "name": event.name}
+        case CreateProcess():
+            return {
+                "ev": "create_process",
+                "pid": event.pid,
+                "regions": [[_hex(base), _hex(size)] for base, size in event.regions],
+            }
+        case ExitProcess():
+            return {"ev": "exit_process", "pid": event.pid}
+        case Alloc():
+            return {"ev": "alloc", "actor": event.actor, "size": _hex(event.size),
+                    "align": event.align}
+        case Free():
+            return {"ev": "free", "actor": event.actor, "pool": event.pool}
+        case Schedule():
+            return {"ev": "schedule", "actor": event.actor}
+        case AccessEvent():
+            dst: dict = {"ref": event.dst.kind}
+            if event.dst.driver is not None:
+                dst["driver"] = event.dst.driver
+            if event.dst.pid is not None:
+                dst["pid"] = event.dst.pid
+            if event.dst.kind in _INDEXED_KINDS:
+                dst["index"] = event.dst.index
+            dst["offset"] = _hex(event.dst.offset)
+            out: dict = {"ev": "access", "actor": event.actor, "dst": dst, "access": event.access}
+            if event.payload is not None:
+                out["payload"] = event.payload.hex()
+            if event.expect is not None:
+                out["expect"] = event.expect
+            return out
     raise TypeError(f"not a trace event: {event!r}")
 
 
@@ -349,6 +320,8 @@ def parse_trace(text: str) -> list[TraceEvent]:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise TraceParseError(f"bad json: {exc.msg}", line_no) from exc
+        except (RecursionError, ValueError) as exc:    # nested too deep; an int too long
+            raise TraceParseError(f"bad json: {exc}", line_no) from None
         if not isinstance(obj, dict):
             raise TraceParseError("event must be a json object", line_no)
         events.append(event_from_dict(obj, line_no))
@@ -449,53 +422,17 @@ class Simulation:
         self.ticks += access_ticks(record, self.cost_model)
         self.log.append(record)
 
-    def _direct_record(self, actor: str, src: int, dst: int, access: Access, data) -> dict:
-        return {
-            "actor": actor,
-            "src": _hex(src),
-            "dst": _hex(dst),
-            "access": access.value,
-            "ept_before": self.vcpu.current_ept,
-            "ept_after": self.vcpu.current_ept,
-            "decision": "allow",
-            "trapped": False,
-            "traps": 0,
-            "switches": 0,
-            "redirected": False,
-            "granted": False,
-            "data": data.hex() if data is not None else None,
-        }
-
-    def _direct_access(self, actor: str, src: int, dst: int, access: Access, payload) -> dict:
-        length = len(payload) if access is Access.WRITE else (1 if access is Access.EXECUTE else 4)
-        # the same bounds execute_access enforces in the protected modes
-        if length <= 0 or (dst & (PAGE_SIZE - 1)) + length > PAGE_SIZE:
-            raise SimulationError(f"access at {dst:#x} length {length} crosses a page")
-        self.vcpu.counters["accesses"] += 1
-        pfn = dst >> 12
-        offset = dst & (PAGE_SIZE - 1)
-        self.store.ensure(pfn)
-        data = None
-        if access is Access.READ:
-            data = self.store.read_bytes(pfn, offset, length)
-        elif access is Access.WRITE:
-            self.store.write_bytes(pfn, offset, payload)
-        return self._direct_record(actor, src, dst, access, data)
-
     def _fetch(self, target: str, expect: str | None = None) -> None:
         """Scheduler stub fetches the target's entry point; in multi-ept mode
         this is the moment contexts actually change."""
         info = self._actor(target)
-        if self.mode is Mode.OFF:
-            record = self._direct_access(target, SCHEDULER_STUB, info.code, Access.EXECUTE, None)
-        else:
-            # dispatching the os restores its home context; drivers reach
-            # theirs through the fetch fault, their code runs nowhere else
-            home = self.policy.default_ept if info.kind == "os" else None
-            _, record = execute_access(
-                self.vcpu, self.policy, self.store,
-                SCHEDULER_STUB, info.code, Access.EXECUTE, actor=target, home_ept=home,
-            )
+        # dispatching the os restores its home context; drivers reach theirs
+        # through the fetch fault, their code runs nowhere else
+        home = self.policy.default_ept if info.kind == "os" else None
+        _, record = execute_access(
+            self.vcpu, self.policy, self.store,
+            SCHEDULER_STUB, info.code, Access.EXECUTE, actor=target, home_ept=home,
+        )
         self._record(record, expect)
         self.scheduled = target
 
@@ -552,24 +489,19 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def step(self, event: TraceEvent) -> None:
-        _check_event(event)
+        """Check the event's fields, then apply it. An event built in Python
+        that no trace line could produce fails before touching state."""
+        kind = _EVENT_KINDS.get(type(event))
+        if kind is None:
+            raise SimulationError(f"unknown event {event!r}")
+        fields_ok, handle = kind
+        if not fields_ok(event):
+            raise SimulationError(f"field of the wrong type or value in {event!r}")
         self.event_index += 1
-        if isinstance(event, AccessEvent):    # the common case first
-            self._on_access(event)
-        elif isinstance(event, Schedule):
-            self._fetch(event.actor)
-        elif isinstance(event, LoadDriver):
-            self._on_load(event)
-        elif isinstance(event, UnloadDriver):
-            self._on_unload(event)
-        elif isinstance(event, CreateProcess):
-            self._on_process_create(event)
-        elif isinstance(event, ExitProcess):
-            self._on_process_exit(event)
-        elif isinstance(event, Alloc):
-            self._on_alloc(event)
-        else:    # Free, the last kind _check_event admits
-            self._on_free(event)
+        handle(self, event)
+
+    def _on_schedule(self, event: Schedule) -> None:
+        self._fetch(event.actor)
 
     def _on_load(self, event: LoadDriver) -> None:
         if event.name in self.actors:
@@ -588,9 +520,7 @@ class Simulation:
         self.policy.on_driver_unload(info.enclave_id)
         if self.vcpu.current_ept == info.enclave_id:
             # the departed context cannot stay active; fall back, counted
-            self.vcpu.current_ept = self.policy.default_ept
-            self.vcpu.counters["ept_switches"] += 1
-            self.vcpu.counters["tlb_flushes"] += 1
+            switch_ept(self.vcpu, self.policy, self.policy.default_ept)
             self.vcpu.counters["forced_switches"] += 1
         del self.actors[event.name]
         for pool in self.pools.get(event.name, ()):
@@ -645,13 +575,10 @@ class Simulation:
         payload = event.payload
         if access is Access.WRITE and payload is None:
             payload = DEFAULT_WRITE
-        if self.mode is Mode.OFF:
-            record = self._direct_access(event.actor, info.code, dst, access, payload)
-        else:
-            _, record = execute_access(
-                self.vcpu, self.policy, self.store,
-                info.code, dst, access, payload=payload, actor=event.actor,
-            )
+        _, record = execute_access(
+            self.vcpu, self.policy, self.store,
+            info.code, dst, access, payload=payload, actor=event.actor,
+        )
         self._record(record, event.expect)
 
     # -- results ------------------------------------------------------------
@@ -698,6 +625,34 @@ class Simulation:
             digests=self.digests(),
             modeled_total_ticks=self.ticks,
         )
+
+
+# Each event kind's field check and handler, looked up once per step. A check
+# passes when the fields hold exactly the types the codec builds from a trace
+# line (so ints are never bools) and name a known align, access kind, target
+# kind and expect label. Written out rather than read from the annotations
+# because Simulation.step runs them on every event.
+_EVENT_KINDS = {
+    LoadDriver: (lambda e: (
+        type(e.name) is str and type(e.image_base) is int and type(e.image_size) is int),
+        Simulation._on_load),
+    UnloadDriver: (lambda e: type(e.name) is str, Simulation._on_unload),
+    CreateProcess: (lambda e: type(e.pid) is int and type(e.regions) is tuple and all(
+        type(r) is tuple and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
+        for r in e.regions), Simulation._on_process_create),
+    ExitProcess: (lambda e: type(e.pid) is int, Simulation._on_process_exit),
+    Alloc: (lambda e: type(e.actor) is str and type(e.size) is int and e.align in ALIGNS,
+            Simulation._on_alloc),
+    Free: (lambda e: type(e.actor) is str and type(e.pool) is int, Simulation._on_free),
+    Schedule: (lambda e: type(e.actor) is str, Simulation._on_schedule),
+    AccessEvent: (lambda e: (
+        type(e.actor) is str and type(e.access) is str and e.access in _ACCESS_OF
+        and e.expect in EXPECT_LABELS
+        and type(e.payload) in (bytes, NoneType) and type(e.dst) is DstRef
+        and e.dst.kind in _DST_KINDS and type(e.dst.driver) in (str, NoneType)
+        and type(e.dst.index) is int and type(e.dst.pid) in (int, NoneType)
+        and type(e.dst.offset) is int), Simulation._on_access),
+}
 
 
 def run_trace(events, mode, config: SimConfig | None = None, after_event=None) -> RunReport:

@@ -32,6 +32,10 @@ from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import ConfigError, SimulationError
 
 DEFAULT_EPT = 0
+# No image, process or static region may outgrow the pool arena (16 MiB):
+# a region's pages are listed, filled and stamped one by one, so a region
+# near the 48-bit limit would exhaust memory before any overlap check ran.
+MAX_REGION_SIZE = 0x0100_0000
 
 
 @dataclass
@@ -100,6 +104,8 @@ def deny(reason: str) -> Decision:
 def _check_range(base: int, size: int, what: str) -> None:
     if size <= 0:
         raise ConfigError(f"{what}: size must be positive")
+    if size > MAX_REGION_SIZE:
+        raise ConfigError(f"{what}: size {size:#x} exceeds {MAX_REGION_SIZE:#x}")
     if base < 0 or base + size > GPA_LIMIT:
         raise ConfigError(f"{what}: outside 48-bit space")
 

@@ -280,7 +280,7 @@ def shadow_replay(events, allocations) -> tuple[dict, dict]:
         elif isinstance(event, ks.AccessEvent):
             src = shadow.actor_code[event.actor]
             dst = shadow.resolve(event.actor, event.dst)
-            access = Access(event.access)
+            access = ks._ACCESS_OF[event.access]
             legal = shadow.view().legal(src, dst, access)
             data = None
             if access is Access.READ:
@@ -356,8 +356,8 @@ def _render_text(report: RunReport, verdict: VerifyResult) -> str:
 def _load_events(path: str):
     from . import kernel_sim as ks
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return None
     try:

@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from memranger.errors import SimulationError, TraceParseError
 from memranger.kernel_sim import (
@@ -90,6 +90,15 @@ class TestCodec:
         with pytest.raises(TraceParseError):
             event_from_dict({"ev": "access", "actor": "A", "access": "read",
                              "dst": {"ref": "own_pool"}, "expect": "sketchy"})
+
+    @given(st.text())
+    @example("[" * 100_000)
+    @example("1" * 5_000)
+    def test_any_text_parses_or_raises_a_parse_error(self, text):
+        try:
+            parse_trace(text)
+        except TraceParseError:
+            pass
 
     @given(st.integers(0, IMAGE_SIZE - 1), st.binary(min_size=1, max_size=8))
     def test_payload_survives_hex_encoding(self, offset, payload):
@@ -238,6 +247,18 @@ def test_valid_generator_arguments_give_the_pinned_bytes():
         digest.update(serialize_trace(gen_benchmark_trace(n_accesses, quantum=quantum)).encode())
     digest.update(serialize_trace(gen_random_trace(9, length=0)).encode())
     assert digest.hexdigest() == "7604e20f806fcdf2b6437756a891be1fa4c87c6b37b9ada3fc578f2b20b0e6f9"
+
+
+def test_reports_keep_the_pinned_bytes():
+    """Refactors of the replay must not move a report by one byte, in any
+    mode: counters, log, allocations, digests and ticks all feed this hash."""
+    digest = hashlib.sha256()
+    traces = [gen_demo1_trace(), gen_privesc_trace(), gen_benchmark_trace(600)]
+    traces += [gen_random_trace(seed, attack_probability=0.6) for seed in range(10)]
+    for trace in traces:
+        for mode in ("off", "single-ept", "multi-ept"):
+            digest.update(run_trace(trace, mode).to_json().encode())
+    assert digest.hexdigest() == "9a8747b1187e88a88a8faed5e20ebd66b6f6fa0f43424944a9e026fc35232f7e"
 
 
 def test_attack_probability_extremes():

@@ -41,6 +41,9 @@ INVALID = {
     "zero-size-image": [load("A", "0x30000000", "0x0")],
     "zero-size-process-region": [process(4, ("0x20002000", "0x0"))],
     "image-past-48-bits": [load("A", "0xffffffffff000")],
+    "image-over-16-MiB": [load("A", "0x30000000", "0x1000001")],
+    "huge-image": [load("A", "0x30000000", "0x7ffffffff000")],
+    "huge-process-region": [process(4, ("0x100000000", "0x7fff00000000"))],
     "empty-write": [{"ev": "access", "actor": "os_kernel", "access": "write", "payload": "",
                      "dst": {"ref": "os_structures", "offset": "0x10"}}],
 }
@@ -57,6 +60,26 @@ def test_invalid_trace_rejected_in_every_mode(events, tmp_path, capsys):
     path.write_text(text)
     assert main(["run", str(path), "--mode", "single-ept"]) == 1
     assert "simulation failed" in capsys.readouterr().err
+
+
+BAD_FILES = {
+    "huge-image": trace_text(INVALID["huge-image"]).encode(),
+    "huge-process-region": trace_text(INVALID["huge-process-region"]).encode(),
+    "deep-brackets": b"[" * 100_000 + b"\n",
+    "not-utf-8": b'{"ev": "schedule", "actor": "\xff"}\n',
+}
+
+
+@pytest.mark.parametrize("data", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_bad_file_exits_one_with_one_line(data, tmp_path, capsys):
+    """run in every mode and compare reject the file with exit 1 and a single
+    line on stderr, no traceback."""
+    path = tmp_path / "bad.trace"
+    path.write_bytes(data)
+    for argv in [["run", str(path), "--mode", mode] for mode in MODES] + [["compare", str(path)]]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
 
 
 def test_process_regions_may_share_a_page():

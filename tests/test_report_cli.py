@@ -1,8 +1,11 @@
 """Cost accounting, independent replay verification, and the command line."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memranger.kernel_sim import gen_demo1_trace, gen_privesc_trace, gen_random_trace, run_trace
 from memranger.report_cli import (
@@ -225,3 +228,17 @@ class TestCli:
         assert main(["run", str(path), "--page-aligned", "--report", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["force_page_aligned"] is True
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary())
+def test_any_file_runs_or_exits_with_a_code(data):
+    """Whatever bytes a trace file holds, run ends in exit 0, 1 or 2, never
+    in an exception."""
+    fd, path = tempfile.mkstemp(suffix=".trace")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+        assert main(["run", path]) in (0, 1, 2)
+    finally:
+        os.unlink(path)
