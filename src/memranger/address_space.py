@@ -3,9 +3,14 @@
 Addresses are plain ints. A guest-physical address (gpa) is at most 48 bits
 wide and splits 9/9/9/9/12 across the four paging levels plus the page
 offset. A page frame number (pfn) is the gpa shifted down by the page bits.
+
+The frame store maps pfns to frames. Filled frames are shared pattern pages
+until their first write, which copies the page into a private frame.
 """
 
 import hashlib
+from functools import lru_cache
+from itertools import cycle
 
 from .errors import FrameFault
 
@@ -69,19 +74,48 @@ def offset_in_page(gpa: int) -> int:
     return gpa & OFFSET_MASK
 
 
-def pages_covering(base: int, size: int) -> list[int]:
-    """All pfns touched by [base, base+size), ascending, no duplicates."""
+def _range_end(base: int, size: int) -> int:
+    """End of [base, base+size) after checking it is a non-empty range in the 48-bit space."""
     if size <= 0:
         raise ValueError("size must be positive")
     check_gpa(base)
     end = base + size
     if end > GPA_LIMIT:
         raise ValueError(f"range [{base:#x}, {end:#x}) extends beyond 48-bit space")
+    return end
+
+
+def pages_covering(base: int, size: int) -> list[int]:
+    """All pfns touched by [base, base+size), ascending, no duplicates."""
+    end = _range_end(base, size)
     return list(range(base >> PAGE_SHIFT, (end - 1 >> PAGE_SHIFT) + 1))
+
+
+ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+@lru_cache(maxsize=64)
+def pattern_page(pattern: bytes, phase: int) -> bytes:
+    """The shared page tiled with pattern, starting phase bytes into it."""
+    return (pattern * (PAGE_SIZE // len(pattern) + 2))[phase:phase + PAGE_SIZE]
+
+
+@lru_cache(maxsize=128)
+def _pages_digest(pages: tuple[bytes, ...]) -> str:
+    digest = hashlib.sha256()
+    for page in pages:
+        digest.update(page)
+    return digest.hexdigest()
 
 
 class FrameStore:
     """Backing content for physical frames, 4096 bytes each.
+
+    A frame is either a private bytearray or a shared, immutable bytes page:
+    the zero page, or a pattern page that fills map whole pages to. Shared
+    pages are never written; write_bytes copies one into a private frame
+    first. A digest over whole shared pages is a pure function of those page
+    objects and is computed once.
 
     One designated fake frame sits at the top of the pfn space; redirected
     accesses land there. Its content is all-zero whenever no single-step
@@ -91,22 +125,17 @@ class FrameStore:
     FAKE_PFN = PFN_LIMIT - 1
 
     def __init__(self):
-        self.frames: dict[int, bytearray] = {}
+        self.frames: dict[int, bytes | bytearray] = {}
         self.fake_pfn = self.FAKE_PFN
         self.ensure(self.fake_pfn)
 
     def ensure(self, pfn: int) -> None:
-        """Map a frame if absent; fresh frames are zero-filled."""
+        """Map a frame if absent; fresh frames read zero."""
         if not 0 <= pfn < PFN_LIMIT:
             raise ValueError(f"pfn {pfn:#x} out of range")
-        if pfn not in self.frames:
-            self.frames[pfn] = bytearray(PAGE_SIZE)
+        self.frames.setdefault(pfn, ZERO_PAGE)
 
-    def ensure_range(self, base: int, size: int) -> None:
-        for pfn in pages_covering(base, size):
-            self.ensure(pfn)
-
-    def _frame(self, pfn: int) -> bytearray:
+    def _frame(self, pfn: int) -> bytes | bytearray:
         try:
             return self.frames[pfn]
         except KeyError:
@@ -118,40 +147,64 @@ class FrameStore:
         return bytes(self._frame(pfn)[offset:offset + length])
 
     def write_bytes(self, pfn: int, offset: int, data: bytes) -> None:
+        """The only writer: a shared page becomes a private copy first."""
         if offset < 0 or offset + len(data) > PAGE_SIZE:
             raise ValueError("write crosses frame boundary")
-        self._frame(pfn)[offset:offset + len(data)] = data
+        frame = self._frame(pfn)
+        if type(frame) is bytes:
+            frame = self.frames[pfn] = bytearray(frame)
+        frame[offset:offset + len(data)] = data
 
     def zero_fake(self) -> None:
-        self.frames[self.fake_pfn][:] = bytes(PAGE_SIZE)
+        """Scrub the decoy frame: point it back at the zero page."""
+        self.frames[self.fake_pfn] = ZERO_PAGE
 
-    def _pieces(self, base: int, size: int):
-        """(pfn, offset, length) of each in-page piece of [base, base+size), in order."""
-        pos, end = base, base + size
+    def _pieces(self, base: int, end: int):
+        """(pfn, offset, length) of each in-page piece of [base, end), in order;
+        end comes from _range_end, so the range is checked once."""
+        pos = base
         while pos < end:
-            offset = offset_in_page(pos)
-            length = min(PAGE_SIZE - offset, end - pos)
-            yield page_of(pos), offset, length
-            pos += length
+            stop = min((pos | OFFSET_MASK) + 1, end)
+            yield pos >> PAGE_SHIFT, pos & OFFSET_MASK, stop - pos
+            pos = stop
 
     def read_gpa_range(self, base: int, size: int) -> bytes:
         """Direct (policy-free) readout of a byte range, identity-mapped."""
-        return b"".join(self.read_bytes(*piece) for piece in self._pieces(base, size))
+        end = _range_end(base, size)
+        return b"".join(self._frame(pfn)[offset:offset + length]
+                        for pfn, offset, length in self._pieces(base, end))
 
     def fill_gpa_range(self, base: int, size: int, pattern: bytes) -> None:
-        """Tile a pattern across a byte range, identity-mapped. Pieces are cut
-        from one page-sized tile, so no range-sized buffer is built."""
-        self.ensure_range(base, size)
-        tile = memoryview(pattern * (PAGE_SIZE // len(pattern) + 2))
-        done = 0
-        for pfn, offset, length in self._pieces(base, size):
-            phase = done % len(pattern)
-            self.write_bytes(pfn, offset, tile[phase:phase + length])
-            done += length
+        """Tile a pattern across a byte range, identity-mapped, from its start.
+        Each whole page maps the shared pattern page of its phase; the partial
+        pages at either end are written from a piece-sized tile, so short
+        writes cache nothing."""
+        end = _range_end(base, size)
+        head = min(end, (base + OFFSET_MASK) & ~OFFSET_MASK)   # end of a partial first page
+        tail = max(head, end & ~OFFSET_MASK)                   # start of a partial last page
+        frames = self.frames
+        whole = range(head >> PAGE_SHIFT, tail >> PAGE_SHIFT)
+        # a page's phase repeats every len(pattern) pages
+        pages = [pattern_page(pattern, ((pfn << PAGE_SHIFT) - base) % len(pattern))
+                 for pfn in whole[:len(pattern)]]
+        frames.update(zip(whole, cycle(pages)))
+        for start, stop in ((base, head), (tail, end)):
+            if start < stop:
+                phase = (start - base) % len(pattern)
+                frames.setdefault(start >> PAGE_SHIFT, ZERO_PAGE)
+                tile = pattern * ((stop - start) // len(pattern) + 2)
+                self.write_bytes(start >> PAGE_SHIFT, start & OFFSET_MASK,
+                                 tile[phase:phase + stop - start])
 
     def digest_gpa_range(self, base: int, size: int) -> str:
-        """sha256 of a byte range, hashed piece by piece without copying it."""
+        """sha256 of a byte range, hashed piece by piece without copying it.
+        A page-aligned range of shared pages takes its memoised digest."""
+        end = _range_end(base, size)
+        if not (base | size) & OFFSET_MASK:
+            pages = tuple(map(self._frame, range(base >> PAGE_SHIFT, end >> PAGE_SHIFT)))
+            if bytearray not in map(type, pages):
+                return _pages_digest(pages)
         digest = hashlib.sha256()
-        for pfn, offset, length in self._pieces(base, size):
+        for pfn, offset, length in self._pieces(base, end):
             digest.update(memoryview(self._frame(pfn))[offset:offset + length])
         return digest.hexdigest()

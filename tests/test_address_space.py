@@ -3,17 +3,19 @@
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from memranger.address_space import (
     GPA_LIMIT,
     PAGE_SIZE,
     PFN_LIMIT,
+    ZERO_PAGE,
     FrameStore,
     join_gpa,
     offset_in_page,
     page_of,
     pages_covering,
+    pattern_page,
     split_gpa,
 )
 from memranger.errors import FrameFault
@@ -151,8 +153,111 @@ class TestFrameStore:
         assert store.digest_gpa_range(0x2000, 64) == expected
 
     def test_fake_frame_starts_and_rezeros_clean(self):
-        store = FrameStore()
+        store, other = FrameStore(), FrameStore()
+        other.ensure(7)
         assert store.fake_pfn == PFN_LIMIT - 1
         store.write_bytes(store.fake_pfn, 0, b"\xff\xff")
+        # the write copied the shared zero page; no other store sees it
+        assert other.read_bytes(other.fake_pfn, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert other.read_bytes(7, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert ZERO_PAGE == bytes(PAGE_SIZE)
         store.zero_fake()
-        assert store.read_bytes(store.fake_pfn, 0, 4) == bytes(4)
+        assert store.read_bytes(store.fake_pfn, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+    def test_whole_pages_share_one_immutable_page(self):
+        store = FrameStore()
+        store.fill_gpa_range(0x10_000, 3 * PAGE_SIZE, b"\x90")
+        frames = [store.frames[pfn] for pfn in (0x10, 0x11, 0x12)]
+        assert all(frame is frames[0] for frame in frames)
+        assert type(frames[0]) is bytes and frames[0] == b"\x90" * PAGE_SIZE
+
+    def test_write_copies_only_its_own_page(self):
+        """A write into a filled page changes neither a neighbour filled with
+        the same pattern nor the same page in another store."""
+        store, other = FrameStore(), FrameStore()
+        for s in (store, other):
+            s.fill_gpa_range(0x10_000, 2 * PAGE_SIZE, b"\xde\xad\xbe\xef")
+        store.write_bytes(0x10, 8, b"\x01\x02")
+        want = b"\xde\xad\xbe\xef" * (PAGE_SIZE // 4)
+        assert store.read_bytes(0x10, 6, 6) == b"\xbe\xef\x01\x02\xbe\xef"
+        assert store.read_bytes(0x11, 0, PAGE_SIZE) == want
+        assert other.read_gpa_range(0x10_000, 2 * PAGE_SIZE) == want * 2
+        assert pattern_page(b"\xde\xad\xbe\xef", 0) == want
+        assert store.digest_gpa_range(0x10_000, PAGE_SIZE) != other.digest_gpa_range(0x10_000, PAGE_SIZE)
+
+    def test_whole_pages_keep_the_phase_of_an_unaligned_start(self):
+        store = FrameStore()
+        base, size = 0x10_003, 3 * PAGE_SIZE
+        store.fill_gpa_range(base, size, b"\x01\x02\x03\x04")
+        want = (b"\x01\x02\x03\x04" * size)[:size]
+        assert store.read_gpa_range(base, size) == want
+        assert store.read_bytes(0x11, 0, 4) == b"\x02\x03\x04\x01"
+        assert store.digest_gpa_range(0x11_000, PAGE_SIZE) == hashlib.sha256(
+            want[PAGE_SIZE - 3:2 * PAGE_SIZE - 3]).hexdigest()
+
+    @pytest.mark.parametrize("method", ["read_gpa_range", "digest_gpa_range", "fill_gpa_range"])
+    def test_range_methods_check_the_range_up_front(self, method):
+        store = FrameStore()
+        extra = (b"\x01",) if method == "fill_gpa_range" else ()
+        call = getattr(store, method)
+        with pytest.raises(ValueError, match="size must be positive"):
+            call(0x1000, 0, *extra)
+        with pytest.raises(ValueError, match="outside 48-bit space"):
+            call(-1, 4, *extra)
+        with pytest.raises(ValueError, match="extends beyond 48-bit space"):
+            call(GPA_LIMIT - PAGE_SIZE, 2 * PAGE_SIZE, *extra)
+        # nothing was mapped before the check failed
+        assert list(store.frames) == [store.fake_pfn]
+
+
+_PATTERNS = (st.sampled_from([b"\x90", b"\xde\xad\xbe\xef"])
+             | st.binary(min_size=1, max_size=1) | st.binary(min_size=4, max_size=4))
+_SPAN = 4 * PAGE_SIZE       # the model covers pages 0x10..0x13
+_ORIGIN = 0x10 * PAGE_SIZE
+
+
+@st.composite
+def _ranges(draw):
+    """(start, size) inside the model; half of them snapped out to page
+    boundaries, so that whole pages get mapped shared and hashed from the memo."""
+    start = draw(st.integers(0, _SPAN - 1))
+    end = draw(st.integers(start + 1, _SPAN))
+    if draw(st.booleans()):
+        start, end = start - start % PAGE_SIZE, -(-end // PAGE_SIZE) * PAGE_SIZE
+    return start, end - start
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("fill"), _ranges(), _PATTERNS),
+    st.tuples(st.just("write"), st.integers(0, _SPAN - 1), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("read"), _ranges()),
+    st.tuples(st.just("digest"), _ranges()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_OPS, max_size=25))
+def test_store_matches_a_bytearray_model(ops):
+    """Random fills (unaligned, 1- and 4-byte patterns), in-page writes, reads
+    and digests over a few pages agree with a plain bytearray and hashlib."""
+    store, model = FrameStore(), bytearray(_SPAN)
+    store.fill_gpa_range(_ORIGIN, _SPAN, b"\x00")
+    for op in ops:
+        if op[0] == "fill":
+            _, (start, size), pattern = op
+            store.fill_gpa_range(_ORIGIN + start, size, pattern)
+            model[start:start + size] = (pattern * size)[:size]
+        elif op[0] == "write":
+            _, start, data = op
+            data = data[:PAGE_SIZE - start % PAGE_SIZE]
+            store.write_bytes(page_of(_ORIGIN + start), offset_in_page(start), data)
+            model[start:start + len(data)] = data
+        elif op[0] == "read":
+            _, (start, size) = op
+            assert store.read_gpa_range(_ORIGIN + start, size) == model[start:start + size]
+        else:
+            _, (start, size) = op
+            want = hashlib.sha256(model[start:start + size]).hexdigest()
+            assert store.digest_gpa_range(_ORIGIN + start, size) == want
+    assert store.read_gpa_range(_ORIGIN, _SPAN) == model
+    assert store.digest_gpa_range(_ORIGIN, _SPAN) == hashlib.sha256(model).hexdigest()

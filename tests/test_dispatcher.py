@@ -2,7 +2,7 @@
 
 import pytest
 
-from memranger.address_space import FrameStore
+from memranger.address_space import PAGE_SIZE, ZERO_PAGE, FrameStore
 from memranger.dispatcher import (
     RETRY_BUDGET,
     VcpuState,
@@ -75,6 +75,18 @@ def test_foreign_write_lands_in_the_decoy(world):
     # victim bytes untouched; decoy frame scrubbed after the window closed
     assert store.read_gpa_range(POOL_A + 4, 4) == SECRET
     assert store.read_bytes(store.fake_pfn, 4, 4) == bytes(4)
+
+
+def test_decoy_frame_reads_zero_after_a_redirected_write(world):
+    policy, store, vcpu, a, b = world
+    switch_ept(vcpu, policy, b)
+    _, record = execute_access(
+        vcpu, policy, store, CODE_B, POOL_A + 4, Access.WRITE, payload=b"\x5a" * 4
+    )
+    assert record["redirected"] is True and vcpu.counters["mtf_windows"] == 1
+    # the restore points the decoy back at the shared zero page, no copy left behind
+    assert store.read_bytes(store.fake_pfn, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
+    assert store.frames[store.fake_pfn] is ZERO_PAGE
 
 
 def test_fetch_then_access_discipline(world):

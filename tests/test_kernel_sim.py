@@ -6,11 +6,18 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from memranger.address_space import PAGE_SIZE, pages_covering, pattern_page
 from memranger.errors import SimulationError, TraceParseError
 from memranger.kernel_sim import (
+    FOREIGN_POOL_FILL,
     IMAGE_SIZE,
     IMAGE_SLOTS,
+    OS_KERNEL_CODE,
+    OS_KERNEL_FILL,
+    OS_STRUCT_FILL,
     OS_STRUCTURES,
+    OTHER_DRIVER,
+    OTHER_DRIVER_FILL,
     POOL_ARENA,
     PROCESS_SLOT_BASE,
     SECRET_FILL,
@@ -31,6 +38,7 @@ from memranger.kernel_sim import (
     gen_demo1_trace,
     gen_privesc_trace,
     gen_random_trace,
+    image_fill,
     parse_trace,
     run_trace,
     serialize_trace,
@@ -259,6 +267,69 @@ def test_reports_keep_the_pinned_bytes():
         for mode in ("off", "single-ept", "multi-ept"):
             digest.update(run_trace(trace, mode).to_json().encode())
     assert digest.hexdigest() == "9a8747b1187e88a88a8faed5e20ebd66b6f6fa0f43424944a9e026fc35232f7e"
+
+
+def _kernel_code_writes():
+    """The kernel and a driver both write kernel code; mode off lets both land."""
+    return [
+        LoadDriver("A", IMAGE_SLOTS[0]),
+        Alloc("A", 0x2000, "page"),
+        Schedule("os_kernel"),
+        AccessEvent("os_kernel", DstRef("os_kernel_code", offset=0x1ff0), "write",
+                    payload=b"\x01\x02\x03\x04"),
+        Schedule("A"),
+        AccessEvent("A", DstRef("os_kernel_code", offset=0x3000), "write",
+                    payload=b"\x05\x06\x07\x08"),
+    ]
+
+
+def _fresh_digests(sim) -> dict[str, str]:
+    """Every region's sha256, recomputed from a plain readout of the store."""
+    def sha(*ranges):
+        digest = hashlib.sha256()
+        for base, size in ranges:
+            digest.update(sim.store.read_gpa_range(base, size))
+        return digest.hexdigest()
+
+    out = {"os_kernel_code": sha(OS_KERNEL_CODE), "os_structures": sha(OS_STRUCTURES),
+           "other_driver:0": sha(OTHER_DRIVER)}
+    for name, info in sim.actors.items():
+        if info.kind == "driver":
+            image = sim.policy.enclaves[info.enclave_id]
+            out[f"image:{name}"] = sha((image.image_base, image.image_size))
+    for name, pools in sim.pools.items():
+        for ordinal, pool in enumerate(pools):
+            if pool.live:
+                out[f"pool:{name}:{ordinal}"] = sha((pool.base, pool.size))
+    for pid, proc in sim.policy.processes.items():
+        out[f"eprocess:{pid}"] = sha(*proc.regions)
+    return out
+
+
+def test_memoised_digests_match_a_fresh_hash():
+    """Backstop for the shared-page digest memo: every reported digest equals
+    a fresh sha256 over the region's bytes, in every mode, including kernel
+    code that a write turned into a private (uncached) page."""
+    traces = [gen_demo1_trace(), gen_privesc_trace(), gen_benchmark_trace(600),
+              _kernel_code_writes()]
+    traces += [gen_random_trace(seed, attack_probability=0.6) for seed in range(20)]
+    private_kernel_pages = 0
+    for trace in traces:
+        for mode in ("off", "single-ept", "multi-ept"):
+            sims = []
+            report = run_trace(trace, mode, after_event=lambda sim, i, e: sims.append(sim))
+            sim = sims[-1]
+            assert report.digests == _fresh_digests(sim)
+            private_kernel_pages += sum(
+                type(sim.store.frames[pfn]) is bytearray
+                for pfn in pages_covering(*OS_KERNEL_CODE))
+    assert private_kernel_pages >= 2      # both writes landed under mode off
+    for pattern in (OS_KERNEL_FILL, OS_STRUCT_FILL, OTHER_DRIVER_FILL, FOREIGN_POOL_FILL,
+                    image_fill("A"), SECRET_FILL):
+        for phase in range(len(pattern)):
+            page = pattern_page(pattern, phase)
+            assert type(page) is bytes
+            assert page == (pattern * (PAGE_SIZE + 8))[phase:phase + PAGE_SIZE]
 
 
 def test_attack_probability_extremes():

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +160,17 @@ class TestCli:
         path.write_text('{"ev": "schedule", "actor": "os_kernel"}\n' + json.dumps(access) + "\n")
         assert main(["run", str(path)]) == 1
         assert f"{path}:2: " in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli_quietly(self, demo):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "memranger", "run", demo, "--mode", "multi-ept"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "verification: ok" in done.stdout
 
     def test_bad_cost_model_exits_one(self, demo, tmp_path):
         model = tmp_path / "model.json"
