@@ -2,22 +2,25 @@
 
 Each translation context maps guest page frames to host page frames. Only
 the leaf level is modelled, since permissions live on leaf entries and the
-intermediate tables are always permissive: the leaves a context has written
-sit in one flat map keyed by guest page number, and an untouched page
+intermediate tables are always permissive. A context is a view: the leaves
+it has written itself sit in its own flat map keyed by guest page number,
+over an optional shared base map that it only reads (the template of the
+static pages, shared by every context of one rule); a page in neither
 translates identity, readable and writable but not executable. A leaf's
 attributes are the int R|W|X, bits 0-2 as in an Intel EPT entry. (The
 9/9/9/9/12 split of a gpa across the paging levels is
 address_space.split_gpa.) A refused translation is reported as a value, not
 an exception.
 
-Every leaf write goes through Ept.set_page_entry, which also keeps a write
-journal: one entry per page, holding the serial of its latest write, so a
-reader that remembers a serial can ask which pages changed after it.
+Every leaf write goes through Ept.set_page_entry into the context's own map,
+never into the base, and is journaled: one entry per page, holding the serial
+of its latest write, so a reader that remembers a serial can ask which pages
+changed after it.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .address_space import OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
 
@@ -51,12 +54,20 @@ class EptViolation:
     entry: EptEntry
 
 
-class Ept:
-    """One translation context, identity-mapped over the whole gpa space."""
+_NO_BASE: Mapping[int, EptEntry] = {}
 
-    def __init__(self, ept_id: int):
+
+class Ept:
+    """One translation context, identity-mapped over the whole gpa space.
+
+    base, when given, holds leaves the context reads but never writes; its
+    own leaves override it page by page.
+    """
+
+    def __init__(self, ept_id: int, base: Mapping[int, EptEntry] = _NO_BASE):
         self.id = ept_id
-        self._flat: dict[int, EptEntry] = {}    # page -> materialized leaf
+        self.base = base
+        self._flat: dict[int, EptEntry] = {}    # page -> the context's own leaf
         self.mutations = 0                       # serial of the latest write
         # page -> serial of its latest write; re-inserted on every write, so
         # iteration order is last-write order and the size is one per page
@@ -66,9 +77,13 @@ class Ept:
         return EptEntry(page, RW)
 
     def entry_for(self, page: int) -> EptEntry:
-        """Effective leaf entry governing a page (materialized or default)."""
+        """Effective leaf entry governing a page: own, else base, else default."""
         hit = self._flat.get(page)
-        return hit if hit is not None else self._default_entry(page)
+        if hit is None:
+            hit = self.base.get(page)
+            if hit is None:
+                return self._default_entry(page)
+        return hit
 
     def set_page_entry(self, page: int, entry: EptEntry) -> None:
         if not 0 <= page < PFN_LIMIT:
@@ -96,11 +111,14 @@ class Ept:
         page = check_gpa(gpa) >> PAGE_SHIFT
         entry = self._flat.get(page)
         if entry is None:
-            entry = self._default_entry(page)
+            entry = self.base.get(page)
+            if entry is None:
+                entry = self._default_entry(page)
         if entry.attrs & ACCESS_BIT[access]:
             return (entry.pfn << PAGE_SHIFT) | (gpa & OFFSET_MASK)
         return EptViolation(self.id, gpa, access, entry)
 
     def materialized_leaves(self) -> Iterator[tuple[int, EptEntry]]:
+        """The context's own leaves; pages of the base map are not listed."""
         return iter(self._flat.items())
 

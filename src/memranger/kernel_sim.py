@@ -18,6 +18,7 @@ the pool allocator, the trace JSON-lines codec and the trace generators
 (demo, privilege-escalation, benchmark, seeded random).
 """
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -331,26 +332,70 @@ def parse_trace(text: str) -> list[TraceEvent]:
 # -- allocator ---------------------------------------------------------------
 
 class BumpAllocator:
-    """Monotonic pool arena: natural packs at 16 bytes, page never shares."""
+    """Pool arena: bump allocation until the arena's end, then first-fit over
+    the holes that freed pools left, with neighbouring holes coalesced.
+
+    natural packs at 16 bytes; a page allocation starts on a page and never
+    shares one, since its extent runs to the end of its last page. Every
+    address the bump gives is the one a bump-only arena gives, so a trace that
+    never fills the arena keeps its layout.
+    """
 
     def __init__(self, base: int, size: int):
         self.base = base
         self.end = base + size
         self.cursor = base
+        self.holes: list[tuple[int, int]] = []   # (start, end), sorted, never adjacent
+        self._extents: dict[int, int] = {}       # base of a live allocation -> end of its extent
 
     def take(self, size: int, align: str) -> int:
         if size <= 0:
             raise SimulationError("allocation size must be positive")
         grain = PAGE_SIZE if align == "page" else 16
-        start = (self.cursor + grain - 1) // grain * grain
-        new_cursor = start + size
-        if align == "page":
-            # round the cursor past the tail page so nothing shares it
-            new_cursor = (new_cursor + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
-        if new_cursor > self.end:
-            raise SimulationError("pool arena exhausted")
-        self.cursor = new_cursor
+        start, end = _placed(self.cursor, size, grain)
+        if end <= self.end:
+            if start > self.cursor:
+                self._free(self.cursor, start)    # the gap before an aligned start
+            self.cursor = end
+        else:
+            if self.cursor < self.end:            # the bump is over: its tail is a hole
+                self._free(self.cursor, self.end)
+                self.cursor = self.end
+            start, end = self._first_fit(size, grain)
+        self._extents[start] = end
         return start
+
+    def release(self, base: int) -> None:
+        """Return a live allocation's whole extent to the holes."""
+        end = self._extents.pop(base, None)
+        if end is None:
+            raise SimulationError(f"release of unknown pool base {base:#x}")
+        self._free(base, end)
+
+    def _first_fit(self, size: int, grain: int) -> tuple[int, int]:
+        holes = self.holes
+        for i, (low, high) in enumerate(holes):
+            start, end = _placed(low, size, grain)
+            if end <= high:
+                holes[i:i + 1] = [hole for hole in ((low, start), (end, high)) if hole[0] < hole[1]]
+                return start, end
+        raise SimulationError("pool arena exhausted")
+
+    def _free(self, low: int, high: int) -> None:
+        holes = self.holes
+        i = bisect.bisect_left(holes, (low,))
+        if i > 0 and holes[i - 1][1] == low:
+            i -= 1
+            low = holes.pop(i)[0]
+        if i < len(holes) and holes[i][0] == high:
+            high = holes.pop(i)[1]
+        holes.insert(i, (low, high))
+
+
+def _placed(cursor: int, size: int, grain: int) -> tuple[int, int]:
+    """Start and extent end of an allocation placed at or after cursor."""
+    start = (cursor + grain - 1) // grain * grain
+    return start, (start + size + grain - 1) // grain * grain
 
 
 # -- simulation ----------------------------------------------------------------
@@ -524,6 +569,8 @@ class Simulation:
             self.vcpu.counters["forced_switches"] += 1
         del self.actors[event.name]
         for pool in self.pools.get(event.name, ()):
+            if pool.live:
+                self.allocator.release(pool.base)
             pool.live = False
         if self.scheduled == event.name:
             self.scheduled = "os_kernel"
@@ -565,6 +612,7 @@ class Simulation:
         if not info.live:
             raise SimulationError(f"double free of pool {event.actor}:{event.pool}")
         self.policy.on_free(info.base)
+        self.allocator.release(info.base)
         info.live = False
 
     def _on_access(self, event: AccessEvent) -> None:

@@ -6,7 +6,17 @@ them overlap, and answers ownership queries. Each event hook updates the
 facts and then restamps the pages it changed in every translation context.
 A policy subclass says two things only: which contexts exist (_context_ids)
 and which bits a page holds in a context (_attrs, a pure function of the
-facts). Mode ``off`` uses the ledger bare, with no contexts to stamp.
+facts, whose static branch is _static_attrs(kind, context)). Mode ``off``
+uses the ledger bare, with no contexts to stamp.
+
+The static pages' leaves in a context follow from the static ranges and the
+bits _static_attrs gives each static kind, which no event changes. They are
+built once per (static config, bits per kind) into a template that every
+context with those bits, in every ledger, shares by reference as its
+read-only base map (static_template). A new context therefore writes only
+the pages of images, processes and pools into its own map; a page an event
+restamps, or a single-step window opens, gets its own leaf over the
+template.
 
 * MapState (``multi-ept``) keeps one default context plus one per enclave:
   - the default context opens the kernel's world and seals every enclave's
@@ -26,6 +36,7 @@ it picks switch / redirect / grant / deny.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
 from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
@@ -110,6 +121,37 @@ def _check_range(base: int, size: int, what: str) -> None:
         raise ConfigError(f"{what}: outside 48-bit space")
 
 
+STATIC_KINDS = ("kernel", "structure", "other")
+
+
+@lru_cache(maxsize=16)
+def _static_kinds(config: StaticConfig) -> dict[int, str]:
+    """Static page -> its kind, after checking that no page is claimed twice.
+    Shared by every ledger of the config and never written."""
+    kinds: dict[int, str] = {}
+    for what, kind, ranges in (
+        ("os kernel code", "kernel", config.os_kernel_ranges),
+        ("os structures", "structure", config.os_structure_ranges),
+        ("other driver", "other", config.other_driver_ranges),
+    ):
+        for base, size in ranges:
+            _check_range(base, size, what)
+            for page in pages_covering(base, size):
+                if page in kinds:
+                    raise ConfigError(f"{what}: page {page:#x} claimed twice")
+                kinds[page] = kind
+    return kinds
+
+
+@lru_cache(maxsize=16)
+def static_template(config: StaticConfig, bits: tuple[int, ...]) -> dict[int, EptEntry]:
+    """Identity leaves of every static page, kind STATIC_KINDS[i] holding
+    bits[i]: the read-only base map of every context whose rule gives those
+    bits. Shared by reference, so nothing may write it."""
+    of_kind = dict(zip(STATIC_KINDS, bits))
+    return {page: EptEntry(page, of_kind[kind]) for page, kind in _static_kinds(config).items()}
+
+
 def _region_pages(regions) -> dict[int, None]:
     """Pages touched by any of the regions, in order, each once."""
     return {page: None for base, size in regions for page in pages_covering(base, size)}
@@ -120,31 +162,18 @@ class RegionLedger:
 
     def __init__(self, config: StaticConfig):
         self.config = config
+        self._static_kind = _static_kinds(config)     # shared, never written
         self.default_ept = DEFAULT_EPT
         self.epts: dict[int, Ept] = {}
         self.enclaves: dict[int, EnclaveRecord] = {}
         self.processes: dict[int, ProcessRecord] = {}
         self.foreign_pools: list[AllocatedPool] = []
         self.pool_pages: dict[int, list[AllocatedPool]] = {}
-        self.tracked: set[int] = set()
+        self.tracked: set[int] = set(self._static_kind)
         self.layout_version = 0
         self._next_ept_id = DEFAULT_EPT + 1
         self._next_pool_id = 0
-        self._static_kind: dict[int, str] = {}
         self._overlay: dict[int, tuple] = {}   # page -> ("image", eid) | ("process", pid)
-
-        for what, kind, ranges in (
-            ("os kernel code", "kernel", config.os_kernel_ranges),
-            ("os structures", "structure", config.os_structure_ranges),
-            ("other driver", "other", config.other_driver_ranges),
-        ):
-            for base, size in ranges:
-                _check_range(base, size, what)
-                for page in pages_covering(base, size):
-                    if page in self._static_kind:
-                        raise ConfigError(f"{what}: page {page:#x} claimed twice")
-                    self._static_kind[page] = kind
-                    self.tracked.add(page)
         self._sync_contexts()
         self.layout_version += 1
 
@@ -158,6 +187,11 @@ class RegionLedger:
         """Bits a page holds in a context, from the facts alone."""
         raise NotImplementedError
 
+    def _static_attrs(self, kind: str, ept_id: int) -> int:
+        """Bits a static page of the kind holds in a context while no image,
+        process or pool claims it."""
+        raise NotImplementedError
+
     def _restamp(self, pages) -> None:
         """Give every page its rule's bits in every context."""
         for ept_id, ept in self.epts.items():
@@ -166,15 +200,18 @@ class RegionLedger:
 
     def _sync_contexts(self) -> None:
         """Drop contexts the facts no longer call for and create the missing
-        ones, each stamped over every claimed page. A fresh context maps
-        every page identity, so the stamp writes identity leaves directly."""
+        ones: each reads the static pages from its rule's shared template and
+        gets its own leaf for every page an image, process or pool claims. A
+        fresh context maps every page identity, so those leaves are written
+        directly."""
         wanted = self._context_ids()
         for ept_id in [e for e in self.epts if e not in wanted]:
             del self.epts[ept_id]
         for ept_id in wanted:
             if ept_id not in self.epts:
-                ept = self.epts[ept_id] = Ept(ept_id)
-                for page in {**self._static_kind, **self._overlay, **self.pool_pages}:
+                bits = tuple(self._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
+                ept = self.epts[ept_id] = Ept(ept_id, static_template(self.config, bits))
+                for page in {**self._overlay, **self.pool_pages}:
                     ept.set_page_entry(page, EptEntry(page, self._attrs(page, ept_id)))
 
     # -- queries -----------------------------------------------------------
@@ -339,8 +376,9 @@ class MapState(RegionLedger):
                 return RW                                      # kernel-side data stays open
             return RWX if ept_id == owner else NONE
         kind = self._static_kind.get(page)
-        if kind is None:
-            return RW
+        return RW if kind is None else self._static_attrs(kind, ept_id)
+
+    def _static_attrs(self, kind: str, ept_id: int) -> int:
         if kind == "kernel" or ept_id == DEFAULT_EPT:
             return RWX                   # the default context opens the kernel's world
         return NONE if kind == "structure" else RW
@@ -422,8 +460,9 @@ class SingleEptPolicy(RegionLedger):
         if pools:
             return NONE if any(p.owner is not None for p in pools) else RW
         kind = self._static_kind.get(page)
-        if kind is None:
-            return RW
+        return RW if kind is None else self._static_attrs(kind, ept_id)
+
+    def _static_attrs(self, kind: str, ept_id: int) -> int:
         return NONE if kind == "structure" else RWX
 
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:

@@ -10,11 +10,25 @@ The check stays brute force on the expected side: after every layout change
 every page that an event can affect (images, pools, processes, unclaimed
 tracked pages) is classified again from the raw facts. The one memo is the
 rows of the static pages (kernel code, OS structures, other driver), a pure
-function of the static ranges, which no event changes. On the actual side,
-OracleChecker keeps each context's bits per page and rereads only the pages
-its Ept's write journal lists since the last check, then compares whole rows;
-check_against without a cache reads every page from scratch, and a caller
-can run that full sweep as a backstop against writes that bypass the journal.
+function of the static ranges, which no event changes. On the actual side
+every leaf is read through Ept.entry_for, so a context's own leaves and the
+engine's shared template alike are read as the translation sees them; the
+oracle never reads the template or the engine's rules itself.
+
+OracleChecker checks only what changed. It keeps each context's bits per page,
+rereads only the pages its Ept's write journal lists since the last check,
+and keeps the set of mismatched (context, page) pairs:
+
+* after a layout change, or when a context is replaced, whole rows are
+  compared again (check_against with the cache);
+* with the layout unchanged, only the pages each context wrote since the
+  last check are compared, and their pairs enter or leave the set;
+* with nothing written at all, the previous answer is returned.
+
+Every check reports the whole set, so a fault gives the mismatches a fresh
+sweep gives. check_against without a cache reads every page from scratch; a
+caller runs that full sweep as a backstop against writes that bypass the
+journal.
 """
 
 from dataclasses import dataclass
@@ -284,16 +298,17 @@ def _page_bits(ept: Ept, page: int) -> int:
 
 
 def _read_row(ept: Ept, pages: Collection[int]) -> dict[int, int]:
-    """Actual bits of every page in pages, read from scratch: the written
-    leaves first, then the default entry of each page never written."""
+    """Actual bits of every page in pages, read from scratch: the context's
+    own leaves first, then every other page through entry_for."""
     row = {}
     for page, entry in ept.materialized_leaves():
         if page in pages:
             row[page] = entry.attrs if entry.pfn == page else BAD_PFN_BITS
-    if len(row) < len(pages):
-        for page in pages:
-            if page not in row:
-                row[page] = _page_bits(ept, page)
+    entry_for = ept.entry_for
+    for page in pages:
+        if page not in row:
+            entry = entry_for(page)
+            row[page] = entry.attrs if entry.pfn == page else BAD_PFN_BITS
     return row
 
 
@@ -329,20 +344,23 @@ class ActualRows:
         self._rows = rows
         self._universe, self._pages = policy.universe, pages
 
-    def row(self, ept: Ept) -> dict[int, int]:
-        """The context's row, after rereading the pages written since the last call."""
+    def reread(self, ept: Ept) -> tuple[dict[int, int], Collection[int]]:
+        """The context's row and the pages reread for it since the last call:
+        the journaled ones, or all of them on the context's first read."""
         cached = self._rows.get(ept)
         if cached is None:
             row = _read_row(ept, self._pages)
+            changed: Collection[int] = row.keys()
         else:
             serial, row = cached
             if serial == ept.mutations:
-                return row
-            for page in ept.written_since(serial):
+                return row, ()
+            changed = ept.written_since(serial)
+            for page in changed:
                 if page in row:
                     row[page] = _page_bits(ept, page)
         self._rows[ept] = (ept.mutations, row)
-        return row
+        return row, changed
 
 
 def check_against(
@@ -367,7 +385,7 @@ def check_against(
         ept = epts.get(ept_id)
         if ept is None:
             continue
-        actual_row = _read_row(ept, expected_row) if cache is None else cache.row(ept)
+        actual_row = _read_row(ept, expected_row) if cache is None else cache.reread(ept)[0]
         if actual_row == expected_row:
             continue
         for page in policy.universe:
@@ -378,12 +396,18 @@ def check_against(
 
 
 class OracleChecker:
-    """Stateful wrapper: rebuilds on layout changes, keeps actual rows current."""
+    """Stateful wrapper: rebuilds on layout changes, keeps actual rows current,
+    and compares only what changed since its last check."""
 
     def __init__(self):
         self._version = None
         self._policy: FlatPolicy | None = None
         self._actual = ActualRows()
+        self._checked: FlatPolicy | None = None           # table of the last check
+        self._seen: dict[int, tuple[Ept, int]] = {}       # id -> (context, serial) then
+        # (context, page) -> mismatch; page -1 for a missing or surplus context
+        self._bad: dict[tuple[int, int], Mismatch] = {}
+        self._answer: list[Mismatch] = []
 
     def policy_for(self, map_state) -> FlatPolicy:
         if self._policy is None or map_state.layout_version != self._version:
@@ -393,4 +417,40 @@ class OracleChecker:
         return self._policy
 
     def verify(self, map_state, epts: dict[int, Ept]) -> list[Mismatch]:
-        return check_against(self.policy_for(map_state), epts, cache=self._actual)
+        """Every mismatch a fresh check_against would report, found by
+        comparing only the pages written since the last check while the
+        layout and the contexts stay the same."""
+        policy = self.policy_for(map_state)
+        seen = {ept_id: (ept, ept.mutations) for ept_id, ept in epts.items()}
+        if policy is self._checked and seen == self._seen:
+            return list(self._answer)
+        same_contexts = seen.keys() == self._seen.keys() and all(
+            ept is self._seen[ept_id][0] for ept_id, (ept, _) in seen.items()
+        )
+        if policy is self._checked and same_contexts:
+            self._compare_written(policy, epts)
+        else:
+            found = check_against(policy, epts, cache=self._actual)
+            self._bad = {(m.ept, m.page): m for m in found}
+        self._checked, self._seen = policy, seen
+        self._answer = sorted(self._bad.values())
+        return list(self._answer)
+
+    def _compare_written(self, policy: FlatPolicy, epts: dict[int, Ept]) -> None:
+        """Compare the pages each context wrote since the last check; each
+        page's (context, page) pair enters or leaves the mismatch set."""
+        bad = self._bad
+        for ept_id, expected_row in policy.table.items():
+            ept = epts.get(ept_id)
+            if ept is None:
+                continue
+            row, changed = self._actual.reread(ept)
+            for page in changed:
+                want = expected_row.get(page)
+                if want is None:
+                    continue                     # outside the universe
+                got = row[page]
+                if want == got:
+                    bad.pop((ept_id, page), None)
+                else:
+                    bad[(ept_id, page)] = Mismatch(ept_id, page, _render(want), _render(got))

@@ -4,10 +4,10 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memranger.address_space import PAGE_SIZE, pages_covering, pattern_page
-from memranger.errors import SimulationError, TraceParseError
+from memranger.errors import ConfigError, SimulationError, TraceParseError
 from memranger.kernel_sim import (
     FOREIGN_POOL_FILL,
     IMAGE_SIZE,
@@ -20,6 +20,7 @@ from memranger.kernel_sim import (
     OTHER_DRIVER_FILL,
     POOL_ARENA,
     PROCESS_SLOT_BASE,
+    PROCESS_SLOT_STRIDE,
     SECRET_FILL,
     AccessEvent,
     Alloc,
@@ -43,7 +44,7 @@ from memranger.kernel_sim import (
     run_trace,
     serialize_trace,
 )
-from memranger.reference_oracle import OracleChecker
+from memranger.reference_oracle import OracleChecker, check_against, rebuild, snapshot_from_map
 from memranger.report_cli import verify_run
 
 ALL_EVENTS = [
@@ -143,6 +144,87 @@ class TestAllocator:
         with pytest.raises(SimulationError):
             alloc.take(1, "natural")
 
+    def test_freed_space_waits_for_the_arena_end(self):
+        """Until the bump reaches the arena's end a freed hole is not reused,
+        so a trace that never fills the arena keeps its addresses."""
+        alloc = BumpAllocator(0x5000_0000, 0x3000)
+        first = alloc.take(0x1000, "page")
+        alloc.release(first)
+        assert alloc.take(0x1000, "page") == first + 0x1000
+        assert alloc.take(0x1000, "page") == first + 0x2000
+        assert alloc.take(0x1000, "page") == first     # the arena is full: first fit
+
+    def test_holes_coalesce(self):
+        base = 0x5000_0000
+        alloc = BumpAllocator(base, 0x4000)
+        a, b, c, d = (alloc.take(0x1000, "page") for _ in range(4))
+        alloc.release(a)
+        alloc.release(c)
+        assert alloc.holes == [(a, a + 0x1000), (c, c + 0x1000)]
+        alloc.release(b)
+        assert alloc.holes == [(a, c + 0x1000)]
+        assert alloc.take(0x3000, "page") == a       # fits only the merged hole
+        assert alloc.holes == []
+        alloc.release(d)
+        alloc.release(a)
+        assert alloc.holes == [(base, base + 0x4000)]
+
+    def test_page_allocation_in_a_hole_starts_on_a_page(self):
+        base = 0x5000_0000
+        alloc = BumpAllocator(base, 0x2000)
+        first = alloc.take(0x10, "natural")
+        middle = alloc.take(0x20, "natural")
+        rest = alloc.take(0x2000 - 0x30, "natural")
+        assert (first, middle, rest) == (base, base + 0x10, base + 0x30)
+        alloc.release(middle)
+        alloc.release(rest)
+        assert alloc.holes == [(base + 0x10, base + 0x2000)]
+        page = alloc.take(0x100, "page")
+        assert page == base + 0x1000
+        assert alloc.holes == [(base + 0x10, base + 0x1000)]   # the tail page is reserved
+        assert alloc.take(0x10, "natural") == base + 0x10
+        with pytest.raises(SimulationError):
+            alloc.take(0x1000, "natural")
+
+    def test_a_page_pool_returns_its_rounded_tail(self):
+        base = 0x5000_0000
+        alloc = BumpAllocator(base, 0x2000)
+        small = alloc.take(0x100, "page")
+        alloc.take(0x1000, "page")
+        alloc.release(small)
+        assert alloc.holes == [(base, base + 0x1000)]
+        assert alloc.take(0x1000, "natural") == base
+
+    def test_release_of_an_unknown_base_is_rejected(self):
+        alloc = BumpAllocator(0x5000_0000, 0x2000)
+        live = alloc.take(0x40, "natural")
+        with pytest.raises(SimulationError):
+            alloc.release(live + 0x10)
+        alloc.release(live)
+        with pytest.raises(SimulationError):
+            alloc.release(live)
+
+    def test_free_and_unload_return_the_pools(self):
+        """Free returns one pool's extent and unload every live pool of the
+        driver, so the space is reused once the arena is full."""
+        sim = Simulation("multi-ept")
+        sim.allocator = BumpAllocator(POOL_ARENA[0], 0x3000)
+        for event in (
+            LoadDriver("A", IMAGE_SLOTS[0]),
+            Alloc("A", 0x100, "page"),
+            Alloc("A", 0x100, "page"),
+            Alloc("os_kernel", 0x1000, "page"),
+            Free("A", 0),
+        ):
+            sim.step(event)
+        assert sim.allocator.holes == [(POOL_ARENA[0], POOL_ARENA[0] + 0x1000)]
+        sim.step(UnloadDriver("A"))
+        assert sim.allocator.holes == [(POOL_ARENA[0], POOL_ARENA[0] + 0x2000)]
+        sim.step(LoadDriver("B", IMAGE_SLOTS[1]))
+        sim.step(Alloc("B", 0x2000, "page"))
+        assert sim.pools["B"][0].base == POOL_ARENA[0]
+        assert OracleChecker().verify(sim.policy, sim.policy.epts) == []
+
 
 @pytest.fixture(scope="module")
 def demo_report():
@@ -206,6 +288,150 @@ def test_long_random_traces_replay_clean(seed):
     report = run_trace(events, "multi-ept", after_event=audit)
     assert mismatches == []
     assert verify_run(events, report).ok
+
+
+def test_a_trace_past_the_arena_reuses_freed_pools():
+    """50,000 events allocate more than the 16 MiB pool arena holds: the pools
+    freed on the way are reused, multi-ept verifies clean, and a final
+    uncached sweep finds every leaf as the oracle expects."""
+    events = gen_random_trace(0, length=50_000)
+    sim = Simulation("multi-ept")
+    for event in events:
+        sim.step(event)
+    assert sim.allocator.cursor == sim.allocator.end
+    report = sim.report()
+    bases = [allocation["base"] for allocation in report.allocations]
+    assert len(set(bases)) < len(bases)
+    policy = sim.policy
+    assert check_against(rebuild(snapshot_from_map(policy), policy.tracked), policy.epts) == []
+    assert verify_run(events, report).ok
+
+
+# Small worlds for the cross-mode property: an opening that loads two
+# drivers, creates a process and allocates, then up to 25 events over three
+# driver names and a few pids, with regions of at most a few pages and
+# references that are often invalid (unknown actors, freed pools, offsets past
+# the end, bases on claimed pages, empty or page-crossing payloads).
+_OPENING = [
+    LoadDriver("A", IMAGE_SLOTS[0]),
+    LoadDriver("B", IMAGE_SLOTS[1]),
+    CreateProcess(4, ((PROCESS_SLOT_BASE, 0x200),)),
+    Alloc("A", 0x100),
+    Alloc("B", 0x100),
+]
+_NAMES = st.sampled_from(["A", "B", "C"])
+_ACTORS = st.sampled_from(["A", "A", "B", "B", "C", "os_kernel", "os_kernel", "other_driver_0",
+                           "ghost"])
+_PIDS = st.sampled_from([4, 4, 5, 6])
+_IMAGE_BASES = st.sampled_from([
+    IMAGE_SLOTS[0], IMAGE_SLOTS[1], IMAGE_SLOTS[0] + 0x10_0000, IMAGE_SLOTS[0] + 0x1000,
+    OS_KERNEL_CODE[0], POOL_ARENA[0] + 0x8000,
+])
+_REGION = st.tuples(
+    st.sampled_from([PROCESS_SLOT_BASE, PROCESS_SLOT_BASE + PROCESS_SLOT_STRIDE,
+                     PROCESS_SLOT_BASE + 2 * PROCESS_SLOT_STRIDE, OS_KERNEL_CODE[0],
+                     IMAGE_SLOTS[1]]),
+    st.sampled_from([0x200, 0x200, 0x1000, 0x1800, 0]),
+)
+_DST = st.builds(
+    DstRef,
+    kind=st.sampled_from(["own_pool", "own_pool", "pool_of", "pool_of", "image_of", "eprocess",
+                          "os_kernel_code", "os_structures", "other_driver"]),
+    driver=st.one_of(_NAMES, st.none()),
+    index=st.sampled_from([0, 0, 1, 2]),
+    pid=st.one_of(_PIDS, st.none()),
+    offset=st.sampled_from([0, 0x10, 0x7c, 0x7c, 0xffc, 0xffe, 0x1ff0, 0x2000]),
+)
+_ACCESSES = st.builds(
+    AccessEvent, actor=_ACTORS, dst=_DST, access=st.sampled_from(["read", "write", "execute"]),
+    payload=st.sampled_from([None, None, b"\x01\x02", b"\x07" * 8, b""]),
+)
+_EVENTS = st.one_of(
+    _ACCESSES, _ACCESSES, _ACCESSES,
+    st.builds(Schedule, actor=_ACTORS),
+    st.builds(Alloc, actor=_ACTORS, size=st.sampled_from([0x10, 0x100, 0x1000, 0x1800, 1, 0]),
+              align=st.sampled_from(["natural", "page"])),
+    st.builds(Free, actor=_ACTORS, pool=st.sampled_from([0, 0, 1, 2])),
+    st.builds(LoadDriver, name=_NAMES, image_base=_IMAGE_BASES,
+              image_size=st.sampled_from([IMAGE_SIZE, IMAGE_SIZE, 0x1000, 0x1800, 0])),
+    st.builds(UnloadDriver, name=_ACTORS),
+    st.builds(CreateProcess, pid=_PIDS, regions=st.lists(_REGION, max_size=2).map(tuple)),
+    st.builds(ExitProcess, pid=_PIDS),
+)
+_FREE_BASES = (IMAGE_SLOTS[0], IMAGE_SLOTS[1], IMAGE_SLOTS[0] + 0x10_0000)
+
+
+@st.composite
+def _traces(draw):
+    """The opening, then up to 25 events drawn from a rough model of the live
+    world, so most are valid, with one in eight drawn from _EVENTS instead."""
+    drivers = {"A": IMAGE_SLOTS[0], "B": IMAGE_SLOTS[1]}
+    allocs = {"A": 1, "B": 1}                      # allocations made per actor
+    pids = [4]
+    events = list(_OPENING)
+    for _ in range(draw(st.integers(0, 25))):
+        actors = sorted(drivers) + ["os_kernel", "other_driver_0"]
+        actor = draw(st.sampled_from(actors))
+        roll = draw(st.integers(0, 15))
+        if roll < 2:
+            event = draw(_EVENTS)
+        elif roll < 8:
+            kind = draw(st.sampled_from(["own_pool", "pool_of", "image_of", "eprocess",
+                                         "os_kernel_code", "os_structures", "other_driver"]))
+            owner = draw(st.sampled_from(sorted(drivers) or ["A"]))
+            dst = DstRef(kind, driver=owner if kind in ("pool_of", "image_of") else None,
+                         index=draw(st.integers(0, max(allocs.get(
+                             actor if kind == "own_pool" else owner, 1) - 1, 0))),
+                         pid=draw(st.sampled_from(pids or [4])) if kind == "eprocess" else None,
+                         offset=draw(st.sampled_from([0, 0x10, 0x3c, 0x7c])))
+            access = draw(st.sampled_from(["read", "write", "execute"]))
+            event = AccessEvent(actor, dst, access,
+                                draw(st.sampled_from([None, b"\x01\x02\x03\x04"])))
+        elif roll < 9:
+            event = Schedule(actor)
+        elif roll < 11:
+            event = Alloc(actor, draw(st.sampled_from([0x10, 0x80, 0x100, 0x1000, 0x1800])),
+                          draw(st.sampled_from(["natural", "page"])))
+            allocs[actor] = allocs.get(actor, 0) + 1
+        elif roll < 12:
+            event = Free(actor, draw(st.integers(0, max(allocs.get(actor, 1) - 1, 0))))
+        elif roll < 13:
+            free = [base for base in _FREE_BASES if base not in drivers.values()]
+            name = draw(st.sampled_from(["A", "B", "C", "D"]))
+            if name in drivers or not free:
+                event = UnloadDriver(draw(st.sampled_from(sorted(drivers) or ["A"])))
+                drivers.pop(event.name, None)
+            else:
+                event = LoadDriver(name, draw(st.sampled_from(free)))
+                drivers[name] = event.image_base
+        else:
+            pid = draw(st.sampled_from([4, 5, 6]))
+            if pid in pids:
+                event = ExitProcess(pid)
+                pids.remove(pid)
+            else:
+                slot = draw(st.integers(0, 3))
+                event = CreateProcess(pid, ((PROCESS_SLOT_BASE + slot * PROCESS_SLOT_STRIDE, 0x200),))
+                pids.append(pid)
+        events.append(event)
+    return events
+
+
+def _outcome(events, mode):
+    try:
+        run_trace(events, mode)
+    except (SimulationError, ConfigError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_traces())
+def test_every_mode_accepts_the_same_traces(events):
+    """Each mode completes the trace, or each fails with the same error class;
+    no other exception escapes."""
+    outcomes = {mode: _outcome(events, mode) for mode in ("off", "single-ept", "multi-ept")}
+    assert len(set(outcomes.values())) == 1, outcomes
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -139,6 +139,60 @@ def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
     assert flagged >= sabotaged      # a sabotaged leaf mostly stays wrong for a while
 
 
+def test_planted_leaf_is_reported_until_restored():
+    """A bad leaf is reported on every check, also on checks with no change in
+    between, and also across a layout change; a journaled write that restores
+    the leaf clears it."""
+    state = fresh()
+    checker = OracleChecker()
+    eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+    assert checker.verify(state, state.epts) == []
+    page = STRUCTS[0] >> 12                      # a page of the shared template
+    ept = state.epts[eid]
+    good = ept.entry_for(page)
+    ept.set_page_entry(page, EptEntry(good.pfn, RWX))
+    planted = [Mismatch(eid, page, "---", "rwx")]
+    for _ in range(3):
+        assert checker.verify(state, state.epts) == planted
+    state.on_alloc(KERNEL_CODE, 0x5000_0000, 0x100)
+    assert checker.verify(state, state.epts) == planted
+    assert checker.verify(state, state.epts) == planted
+    ept.set_page_entry(page, good)
+    assert checker.verify(state, state.epts) == []
+    assert check_against(rebuild(snapshot_from_map(state), state.tracked), state.epts) == []
+
+
+def test_unchanged_check_reads_no_leaf(monkeypatch):
+    """A check after an event that changed neither the layout nor any
+    context's leaves reads no leaf at all."""
+    reads = [0]
+    entry_for = Ept.entry_for
+
+    def counted(self, page):
+        reads[0] += 1
+        return entry_for(self, page)
+
+    monkeypatch.setattr(Ept, "entry_for", counted)
+    quiet = 0
+    for seed in range(5):
+        checker = OracleChecker()
+        last = [None]
+
+        def hook(sim, index, event):
+            nonlocal quiet
+            m = sim.policy
+            now = (m.layout_version, {i: (e, e.mutations) for i, e in m.epts.items()})
+            reads[0] = 0
+            assert checker.verify(m, m.epts) == []
+            if now == last[0]:
+                quiet += 1
+                assert reads[0] == 0, (seed, index)
+            last[0] = now
+
+        run_trace(gen_random_trace(seed, length=200), "multi-ept", after_event=hook)
+    assert quiet >= 5 * 50
+
+
 class TestLegality:
     """Ground-truth access verdicts, independent of any table state."""
 

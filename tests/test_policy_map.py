@@ -2,11 +2,17 @@
 
 import pytest
 
-from memranger.address_space import GPA_LIMIT, PAGE_SIZE, pages_covering
-from memranger.ept_model import NONE, RW, RWX, Access
+from memranger.address_space import GPA_LIMIT, PAGE_SHIFT, PAGE_SIZE, pages_covering
+from memranger.ept_model import NONE, RW, RWX, Access, EptEntry
 from memranger.errors import ConfigError, SimulationError
-from memranger.kernel_sim import Simulation, gen_random_trace
-from memranger.policy_map import DEFAULT_EPT, DecisionKind, init
+from memranger.kernel_sim import (
+    Simulation,
+    gen_benchmark_trace,
+    gen_demo1_trace,
+    gen_privesc_trace,
+    gen_random_trace,
+)
+from memranger.policy_map import DEFAULT_EPT, STATIC_KINDS, DecisionKind, init, static_template
 
 KERNEL = (0x1000_0000, 0x0010_0000)
 STRUCTS = (0x2000_0000, 0x0001_0000)
@@ -275,3 +281,52 @@ def test_single_ept_table_matches_raw_facts(seed):
             want = expected.get(page, RW)
             got = ept.entry_for(page).attrs
             assert got == want, f"seed {seed} event {index} page {page:#x}: {got} != {want}"
+
+
+def _template_key(policy, ept_id):
+    return policy.config, tuple(policy._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
+
+
+@pytest.mark.parametrize("mode", ["single-ept", "multi-ept"])
+def test_templates_stay_pristine(mode):
+    """Every context reads its static pages from the one template of its rule,
+    shared by reference across replays, and no replay writes into it: after
+    demo1, privesc, a benchmark trace and 20 random traces, among them
+    redirects on static pages, every template still equals a fresh build."""
+    traces = [gen_demo1_trace(), gen_privesc_trace(), gen_benchmark_trace(600)]
+    traces += [gen_random_trace(seed, attack_probability=0.6) for seed in range(20)]
+    shared = {}
+    static_redirects = 0
+    for events in traces:
+        sim = Simulation(mode)
+        for event in events:
+            sim.step(event)
+            for ept_id, ept in sim.policy.epts.items():
+                assert shared.setdefault(_template_key(sim.policy, ept_id), ept.base) is ept.base
+        static_redirects += sum(
+            1 for record in sim.log
+            if record["decision"] == "redirect_to_fake"
+            and int(record["dst"], 16) >> PAGE_SHIFT in sim.policy._static_kind
+        )
+    assert static_redirects > 0
+    assert len(shared) == (1 if mode == "single-ept" else 2)
+    for (config, bits), template in shared.items():
+        assert template == static_template.__wrapped__(config, bits)
+
+
+@pytest.mark.parametrize("mode", ["single-ept", "multi-ept"])
+def test_every_tracked_leaf_follows_the_rule(mode):
+    """Between events no single-step window is open, and every tracked page of
+    every context, whether its leaf is the context's own or the template's,
+    holds the identity frame and the bits its policy's rule gives."""
+    for seed in range(20):
+        sim = Simulation(mode)
+        for index, event in enumerate(gen_random_trace(seed, length=100, attack_probability=0.6)):
+            sim.step(event)
+            assert sim.vcpu.mtf is None
+            policy = sim.policy
+            pages = sorted(policy.tracked)
+            for ept_id, ept in policy.epts.items():
+                got = [ept.entry_for(page) for page in pages]
+                want = [EptEntry(page, policy._attrs(page, ept_id)) for page in pages]
+                assert got == want, (seed, index, ept_id)
