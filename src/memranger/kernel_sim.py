@@ -24,9 +24,9 @@ import itertools
 import json
 import random
 import string
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from types import NoneType
 
 from .address_space import PAGE_SIZE, FrameStore
 from .dispatcher import VcpuState, execute_access, switch_ept
@@ -79,69 +79,175 @@ class SimConfig:
 
 
 # -- trace events -----------------------------------------------------------
+#
+# Each event class states its fields once: the dataclass gives each field's
+# name and default (None: it may be null or absent), _spec its codec form and
+# JSON key. From these, once at import, _event compiles the class's field check
+# into one expression, which Simulation.step runs on every event and
+# event_from_dict on every event it decodes. event_to_dict stays written out
+# for speed; a test pins the keys it writes to the spec's.
+
+@dataclass(frozen=True, eq=False)
+class _Form:
+    """A field's codec form: its check over one value ({v} in test), what a
+    parse error says a good value is, and the conversion from JSON, which
+    hands back a value it cannot convert for the check to reject."""
+    test: str
+    what: str
+    decode: Callable | None = None      # None: the JSON value is the field value
+    nested: type | None = None          # the spec class a JSON object decodes to
+
+
+def _int(value):
+    if type(value) is str:              # "0x10", "16": whatever int(text, 0) reads
+        try:
+            return int(value, 0)
+        except ValueError:
+            pass
+    return value
+
+
+def _hex_bytes(value):
+    if type(value) is str:
+        try:
+            return bytes.fromhex(value)
+        except ValueError:
+            pass
+    return value
+
+
+def _regions(value):
+    if type(value) is list and value and all(type(pair) is list and len(pair) == 2
+                                             for pair in value):
+        return tuple((_int(base), _int(size)) for base, size in value)
+    return value
+
+
+HEX = _Form("type({v}) is int", "an integer", _int)           # written "0x1f"
+DEC = _Form("type({v}) is int", "an integer", _int)           # written 31
+STR = _Form("type({v}) is str", "a string")
+HEX_BYTES = _Form("type({v}) is bytes", "a hex string", _hex_bytes)
+REGIONS = _Form("type({v}) is tuple and all(type(r) is tuple and len(r) == 2"
+                " and type(r[0]) is int and type(r[1]) is int for r in {v})",
+                "a non-empty list of [base, size] pairs", _regions)
+
+
+def _one_of(values: tuple) -> _Form:
+    return _Form(f"type({{v}}) is str and {{v}} in {values!r}", "one of " + ", ".join(values))
+
+
+def _nested(cls) -> _Form:
+    return _Form(f"type({{v}}) is {cls.__name__} and {_SPECS[cls].test}", "an object",
+                 lambda value: _decoded(cls, value) if type(value) is dict else value,
+                 cls)
+
+
+def _spec(form: _Form, default=MISSING, key: str | None = None):
+    return field(default=default, metadata={"form": form, "key": key})
+
 
 @dataclass(frozen=True)
-class LoadDriver:
-    name: str
-    image_base: int
-    image_size: int = IMAGE_SIZE
+class _ClassSpec:
+    fields: tuple       # (name, key, form, default, this field's check) in field order
+    test: str           # the whole check over {v}
+    check: Callable
 
 
-@dataclass(frozen=True)
-class UnloadDriver:
-    name: str
+_SPECS: dict[type, _ClassSpec] = {}
+_EVENT_OF: dict[str, type] = {}         # trace name ("ev") -> event class
 
 
-@dataclass(frozen=True)
-class CreateProcess:
-    pid: int
-    regions: tuple[tuple[int, int], ...]
+def _compiled(test: str) -> Callable:
+    """The check test states over {v}, as a function; test is built from the
+    spec's own constants only, the way dataclasses builds __init__."""
+    return eval("lambda e: " + test.replace("{v}", "e"), globals())
 
 
-@dataclass(frozen=True)
-class ExitProcess:
-    pid: int
+def _event(ev: str | None = None):
+    """Make cls a frozen dataclass and derive its field check from its spec."""
+    def derive(cls):
+        cls = dataclass(frozen=True)(cls)
+        rows, tests = [], []
+        for f in fields(cls):
+            form = f.metadata["form"]
+            test = form.test.replace("{v}", "{v}." + f.name)
+            if f.default is None:
+                test = f"{{v}}.{f.name} is None or {test}"
+            tests.append(f"({test})")
+            rows.append((f.name, f.metadata["key"] or f.name, form, f.default, _compiled(test)))
+        test = " and ".join(tests)
+        _SPECS[cls] = _ClassSpec(tuple(rows), test, _compiled(test))
+        if ev is not None:
+            _EVENT_OF[ev] = cls
+        return cls
+    return derive
 
 
 ALIGNS = ("natural", "page")    # "natural" packs at 16 bytes, "page" at 4 KiB
-EXPECT_LABELS = (None, "legal", "illegal")
+
+# value -> Access; a dict lookup costs a tenth of calling Access(value)
+_ACCESS_OF = {access.value: access for access in Access}
 
 
-@dataclass(frozen=True)
+@_event("load_driver")
+class LoadDriver:
+    name: str = _spec(STR)
+    image_base: int = _spec(HEX)
+    image_size: int = _spec(HEX, IMAGE_SIZE)
+
+
+@_event("unload_driver")
+class UnloadDriver:
+    name: str = _spec(STR)
+
+
+@_event("create_process")
+class CreateProcess:
+    pid: int = _spec(DEC)
+    regions: tuple[tuple[int, int], ...] = _spec(REGIONS)
+
+
+@_event("exit_process")
+class ExitProcess:
+    pid: int = _spec(DEC)
+
+
+@_event("alloc")
 class Alloc:
-    actor: str
-    size: int
-    align: str = "natural"      # one of ALIGNS
+    actor: str = _spec(STR)
+    size: int = _spec(HEX)
+    align: str = _spec(_one_of(ALIGNS), "natural")
 
 
-@dataclass(frozen=True)
+@_event("free")
 class Free:
-    actor: str
-    pool: int                   # ordinal among the actor's allocations, frees included
+    actor: str = _spec(STR)
+    pool: int = _spec(DEC)      # ordinal among the actor's allocations, frees included
 
 
-@dataclass(frozen=True)
+@_event("schedule")
 class Schedule:
-    actor: str
+    actor: str = _spec(STR)
 
 
-@dataclass(frozen=True)
+@_event()
 class DstRef:
     """Symbolic access target, resolved against live regions at replay time."""
-    kind: str
-    driver: str | None = None
-    index: int = 0
-    pid: int | None = None
-    offset: int = 0
+    kind: str = _spec(_one_of(("own_pool", "pool_of", "image_of", "eprocess",
+                               "os_kernel_code", "os_structures", "other_driver")), key="ref")
+    driver: str | None = _spec(STR, None)
+    index: int = _spec(DEC, 0)
+    pid: int | None = _spec(DEC, None)
+    offset: int = _spec(HEX, 0)
 
 
-@dataclass(frozen=True)
+@_event("access")
 class AccessEvent:
-    actor: str
-    dst: DstRef
-    access: str                 # "read" | "write" | "execute"
-    payload: bytes | None = None
-    expect: str | None = None   # one of EXPECT_LABELS: the generator's own legality label
+    actor: str = _spec(STR)
+    dst: DstRef = _spec(_nested(DstRef))
+    access: str = _spec(_one_of(tuple(_ACCESS_OF)))
+    payload: bytes | None = _spec(HEX_BYTES, None)
+    expect: str | None = _spec(_one_of(("legal", "illegal")), None)   # the generator's own label
 
 
 TraceEvent = (
@@ -149,14 +255,8 @@ TraceEvent = (
     | Alloc | Free | Schedule | AccessEvent
 )
 
-_DST_KINDS = (
-    "own_pool", "pool_of", "image_of", "eprocess",
-    "os_kernel_code", "os_structures", "other_driver",
-)
-_INDEXED_KINDS = ("own_pool", "pool_of", "other_driver")
+_INDEXED_KINDS = ("own_pool", "pool_of", "other_driver")   # kinds whose index is written
 
-# value -> Access; a dict lookup costs a tenth of calling Access(value)
-_ACCESS_OF = {access.value: access for access in Access}
 
 def _hex(value: int) -> str:
     return f"{value:#x}"
@@ -208,103 +308,40 @@ def event_to_dict(event: TraceEvent) -> dict:
     raise TypeError(f"not a trace event: {event!r}")
 
 
-def _need(obj: dict, key: str, line: int):
-    if key not in obj:
-        raise TraceParseError(f"missing field {key!r}", line)
-    return obj[key]
+def _decoded(cls, obj: dict):
+    """cls built from obj, each value converted by its field's form, unchecked;
+    a missing field without a default holds MISSING, which no check passes."""
+    args = []
+    for _, key, form, default, _ in _SPECS[cls].fields:
+        if key not in obj:
+            args.append(default)
+        else:
+            args.append(obj[key] if form.decode is None else form.decode(obj[key]))
+    return cls(*args)
 
 
-def _int_field(obj: dict, key: str, line: int, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise TraceParseError(f"missing field {key!r}", line)
-    value = obj[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 0)
-        except ValueError:
-            pass
-    raise TraceParseError(f"field {key!r} is not an integer: {value!r}", line)
-
-
-def _str_field(obj: dict, key: str, line: int) -> str:
-    value = _need(obj, key, line)
-    if not isinstance(value, str):
-        raise TraceParseError(f"field {key!r} is not a string: {value!r}", line)
-    return value
+def _fault(cls, value, obj: dict, prefix: str = "") -> str:
+    """Name the first field of value that fails its check."""
+    for name, key, form, _, ok in _SPECS[cls].fields:
+        if not ok(value):
+            inner = getattr(value, name)
+            if key not in obj:
+                return f"missing field {prefix + key!r}"
+            if type(inner) is form.nested:
+                return _fault(form.nested, inner, obj[key], f"{prefix}{key}.")
+            return f"field {prefix + key!r} is not {form.what}: {obj[key]!r}"
 
 
 def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
-    kind = _str_field(obj, "ev", line)
-    if kind == "load_driver":
-        return LoadDriver(
-            _str_field(obj, "name", line),
-            _int_field(obj, "image_base", line),
-            _int_field(obj, "image_size", line),
-        )
-    if kind == "unload_driver":
-        return UnloadDriver(_str_field(obj, "name", line))
-    if kind == "create_process":
-        raw = _need(obj, "regions", line)
-        if not isinstance(raw, list) or not raw:
-            raise TraceParseError("regions must be a non-empty list", line)
-        regions = []
-        for pair in raw:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise TraceParseError(f"region must be [base, size]: {pair!r}", line)
-            regions.append((
-                _int_field({"v": pair[0]}, "v", line),
-                _int_field({"v": pair[1]}, "v", line),
-            ))
-        return CreateProcess(_int_field(obj, "pid", line), tuple(regions))
-    if kind == "exit_process":
-        return ExitProcess(_int_field(obj, "pid", line))
-    if kind == "alloc":
-        align = obj.get("align", "natural")
-        if align not in ALIGNS:
-            raise TraceParseError(f"unknown align {align!r}", line)
-        return Alloc(_str_field(obj, "actor", line), _int_field(obj, "size", line), align)
-    if kind == "free":
-        return Free(_str_field(obj, "actor", line), _int_field(obj, "pool", line))
-    if kind == "schedule":
-        return Schedule(_str_field(obj, "actor", line))
-    if kind == "access":
-        raw_dst = _need(obj, "dst", line)
-        if not isinstance(raw_dst, dict):
-            raise TraceParseError("dst must be an object", line)
-        dkind = _str_field(raw_dst, "ref", line)
-        if dkind not in _DST_KINDS:
-            raise TraceParseError(f"unknown target kind {dkind!r}", line)
-        driver = raw_dst.get("driver")
-        if driver is not None:
-            driver = _str_field(raw_dst, "driver", line)
-        pid = raw_dst.get("pid")
-        if pid is not None:
-            pid = _int_field(raw_dst, "pid", line)
-        dst = DstRef(
-            kind=dkind,
-            driver=driver,
-            index=_int_field(raw_dst, "index", line, default=0),
-            pid=pid,
-            offset=_int_field(raw_dst, "offset", line, default=0),
-        )
-        access = _str_field(obj, "access", line)
-        if access not in _ACCESS_OF:
-            raise TraceParseError(f"unknown access kind {access!r}", line)
-        payload = None
-        if "payload" in obj:
-            try:
-                payload = bytes.fromhex(obj["payload"])
-            except (TypeError, ValueError):
-                raise TraceParseError(f"payload is not hex: {obj['payload']!r}", line) from None
-        expect = obj.get("expect")
-        if expect not in EXPECT_LABELS:
-            raise TraceParseError(f"unknown expect label {expect!r}", line)
-        return AccessEvent(_str_field(obj, "actor", line), dst, access, payload, expect)
-    raise TraceParseError(f"unknown event kind {kind!r}", line)
+    ev = obj.get("ev")
+    cls = _EVENT_OF.get(ev) if type(ev) is str else None
+    if cls is None:
+        raise TraceParseError(f"unknown event kind {ev!r}" if "ev" in obj
+                              else "missing field 'ev'", line)
+    event = _decoded(cls, obj)
+    if not _SPECS[cls].check(event):
+        raise TraceParseError(_fault(cls, event, obj), line)
+    return event
 
 
 def serialize_trace(events) -> str:
@@ -404,7 +441,6 @@ def _placed(cursor: int, size: int, grain: int) -> tuple[int, int]:
 class PoolInfo:
     base: int
     size: int
-    align: str
     live: bool = True
 
 
@@ -600,7 +636,7 @@ class Simulation:
             "size": _hex(event.size),
             "align": align,
         })
-        ordinals.append(PoolInfo(base, event.size, align))
+        ordinals.append(PoolInfo(base, event.size))
 
     def _on_free(self, event: Free) -> None:
         self._actor(event.actor)
@@ -675,32 +711,18 @@ class Simulation:
         )
 
 
-# Each event kind's field check and handler, looked up once per step. A check
-# passes when the fields hold exactly the types the codec builds from a trace
-# line (so ints are never bools) and name a known align, access kind, target
-# kind and expect label. Written out rather than read from the annotations
-# because Simulation.step runs them on every event.
-_EVENT_KINDS = {
-    LoadDriver: (lambda e: (
-        type(e.name) is str and type(e.image_base) is int and type(e.image_size) is int),
-        Simulation._on_load),
-    UnloadDriver: (lambda e: type(e.name) is str, Simulation._on_unload),
-    CreateProcess: (lambda e: type(e.pid) is int and type(e.regions) is tuple and all(
-        type(r) is tuple and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
-        for r in e.regions), Simulation._on_process_create),
-    ExitProcess: (lambda e: type(e.pid) is int, Simulation._on_process_exit),
-    Alloc: (lambda e: type(e.actor) is str and type(e.size) is int and e.align in ALIGNS,
-            Simulation._on_alloc),
-    Free: (lambda e: type(e.actor) is str and type(e.pool) is int, Simulation._on_free),
-    Schedule: (lambda e: type(e.actor) is str, Simulation._on_schedule),
-    AccessEvent: (lambda e: (
-        type(e.actor) is str and type(e.access) is str and e.access in _ACCESS_OF
-        and e.expect in EXPECT_LABELS
-        and type(e.payload) in (bytes, NoneType) and type(e.dst) is DstRef
-        and e.dst.kind in _DST_KINDS and type(e.dst.driver) in (str, NoneType)
-        and type(e.dst.index) is int and type(e.dst.pid) in (int, NoneType)
-        and type(e.dst.offset) is int), Simulation._on_access),
-}
+# Each event kind's field check (derived from its spec) and handler, looked up
+# once per step.
+_EVENT_KINDS = {cls: (_SPECS[cls].check, handle) for cls, handle in {
+    LoadDriver: Simulation._on_load,
+    UnloadDriver: Simulation._on_unload,
+    CreateProcess: Simulation._on_process_create,
+    ExitProcess: Simulation._on_process_exit,
+    Alloc: Simulation._on_alloc,
+    Free: Simulation._on_free,
+    Schedule: Simulation._on_schedule,
+    AccessEvent: Simulation._on_access,
+}.items()}
 
 
 def run_trace(events, mode, config: SimConfig | None = None, after_event=None) -> RunReport:
@@ -806,14 +828,12 @@ class _RandomTraceState:
         self.drivers: dict[str, int] = {}          # name -> image slot index
         self.free_slots = [0, 1]
         self.names = _driver_names()
-        self.pools: dict[str, list[dict]] = {}     # actor -> [{size, live}]
+        self.sizes: dict[str, list[int]] = {}      # actor -> size of each allocation
+        self.live: dict[str, list[int]] = {}       # actor -> its live ordinals, ascending
         self.pids: list[int] = []
         self.free_pid_slots = list(range(PROCESS_SLOT_COUNT))
         self.pid_slot: dict[int, int] = {}
         self.next_pid = 4
-
-    def live_pool_ordinals(self, actor: str) -> list[int]:
-        return [i for i, p in enumerate(self.pools.get(actor, [])) if p["live"]]
 
     def load_driver(self):
         if not self.free_slots:
@@ -821,7 +841,6 @@ class _RandomTraceState:
         name = next(self.names)
         slot = self.free_slots.pop(0)
         self.drivers[name] = slot
-        self.pools.setdefault(name, [])
         self.events.append(LoadDriver(name, IMAGE_SLOTS[slot]))
         return True
 
@@ -829,8 +848,7 @@ class _RandomTraceState:
         slot = self.drivers.pop(name)
         self.free_slots.append(slot)
         self.free_slots.sort()
-        for pool in self.pools.get(name, []):
-            pool["live"] = False
+        self.live.pop(name, None)
         self.events.append(UnloadDriver(name))
 
     def create_process(self):
@@ -855,7 +873,9 @@ class _RandomTraceState:
         rng = self.rng
         size = rng.choice((0x80, 0x100, 0x200, 0x1000))
         align = rng.choice(("page", "natural"))
-        self.pools.setdefault(actor, []).append({"size": size, "live": True})
+        sizes = self.sizes.setdefault(actor, [])
+        self.live.setdefault(actor, []).append(len(sizes))
+        sizes.append(size)
         self.events.append(Alloc(actor, size, align))
 
 
@@ -872,6 +892,8 @@ def gen_random_trace(seed: int, length: int = 200,
 
     def offset_in(size: int) -> int:
         return rng.randrange(max(size - 3, 1) // 4 or 1) * 4
+
+    no_ref = (None, 0, None)
 
     # fixed opening so every trace has victims from the start
     st.load_driver()                      # A
@@ -893,39 +915,29 @@ def gen_random_trace(seed: int, length: int = 200,
         choices.extend(["os_kernel", "os_kernel", "other_driver_0"])
         return rng.choice(choices)
 
-    def legal_access(actor: str) -> AccessEvent | None:
+    # menu entries: (target kind, its (driver, index, pid), size to draw an offset in, access)
+    def add_pools(menu: list, owner: str, kind: str, driver: str | None = None) -> None:
+        for ordinal in st.live.get(owner, ()):
+            which, size = (driver, ordinal, None), st.sizes[owner][ordinal]
+            menu.append((kind, which, size, "read"))
+            menu.append((kind, which, size, "write"))
+
+    def legal_access(actor: str) -> AccessEvent:
         menu: list[tuple] = []
         if actor in st.drivers:
-            for ordinal in st.live_pool_ordinals(actor):
-                size = st.pools[actor][ordinal]["size"]
-                menu.append(("own_pool", ordinal, size, "read"))
-                menu.append(("own_pool", ordinal, size, "write"))
-            menu.append(("image_of", actor, IMAGE_SIZE, "read"))
-            menu.append(("other_driver", None, OTHER_DRIVER[1], "read"))
-            menu.append(("os_kernel_code", None, OS_KERNEL_CODE[1], "read"))
+            add_pools(menu, actor, "own_pool")
+            menu.append(("image_of", (actor, 0, None), IMAGE_SIZE, "read"))
+            menu.append(("other_driver", no_ref, OTHER_DRIVER[1], "read"))
         else:
-            menu.append(("os_structures", None, 0x2000, "read"))
-            menu.append(("os_structures", None, 0x2000, "write"))
+            menu.append(("os_structures", no_ref, 0x2000, "read"))
+            menu.append(("os_structures", no_ref, 0x2000, "write"))
             for pid in st.pids:
-                menu.append(("eprocess", pid, PROCESS_REGION_SIZE, "read"))
-                menu.append(("eprocess", pid, PROCESS_REGION_SIZE, "write"))
-            for ordinal in st.live_pool_ordinals(actor):
-                size = st.pools[actor][ordinal]["size"]
-                menu.append(("own_pool", ordinal, size, "read"))
-                menu.append(("own_pool", ordinal, size, "write"))
-            menu.append(("os_kernel_code", None, OS_KERNEL_CODE[1], "read"))
+                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "read"))
+                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "write"))
+            add_pools(menu, actor, "own_pool")
+        menu.append(("os_kernel_code", no_ref, OS_KERNEL_CODE[1], "read"))
         kind, which, size, access = rng.choice(menu)
-        offset = offset_in(size)
-        if kind == "own_pool":
-            dst = DstRef("own_pool", index=which, offset=offset)
-        elif kind == "image_of":
-            dst = DstRef("image_of", driver=which, offset=offset)
-        elif kind == "eprocess":
-            dst = DstRef("eprocess", pid=which, offset=offset)
-        elif kind == "other_driver":
-            dst = DstRef("other_driver", index=0, offset=offset)
-        else:
-            dst = DstRef(kind, offset=offset)
+        dst = DstRef(kind, *which, offset_in(size))
         payload = bytes([0xA0 + rng.randrange(16)]) * 4 if access == "write" else None
         return AccessEvent(actor, dst, access, payload, "legal")
 
@@ -933,40 +945,24 @@ def gen_random_trace(seed: int, length: int = 200,
         menu: list[tuple] = []
         if actor in st.drivers:
             for victim in driver_names():
-                if victim == actor:
-                    continue
-                for ordinal in st.live_pool_ordinals(victim):
-                    size = st.pools[victim][ordinal]["size"]
-                    menu.append(("pool_of", (victim, ordinal), size, "read"))
-                    menu.append(("pool_of", (victim, ordinal), size, "write"))
-                menu.append(("image_of", victim, IMAGE_SIZE, "read"))
-                menu.append(("image_of", victim, IMAGE_SIZE, "write"))
+                if victim != actor:
+                    add_pools(menu, victim, "pool_of", victim)
+                    menu.append(("image_of", (victim, 0, None), IMAGE_SIZE, "read"))
+                    menu.append(("image_of", (victim, 0, None), IMAGE_SIZE, "write"))
             for pid in st.pids:
-                menu.append(("eprocess", pid, PROCESS_REGION_SIZE, "read"))
-                menu.append(("eprocess", pid, PROCESS_REGION_SIZE, "write"))
-            menu.append(("os_structures", None, 0x2000, "read"))
-            menu.append(("os_structures", None, 0x2000, "write"))
-            menu.append(("os_structures", None, 0x2000, "execute"))
+                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "read"))
+                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "write"))
+            menu.append(("os_structures", no_ref, 0x2000, "read"))
+            menu.append(("os_structures", no_ref, 0x2000, "write"))
+            menu.append(("os_structures", no_ref, 0x2000, "execute"))
         else:
             for victim in driver_names():
-                for ordinal in st.live_pool_ordinals(victim):
-                    size = st.pools[victim][ordinal]["size"]
-                    menu.append(("pool_of", (victim, ordinal), size, "read"))
-                    menu.append(("pool_of", (victim, ordinal), size, "write"))
-                menu.append(("image_of", victim, IMAGE_SIZE, "write"))
+                add_pools(menu, victim, "pool_of", victim)
+                menu.append(("image_of", (victim, 0, None), IMAGE_SIZE, "write"))
         if not menu:
             return None
         kind, which, size, access = rng.choice(menu)
-        offset = offset_in(size)
-        if kind == "pool_of":
-            victim, ordinal = which
-            dst = DstRef("pool_of", driver=victim, index=ordinal, offset=offset)
-        elif kind == "image_of":
-            dst = DstRef("image_of", driver=which, offset=offset)
-        elif kind == "eprocess":
-            dst = DstRef("eprocess", pid=which, offset=offset)
-        else:
-            dst = DstRef("os_structures", offset=offset)
+        dst = DstRef(kind, *which, offset_in(size))
         payload = DEFAULT_WRITE if access == "write" else None
         return AccessEvent(actor, dst, access, payload, "illegal")
 
@@ -988,14 +984,10 @@ def gen_random_trace(seed: int, length: int = 200,
         elif roll < 0.82:
             st.alloc(weighted_actor())
         elif roll < 0.87:
-            victims = [
-                (actor, ordinal)
-                for actor in sorted(st.pools)
-                for ordinal in st.live_pool_ordinals(actor)
-            ]
+            victims = [(actor, ordinal) for actor in sorted(st.live) for ordinal in st.live[actor]]
             if victims:
                 actor, ordinal = rng.choice(victims)
-                st.pools[actor][ordinal]["live"] = False
+                st.live[actor].remove(ordinal)
                 st.events.append(Free(actor, ordinal))
             else:
                 st.alloc(weighted_actor())

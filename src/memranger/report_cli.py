@@ -149,7 +149,8 @@ class _Shadow:
         }
         self.images: dict[str, tuple[int, int]] = {}
         self.identity: dict[str, int] = {}
-        self.pools: dict[str, list[dict]] = {}
+        self.pools: dict[str, list[tuple[int, int]]] = {}       # (base, size) by ordinal
+        self.live: dict[str, dict[int, tuple[int, int]]] = {}   # the live ones, by ordinal
         self.processes: dict[int, tuple] = {}
         self._next_identity = 1
         self._view: SnapshotView | None = None
@@ -162,15 +163,12 @@ class _Shadow:
             enclaves = []
             for name, ident in self.identity.items():
                 base, size = self.images[name]
-                live = tuple(
-                    (p["base"], p["size"]) for p in self.pools.get(name, []) if p["live"]
-                )
+                live = tuple(self.live.get(name, {}).values())
                 enclaves.append(EnclaveFacts(ident, base, base + size, live))
             foreign = []
-            for name, pools in self.pools.items():
-                if name in self.identity:
-                    continue
-                foreign.extend((p["base"], p["size"]) for p in pools if p["live"])
+            for name, pools in self.live.items():
+                if name not in self.identity:
+                    foreign.extend(pools.values())
             snap = RegionSnapshot(
                 os_kernel_ranges=(self.ks.OS_KERNEL_CODE,),
                 os_structure_ranges=(self.ks.OS_STRUCTURES,),
@@ -186,8 +184,8 @@ class _Shadow:
         ks = self.ks
         if ref.kind in ("own_pool", "pool_of"):
             owner = actor if ref.kind == "own_pool" else ref.driver
-            pool = self.pools[owner][ref.index]
-            return pool["base"] + ref.offset
+            base, _ = self.pools[owner][ref.index]
+            return base + ref.offset
         if ref.kind == "image_of":
             base, _ = self.images[ref.driver]
             return base + ref.offset
@@ -212,12 +210,9 @@ class _Shadow:
         }
         for name, (base, size) in self.images.items():
             out[f"image:{name}"] = self.store.digest_gpa_range(base, size)
-        for name, pools in self.pools.items():
-            for ordinal, pool in enumerate(pools):
-                if pool["live"]:
-                    out[f"pool:{name}:{ordinal}"] = self.store.digest_gpa_range(
-                        pool["base"], pool["size"]
-                    )
+        for name, pools in self.live.items():
+            for ordinal, (base, size) in pools.items():
+                out[f"pool:{name}:{ordinal}"] = self.store.digest_gpa_range(base, size)
         for pid, regions in self.processes.items():
             digest = hashlib.sha256()
             for base, size in regions:
@@ -248,8 +243,7 @@ def shadow_replay(events, allocations) -> tuple[dict, dict]:
             del shadow.identity[event.name]
             del shadow.images[event.name]
             del shadow.actor_code[event.name]
-            for pool in shadow.pools.get(event.name, []):
-                pool["live"] = False
+            shadow.live.pop(event.name, None)
             shadow._invalidate()
         elif isinstance(event, ks.CreateProcess):
             regions = tuple((int(b), int(s)) for b, s in event.regions)
@@ -268,12 +262,12 @@ def shadow_replay(events, allocations) -> tuple[dict, dict]:
             size = int(row["size"], 0)
             fill = ks.SECRET_FILL if event.actor in shadow.identity else ks.FOREIGN_POOL_FILL
             shadow.store.fill_gpa_range(base, size, fill)
-            shadow.pools.setdefault(event.actor, []).append(
-                {"base": base, "size": size, "live": True}
-            )
+            pools = shadow.pools.setdefault(event.actor, [])
+            shadow.live.setdefault(event.actor, {})[len(pools)] = (base, size)
+            pools.append((base, size))
             shadow._invalidate()
         elif isinstance(event, ks.Free):
-            shadow.pools[event.actor][event.pool]["live"] = False
+            del shadow.live[event.actor][event.pool]
             shadow._invalidate()
         elif isinstance(event, ks.Schedule):
             pass
@@ -498,6 +492,7 @@ def cli_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import kernel_sim as ks
     parser = argparse.ArgumentParser(
         prog="memranger",
         description="Deterministic driver-isolation simulator and report tool.",
@@ -526,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random trace seed (RANGER_SEED overrides)")
     gen_p.add_argument("--n", type=int, default=None,
                        help="accesses for bench, events for random")
-    gen_p.add_argument("--align", choices=("page", "natural"), default="page")
+    gen_p.add_argument("--align", choices=ks.ALIGNS, default="page")
     gen_p.add_argument("--attack-probability", type=float, default=0.3)
     gen_p.add_argument("-o", "--output", required=True)
     gen_p.set_defaults(func=cli_gen)

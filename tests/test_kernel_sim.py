@@ -1,11 +1,15 @@
 """Scenario replay: trace codec, allocator grain, mode behavior, determinism."""
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from memranger import kernel_sim
 from memranger.address_space import PAGE_SIZE, pages_covering, pattern_page
 from memranger.errors import ConfigError, SimulationError, TraceParseError
 from memranger.kernel_sim import (
@@ -45,7 +49,7 @@ from memranger.kernel_sim import (
     serialize_trace,
 )
 from memranger.reference_oracle import OracleChecker, check_against, rebuild, snapshot_from_map
-from memranger.report_cli import verify_run
+from memranger.report_cli import MODES, main, verify_run
 
 ALL_EVENTS = [
     LoadDriver("A", IMAGE_SLOTS[0]),
@@ -114,6 +118,176 @@ class TestCodec:
         event = AccessEvent("A", DstRef("image_of", driver="A", offset=offset),
                             "write", payload=payload)
         assert event_from_dict(event_to_dict(event)) == event
+
+    def test_a_missing_image_size_takes_the_default(self):
+        obj = {"ev": "load_driver", "name": "A", "image_base": "0x30000000"}
+        assert event_from_dict(obj) == LoadDriver("A", 0x3000_0000, IMAGE_SIZE)
+
+    def test_a_null_payload_reads_as_absent(self):
+        obj = event_to_dict(AccessEvent("A", DstRef("own_pool"), "write"))
+        assert event_from_dict({**obj, "payload": None}) == event_from_dict(obj)
+
+    @pytest.mark.parametrize("obj, named", [
+        ({"ev": "alloc", "actor": "A", "size": "zz"}, "'size'"),
+        ({"ev": "alloc", "actor": "A", "size": 16, "align": None}, "'align'"),
+        ({"ev": "create_process", "pid": 4, "regions": []}, "'regions'"),
+        ({"ev": "create_process", "pid": 4, "regions": [["0x1", True]]}, "'regions'"),
+        ({"ev": "access", "actor": "A", "access": "read", "dst": {}}, "'dst.ref'"),
+        ({"ev": "access", "actor": "A", "access": "read",
+          "dst": {"ref": "own_pool", "index": None}}, "'dst.index'"),
+        ({"ev": "access", "actor": "A", "access": "read", "dst": [1]}, "'dst'"),
+        ({"ev": "access", "actor": "A", "access": "read", "dst": {"ref": "own_pool"},
+          "payload": "xyz"}, "'payload'"),
+    ])
+    def test_a_rejected_line_names_the_field(self, obj, named):
+        with pytest.raises(TraceParseError, match=named) as info:
+            parse_trace("# one comment line\n" + json.dumps(obj) + "\n")
+        assert info.value.line == 2
+
+
+# -- one field spec per event class: the encoder, decoder and replay check agree
+
+FULL_EVENTS = [
+    LoadDriver("A", IMAGE_SLOTS[0], 0x1000),
+    UnloadDriver("A"),
+    CreateProcess(4, ((PROCESS_SLOT_BASE, 0x200),)),
+    ExitProcess(4),
+    Alloc("A", 0x100, "page"),
+    Free("A", 0),
+    Schedule("A"),
+    AccessEvent("A", DstRef("pool_of", driver="B", index=1, pid=4, offset=8), "write",
+                payload=b"\x01", expect="illegal"),
+]
+
+
+def _spec_keys(cls) -> dict:
+    """JSON key -> (field name, codec form), as the class's spec states them."""
+    return {f.metadata["key"] or f.name: (f.name, f.metadata["form"]) for f in fields(cls)}
+
+
+def test_the_encoder_writes_exactly_the_spec_keys():
+    """event_to_dict is written out for speed; it writes each class's trace
+    name, the spec's keys, and hex strings exactly where the spec says."""
+    assert {type(event) for event in FULL_EVENTS} == set(kernel_sim._EVENT_OF.values())
+    for event in FULL_EVENTS:
+        obj = event_to_dict(event)
+        assert kernel_sim._EVENT_OF[obj.pop("ev")] is type(event)
+        pairs = [(type(event), event, obj)]
+        if isinstance(event, AccessEvent):
+            pairs.append((DstRef, event.dst, obj["dst"]))
+        for cls, value, written in pairs:
+            spec = _spec_keys(cls)
+            assert set(written) == set(spec), cls
+            for key, (name, form) in spec.items():
+                if form is kernel_sim.HEX:
+                    assert written[key] == hex(getattr(value, name))
+                elif form is kernel_sim.DEC:
+                    assert written[key] == getattr(value, name)
+
+
+def _check_accepts(event) -> bool:
+    """Whether Simulation.step's field check lets the event through."""
+    try:
+        Simulation("off").step(event)
+    except SimulationError as exc:
+        return "wrong type or value" not in str(exc)
+    except ConfigError:
+        pass
+    return True
+
+
+_NAMES_JSON = st.sampled_from(["A", "B", "os_kernel", ""]) | st.text(max_size=3)
+_HEX_JSON = st.integers(-2, 2**50).map(hex) | st.integers(0, 2**50)
+_DEC_JSON = st.integers(-2, 9) | st.integers(0, 9).map(str)
+_GOOD_JSON = {
+    "name": _NAMES_JSON, "actor": _NAMES_JSON, "driver": _NAMES_JSON,
+    "image_base": _HEX_JSON, "image_size": _HEX_JSON, "size": _HEX_JSON, "offset": _HEX_JSON,
+    "pid": _DEC_JSON, "pool": _DEC_JSON, "index": _DEC_JSON,
+    "regions": st.lists(st.lists(_HEX_JSON, min_size=2, max_size=2), min_size=1, max_size=2),
+    "payload": st.binary(max_size=4).map(bytes.hex),
+    "align": st.sampled_from(["natural", "page"]),
+    "access": st.sampled_from(["read", "write", "execute"]),
+    "expect": st.sampled_from(["legal", "illegal"]),
+    "ref": st.sampled_from(["own_pool", "pool_of", "image_of", "eprocess", "os_kernel_code",
+                            "os_structures", "other_driver"]),
+}
+_ODD_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2),
+                      st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+                      st.just({}), st.just([[1, 2]]), st.just(["0x1", "0x2"]))
+
+
+@st.composite
+def _json_object(draw, cls) -> dict:
+    """One JSON object for cls, each field well-formed, mistyped or unknown, or missing."""
+    obj = {}
+    for key in _spec_keys(cls):
+        how = draw(st.sampled_from(["good", "good", "good", "odd", "missing"]))
+        if how == "good":
+            obj[key] = draw(_json_object(DstRef) if key == "dst" else _GOOD_JSON[key])
+        elif how == "odd":
+            obj[key] = draw(_ODD_JSON)
+    return obj
+
+
+_TRACE_LINES = st.sampled_from(sorted(kernel_sim._EVENT_OF.items())).flatmap(
+    lambda item: _json_object(item[1]).map(lambda obj: {"ev": item[0], **obj}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TRACE_LINES)
+def test_the_codec_builds_only_events_the_replay_check_accepts(obj):
+    """A decoded line passes step's field check and writes back to a fixed
+    point; everything else is a TraceParseError."""
+    try:
+        event = event_from_dict(obj, 7)
+    except TraceParseError as exc:
+        assert exc.line == 7
+        return
+    assert _check_accepts(event)
+    text = serialize_trace([event])
+    assert serialize_trace(parse_trace(text)) == text
+
+
+_INTS = st.integers(-2**70, 2**70)
+_ODD_PY = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.binary(max_size=2),
+                    st.just(1.0), st.just(["read"]), st.just(()))
+_GOOD_PY = {
+    "name": st.text(max_size=3), "actor": st.text(max_size=3),
+    "driver": st.none() | st.text(max_size=3),
+    "image_base": _INTS, "image_size": _INTS, "size": _INTS, "offset": _INTS,
+    "pid": _INTS, "pool": _INTS, "index": _INTS,
+    "regions": st.lists(st.tuples(_INTS, _INTS), max_size=2).map(tuple),
+    "payload": st.none() | st.binary(max_size=4),
+    "expect": st.sampled_from([None, "legal", "illegal"]),
+    **{key: _GOOD_JSON[key] for key in ("align", "access", "ref")},
+}
+
+
+@st.composite
+def _python_value(draw, cls):
+    """cls built in Python, each field well-typed or, one time in ten, not."""
+    args = {}
+    for key, (name, _) in _spec_keys(cls).items():
+        good = _python_value(DstRef) if key == "dst" else _GOOD_PY[key]
+        args[name] = draw(_ODD_PY if draw(st.integers(0, 9)) == 0 else good)
+    return cls(**args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(kernel_sim._EVENT_OF.values(), key=lambda cls: cls.__name__))
+       .flatmap(_python_value))
+def test_events_the_check_accepts_write_back_to_a_fixed_point(event):
+    """serialize, parse, serialize gives the same bytes for any event step's
+    check accepts. The one exception is a process with no regions, which the
+    check leaves to the ledger (ConfigError) and the codec rejects outright."""
+    if not _check_accepts(event):
+        return
+    text = serialize_trace([event])
+    if isinstance(event, CreateProcess) and not event.regions:
+        with pytest.raises(TraceParseError):
+            parse_trace(text)
+        return
+    assert serialize_trace(parse_trace(text)) == text
 
 
 class TestAllocator:
@@ -432,6 +606,22 @@ def test_every_mode_accepts_the_same_traces(events):
     no other exception escapes."""
     outcomes = {mode: _outcome(events, mode) for mode in ("off", "single-ept", "multi-ept")}
     assert len(set(outcomes.values())) == 1, outcomes
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(events=_traces())
+def test_any_parsed_trace_runs_to_an_exit_code(events, tmp_path_factory):
+    """memranger run ends every trace it can read with exit 0, 1 or 2 and
+    one-line errors, never a traceback, in every mode."""
+    path = tmp_path_factory.mktemp("trace") / "events.trace"
+    path.write_text(serialize_trace(events))
+    for mode in MODES:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["run", str(path), "--mode", mode])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert code != 1 or len(err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize("kwargs", [
