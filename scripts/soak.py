@@ -1,0 +1,109 @@
+"""Long-trace soak: the brute-force oracle after every event of one long trace.
+
+    python3 scripts/soak.py [--length N] [--seed S]
+
+Run from the root of a source checkout; the simulator is imported from
+``src/`` and nothing outside the standard library is needed. Replays
+gen_random_trace(S, length=N) (default 100,000 events) in multi-ept with
+OracleChecker.verify after every event, then runs one uncached check_against
+and verify_run over the whole report. Every 1,000th event it also checks
+that each context's own leaves lie on pages the live facts claim, so no
+structure grows with the pages the trace has ever claimed.
+
+Prints the mean cost of the oracle checks that follow a layout change in an
+early window (events 1,000-2,999) and a late one (the last 2,000 events),
+their ratio, and each context's own-leaf count at the end. Exits 1 on any
+oracle mismatch, verification violation or stray own leaf, else 0.
+"""
+
+import argparse
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from memranger.kernel_sim import Simulation, gen_random_trace  # noqa: E402
+from memranger.reference_oracle import (  # noqa: E402
+    OracleChecker,
+    check_against,
+    rebuild,
+    snapshot_from_map,
+)
+from memranger.report_cli import verify_run  # noqa: E402
+
+EARLY = range(1_000, 3_000)
+WINDOW = 2_000
+LEAF_CHECK_EVERY = 1_000
+
+
+def soak(seed: int, length: int) -> int:
+    events = gen_random_trace(seed, length=length)
+    late = range(length - WINDOW, length)
+    sim = Simulation("multi-ept")
+    checker = OracleChecker()
+    costs: dict[str, list[float]] = {"early": [], "late": []}
+    mismatches = stray = 0
+    began = perf_counter()
+    for index, event in enumerate(events):
+        version = sim.policy.layout_version
+        sim.step(event)
+        policy = sim.policy
+        started = perf_counter()
+        found = checker.verify(policy, policy.epts)
+        spent = perf_counter() - started
+        if policy.layout_version != version:
+            window = "early" if index in EARLY else "late" if index in late else None
+            if window:
+                costs[window].append(spent)
+        if found and not mismatches:
+            print(f"first oracle mismatch after event {index}: {found[0]}")
+        mismatches += len(found)
+        if index % LEAF_CHECK_EVERY == LEAF_CHECK_EVERY - 1:
+            claimed = checker.policy_for(policy).claimed
+            for ept_id, ept in policy.epts.items():
+                outside = [page for page, _ in ept.materialized_leaves() if page not in claimed]
+                if outside:
+                    stray += len(outside)
+                    print(f"event {index}: context {ept_id} holds {len(outside)} own leaves"
+                          f" on unclaimed pages, first {outside[0]:#x}")
+    replayed = perf_counter() - began
+    policy = sim.policy
+    swept = check_against(rebuild(snapshot_from_map(policy)), policy.epts)
+    mismatches += len(swept)
+    began = perf_counter()
+    verdict = verify_run(events, sim.report())
+    verified = perf_counter() - began
+
+    print(f"soak: seed {seed}, {length} events; replay with the oracle after every event"
+          f" {replayed:.1f} s, verify_run {verified:.1f} s")
+    means = {}
+    for window, spans in (("early", EARLY), ("late", late)):
+        means[window] = statistics.fmean(costs[window]) * 1e3 if costs[window] else float("nan")
+        print(f"layout-change checks, {window} (events {spans.start}-{spans.stop - 1}):"
+              f" {len(costs[window])} at {means[window]:.3f} ms mean")
+    print(f"late/early: {means['late'] / means['early']:.2f}")
+    leaves = ", ".join(f"{ept_id}: {sum(1 for _ in ept.materialized_leaves())}"
+                       for ept_id, ept in sorted(policy.epts.items()))
+    print(f"own leaves per context: {leaves}; pages claimed: {len(checker.policy_for(policy).claimed)}")
+    counts = {k: v for k, v in verdict.summary().items() if k != "samples"}
+    print(f"oracle mismatches {mismatches}, final sweep {len(swept)},"
+          f" stray own leaves {stray}, verification {counts}")
+    clean = not mismatches and not stray and verdict.ok
+    print("PASS" if clean else "FAIL")
+    return 0 if clean else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--length", type=int, default=100_000)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.length < EARLY.stop + WINDOW:
+        parser.error(f"--length must be at least {EARLY.stop + WINDOW}")
+    return soak(args.seed, args.length)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,9 @@ an exception.
 Every leaf write goes through Ept.set_page_entry into the context's own map,
 never into the base, and is journaled: one entry per page, holding the serial
 of its latest write, so a reader that remembers a serial can ask which pages
-changed after it.
+changed after it. A write that gives a page what the base or the identity
+default already gives drops the page's own leaf instead of storing it, so
+the own map holds only the pages that differ, not every page ever written.
 """
 
 from dataclasses import dataclass
@@ -55,6 +57,9 @@ class EptViolation:
 
 
 _NO_BASE: Mapping[int, EptEntry] = {}
+# Builds the default leaf EptEntry(page, RW) without the named tuple's
+# Python-level __new__, which costs more than the lookups before it.
+_new_tuple = tuple.__new__
 
 
 class Ept:
@@ -73,22 +78,24 @@ class Ept:
         # iteration order is last-write order and the size is one per page
         self._written: dict[int, int] = {}
 
-    def _default_entry(self, page: int) -> EptEntry:
-        return EptEntry(page, RW)
-
     def entry_for(self, page: int) -> EptEntry:
         """Effective leaf entry governing a page: own, else base, else default."""
         hit = self._flat.get(page)
         if hit is None:
             hit = self.base.get(page)
             if hit is None:
-                return self._default_entry(page)
+                return _new_tuple(EptEntry, (page, RW))
         return hit
 
     def set_page_entry(self, page: int, entry: EptEntry) -> None:
         if not 0 <= page < PFN_LIMIT:
             raise ValueError(f"page {page:#x} outside 48-bit space")
-        self._flat[page] = entry
+        flat = self._flat
+        if entry == self.base.get(page, (page, RW)):
+            if page in flat:
+                del flat[page]
+        else:
+            flat[page] = entry
         self.mutations += 1
         written = self._written
         written.pop(page, None)
@@ -113,7 +120,9 @@ class Ept:
         if entry is None:
             entry = self.base.get(page)
             if entry is None:
-                entry = self._default_entry(page)
+                if ACCESS_BIT[access] & RW:
+                    return gpa                       # the identity RW default
+                entry = _new_tuple(EptEntry, (page, RW))
         if entry.attrs & ACCESS_BIT[access]:
             return (entry.pfn << PAGE_SHIFT) | (gpa & OFFSET_MASK)
         return EptViolation(self.id, gpa, access, entry)

@@ -169,7 +169,6 @@ class RegionLedger:
         self.processes: dict[int, ProcessRecord] = {}
         self.foreign_pools: list[AllocatedPool] = []
         self.pool_pages: dict[int, list[AllocatedPool]] = {}
-        self.tracked: set[int] = set(self._static_kind)
         self.layout_version = 0
         self._next_ept_id = DEFAULT_EPT + 1
         self._next_pool_id = 0
@@ -262,9 +261,7 @@ class RegionLedger:
         eid = self._next_ept_id
         self._next_ept_id += 1
         self.enclaves[eid] = EnclaveRecord(eid, image_base, image_base + image_size)
-        for page in pages:
-            self._overlay[page] = ("image", eid)
-            self.tracked.add(page)
+        self._overlay.update(dict.fromkeys(pages, ("image", eid)))
         self._sync_contexts()
         self._restamp(pages)
         self.layout_version += 1
@@ -285,7 +282,8 @@ class RegionLedger:
 
     def on_alloc(self, caller_addr: int, base: int, size: int) -> int | None:
         """Record an allocation; returns the pool id, or None when the caller
-        is not enclaved (the pool is then tracked for layout only)."""
+        is not enclaved (the pool then stays open data, recorded only so that
+        overlaps and shared pages are seen)."""
         if size <= 0 or base < 0 or base + size > GPA_LIMIT:
             raise SimulationError(f"allocation [{base:#x}, +{size:#x}) out of range")
         pages = pages_covering(base, size)
@@ -305,7 +303,6 @@ class RegionLedger:
             self.enclaves[owner].drv_allocs.append(pool)
         for page in pages:
             self.pool_pages.setdefault(page, []).append(pool)
-            self.tracked.add(page)
         self._restamp(pages)
         self.layout_version += 1
         return pool.pool_id if owner is not None else None
@@ -335,9 +332,7 @@ class RegionLedger:
                 raise ConfigError(f"process region overlaps page {page:#x}")
             if self._static_kind.get(page) in ("kernel", "other"):
                 raise ConfigError(f"process region overlaps code at page {page:#x}")
-        for page in pages:
-            self._overlay[page] = ("process", pid)
-            self.tracked.add(page)
+        self._overlay.update(dict.fromkeys(pages, ("process", pid)))
         self.processes[pid] = ProcessRecord(pid, regions)
         self._restamp(pages)
         self.layout_version += 1

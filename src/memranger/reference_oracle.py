@@ -2,43 +2,51 @@
 
 The oracle consumes only raw region facts (static ranges, enclave image
 ranges, live pool extents, process regions) and recomputes the attribute
-triple every translation context must hold for every tracked page. It shares
-no rule code with the policy engine it checks; agreement between the two is
-the product's central correctness property.
+triple every translation context must hold for every page. It shares no rule
+code with the policy engine it checks, not even the page-span arithmetic
+(_pages); agreement between the two is the product's central correctness
+property.
 
-The check stays brute force on the expected side: after every layout change
-every page that an event can affect (images, pools, processes, unclaimed
-tracked pages) is classified again from the raw facts. The one memo is the
-rows of the static pages (kernel code, OS structures, other driver), a pure
-function of the static ranges, which no event changes. On the actual side
-every leaf is read through Ept.entry_for, so a context's own leaves and the
+The expected table is total over live state: rebuild lists the static pages
+and the pages live images, pools and processes claim, and every page off the
+table is expected to translate identity, readable and writable. The expected
+side stays brute force: after every layout change every claimed page is
+classified again from the raw facts. The one memo is the rows of the static
+pages (kernel code, OS structures, other driver), a pure function of the
+static ranges, which no event changes. The actual side is read only through
+Ept.entry_for and Ept.materialized_leaves, so a context's own leaves and the
 engine's shared template alike are read as the translation sees them; the
 oracle never reads the template or the engine's rules itself.
 
-OracleChecker checks only what changed. It keeps each context's bits per page,
-rereads only the pages its Ept's write journal lists since the last check,
-and keeps the set of mismatched (context, page) pairs:
-
-* after a layout change, or when a context is replaced, whole rows are
-  compared again (check_against with the cache);
-* with the layout unchanged, only the pages each context wrote since the
-  last check are compared, and their pairs enter or leave the set;
-* with nothing written at all, the previous answer is returned.
-
-Every check reports the whole set, so a fault gives the mismatches a fresh
-sweep gives. check_against without a cache reads every page from scratch; a
-caller runs that full sweep as a backstop against writes that bypass the
-journal.
+check_against is the from-scratch reference: for every context it compares
+the table's pages and the context's own leaves, so a stray leaf on a page no
+region claims is caught too. OracleChecker finds the same mismatches by one
+incremental rule, applied per context: it compares the pages the context's
+write journal lists since the last check; after a layout change, also the
+pages claimed before or after it; and for a context object it has not seen
+before, every table page and every own leaf. Each compared (context, page)
+pair enters or leaves one mismatch set, and every check reports the whole
+set. Writes that bypass the journal are invisible to the checker; a caller
+runs check_against as a backstop against them.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, NamedTuple
+from typing import NamedTuple
 
-from .address_space import PAGE_SHIFT, pages_covering
+from .address_space import PAGE_SHIFT
 from .ept_model import NONE, RW, RWX, Access, Ept, R, W, X
 
 BAD_PFN_BITS = 0xFF    # sentinel: leaf points at a non-identity frame
+
+
+def _pages(base: int, size: int) -> range:
+    """Pages touched by the byte range [base, base + size), ascending.
+
+    The oracle's own span arithmetic: a fault in the engine's page math must
+    not be mirrored on the expected side.
+    """
+    return range(base >> PAGE_SHIFT, ((base + size - 1) >> PAGE_SHIFT) + 1)
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ class SnapshotView:
             self.pools.append((None, base, base + size))
         self.pools_by_page: dict[int, list[tuple[int | None, int, int]]] = {}
         for identity, base, end in self.pools:
-            for page in pages_covering(base, end - base):
+            for page in _pages(base, end - base):
                 self.pools_by_page.setdefault(page, []).append((identity, base, end))
 
     def page_pool_identities(self, page: int) -> list:
@@ -202,12 +210,14 @@ def _render(bits: int) -> str:
 class FlatPolicy:
     """Ground-truth attribute table: context id -> {page: permission bits}.
 
-    Every row holds exactly the pages of the universe: the static pages, the
-    tracked pages and every page a live region claims, sorted.
+    Every row lists the same pages, universe: the static pages and the pages
+    live regions claim (claimed). A page off the table expects identity RW in
+    every context.
     """
 
     universe: list[int]
     table: dict[int, dict[int, int]]
+    claimed: frozenset[int]
 
 
 # Expected bits of a static page in (the default context, any enclave context).
@@ -234,7 +244,7 @@ def _static_rows(
     for tag, ranges in (("kernel", os_kernel_ranges), ("structure", os_structure_ranges),
                         ("other", other_driver_ranges)):
         for base, size in ranges:
-            for page in pages_covering(base, size):
+            for page in _pages(base, size):
                 tags[page] = tag
     return (
         {page: _STATIC_BITS[tag][0] for page, tag in tags.items()},
@@ -242,26 +252,25 @@ def _static_rows(
     )
 
 
-def rebuild(snap: RegionSnapshot, extra_pages: Iterable[int] = ()) -> FlatPolicy:
+def rebuild(snap: RegionSnapshot) -> FlatPolicy:
     """Recompute the expected table from the snapshot's raw facts.
 
-    Only the static pages' rows are memoised (see _static_rows). Every other
-    page is classified again from the snapshot on every call, and its bits in
-    every context recomputed; its claim overrides a static one on the same
-    page (a process region may lie over a structure page).
+    Only the static pages' rows are memoised (see _static_rows). Every page a
+    live region claims is classified again from the snapshot on every call,
+    and its bits in every context recomputed; its claim overrides a static
+    one on the same page (a process region may lie over a structure page).
     """
     default_row, enclave_row = _static_rows(
         snap.os_kernel_ranges, snap.os_structure_ranges, snap.other_driver_ranges,
     )
     view = SnapshotView(snap)
-    unclaimed = set(extra_pages).difference(default_row)
-    kinds: dict[int, tuple] = dict.fromkeys(unclaimed, ("unclaimed",))
+    kinds: dict[int, tuple] = {}
     for pid, regions in snap.processes:
         for base, size in regions:
-            for page in pages_covering(base, size):
+            for page in _pages(base, size):
                 kinds[page] = ("process", pid)
     for e in snap.enclaves:
-        for page in pages_covering(e.image_base, e.image_end - e.image_base):
+        for page in _pages(e.image_base, e.image_end - e.image_base):
             kinds[page] = ("image", e.ept_id)
     for page in view.pools_by_page:
         identities = set(view.page_pool_identities(page))
@@ -271,186 +280,107 @@ def rebuild(snap: RegionSnapshot, extra_pages: Iterable[int] = ()) -> FlatPolicy
     for ept_id, static_row in [(0, default_row)] + [(e.ept_id, enclave_row) for e in snap.enclaves]:
         dynamic = {page: _expected(kind, ept_id) for page, kind in kinds.items()}
         table[ept_id] = {**static_row, **dynamic}
-    return FlatPolicy(universe=sorted(table[0]), table=table)
+    return FlatPolicy(universe=list(table[0]), table=table, claimed=frozenset(kinds))
 
 
 def _expected(kind: tuple, ept_id: int) -> int:
-    """Expected bits of a page that is not static, in context ept_id."""
+    """Expected bits of a claimed page in context ept_id."""
     tag = kind[0]
     if tag == "process":
         return RWX if ept_id == 0 else NONE
     if tag == "image":
         return RWX if ept_id == kind[1] else NONE
-    if tag == "pool":
-        identities = kind[1]
-        if len(identities) >= 2 and any(i is not None for i in identities):
-            return NONE                      # shared page: sealed in every context
-        sole = next(iter(identities))
-        if sole is None:
-            return RW                        # non-enclaved allocations stay open
-        return RWX if ept_id == sole else NONE
-    return RW                                # unclaimed
+    identities = kind[1]                     # a pool page
+    if len(identities) >= 2 and any(i is not None for i in identities):
+        return NONE                          # shared page: sealed in every context
+    sole = next(iter(identities))
+    if sole is None:
+        return RW                            # non-enclaved allocations stay open
+    return RWX if ept_id == sole else NONE
 
 
-def _page_bits(ept: Ept, page: int) -> int:
+def _compare(ept_id: int, row: dict[int, int], ept: Ept, page: int) -> Mismatch | None:
+    """The mismatch of one page in one context, or None when it agrees."""
+    want = row.get(page, RW)
     entry = ept.entry_for(page)
-    return entry.attrs if entry.pfn == page else BAD_PFN_BITS
+    got = entry.attrs if entry.pfn == page else BAD_PFN_BITS
+    return None if want == got else Mismatch(ept_id, page, _render(want), _render(got))
 
 
-def _read_row(ept: Ept, pages: Collection[int]) -> dict[int, int]:
-    """Actual bits of every page in pages, read from scratch: the context's
-    own leaves first, then every other page through entry_for."""
-    row = {}
-    for page, entry in ept.materialized_leaves():
-        if page in pages:
-            row[page] = entry.attrs if entry.pfn == page else BAD_PFN_BITS
-    entry_for = ept.entry_for
-    for page in pages:
-        if page not in row:
-            entry = entry_for(page)
-            row[page] = entry.attrs if entry.pfn == page else BAD_PFN_BITS
-    return row
+def _every_page(row: dict[int, int], ept: Ept) -> set[int]:
+    """The pages a from-scratch read of a context covers: the table's and the
+    context's own leaves; every other page reads as the identity default."""
+    return {*row, *(page for page, _ in ept.materialized_leaves())}
 
 
-class ActualRows:
-    """Each context's actual bits per universe page, kept current from its
-    Ept's write journal instead of being read again in full on every check.
-
-    Keyed by the Ept object itself, so a context that is dropped and created
-    again under the same id starts from a full read.
-    """
-
-    def __init__(self):
-        self._universe: list[int] = []
-        self._pages: frozenset[int] = frozenset()
-        self._rows: dict[Ept, tuple[int, dict[int, int]]] = {}   # ept -> (serial, row)
-
-    def follow(self, policy: FlatPolicy, epts: dict[int, Ept]) -> None:
-        """On a new universe, drop the pages that left it and read the ones
-        that joined it, and forget the contexts that are gone."""
-        if policy.universe is self._universe or policy.universe == self._universe:
-            return
-        pages = frozenset(policy.universe)
-        left, joined = self._pages - pages, pages - self._pages
-        rows = {}
-        for ept, (serial, row) in self._rows.items():
-            if epts.get(ept.id) is not ept:
-                continue
-            for page in left:
-                del row[page]
-            for page in joined:
-                row[page] = _page_bits(ept, page)
-            rows[ept] = (serial, row)
-        self._rows = rows
-        self._universe, self._pages = policy.universe, pages
-
-    def reread(self, ept: Ept) -> tuple[dict[int, int], Collection[int]]:
-        """The context's row and the pages reread for it since the last call:
-        the journaled ones, or all of them on the context's first read."""
-        cached = self._rows.get(ept)
-        if cached is None:
-            row = _read_row(ept, self._pages)
-            changed: Collection[int] = row.keys()
-        else:
-            serial, row = cached
-            if serial == ept.mutations:
-                return row, ()
-            changed = ept.written_since(serial)
-            for page in changed:
-                if page in row:
-                    row[page] = _page_bits(ept, page)
-        self._rows[ept] = (ept.mutations, row)
-        return row, changed
+def _context_mismatches(policy: FlatPolicy, epts: dict[int, Ept]) -> list[Mismatch]:
+    """Contexts the table calls for that are missing, and surplus ones."""
+    return [Mismatch(ept_id, -1, "present", "missing")
+            for ept_id in policy.table if ept_id not in epts] + [
+            Mismatch(ept_id, -1, "absent", "present")
+            for ept_id in epts if ept_id not in policy.table]
 
 
-def check_against(
-    policy: FlatPolicy,
-    epts: dict[int, Ept],
-    cache: ActualRows | None = None,
-) -> list[Mismatch]:
-    """Compare every context against the expected table; [] means agreement.
-
-    Without a cache every context's universe pages are read from scratch.
-    """
-    mismatches: list[Mismatch] = []
-    for ept_id in policy.table:
-        if ept_id not in epts:
-            mismatches.append(Mismatch(ept_id, -1, "present", "missing"))
-    for ept_id in epts:
-        if ept_id not in policy.table:
-            mismatches.append(Mismatch(ept_id, -1, "absent", "present"))
-    if cache is not None:
-        cache.follow(policy, epts)
-    for ept_id, expected_row in policy.table.items():
+def check_against(policy: FlatPolicy, epts: dict[int, Ept]) -> list[Mismatch]:
+    """Compare every context against the expected table, from scratch; []
+    means agreement. The mismatches come sorted."""
+    mismatches = _context_mismatches(policy, epts)
+    for ept_id, row in policy.table.items():
         ept = epts.get(ept_id)
-        if ept is None:
-            continue
-        actual_row = _read_row(ept, expected_row) if cache is None else cache.reread(ept)[0]
-        if actual_row == expected_row:
-            continue
-        for page in policy.universe:
-            want, got = expected_row[page], actual_row[page]
-            if want != got:
-                mismatches.append(Mismatch(ept_id, page, _render(want), _render(got)))
-    return mismatches
+        if ept is not None:
+            found = (_compare(ept_id, row, ept, page) for page in _every_page(row, ept))
+            mismatches.extend(m for m in found if m is not None)
+    return sorted(mismatches)
 
 
 class OracleChecker:
-    """Stateful wrapper: rebuilds on layout changes, keeps actual rows current,
-    and compares only what changed since its last check."""
+    """Stateful wrapper: rebuilds on layout changes and compares only what
+    may have changed since its last check (see the module docstring)."""
 
     def __init__(self):
         self._version = None
         self._policy: FlatPolicy | None = None
-        self._actual = ActualRows()
         self._checked: FlatPolicy | None = None           # table of the last check
-        self._seen: dict[int, tuple[Ept, int]] = {}       # id -> (context, serial) then
-        # (context, page) -> mismatch; page -1 for a missing or surplus context
-        self._bad: dict[tuple[int, int], Mismatch] = {}
-        self._answer: list[Mismatch] = []
+        self._seen: dict[int, tuple[Ept, int]] = {}       # id -> (context, serial) compared
+        self._bad: dict[tuple[int, int], Mismatch] = {}   # (context, page) -> mismatch
 
     def policy_for(self, map_state) -> FlatPolicy:
         if self._policy is None or map_state.layout_version != self._version:
-            snap = snapshot_from_map(map_state)
-            self._policy = rebuild(snap, extra_pages=map_state.tracked)
+            self._policy = rebuild(snapshot_from_map(map_state))
             self._version = map_state.layout_version
         return self._policy
 
     def verify(self, map_state, epts: dict[int, Ept]) -> list[Mismatch]:
-        """Every mismatch a fresh check_against would report, found by
-        comparing only the pages written since the last check while the
-        layout and the contexts stay the same."""
+        """Every mismatch a fresh check_against would report, sorted."""
         policy = self.policy_for(map_state)
-        seen = {ept_id: (ept, ept.mutations) for ept_id, ept in epts.items()}
-        if policy is self._checked and seen == self._seen:
-            return list(self._answer)
-        same_contexts = seen.keys() == self._seen.keys() and all(
-            ept is self._seen[ept_id][0] for ept_id, (ept, _) in seen.items()
-        )
-        if policy is self._checked and same_contexts:
-            self._compare_written(policy, epts)
-        else:
-            found = check_against(policy, epts, cache=self._actual)
-            self._bad = {(m.ept, m.page): m for m in found}
-        self._checked, self._seen = policy, seen
-        self._answer = sorted(self._bad.values())
-        return list(self._answer)
-
-    def _compare_written(self, policy: FlatPolicy, epts: dict[int, Ept]) -> None:
-        """Compare the pages each context wrote since the last check; each
-        page's (context, page) pair enters or leaves the mismatch set."""
-        bad = self._bad
-        for ept_id, expected_row in policy.table.items():
+        relaid: list[int] = []
+        if policy is not self._checked:
+            before = self._checked.claimed if self._checked is not None else frozenset()
+            relaid = list(policy.claimed | before)
+        bad, seen = self._bad, {}
+        for ept_id, row in policy.table.items():
             ept = epts.get(ept_id)
             if ept is None:
                 continue
-            row, changed = self._actual.reread(ept)
-            for page in changed:
-                want = expected_row.get(page)
-                if want is None:
-                    continue                     # outside the universe
-                got = row[page]
-                if want == got:
+            last = self._seen.get(ept_id)
+            if last is not None and last[0] is ept:
+                pages = ept.written_since(last[1]) + relaid
+            else:
+                self._forget(ept_id)
+                pages = _every_page(row, ept)
+            for page in pages:
+                found = _compare(ept_id, row, ept, page)
+                if found is None:
                     bad.pop((ept_id, page), None)
                 else:
-                    bad[(ept_id, page)] = Mismatch(ept_id, page, _render(want), _render(got))
+                    bad[(ept_id, page)] = found
+            seen[ept_id] = (ept, ept.mutations)
+        for ept_id in self._seen.keys() - seen.keys():
+            self._forget(ept_id)
+        self._checked, self._seen = policy, seen
+        return sorted([*bad.values(), *_context_mismatches(policy, epts)])
+
+    def _forget(self, ept_id: int) -> None:
+        """Drop a context's pairs from the mismatch set."""
+        for key in [key for key in self._bad if key[0] == ept_id]:
+            del self._bad[key]

@@ -48,10 +48,11 @@ def verdict(capsys, ok: bool, label: str, detail: str) -> None:
 def corpus():
     """Replay the whole corpus once; retain only aggregate facts per trace.
 
-    The checker after every event keeps its actual-bits rows current from each
-    context's write journal; after a trace's last event one more sweep reads
-    every context from scratch, so a leaf write that bypassed the journal
-    still shows up as a mismatch.
+    The checker after every event compares the pages each context's write
+    journal lists, and after a layout change the pages claimed before or after
+    it; after a trace's last event one more sweep reads every context's table
+    pages and own leaves from scratch, so a leaf write that bypassed the
+    journal still shows up as a mismatch.
     """
     runs = []
     oracle_mismatches = 0
@@ -66,7 +67,7 @@ def corpus():
             m = sim.policy
             _found.extend(_checker.verify(m, m.epts))
             if index == _last:
-                _found.extend(check_against(rebuild(snapshot_from_map(m), m.tracked), m.epts))
+                _found.extend(check_against(rebuild(snapshot_from_map(m)), m.epts))
 
         report = run_trace(events, "multi-ept", after_event=hook)
         oracle_mismatches += len(found)

@@ -120,3 +120,22 @@ def test_translate_agrees_with_entry_for(gpa, access):
     else:
         assert isinstance(result, EptViolation)
         assert result.entry == entry
+
+
+def test_a_write_the_base_or_default_already_gives_drops_the_own_leaf():
+    template = {5: EptEntry(5, NONE)}
+    ept = Ept(1, template)
+    ept.set_page_attrs(7, NONE)
+    before = {page: ept.entry_for(page) for page in (5, 7, 9)}
+    mark = ept.mutations
+    saved = ept.entry_for(5)
+    ept.set_page_entry(5, EptEntry(0xFA4E, RWX))   # a single-step window over a template page
+    assert dict(ept.materialized_leaves()) == {5: EptEntry(0xFA4E, RWX), 7: EptEntry(7, NONE)}
+    ept.set_page_entry(5, saved)                  # restored: the template gives it again
+    ept.set_page_attrs(7, RW)                     # the identity default
+    ept.set_page_entry(9, EptEntry(9, RW))        # never written, already the default
+    assert list(ept.materialized_leaves()) == []
+    assert ept.written_since(mark) == [9, 7, 5]
+    assert {page: ept.entry_for(page) for page in (5, 9)} == {5: before[5], 9: before[9]}
+    assert ept.entry_for(7) == EptEntry(7, RW)
+    assert template == {5: EptEntry(5, NONE)}

@@ -477,7 +477,7 @@ def test_a_trace_past_the_arena_reuses_freed_pools():
     bases = [allocation["base"] for allocation in report.allocations]
     assert len(set(bases)) < len(bases)
     policy = sim.policy
-    assert check_against(rebuild(snapshot_from_map(policy), policy.tracked), policy.epts) == []
+    assert check_against(rebuild(snapshot_from_map(policy)), policy.epts) == []
     assert verify_run(events, report).ok
 
 

@@ -1,19 +1,19 @@
 """Brute-force checker vs the incremental policy, driven by random event walks."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test
 
+from memranger import address_space
 from memranger.address_space import PAGE_SIZE
 from memranger.ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
 from memranger.kernel_sim import gen_random_trace, run_trace
 from memranger.policy_map import DEFAULT_EPT, init
 from memranger.reference_oracle import (
-    ActualRows,
-    FlatPolicy,
     Mismatch,
     OracleChecker,
     check_against,
@@ -81,31 +81,66 @@ def test_wrong_frame_is_caught():
 def test_missing_context_is_caught():
     state = fresh()
     eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
-    policy = rebuild(snapshot_from_map(state), extra_pages=state.tracked)
+    policy = rebuild(snapshot_from_map(state))
     epts = dict(state.epts)
     del epts[eid]
     found = check_against(policy, epts)
     assert any(m.ept == eid and m.actual == "missing" for m in found)
 
 
-def test_page_joining_the_universe_is_read():
-    ept = Ept(0)
-    ept.set_page_attrs(3, RWX)            # outside the first universe: out of scope
-    cache = ActualRows()
-    first = FlatPolicy([1, 2], {0: {1: RW, 2: RW}})
-    assert check_against(first, {0: ept}, cache) == []
-    second = FlatPolicy([1, 3], {0: {1: RW, 3: RW}})
-    assert check_against(second, {0: ept}, cache) == [Mismatch(0, 3, "rw-", "rwx")]
+def test_leaf_on_a_page_no_region_claimed_is_caught():
+    """Every page off the table expects identity RW, so a leaf planted where
+    no region ever was is reported by the checker, across a layout change, by
+    a fresh checker, and by the from-scratch sweep, until it is restored."""
+    state = fresh()
+    checker = OracleChecker()
+    assert checker.verify(state, state.epts) == []
+    page = 0x6000_0000 >> 12
+    ept = state.epts[DEFAULT_EPT]
+    ept.set_page_attrs(page, RWX)
+    planted = [Mismatch(DEFAULT_EPT, page, "rw-", "rwx")]
+    assert checker.verify(state, state.epts) == planted
+    state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+    assert checker.verify(state, state.epts) == planted
+    assert OracleChecker().verify(state, state.epts) == planted
+    assert check_against(rebuild(snapshot_from_map(state)), state.epts) == planted
+    ept.set_page_attrs(page, RW)
+    assert checker.verify(state, state.epts) == []
+    assert check_against(rebuild(snapshot_from_map(state)), state.epts) == []
+
+
+def test_released_page_left_unstamped_is_caught(monkeypatch):
+    """After a layout change the pages claimed before it are compared too,
+    though no leaf was written: a free the engine forgets to restamp leaves
+    stale leaves on the pool's page, reported as a fresh sweep reports them."""
+    state = fresh()
+    checker = OracleChecker()
+    eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+    state.on_alloc(0x3000_0100, 0x5000_0000, 0x100)
+    assert checker.verify(state, state.epts) == []
+    monkeypatch.setattr(type(state), "_restamp", lambda self, pages: None)
+    state.on_free(0x5000_0000)
+    page = 0x5000_0000 >> 12
+    stale = [Mismatch(DEFAULT_EPT, page, "rw-", "---"), Mismatch(eid, page, "rw-", "rwx")]
+    assert check_against(rebuild(snapshot_from_map(state)), state.epts) == stale
+    assert checker.verify(state, state.epts) == stale
 
 
 def test_replaced_context_is_read_again():
-    old, new = Ept(1), Ept(1)
-    old.set_page_attrs(1, NONE)
-    new.set_page_attrs(1, RWX)            # same id, same write serial, other leaves
-    policy = FlatPolicy([1], {1: {1: NONE}})
-    cache = ActualRows()
-    assert check_against(policy, {1: old}, cache) == []
-    assert check_against(policy, {1: new}, cache) == [Mismatch(1, 1, "---", "rwx")]
+    """A context replaced by another object under the same id, with the same
+    write serial and the layout unchanged, is read again in full."""
+    page = 0x3000_0000 >> 12
+    states = fresh(), fresh()
+    for state, attrs in zip(states, (RWX, NONE)):
+        eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+        state.epts[eid].set_page_attrs(page, attrs)     # RWX is what the rule gives
+    kept, other = states
+    assert kept.epts[eid].mutations == other.epts[eid].mutations
+    checker = OracleChecker()
+    assert checker.verify(kept, kept.epts) == []
+    swapped = {**kept.epts, eid: other.epts[eid]}
+    assert checker.verify(kept, swapped) == [Mismatch(eid, page, "rwx", "---")]
+    assert checker.verify(kept, kept.epts) == []
 
 
 def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
@@ -115,13 +150,15 @@ def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
     checks = sabotaged = flagged = 0
     for seed in range(40):
         checker = OracleChecker()
+        history: set[int] = set()    # the static pages and every page ever claimed
 
-        def hook(sim, index, event):
+        def hook(sim, index, event, history=history):
             nonlocal checks, sabotaged, flagged
             m = sim.policy
+            history.update(m._static_kind, m._overlay, m.pool_pages)
             if rng.random() < 0.05:
                 ept = m.epts[rng.choice(sorted(m.epts))]
-                page = rng.choice(sorted(m.tracked))
+                page = rng.choice(sorted(history))
                 entry = ept.entry_for(page)
                 if rng.random() < 0.5:
                     attrs = sum(bit for bit in (R, W, X) if rng.random() < 0.5)
@@ -129,8 +166,8 @@ def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
                 else:
                     ept.set_page_entry(page, EptEntry(entry.pfn + 1, entry.attrs))
                 sabotaged += 1
-            fresh_sweep = check_against(rebuild(snapshot_from_map(m), m.tracked), m.epts)
-            assert sorted(checker.verify(m, m.epts)) == sorted(fresh_sweep), (seed, index)
+            fresh_sweep = check_against(rebuild(snapshot_from_map(m)), m.epts)
+            assert checker.verify(m, m.epts) == fresh_sweep, (seed, index)
             checks += 1
             flagged += bool(fresh_sweep)
 
@@ -159,7 +196,7 @@ def test_planted_leaf_is_reported_until_restored():
     assert checker.verify(state, state.epts) == planted
     ept.set_page_entry(page, good)
     assert checker.verify(state, state.epts) == []
-    assert check_against(rebuild(snapshot_from_map(state), state.tracked), state.epts) == []
+    assert check_against(rebuild(snapshot_from_map(state)), state.epts) == []
 
 
 def test_unchanged_check_reads_no_leaf(monkeypatch):
@@ -191,6 +228,34 @@ def test_unchanged_check_reads_no_leaf(monkeypatch):
 
         run_trace(gen_random_trace(seed, length=200), "multi-ept", after_event=hook)
     assert quiet >= 5 * 50
+
+
+def test_oracle_does_not_share_the_engines_page_span(monkeypatch):
+    """A page-span mutant that drops a multi-page range's last page, patched
+    into every module that binds the engine's pages_covering, leaves the
+    oracle's own span arithmetic intact, so the table check reports it."""
+    real = address_space.pages_covering
+
+    def mutant(base, size):
+        pages = real(base, size)
+        return pages[:-1] if len(pages) > 1 else pages
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "memranger" and getattr(module, "pages_covering", None) is real:
+            monkeypatch.setattr(module, "pages_covering", mutant)
+            patched.append(name)
+    assert "memranger.policy_map" in patched
+    mismatches = 0
+    for seed in range(3):
+        checker = OracleChecker()
+
+        def hook(sim, index, event, checker=checker):
+            nonlocal mismatches
+            mismatches += len(checker.verify(sim.policy, sim.policy.epts))
+
+        run_trace(gen_random_trace(seed, length=200), "multi-ept", after_event=hook)
+    assert mismatches > 0
 
 
 class TestLegality:

@@ -266,18 +266,31 @@ def _single_ept_expectation(sim) -> dict[int, object]:
     return expected
 
 
+def _ever_claimed(policy, history: set[int]) -> set[int]:
+    """Add the pages the live facts claim now to history, a union kept over a
+    trace that starts as the static pages, and return it."""
+    history.update(policy._overlay, policy.pool_pages)
+    return history
+
+
+def _own_leaves(ept) -> set[int]:
+    return {page for page, _ in ept.materialized_leaves()}
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_single_ept_table_matches_raw_facts(seed):
     """No oracle watches the single-ept context, so pin its whole table: after
-    every event every tracked page holds the bits the raw facts call for."""
+    every event every static page, every page the trace ever claimed and every
+    own leaf holds the bits the raw facts call for."""
     events = gen_random_trace(seed, length=200, attack_probability=0.4)
     sim = Simulation("single-ept")
+    history = set(sim.policy._static_kind)
     for index, event in enumerate(events):
         sim.step(event)
         assert set(sim.policy.epts) == {DEFAULT_EPT}
         ept = sim.policy.epts[DEFAULT_EPT]
         expected = _single_ept_expectation(sim)
-        for page in sim.policy.tracked:
+        for page in _ever_claimed(sim.policy, history) | _own_leaves(ept):
             want = expected.get(page, RW)
             got = ept.entry_for(page).attrs
             assert got == want, f"seed {seed} event {index} page {page:#x}: {got} != {want}"
@@ -316,17 +329,20 @@ def test_templates_stay_pristine(mode):
 
 @pytest.mark.parametrize("mode", ["single-ept", "multi-ept"])
 def test_every_tracked_leaf_follows_the_rule(mode):
-    """Between events no single-step window is open, and every tracked page of
-    every context, whether its leaf is the context's own or the template's,
+    """Between events no single-step window is open, and in every context
+    every static page, every page the trace ever claimed and every own leaf,
+    whether its leaf is the context's own, the template's or the default,
     holds the identity frame and the bits its policy's rule gives."""
     for seed in range(20):
         sim = Simulation(mode)
+        history = set(sim.policy._static_kind)
         for index, event in enumerate(gen_random_trace(seed, length=100, attack_probability=0.6)):
             sim.step(event)
             assert sim.vcpu.mtf is None
             policy = sim.policy
-            pages = sorted(policy.tracked)
+            claimed = _ever_claimed(policy, history)
             for ept_id, ept in policy.epts.items():
+                pages = sorted(claimed | _own_leaves(ept))
                 got = [ept.entry_for(page) for page in pages]
                 want = [EptEntry(page, policy._attrs(page, ept_id)) for page in pages]
                 assert got == want, (seed, index, ept_id)
