@@ -123,8 +123,7 @@ def _regions(value):
     return value
 
 
-HEX = _Form("type({v}) is int", "an integer", _int)           # written "0x1f"
-DEC = _Form("type({v}) is int", "an integer", _int)           # written 31
+INT = _Form("type({v}) is int", "an integer", _int)   # event_to_dict picks hex or decimal
 STR = _Form("type({v}) is str", "a string")
 HEX_BYTES = _Form("type({v}) is bytes", "a hex string", _hex_bytes)
 REGIONS = _Form("type({v}) is tuple and all(type(r) is tuple and len(r) == 2"
@@ -192,8 +191,8 @@ _ACCESS_OF = {access.value: access for access in Access}
 @_event("load_driver")
 class LoadDriver:
     name: str = _spec(STR)
-    image_base: int = _spec(HEX)
-    image_size: int = _spec(HEX, IMAGE_SIZE)
+    image_base: int = _spec(INT)
+    image_size: int = _spec(INT, IMAGE_SIZE)
 
 
 @_event("unload_driver")
@@ -203,26 +202,26 @@ class UnloadDriver:
 
 @_event("create_process")
 class CreateProcess:
-    pid: int = _spec(DEC)
+    pid: int = _spec(INT)
     regions: tuple[tuple[int, int], ...] = _spec(REGIONS)
 
 
 @_event("exit_process")
 class ExitProcess:
-    pid: int = _spec(DEC)
+    pid: int = _spec(INT)
 
 
 @_event("alloc")
 class Alloc:
     actor: str = _spec(STR)
-    size: int = _spec(HEX)
+    size: int = _spec(INT)
     align: str = _spec(_one_of(ALIGNS), "natural")
 
 
 @_event("free")
 class Free:
     actor: str = _spec(STR)
-    pool: int = _spec(DEC)      # ordinal among the actor's allocations, frees included
+    pool: int = _spec(INT)      # ordinal among the actor's allocations, frees included
 
 
 @_event("schedule")
@@ -236,9 +235,9 @@ class DstRef:
     kind: str = _spec(_one_of(("own_pool", "pool_of", "image_of", "eprocess",
                                "os_kernel_code", "os_structures", "other_driver")), key="ref")
     driver: str | None = _spec(STR, None)
-    index: int = _spec(DEC, 0)
-    pid: int | None = _spec(DEC, None)
-    offset: int = _spec(HEX, 0)
+    index: int = _spec(INT, 0)
+    pid: int | None = _spec(INT, None)
+    offset: int = _spec(INT, 0)
 
 
 @_event("access")

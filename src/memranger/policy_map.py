@@ -54,7 +54,6 @@ class AllocatedPool:
     base: int
     size: int
     owner: int | None            # enclave id; None for kernel-side callers
-    pool_id: int = -1
 
     @property
     def end(self) -> int:
@@ -171,7 +170,6 @@ class RegionLedger:
         self.pool_pages: dict[int, list[AllocatedPool]] = {}
         self.layout_version = 0
         self._next_ept_id = DEFAULT_EPT + 1
-        self._next_pool_id = 0
         self._overlay: dict[int, tuple] = {}   # page -> ("image", eid) | ("process", pid)
         self._sync_contexts()
         self.layout_version += 1
@@ -280,10 +278,10 @@ class RegionLedger:
         self._restamp(pages)
         self.layout_version += 1
 
-    def on_alloc(self, caller_addr: int, base: int, size: int) -> int | None:
-        """Record an allocation; returns the pool id, or None when the caller
-        is not enclaved (the pool then stays open data, recorded only so that
-        overlaps and shared pages are seen)."""
+    def on_alloc(self, caller_addr: int, base: int, size: int) -> None:
+        """Record an allocation; returns None. A pool whose caller is not
+        enclaved stays open data, recorded only so that overlaps and shared
+        pages are seen."""
         if size <= 0 or base < 0 or base + size > GPA_LIMIT:
             raise SimulationError(f"allocation [{base:#x}, +{size:#x}) out of range")
         pages = pages_covering(base, size)
@@ -295,8 +293,7 @@ class RegionLedger:
                 if pool.base < end and base < pool.end:
                     raise SimulationError(f"allocation overlaps live pool at {pool.base:#x}")
         owner = self._enclave_of_code(caller_addr)
-        pool = AllocatedPool(base, size, owner, pool_id=self._next_pool_id)
-        self._next_pool_id += 1
+        pool = AllocatedPool(base, size, owner)
         if owner is None:
             self.foreign_pools.append(pool)
         else:
@@ -305,7 +302,6 @@ class RegionLedger:
             self.pool_pages.setdefault(page, []).append(pool)
         self._restamp(pages)
         self.layout_version += 1
-        return pool.pool_id if owner is not None else None
 
     def on_free(self, base: int) -> None:
         pool = self._byte_pool(base)

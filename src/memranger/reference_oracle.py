@@ -91,25 +91,40 @@ def snapshot_from_map(m) -> RegionSnapshot:
 
 
 class SnapshotView:
-    """Indexed form of a snapshot: page ownership and byte membership queries."""
+    """Indexed region facts: page ownership and byte membership queries.
+
+    Built from a snapshot, or kept live by a caller that applies each event
+    to it: images, processes and the static ranges are plain attributes, and
+    pools enter and leave the page index through add_pool and remove_pool.
+    """
 
     def __init__(self, snap: RegionSnapshot):
-        self.snap = snap
-        self.image_ranges = [(e.ept_id, e.image_base, e.image_end) for e in snap.enclaves]
-        self.process_ranges = [
-            (pid, base, base + size) for pid, regions in snap.processes for base, size in regions
-        ]
+        self.os_kernel_ranges = snap.os_kernel_ranges
+        self.os_structure_ranges = snap.os_structure_ranges
+        self.other_driver_ranges = snap.other_driver_ranges
+        # enclave id -> image (base, end); pid -> its (base, size) regions
+        self.images = {e.ept_id: (e.image_base, e.image_end) for e in snap.enclaves}
+        self.processes = dict(snap.processes)
         # identity is the enclave id for enclave pools, None for everything else
-        self.pools: list[tuple[int | None, int, int]] = []
+        self.pools_by_page: dict[int, list[tuple[int | None, int, int]]] = {}
         for e in snap.enclaves:
             for base, size in e.pools:
-                self.pools.append((e.ept_id, base, base + size))
+                self.add_pool(e.ept_id, base, size)
         for base, size in snap.foreign_pools:
-            self.pools.append((None, base, base + size))
-        self.pools_by_page: dict[int, list[tuple[int | None, int, int]]] = {}
-        for identity, base, end in self.pools:
-            for page in _pages(base, end - base):
-                self.pools_by_page.setdefault(page, []).append((identity, base, end))
+            self.add_pool(None, base, size)
+
+    def add_pool(self, identity: int | None, base: int, size: int) -> None:
+        pool = (identity, base, base + size)
+        for page in _pages(base, size):
+            self.pools_by_page.setdefault(page, []).append(pool)
+
+    def remove_pool(self, identity: int | None, base: int, size: int) -> None:
+        pool = (identity, base, base + size)
+        for page in _pages(base, size):
+            pools = self.pools_by_page[page]
+            pools.remove(pool)
+            if not pools:
+                del self.pools_by_page[page]
 
     def page_pool_identities(self, page: int) -> list:
         return [identity for identity, _, _ in self.pools_by_page.get(page, [])]
@@ -127,25 +142,25 @@ class SnapshotView:
         return _NO_POOL
 
     def image_enclave(self, gpa: int) -> int | None:
-        for eid, base, end in self.image_ranges:
+        for eid, (base, end) in self.images.items():
             if base <= gpa < end:
                 return eid
         return None
 
     def in_process_region(self, gpa: int) -> bool:
-        return any(base <= gpa < end for _, base, end in self.process_ranges)
+        return any(self._in_ranges(gpa, regions) for regions in self.processes.values())
 
     def _in_ranges(self, gpa: int, ranges) -> bool:
         return any(base <= gpa < base + size for base, size in ranges)
 
     def in_os_kernel(self, gpa: int) -> bool:
-        return self._in_ranges(gpa, self.snap.os_kernel_ranges)
+        return self._in_ranges(gpa, self.os_kernel_ranges)
 
     def in_os_structures(self, gpa: int) -> bool:
-        return self._in_ranges(gpa, self.snap.os_structure_ranges)
+        return self._in_ranges(gpa, self.os_structure_ranges)
 
     def in_other_driver(self, gpa: int) -> bool:
-        return self._in_ranges(gpa, self.snap.other_driver_ranges)
+        return self._in_ranges(gpa, self.other_driver_ranges)
 
     def owner_identity(self, gpa: int) -> int | None:
         """Enclave id if gpa lies in an enclave's image or pools, else None."""

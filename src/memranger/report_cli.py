@@ -18,7 +18,7 @@ from pathlib import Path
 from .address_space import FrameStore
 from .ept_model import Access
 from .errors import ConfigError, SimulationError, TraceParseError
-from .reference_oracle import EnclaveFacts, RegionSnapshot, SnapshotView
+from .reference_oracle import RegionSnapshot, SnapshotView
 
 REPORT_SCHEMA = "ranger-report/1"
 COMPARE_SCHEMA = "ranger-compare/1"
@@ -131,7 +131,8 @@ class VerifyResult:
 
 class _Shadow:
     """Trace replay with independent bookkeeping: shadow memory in which only
-    legal writes land, plus the raw facts the legality predicate needs."""
+    legal writes land, plus one live view of the raw facts the legality
+    predicate needs, updated in place by each layout event."""
 
     def __init__(self):
         from . import kernel_sim as ks
@@ -147,50 +148,28 @@ class _Shadow:
             "os_kernel": ks.OS_KERNEL_CODE[0] + ks.CODE_ENTRY_OFFSET,
             "other_driver_0": ks.OTHER_DRIVER[0] + ks.CODE_ENTRY_OFFSET,
         }
-        self.images: dict[str, tuple[int, int]] = {}
-        self.identity: dict[str, int] = {}
-        self.pools: dict[str, list[tuple[int, int]]] = {}       # (base, size) by ordinal
-        self.live: dict[str, dict[int, tuple[int, int]]] = {}   # the live ones, by ordinal
-        self.processes: dict[int, tuple] = {}
+        self.view = SnapshotView(RegionSnapshot(
+            os_kernel_ranges=(ks.OS_KERNEL_CODE,),
+            os_structure_ranges=(ks.OS_STRUCTURES,),
+            other_driver_ranges=(ks.OTHER_DRIVER,),
+            enclaves=(), foreign_pools=(), processes=(),
+        ))
+        self.identity: dict[str, int] = {}                      # loaded driver -> enclave id
+        self.ordinals: dict[str, int] = {}                      # allocations made, frees included
+        self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
         self._next_identity = 1
-        self._view: SnapshotView | None = None
-
-    def _invalidate(self):
-        self._view = None
-
-    def view(self) -> SnapshotView:
-        if self._view is None:
-            enclaves = []
-            for name, ident in self.identity.items():
-                base, size = self.images[name]
-                live = tuple(self.live.get(name, {}).values())
-                enclaves.append(EnclaveFacts(ident, base, base + size, live))
-            foreign = []
-            for name, pools in self.live.items():
-                if name not in self.identity:
-                    foreign.extend(pools.values())
-            snap = RegionSnapshot(
-                os_kernel_ranges=(self.ks.OS_KERNEL_CODE,),
-                os_structure_ranges=(self.ks.OS_STRUCTURES,),
-                other_driver_ranges=(self.ks.OTHER_DRIVER,),
-                enclaves=tuple(enclaves),
-                foreign_pools=tuple(foreign),
-                processes=tuple((pid, regions) for pid, regions in self.processes.items()),
-            )
-            self._view = SnapshotView(snap)
-        return self._view
 
     def resolve(self, actor: str, ref) -> int:
         ks = self.ks
         if ref.kind in ("own_pool", "pool_of"):
             owner = actor if ref.kind == "own_pool" else ref.driver
-            base, _ = self.pools[owner][ref.index]
+            base, _ = self.live[owner][ref.index]
             return base + ref.offset
         if ref.kind == "image_of":
-            base, _ = self.images[ref.driver]
+            base, _ = self.view.images[self.identity[ref.driver]]
             return base + ref.offset
         if ref.kind == "eprocess":
-            base, _ = self.processes[ref.pid][0]
+            base, _ = self.view.processes[ref.pid][0]
             return base + ref.offset
         if ref.kind == "os_kernel_code":
             return ks.OS_KERNEL_CODE[0] + ref.offset
@@ -208,12 +187,13 @@ class _Shadow:
             "os_structures": self.store.digest_gpa_range(*ks.OS_STRUCTURES),
             "other_driver:0": self.store.digest_gpa_range(*ks.OTHER_DRIVER),
         }
-        for name, (base, size) in self.images.items():
-            out[f"image:{name}"] = self.store.digest_gpa_range(base, size)
+        for name, ident in self.identity.items():
+            base, end = self.view.images[ident]
+            out[f"image:{name}"] = self.store.digest_gpa_range(base, end - base)
         for name, pools in self.live.items():
             for ordinal, (base, size) in pools.items():
                 out[f"pool:{name}:{ordinal}"] = self.store.digest_gpa_range(base, size)
-        for pid, regions in self.processes.items():
+        for pid, regions in self.view.processes.items():
             digest = hashlib.sha256()
             for base, size in regions:
                 digest.update(self.store.read_gpa_range(base, size))
@@ -225,57 +205,54 @@ def shadow_replay(events, allocations) -> tuple[dict, dict]:
     """Replay events independently of the simulator. Returns per-event access
     expectations {index: {legal, data}} and the final shadow digests."""
     shadow = _Shadow()
-    ks = shadow.ks
+    ks, view = shadow.ks, shadow.view
     alloc_rows = iter(allocations)
     expectations: dict[int, dict] = {}
 
     for index, event in enumerate(events):
         if isinstance(event, ks.LoadDriver):
-            shadow.identity[event.name] = shadow._next_identity
+            ident = shadow.identity[event.name] = shadow._next_identity
             shadow._next_identity += 1
-            shadow.images[event.name] = (event.image_base, event.image_size)
-            shadow.pools.setdefault(event.name, [])
+            view.images[ident] = (event.image_base, event.image_base + event.image_size)
             shadow.actor_code[event.name] = event.image_base + ks.CODE_ENTRY_OFFSET
             shadow.store.fill_gpa_range(event.image_base, event.image_size,
                                         ks.image_fill(event.name))
-            shadow._invalidate()
         elif isinstance(event, ks.UnloadDriver):
-            del shadow.identity[event.name]
-            del shadow.images[event.name]
+            ident = shadow.identity.pop(event.name)
+            del view.images[ident]
             del shadow.actor_code[event.name]
-            shadow.live.pop(event.name, None)
-            shadow._invalidate()
+            for base, size in shadow.live.pop(event.name, {}).values():
+                view.remove_pool(ident, base, size)
         elif isinstance(event, ks.CreateProcess):
             regions = tuple((int(b), int(s)) for b, s in event.regions)
-            shadow.processes[event.pid] = regions
+            view.processes[event.pid] = regions
             for base, size in regions:
                 shadow.store.fill_gpa_range(base, size, ks.SECRET_FILL)
-            shadow._invalidate()
         elif isinstance(event, ks.ExitProcess):
-            del shadow.processes[event.pid]
-            shadow._invalidate()
+            del view.processes[event.pid]
         elif isinstance(event, ks.Alloc):
             row = next(alloc_rows, None)
             if row is None or row["actor"] != event.actor or row["event"] != index:
                 raise RuntimeError(f"allocation table out of step at event {index}")
             base = int(row["base"], 0)
             size = int(row["size"], 0)
-            fill = ks.SECRET_FILL if event.actor in shadow.identity else ks.FOREIGN_POOL_FILL
+            ident = shadow.identity.get(event.actor)
+            fill = ks.SECRET_FILL if ident is not None else ks.FOREIGN_POOL_FILL
             shadow.store.fill_gpa_range(base, size, fill)
-            pools = shadow.pools.setdefault(event.actor, [])
-            shadow.live.setdefault(event.actor, {})[len(pools)] = (base, size)
-            pools.append((base, size))
-            shadow._invalidate()
+            ordinal = shadow.ordinals.get(event.actor, 0)
+            shadow.ordinals[event.actor] = ordinal + 1
+            shadow.live.setdefault(event.actor, {})[ordinal] = (base, size)
+            view.add_pool(ident, base, size)
         elif isinstance(event, ks.Free):
-            del shadow.live[event.actor][event.pool]
-            shadow._invalidate()
+            base, size = shadow.live[event.actor].pop(event.pool)
+            view.remove_pool(shadow.identity.get(event.actor), base, size)
         elif isinstance(event, ks.Schedule):
             pass
         elif isinstance(event, ks.AccessEvent):
             src = shadow.actor_code[event.actor]
             dst = shadow.resolve(event.actor, event.dst)
             access = ks._ACCESS_OF[event.access]
-            legal = shadow.view().legal(src, dst, access)
+            legal = view.legal(src, dst, access)
             data = None
             if access is Access.READ:
                 data = shadow.store.read_gpa_range(dst, 4) if legal else bytes(4)

@@ -165,9 +165,13 @@ def _spec_keys(cls) -> dict:
     return {f.metadata["key"] or f.name: (f.name, f.metadata["form"]) for f in fields(cls)}
 
 
+_HEX_KEYS = {"image_base", "image_size", "size", "offset"}
+
+
 def test_the_encoder_writes_exactly_the_spec_keys():
     """event_to_dict is written out for speed; it writes each class's trace
-    name, the spec's keys, and hex strings exactly where the spec says."""
+    name, the spec's keys, and hex strings exactly where the trace format
+    says: addresses, sizes and offsets; other integers are written decimal."""
     assert {type(event) for event in FULL_EVENTS} == set(kernel_sim._EVENT_OF.values())
     for event in FULL_EVENTS:
         obj = event_to_dict(event)
@@ -179,10 +183,9 @@ def test_the_encoder_writes_exactly_the_spec_keys():
             spec = _spec_keys(cls)
             assert set(written) == set(spec), cls
             for key, (name, form) in spec.items():
-                if form is kernel_sim.HEX:
-                    assert written[key] == hex(getattr(value, name))
-                elif form is kernel_sim.DEC:
-                    assert written[key] == getattr(value, name)
+                if form is kernel_sim.INT:
+                    number = getattr(value, name)
+                    assert written[key] == (hex(number) if key in _HEX_KEYS else number), key
 
 
 def _check_accepts(event) -> bool:

@@ -10,9 +10,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memranger.kernel_sim import gen_demo1_trace, gen_privesc_trace, gen_random_trace, run_trace
+from memranger.kernel_sim import (
+    AccessEvent,
+    Alloc,
+    DstRef,
+    Free,
+    LoadDriver,
+    UnloadDriver,
+    gen_demo1_trace,
+    gen_privesc_trace,
+    gen_random_trace,
+    run_trace,
+)
 from memranger.report_cli import (
     COMPARE_SCHEMA,
+    MODES,
     REPORT_SCHEMA,
     CostModel,
     access_ticks,
@@ -112,6 +124,28 @@ class TestVerification:
                     for a in report.allocations]
         with pytest.raises(RuntimeError):
             shadow_replay(events, doctored)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("departure", [Free("A", 0), UnloadDriver("A")], ids=["free", "unload"])
+def test_a_departed_pool_leaves_the_shadow_view(mode, departure):
+    """A's pool leaves, by the given event, before os_kernel allocates the
+    next 16 bytes on the same page; driver B then reads the kernel's open
+    pool. The shadow's live view must drop the departed pool: a stale entry
+    would lock the page to A and call B's read a leak."""
+    events = [
+        LoadDriver("A", 0x3000_0000),
+        LoadDriver("B", 0x3100_0000),
+        Alloc("A", 0x10),
+        departure,
+        Alloc("os_kernel", 0x10),
+        AccessEvent("B", DstRef("pool_of", driver="os_kernel"), "read"),
+    ]
+    report = run_trace(events, mode)
+    assert [a["base"] for a in report.allocations] == ["0x50000000", "0x50000010"]
+    verdict = verify_run(events, report)
+    assert verdict.ok, verdict.summary()
+    assert verdict.checked_reads == 1
 
 
 class TestCli:
