@@ -3,8 +3,10 @@
     python3 scripts/soak.py [--length N] [--seed S]
 
 Run from the root of a source checkout; the simulator is imported from
-``src/`` and nothing outside the standard library is needed. Replays
-gen_random_trace(S, length=N) (default 100,000 events) in multi-ept with
+``src/`` and nothing outside the standard library is needed. Generates
+gen_random_trace(S, length=N) (default 100,000 events), writes it with
+serialize_trace and reads it back with parse_trace, printing the parse time
+and the number of distinct lines. Replays the parsed events in multi-ept with
 OracleChecker.verify after every event, then runs one uncached check_against
 and verify_run over the whole report. Every 1,000th event it also checks
 that each context's own leaves lie on pages the live facts claim, so no
@@ -12,8 +14,9 @@ structure grows with the pages the trace has ever claimed.
 
 Prints the mean cost of the oracle checks that follow a layout change in an
 early window (events 1,000-2,999) and a late one (the last 2,000 events),
-their ratio, and each context's own-leaf count at the end. Exits 1 on any
-oracle mismatch, verification violation or stray own leaf, else 0.
+their ratio, and each context's own-leaf count at the end. Exits 1 if the
+parsed events differ from the generated ones, on any oracle mismatch,
+verification violation or stray own leaf, else 0.
 """
 
 import argparse
@@ -24,7 +27,12 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from memranger.kernel_sim import Simulation, gen_random_trace  # noqa: E402
+from memranger.kernel_sim import (  # noqa: E402
+    Simulation,
+    gen_random_trace,
+    parse_trace,
+    serialize_trace,
+)
 from memranger.reference_oracle import (  # noqa: E402
     OracleChecker,
     check_against,
@@ -39,7 +47,14 @@ LEAF_CHECK_EVERY = 1_000
 
 
 def soak(seed: int, length: int) -> int:
-    events = gen_random_trace(seed, length=length)
+    generated = gen_random_trace(seed, length=length)
+    text = serialize_trace(generated)
+    began = perf_counter()
+    events = parse_trace(text)
+    parsed = perf_counter() - began
+    round_trip = events == generated
+    print(f"codec: {length} events in {len(set(text.splitlines()))} distinct lines,"
+          f" parse_trace {parsed:.2f} s, round trip {'equal' if round_trip else 'DIFFERS'}")
     late = range(length - WINDOW, length)
     sim = Simulation("multi-ept")
     checker = OracleChecker()
@@ -90,7 +105,7 @@ def soak(seed: int, length: int) -> int:
     counts = {k: v for k, v in verdict.summary().items() if k != "samples"}
     print(f"oracle mismatches {mismatches}, final sweep {len(swept)},"
           f" stray own leaves {stray}, verification {counts}")
-    clean = not mismatches and not stray and verdict.ok
+    clean = round_trip and not mismatches and not stray and verdict.ok
     print("PASS" if clean else "FAIL")
     return 0 if clean else 1
 

@@ -171,6 +171,9 @@ class FrameStore:
     def read_gpa_range(self, base: int, size: int) -> bytes:
         """Direct (policy-free) readout of a byte range, identity-mapped."""
         end = _range_end(base, size)
+        if base >> PAGE_SHIFT == (end - 1) >> PAGE_SHIFT:      # one page: one slice
+            offset = base & OFFSET_MASK
+            return bytes(self._frame(base >> PAGE_SHIFT)[offset:offset + size])
         return b"".join(self._frame(pfn)[offset:offset + length]
                         for pfn, offset, length in self._pieces(base, end))
 

@@ -348,20 +348,27 @@ def serialize_trace(events) -> str:
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
+    """Decode a JSON-lines trace. Each distinct stripped line is decoded once
+    per call and a repeat reuses its (frozen) event, so an error names the
+    line where its text first appears."""
     events = []
+    decoded: dict[str, TraceEvent] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"bad json: {exc.msg}", line_no) from exc
-        except (RecursionError, ValueError) as exc:    # nested too deep; an int too long
-            raise TraceParseError(f"bad json: {exc}", line_no) from None
-        if not isinstance(obj, dict):
-            raise TraceParseError("event must be a json object", line_no)
-        events.append(event_from_dict(obj, line_no))
+        event = decoded.get(raw)
+        if event is None:
+            if not raw or raw.startswith("#"):
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"bad json: {exc.msg}", line_no) from exc
+            except (RecursionError, ValueError) as exc:    # nested too deep; an int too long
+                raise TraceParseError(f"bad json: {exc}", line_no) from None
+            if not isinstance(obj, dict):
+                raise TraceParseError("event must be a json object", line_no)
+            event = decoded[raw] = event_from_dict(obj, line_no)
+        events.append(event)
     return events
 
 

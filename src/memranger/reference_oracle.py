@@ -126,13 +126,12 @@ class SnapshotView:
             if not pools:
                 del self.pools_by_page[page]
 
-    def page_pool_identities(self, page: int) -> list:
-        return [identity for identity, _, _ in self.pools_by_page.get(page, [])]
+    def page_pool_identities(self, page: int) -> set:
+        return {identity for identity, _, _ in self.pools_by_page.get(page, ())}
 
     def page_locked(self, page: int) -> bool:
         """A page hosting bytes of two distinct owners, at least one enclaved."""
-        identities = set(self.page_pool_identities(page))
-        return len(identities) >= 2 and any(i is not None for i in identities)
+        return _locked(self.page_pool_identities(page))
 
     def byte_pool_identity(self, gpa: int):
         """Identity of the live pool whose bytes contain gpa, or a miss marker."""
@@ -175,34 +174,33 @@ class SnapshotView:
     def legal(self, src: int, dst: int, access: Access) -> bool:
         """Minimal-privilege legality: does src's owner get true data at dst?"""
         actor = self.owner_identity(src)
-        page = dst >> PAGE_SHIFT
-        pool_identities = set(self.page_pool_identities(page))
-        if access is Access.EXECUTE:
-            if self.image_enclave(dst) is not None:
-                return True
-            if pool_identities:
-                if self.page_locked(page):
-                    identity = self.byte_pool_identity(dst)
-                    return identity is not _NO_POOL and identity == actor
-                sole = next(iter(pool_identities))
-                # an enclave's pool is executable in its owner's context only
-                return len(pool_identities) == 1 and sole is not None
-            return self.in_os_kernel(dst) or self.in_other_driver(dst)
-        # data access
-        if pool_identities:
-            if self.page_locked(page):
+        execute = access is Access.EXECUTE
+        if execute and self.image_enclave(dst) is not None:
+            return True
+        identities = self.page_pool_identities(dst >> PAGE_SHIFT)
+        if identities:
+            if _locked(identities):
                 identity = self.byte_pool_identity(dst)
                 return identity is not _NO_POOL and identity == actor
-            sole = next(iter(pool_identities))
-            if len(pool_identities) == 1 and sole is not None:
-                return actor == sole
-            return True   # pages holding only non-enclaved allocations stay open
+            (sole,) = identities    # one owner: a set holds None at most once
+            if execute:
+                # an enclave's pool is executable in its owner's context only
+                return sole is not None
+            # pages holding only non-enclaved allocations stay open
+            return sole is None or actor == sole
+        if execute:
+            return self.in_os_kernel(dst) or self.in_other_driver(dst)
         eid = self.image_enclave(dst)
         if eid is not None:
             return actor == eid
         if self.in_process_region(dst) or self.in_os_structures(dst):
             return actor is None   # kernel and pre-existing drivers, not enclaves
         return True
+
+
+def _locked(identities: set) -> bool:
+    """page_locked, over the set of the page's pool identities."""
+    return len(identities) >= 2 and any(i is not None for i in identities)
 
 
 _NO_POOL = object()
@@ -288,8 +286,7 @@ def rebuild(snap: RegionSnapshot) -> FlatPolicy:
         for page in _pages(e.image_base, e.image_end - e.image_base):
             kinds[page] = ("image", e.ept_id)
     for page in view.pools_by_page:
-        identities = set(view.page_pool_identities(page))
-        kinds[page] = ("pool", identities)
+        kinds[page] = ("pool", view.page_pool_identities(page))
 
     table = {}
     for ept_id, static_row in [(0, default_row)] + [(e.ept_id, enclave_row) for e in snap.enclaves]:
@@ -306,7 +303,7 @@ def _expected(kind: tuple, ept_id: int) -> int:
     if tag == "image":
         return RWX if ept_id == kind[1] else NONE
     identities = kind[1]                     # a pool page
-    if len(identities) >= 2 and any(i is not None for i in identities):
+    if _locked(identities):
         return NONE                          # shared page: sealed in every context
     sole = next(iter(identities))
     if sole is None:

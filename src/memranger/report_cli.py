@@ -132,9 +132,11 @@ class VerifyResult:
 class _Shadow:
     """Trace replay with independent bookkeeping: shadow memory in which only
     legal writes land, plus one live view of the raw facts the legality
-    predicate needs, updated in place by each layout event."""
+    predicate needs, updated in place by each layout event. Each event class
+    has one handler in handlers; accesses record what the report must show
+    in expectations."""
 
-    def __init__(self):
+    def __init__(self, allocations):
         from . import kernel_sim as ks
         self.ks = ks
         self.store = FrameStore()
@@ -158,6 +160,21 @@ class _Shadow:
         self.ordinals: dict[str, int] = {}                      # allocations made, frees included
         self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
         self._next_identity = 1
+        self.alloc_rows = iter(allocations)
+        self.expectations: dict[int, dict] = {}                 # access event -> {legal, data}
+        # plain functions, not bound methods: a table of bound methods would
+        # hold the shadow in a reference cycle, alive until a gc collection
+        cls = type(self)
+        self.handlers = {
+            ks.LoadDriver: cls._on_load,
+            ks.UnloadDriver: cls._on_unload,
+            ks.CreateProcess: cls._on_process_create,
+            ks.ExitProcess: cls._on_process_exit,
+            ks.Alloc: cls._on_alloc,
+            ks.Free: cls._on_free,
+            ks.Schedule: cls._on_schedule,
+            ks.AccessEvent: cls._on_access,
+        }
 
     def resolve(self, actor: str, ref) -> int:
         ks = self.ks
@@ -178,6 +195,65 @@ class _Shadow:
         if ref.kind == "other_driver":
             return ks.OTHER_DRIVER[0] + ref.offset
         raise SimulationError(f"unknown target kind {ref.kind!r}")
+
+    def _on_load(self, index: int, event) -> None:
+        ks = self.ks
+        ident = self.identity[event.name] = self._next_identity
+        self._next_identity += 1
+        self.view.images[ident] = (event.image_base, event.image_base + event.image_size)
+        self.actor_code[event.name] = event.image_base + ks.CODE_ENTRY_OFFSET
+        self.store.fill_gpa_range(event.image_base, event.image_size, ks.image_fill(event.name))
+
+    def _on_unload(self, index: int, event) -> None:
+        ident = self.identity.pop(event.name)
+        del self.view.images[ident]
+        del self.actor_code[event.name]
+        for base, size in self.live.pop(event.name, {}).values():
+            self.view.remove_pool(ident, base, size)
+
+    def _on_process_create(self, index: int, event) -> None:
+        regions = tuple((int(b), int(s)) for b, s in event.regions)
+        self.view.processes[event.pid] = regions
+        for base, size in regions:
+            self.store.fill_gpa_range(base, size, self.ks.SECRET_FILL)
+
+    def _on_process_exit(self, index: int, event) -> None:
+        del self.view.processes[event.pid]
+
+    def _on_alloc(self, index: int, event) -> None:
+        ks = self.ks
+        row = next(self.alloc_rows, None)
+        if row is None or row["actor"] != event.actor or row["event"] != index:
+            raise RuntimeError(f"allocation table out of step at event {index}")
+        base = int(row["base"], 0)
+        size = int(row["size"], 0)
+        ident = self.identity.get(event.actor)
+        fill = ks.SECRET_FILL if ident is not None else ks.FOREIGN_POOL_FILL
+        self.store.fill_gpa_range(base, size, fill)
+        ordinal = self.ordinals.get(event.actor, 0)
+        self.ordinals[event.actor] = ordinal + 1
+        self.live.setdefault(event.actor, {})[ordinal] = (base, size)
+        self.view.add_pool(ident, base, size)
+
+    def _on_free(self, index: int, event) -> None:
+        base, size = self.live[event.actor].pop(event.pool)
+        self.view.remove_pool(self.identity.get(event.actor), base, size)
+
+    def _on_schedule(self, index: int, event) -> None:
+        pass
+
+    def _on_access(self, index: int, event) -> None:
+        ks = self.ks
+        dst = self.resolve(event.actor, event.dst)
+        access = ks._ACCESS_OF[event.access]
+        legal = self.view.legal(self.actor_code[event.actor], dst, access)
+        data = None
+        if access is Access.READ:
+            data = self.store.read_gpa_range(dst, 4) if legal else bytes(4)
+        elif access is Access.WRITE and legal:
+            payload = event.payload if event.payload is not None else ks.DEFAULT_WRITE
+            self.store.fill_gpa_range(dst, len(payload), payload)
+        self.expectations[index] = {"legal": legal, "data": data}
 
     def digests(self) -> dict[str, str]:
         import hashlib
@@ -204,63 +280,24 @@ class _Shadow:
 def shadow_replay(events, allocations) -> tuple[dict, dict]:
     """Replay events independently of the simulator. Returns per-event access
     expectations {index: {legal, data}} and the final shadow digests."""
-    shadow = _Shadow()
-    ks, view = shadow.ks, shadow.view
-    alloc_rows = iter(allocations)
-    expectations: dict[int, dict] = {}
-
+    shadow = _Shadow(allocations)
     for index, event in enumerate(events):
-        if isinstance(event, ks.LoadDriver):
-            ident = shadow.identity[event.name] = shadow._next_identity
-            shadow._next_identity += 1
-            view.images[ident] = (event.image_base, event.image_base + event.image_size)
-            shadow.actor_code[event.name] = event.image_base + ks.CODE_ENTRY_OFFSET
-            shadow.store.fill_gpa_range(event.image_base, event.image_size,
-                                        ks.image_fill(event.name))
-        elif isinstance(event, ks.UnloadDriver):
-            ident = shadow.identity.pop(event.name)
-            del view.images[ident]
-            del shadow.actor_code[event.name]
-            for base, size in shadow.live.pop(event.name, {}).values():
-                view.remove_pool(ident, base, size)
-        elif isinstance(event, ks.CreateProcess):
-            regions = tuple((int(b), int(s)) for b, s in event.regions)
-            view.processes[event.pid] = regions
-            for base, size in regions:
-                shadow.store.fill_gpa_range(base, size, ks.SECRET_FILL)
-        elif isinstance(event, ks.ExitProcess):
-            del view.processes[event.pid]
-        elif isinstance(event, ks.Alloc):
-            row = next(alloc_rows, None)
-            if row is None or row["actor"] != event.actor or row["event"] != index:
-                raise RuntimeError(f"allocation table out of step at event {index}")
-            base = int(row["base"], 0)
-            size = int(row["size"], 0)
-            ident = shadow.identity.get(event.actor)
-            fill = ks.SECRET_FILL if ident is not None else ks.FOREIGN_POOL_FILL
-            shadow.store.fill_gpa_range(base, size, fill)
-            ordinal = shadow.ordinals.get(event.actor, 0)
-            shadow.ordinals[event.actor] = ordinal + 1
-            shadow.live.setdefault(event.actor, {})[ordinal] = (base, size)
-            view.add_pool(ident, base, size)
-        elif isinstance(event, ks.Free):
-            base, size = shadow.live[event.actor].pop(event.pool)
-            view.remove_pool(shadow.identity.get(event.actor), base, size)
-        elif isinstance(event, ks.Schedule):
-            pass
-        elif isinstance(event, ks.AccessEvent):
-            src = shadow.actor_code[event.actor]
-            dst = shadow.resolve(event.actor, event.dst)
-            access = ks._ACCESS_OF[event.access]
-            legal = view.legal(src, dst, access)
-            data = None
-            if access is Access.READ:
-                data = shadow.store.read_gpa_range(dst, 4) if legal else bytes(4)
-            elif access is Access.WRITE and legal:
-                payload = event.payload if event.payload is not None else ks.DEFAULT_WRITE
-                shadow.store.fill_gpa_range(dst, len(payload), payload)
-            expectations[index] = {"legal": legal, "data": data}
-    return expectations, shadow.digests()
+        handle = shadow.handlers.get(type(event))
+        if handle is None:
+            raise SimulationError(f"unknown event {event!r}")
+        handle(shadow, index, event)
+    return shadow.expectations, shadow.digests()
+
+
+def _mismatch(record: dict, want: str) -> dict:
+    return {
+        "seq": record["seq"],
+        "event": record["event"],
+        "actor": record["actor"],
+        "dst": record["dst"],
+        "got": record["data"],
+        "want": want,
+    }
 
 
 def verify_run(events, report: RunReport) -> VerifyResult:
@@ -275,20 +312,11 @@ def verify_run(events, report: RunReport) -> VerifyResult:
             continue
         data = bytes.fromhex(record["data"]) if record["data"] else b""
         result.checked_reads += 1
-        entry = {
-            "seq": record["seq"],
-            "event": record["event"],
-            "actor": record["actor"],
-            "dst": record["dst"],
-            "got": record["data"],
-        }
         if expected["legal"]:
             if data != expected["data"]:
-                entry["want"] = expected["data"].hex()
-                result.wrong_data.append(entry)
+                result.wrong_data.append(_mismatch(record, expected["data"].hex()))
         elif any(data):
-            entry["want"] = "00" * len(data)
-            result.leaks.append(entry)
+            result.leaks.append(_mismatch(record, "00" * len(data)))
     labels = sorted(set(shadow_digests) | set(report.digests))
     for label in labels:
         want = shadow_digests.get(label)

@@ -227,10 +227,25 @@ def _ranges(draw):
     return start, end - start
 
 
+@st.composite
+def _edge_reads(draw):
+    """(start, size) of a 1-8 byte read that ends exactly on a page boundary,
+    or that straddles one: the two sides of the one-page read path."""
+    size = draw(st.integers(1, 8))
+    if size > 1 and draw(st.booleans()):
+        boundary = draw(st.integers(1, _SPAN // PAGE_SIZE - 1))
+        before = draw(st.integers(1, size - 1))      # bytes left of the boundary
+    else:
+        boundary = draw(st.integers(1, _SPAN // PAGE_SIZE))
+        before = size
+    return boundary * PAGE_SIZE - before, size
+
+
 _OPS = st.one_of(
     st.tuples(st.just("fill"), _ranges(), _PATTERNS),
     st.tuples(st.just("write"), st.integers(0, _SPAN - 1), st.binary(min_size=1, max_size=16)),
     st.tuples(st.just("read"), _ranges()),
+    st.tuples(st.just("read"), _edge_reads()),
     st.tuples(st.just("digest"), _ranges()),
 )
 
@@ -239,7 +254,8 @@ _OPS = st.one_of(
 @given(st.lists(_OPS, max_size=25))
 def test_store_matches_a_bytearray_model(ops):
     """Random fills (unaligned, 1- and 4-byte patterns), in-page writes, reads
-    and digests over a few pages agree with a plain bytearray and hashlib."""
+    (short ones ending on or straddling a page boundary among them) and
+    digests over a few pages agree with a plain bytearray and hashlib."""
     store, model = FrameStore(), bytearray(_SPAN)
     store.fill_gpa_range(_ORIGIN, _SPAN, b"\x00")
     for op in ops:

@@ -1,4 +1,5 @@
-"""The brute-force oracle stays independent of the engine it checks.
+"""The brute-force oracle and the shadow verifier stay independent of the
+engine they check.
 
 Read from the source with ast, so an import inside a function counts too.
 """
@@ -7,27 +8,64 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "memranger"
 
 
-def _imports(path: Path) -> tuple[set[str], set[str]]:
-    """(package modules, top-level absolute modules) that path imports."""
+def _imports(source: str) -> tuple[set[str], set[str]]:
+    """(package modules, top-level absolute modules) that source imports; the
+    package's modules count as package modules however they are named, and a
+    bare import of the package itself counts as its __init__."""
     local, absolute = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+
+    def add(module: str, names) -> None:
+        top, _, rest = module.partition(".")
+        if top != SRC.name:
+            absolute.add(top)
+        elif rest:
+            local.add(rest.split(".")[0])
+        elif names:                                # from memranger import name
+            local.update(names)
+        else:                                      # import memranger
+            local.add("__init__")
+
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            absolute.update(alias.name.split(".")[0] for alias in node.names)
+            for alias in node.names:
+                add(alias.name, ())
         elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
             if node.level == 0:
-                absolute.add(node.module.split(".")[0])
+                add(node.module, names)
             elif node.module is None:              # from . import name
-                local.update(alias.name for alias in node.names)
+                local.update(names)
             else:
                 local.add(node.module.split(".")[0])
     return local, absolute
 
 
 def test_the_oracle_imports_only_the_address_and_ept_primitives():
-    local, absolute = _imports(SRC / "reference_oracle.py")
+    local, absolute = _imports((SRC / "reference_oracle.py").read_text(encoding="utf-8"))
     assert local <= {"address_space", "ept_model"}, local
     assert not local & {"policy_map", "dispatcher", "kernel_sim"}
     assert absolute <= sys.stdlib_module_names, absolute - sys.stdlib_module_names
+
+
+def test_the_shadow_verifier_imports_nothing_from_the_engine():
+    """report_cli reads event classes and constants through kernel_sim, but
+    no policy or dispatch code: its legality rule comes from the oracle."""
+    local, _ = _imports((SRC / "report_cli.py").read_text(encoding="utf-8"))
+    assert not local & {"policy_map", "dispatcher"}, local
+
+
+@pytest.mark.parametrize("line, module", [
+    ("import memranger", "__init__"),
+    ("import memranger.dispatcher", "dispatcher"),
+    ("from memranger import policy_map", "policy_map"),
+    ("from . import dispatcher", "dispatcher"),
+    ("from .kernel_sim import Simulation", "kernel_sim"),
+])
+def test_every_spelling_of_a_package_import_is_seen(line, module):
+    local, absolute = _imports(f"def f():\n    {line}\n")
+    assert local == {module} and not absolute

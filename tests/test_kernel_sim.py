@@ -89,10 +89,36 @@ class TestCodec:
         assert parse_trace(text) == [Schedule("A")]
 
     def test_parse_error_carries_line_number(self):
-        text = serialize_trace([Schedule("A")]) + "{\"ev\": \"bogus\"}\n"
-        with pytest.raises(TraceParseError) as info:
-            parse_trace(text)
-        assert info.value.line == 2
+        good = serialize_trace([Schedule("A")]).strip()
+        for bad in ('{"ev": "bogus"}', '{"ev": "free", "actor": "A"}', "{oops"):
+            with pytest.raises(TraceParseError) as info:
+                parse_trace(f"{good}\n{bad}\n{good}\n {bad}\n")
+            assert info.value.line == 2, bad    # a repeated bad line is named where it first appears
+
+    def test_a_long_trace_round_trips_through_the_line_memo(self):
+        events = gen_benchmark_trace(10_000)
+        text = serialize_trace(events)
+        parsed = parse_trace(text)
+        assert parsed == events
+        assert serialize_trace(parsed) == text
+
+    def test_each_distinct_line_is_decoded_once_per_call(self, monkeypatch):
+        decoded = []
+
+        def counting(obj, line=0):
+            decoded.append(line)
+            return event_from_dict(obj, line)
+
+        monkeypatch.setattr(kernel_sim, "event_from_dict", counting)
+        a, b = (serialize_trace([event]).strip() for event in (Schedule("A"), Schedule("B")))
+        text = f"{a}\n{b}\n  {a}\n# {a}\n{a}  \n{b}\n"
+        first = parse_trace(text)
+        assert first == [Schedule("A"), Schedule("B"), Schedule("A"), Schedule("A"), Schedule("B")]
+        assert decoded == [1, 2]            # a repeat, however indented, reuses its first event
+        second = parse_trace(text)          # a fresh call decodes afresh: no state is shared
+        assert second == first
+        assert decoded == [1, 2, 1, 2]
+        assert all(x is not y for x, y in zip(first, second))
 
     def test_rejects_bad_access_kind(self):
         with pytest.raises(TraceParseError):

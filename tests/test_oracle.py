@@ -320,6 +320,21 @@ class TestLegality:
         assert not view.legal(0x3000_0100, 0x5000_0014, Access.READ)
         assert not view.legal(0x3100_0100, 0x5000_0004, Access.READ)
 
+    def test_execute_asks_the_image_first_and_data_the_pools(self):
+        """An open pool laid over an enclave's image: a layout no trace can
+        build, so only the rule's order decides. Execute goes by the image,
+        a data access by the page's pools."""
+        from memranger.reference_oracle import EnclaveFacts, RegionSnapshot, SnapshotView
+
+        view = SnapshotView(RegionSnapshot(
+            os_kernel_ranges=(KERNEL,), os_structure_ranges=(STRUCTS,),
+            other_driver_ranges=(OTHER,),
+            enclaves=(EnclaveFacts(1, 0x3000_0000, 0x3000_0000 + IMAGE_SIZE, ()),),
+            foreign_pools=((0x3000_0000, 16),), processes=(),
+        ))
+        assert view.legal(KERNEL_CODE, 0x3000_0008, Access.EXECUTE)
+        assert view.legal(KERNEL_CODE, 0x3000_0008, Access.READ)
+
 
 class PolicyWalk(RuleBasedStateMachine):
     """Random event walks; the brute-force table must agree after every step."""

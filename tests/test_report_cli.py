@@ -1,10 +1,13 @@
 """Cost accounting, independent replay verification, and the command line."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -116,6 +119,50 @@ class TestVerification:
         assert digests == report.digests
         labels = {e["legal"] for e in expectations.values()}
         assert labels == {True, False}
+
+    def test_mismatch_entries_name_the_bad_read(self):
+        """One wrong legal read and one non-zero illegal read planted in a
+        copy of demo1's multi-ept log are reported entry for entry."""
+        events = gen_demo1_trace()
+        report = run_trace(events, "multi-ept")
+        log = [dict(record) for record in report.log]
+        by_seq = {record["seq"]: record for record in log}
+        assert (by_seq[4]["event"], by_seq[4]["data"]) == (8, "11223344")       # A reads its pool
+        assert (by_seq[5]["event"], by_seq[5]["data"]) == (9, "00000000")       # A reads B's pool
+        by_seq[4]["data"] = "deadbeef"
+        by_seq[5]["data"] = "000000ff"
+        verdict = verify_run(events, replace(report, log=log))
+        assert verdict.wrong_data == [{"seq": 4, "event": 8, "actor": "A", "dst": "0x50000000",
+                                       "got": "deadbeef", "want": "11223344"}]
+        assert verdict.leaks == [{"seq": 5, "event": 9, "actor": "A", "dst": "0x50001000",
+                                  "got": "000000ff", "want": "00000000"}]
+        summary = verdict.summary()
+        del summary["samples"]
+        assert summary == {"ok": False, "checked_reads": 5, "leaks": 1, "wrong_data": 1,
+                           "digest_mismatches": 0}
+        assert verify_run(events, report).ok     # the report itself is untouched
+
+    def test_the_shadow_is_freed_as_soon_as_the_replay_returns(self, monkeypatch):
+        """Its memory and expectations go by reference counting alone: a
+        shadow held in a reference cycle would stay alive until a gc pass,
+        which on a long trace doubles the peak resident size."""
+        import memranger.report_cli as rc
+        shadows = []
+
+        class Probe(rc._Shadow):
+            def __init__(self, allocations):
+                super().__init__(allocations)
+                shadows.append(weakref.ref(self))
+
+        monkeypatch.setattr(rc, "_Shadow", Probe)
+        events = gen_demo1_trace()
+        report = run_trace(events, "multi-ept")
+        gc.disable()
+        try:
+            assert verify_run(events, report).ok
+            assert shadows and shadows[0]() is None
+        finally:
+            gc.enable()
 
     def test_allocation_table_cross_checked(self):
         events = gen_demo1_trace()

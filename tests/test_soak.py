@@ -1,6 +1,7 @@
-"""A 10,000-event slice of the long-trace soak (scripts/soak.py): the oracle
-after every event, a final uncached sweep and the shadow verifier all clean,
-and no context holds an own leaf on a page the live facts do not claim."""
+"""A 10,000-event slice of the long-trace soak (scripts/soak.py): the trace
+survives the codec round trip, the oracle after every event, a final uncached
+sweep and the shadow verifier are all clean, and no context holds an own leaf
+on a page the live facts do not claim."""
 
 import subprocess
 import sys
@@ -15,5 +16,6 @@ def test_soak_slice_runs_clean():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    assert "round trip equal" in done.stdout
     assert "oracle mismatches 0, final sweep 0, stray own leaves 0" in done.stdout
     assert done.stdout.rstrip().endswith("PASS")
