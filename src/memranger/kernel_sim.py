@@ -125,7 +125,7 @@ def _regions(value):
 
 INT = _Form("type({v}) is int", "an integer", _int)   # event_to_dict picks hex or decimal
 STR = _Form("type({v}) is str", "a string")
-HEX_BYTES = _Form("type({v}) is bytes", "a hex string", _hex_bytes)
+HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string", _hex_bytes)
 REGIONS = _Form("type({v}) is tuple and all(type(r) is tuple and len(r) == 2"
                 " and type(r[0]) is int and type(r[1]) is int for r in {v})",
                 "a non-empty list of [base, size] pairs", _regions)
@@ -670,6 +670,10 @@ class Simulation:
             info.code, dst, access, payload=payload, actor=event.actor,
         )
         self._record(record, event.expect)
+        if record["ept_after"] != record["ept_before"] and access is Access.EXECUTE:
+            # a call into another context: the actor's next event returns to
+            # its own code, which a fresh fetch of its entry models
+            self.scheduled = None
 
     # -- results ------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Memory access policy: who may touch what, and through which context.
 
 RegionLedger holds the region facts every mode shares (static ranges, driver
-images, their pools, process regions), rejects any change that would make
-them overlap, and answers ownership queries. Each event hook updates the
+images, live pools, process regions), rejects any change that would make
+them overlap, and answers ownership queries. Each live pool is one record,
+kept by its base in pools and indexed by page in pool_pages; its owner is an
+enclave id, or None for a kernel-side caller. Each event hook updates the
 facts and then restamps the pages it changed in every translation context.
 A policy subclass says two things only: which contexts exist (_context_ids)
 and which bits a page holds in a context (_attrs, a pure function of the
@@ -34,7 +36,7 @@ classify_access is each policy's violation brain: for a refused translation
 it picks switch / redirect / grant / deny.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -65,7 +67,6 @@ class EnclaveRecord:
     ept_id: int
     image_base: int
     image_end: int
-    drv_allocs: list[AllocatedPool] = field(default_factory=list)
 
     @property
     def image_size(self) -> int:
@@ -166,8 +167,8 @@ class RegionLedger:
         self.epts: dict[int, Ept] = {}
         self.enclaves: dict[int, EnclaveRecord] = {}
         self.processes: dict[int, ProcessRecord] = {}
-        self.foreign_pools: list[AllocatedPool] = []
-        self.pool_pages: dict[int, list[AllocatedPool]] = {}
+        self.pools: dict[int, AllocatedPool] = {}           # base -> live pool
+        self.pool_pages: dict[int, list[AllocatedPool]] = {}  # page -> its live pools
         self.layout_version = 0
         self._next_ept_id = DEFAULT_EPT + 1
         self._overlay: dict[int, tuple] = {}   # page -> ("image", eid) | ("process", pid)
@@ -272,7 +273,8 @@ class RegionLedger:
         pages = dict.fromkeys(pages_covering(rec.image_base, rec.image_size))
         for page in pages:
             del self._overlay[page]
-        for pool in rec.drv_allocs:
+        for pool in [pool for pool in self.pools.values() if pool.owner == eid]:
+            del self.pools[pool.base]
             pages.update(dict.fromkeys(self._unindex(pool)))
         self._sync_contexts()
         self._restamp(pages)
@@ -292,25 +294,16 @@ class RegionLedger:
             for pool in self.pool_pages.get(page, ()):
                 if pool.base < end and base < pool.end:
                     raise SimulationError(f"allocation overlaps live pool at {pool.base:#x}")
-        owner = self._enclave_of_code(caller_addr)
-        pool = AllocatedPool(base, size, owner)
-        if owner is None:
-            self.foreign_pools.append(pool)
-        else:
-            self.enclaves[owner].drv_allocs.append(pool)
+        pool = self.pools[base] = AllocatedPool(base, size, self._enclave_of_code(caller_addr))
         for page in pages:
             self.pool_pages.setdefault(page, []).append(pool)
         self._restamp(pages)
         self.layout_version += 1
 
     def on_free(self, base: int) -> None:
-        pool = self._byte_pool(base)
-        if pool is None or pool.base != base:
+        pool = self.pools.pop(base, None)
+        if pool is None:
             raise SimulationError(f"free of unknown pool base {base:#x}")
-        if pool.owner is None:
-            self.foreign_pools.remove(pool)
-        else:
-            self.enclaves[pool.owner].drv_allocs.remove(pool)
         self._restamp(self._unindex(pool))
         self.layout_version += 1
 

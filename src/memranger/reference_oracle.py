@@ -7,6 +7,12 @@ code with the policy engine it checks, not even the page-span arithmetic
 (_pages); agreement between the two is the product's central correctness
 property.
 
+SnapshotView is the one type those facts take, for both checkers: the oracle
+fills one from the engine's ledger (snapshot_from_map) before each rebuild,
+and the shadow verifier keeps one live through its replay. Its identities are
+opaque: the oracle's are context ids, the shadow's are driver names. The
+legality predicate, SnapshotView.legal, takes the actor's identity.
+
 The expected table is total over live state: rebuild lists the static pages
 and the pages live images, pools and processes claim, and every page off the
 table is expected to translate identity, readable and writable. The expected
@@ -49,76 +55,36 @@ def _pages(base: int, size: int) -> range:
     return range(base >> PAGE_SHIFT, ((base + size - 1) >> PAGE_SHIFT) + 1)
 
 
-@dataclass(frozen=True)
-class EnclaveFacts:
-    ept_id: int
-    image_base: int
-    image_end: int
-    pools: tuple[tuple[int, int], ...]   # (base, size) of live pools
-
-
-@dataclass(frozen=True)
-class RegionSnapshot:
-    """Raw facts the oracle reasons from. No attribute data, ever."""
-
-    os_kernel_ranges: tuple[tuple[int, int], ...]
-    os_structure_ranges: tuple[tuple[int, int], ...]
-    other_driver_ranges: tuple[tuple[int, int], ...]
-    enclaves: tuple[EnclaveFacts, ...]
-    foreign_pools: tuple[tuple[int, int], ...]
-    processes: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-
-def snapshot_from_map(m) -> RegionSnapshot:
-    """Duck-read the live facts out of a policy map state object."""
-    enclaves = tuple(
-        EnclaveFacts(
-            e.ept_id,
-            e.image_base,
-            e.image_end,
-            tuple((p.base, p.size) for p in e.drv_allocs),
-        )
-        for e in m.enclaves.values()
-    )
-    return RegionSnapshot(
-        os_kernel_ranges=tuple(m.config.os_kernel_ranges),
-        os_structure_ranges=tuple(m.config.os_structure_ranges),
-        other_driver_ranges=tuple(m.config.other_driver_ranges),
-        enclaves=enclaves,
-        foreign_pools=tuple((p.base, p.size) for p in m.foreign_pools),
-        processes=tuple((pr.pid, tuple(pr.regions)) for pr in m.processes.values()),
-    )
-
-
 class SnapshotView:
-    """Indexed region facts: page ownership and byte membership queries.
+    """The raw region facts the checkers reason from, indexed for page
+    ownership and byte membership queries. No attribute data, ever.
 
-    Built from a snapshot, or kept live by a caller that applies each event
-    to it: images, processes and the static ranges are plain attributes, and
-    pools enter and leave the page index through add_pool and remove_pool.
+    It starts from the static ranges alone. A caller then applies each fact:
+    images (identity -> (base, end)) and processes (pid -> (base, size)
+    regions) are plain dicts, and pools enter and leave the page index
+    through add_pool and remove_pool. An identity names an enclave; the view
+    only compares identities, and None marks everything outside enclaves.
     """
 
-    def __init__(self, snap: RegionSnapshot):
-        self.os_kernel_ranges = snap.os_kernel_ranges
-        self.os_structure_ranges = snap.os_structure_ranges
-        self.other_driver_ranges = snap.other_driver_ranges
-        # enclave id -> image (base, end); pid -> its (base, size) regions
-        self.images = {e.ept_id: (e.image_base, e.image_end) for e in snap.enclaves}
-        self.processes = dict(snap.processes)
-        # identity is the enclave id for enclave pools, None for everything else
-        self.pools_by_page: dict[int, list[tuple[int | None, int, int]]] = {}
-        for e in snap.enclaves:
-            for base, size in e.pools:
-                self.add_pool(e.ept_id, base, size)
-        for base, size in snap.foreign_pools:
-            self.add_pool(None, base, size)
+    def __init__(
+        self,
+        os_kernel_ranges: tuple[tuple[int, int], ...],
+        os_structure_ranges: tuple[tuple[int, int], ...],
+        other_driver_ranges: tuple[tuple[int, int], ...],
+    ):
+        self.os_kernel_ranges = os_kernel_ranges
+        self.os_structure_ranges = os_structure_ranges
+        self.other_driver_ranges = other_driver_ranges
+        self.images: dict = {}                         # identity -> (base, end)
+        self.processes: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.pools_by_page: dict[int, list[tuple]] = {}    # page -> [(identity, base, end)]
 
-    def add_pool(self, identity: int | None, base: int, size: int) -> None:
+    def add_pool(self, identity, base: int, size: int) -> None:
         pool = (identity, base, base + size)
         for page in _pages(base, size):
             self.pools_by_page.setdefault(page, []).append(pool)
 
-    def remove_pool(self, identity: int | None, base: int, size: int) -> None:
+    def remove_pool(self, identity, base: int, size: int) -> None:
         pool = (identity, base, base + size)
         for page in _pages(base, size):
             pools = self.pools_by_page[page]
@@ -140,7 +106,7 @@ class SnapshotView:
                 return identity
         return _NO_POOL
 
-    def image_enclave(self, gpa: int) -> int | None:
+    def image_enclave(self, gpa: int):
         for eid, (base, end) in self.images.items():
             if base <= gpa < end:
                 return eid
@@ -161,19 +127,9 @@ class SnapshotView:
     def in_other_driver(self, gpa: int) -> bool:
         return self._in_ranges(gpa, self.other_driver_ranges)
 
-    def owner_identity(self, gpa: int) -> int | None:
-        """Enclave id if gpa lies in an enclave's image or pools, else None."""
-        eid = self.image_enclave(gpa)
-        if eid is not None:
-            return eid
-        identity = self.byte_pool_identity(gpa)
-        if identity is not _NO_POOL and identity is not None:
-            return identity
-        return None
-
-    def legal(self, src: int, dst: int, access: Access) -> bool:
-        """Minimal-privilege legality: does src's owner get true data at dst?"""
-        actor = self.owner_identity(src)
+    def legal(self, actor, dst: int, access: Access) -> bool:
+        """Minimal-privilege legality: does the actor, by its enclave identity
+        (None for the kernel and pre-existing drivers), get true data at dst?"""
         execute = access is Access.EXECUTE
         if execute and self.image_enclave(dst) is not None:
             return True
@@ -196,6 +152,19 @@ class SnapshotView:
         if self.in_process_region(dst) or self.in_os_structures(dst):
             return actor is None   # kernel and pre-existing drivers, not enclaves
         return True
+
+
+def snapshot_from_map(m) -> SnapshotView:
+    """Duck-read the live facts out of a policy map state object; an enclave's
+    identity is its context id."""
+    config = m.config
+    view = SnapshotView(config.os_kernel_ranges, config.os_structure_ranges,
+                        config.other_driver_ranges)
+    view.images = {eid: (e.image_base, e.image_end) for eid, e in m.enclaves.items()}
+    view.processes = {pid: tuple(p.regions) for pid, p in m.processes.items()}
+    for pool in m.pools.values():
+        view.add_pool(pool.owner, pool.base, pool.size)
+    return view
 
 
 def _locked(identities: set) -> bool:
@@ -265,31 +234,31 @@ def _static_rows(
     )
 
 
-def rebuild(snap: RegionSnapshot) -> FlatPolicy:
-    """Recompute the expected table from the snapshot's raw facts.
+def rebuild(view: SnapshotView) -> FlatPolicy:
+    """Recompute the expected table from the view's raw facts, reading each
+    enclave identity as its context id (the default context is 0).
 
     Only the static pages' rows are memoised (see _static_rows). Every page a
-    live region claims is classified again from the snapshot on every call,
+    live region claims is classified again from the view on every call,
     and its bits in every context recomputed; its claim overrides a static
     one on the same page (a process region may lie over a structure page).
     """
     default_row, enclave_row = _static_rows(
-        snap.os_kernel_ranges, snap.os_structure_ranges, snap.other_driver_ranges,
+        view.os_kernel_ranges, view.os_structure_ranges, view.other_driver_ranges,
     )
-    view = SnapshotView(snap)
     kinds: dict[int, tuple] = {}
-    for pid, regions in snap.processes:
+    for pid, regions in view.processes.items():
         for base, size in regions:
             for page in _pages(base, size):
                 kinds[page] = ("process", pid)
-    for e in snap.enclaves:
-        for page in _pages(e.image_base, e.image_end - e.image_base):
-            kinds[page] = ("image", e.ept_id)
+    for eid, (base, end) in view.images.items():
+        for page in _pages(base, end - base):
+            kinds[page] = ("image", eid)
     for page in view.pools_by_page:
         kinds[page] = ("pool", view.page_pool_identities(page))
 
     table = {}
-    for ept_id, static_row in [(0, default_row)] + [(e.ept_id, enclave_row) for e in snap.enclaves]:
+    for ept_id, static_row in [(0, default_row)] + [(eid, enclave_row) for eid in view.images]:
         dynamic = {page: _expected(kind, ept_id) for page, kind in kinds.items()}
         table[ept_id] = {**static_row, **dynamic}
     return FlatPolicy(universe=list(table[0]), table=table, claimed=frozenset(kinds))

@@ -18,7 +18,7 @@ from pathlib import Path
 from .address_space import FrameStore
 from .ept_model import Access
 from .errors import ConfigError, SimulationError, TraceParseError
-from .reference_oracle import RegionSnapshot, SnapshotView
+from .reference_oracle import SnapshotView
 
 REPORT_SCHEMA = "ranger-report/1"
 COMPARE_SCHEMA = "ranger-compare/1"
@@ -56,7 +56,10 @@ class CostModel:
 
     @classmethod
     def from_file(cls, path) -> "CostModel":
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except RecursionError:
+            raise ValueError("cost model json is nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("cost model file must hold a json object")
         return cls.from_dict(raw)
@@ -132,9 +135,10 @@ class VerifyResult:
 class _Shadow:
     """Trace replay with independent bookkeeping: shadow memory in which only
     legal writes land, plus one live view of the raw facts the legality
-    predicate needs, updated in place by each layout event. Each event class
-    has one handler in handlers; accesses record what the report must show
-    in expectations."""
+    predicate needs, updated in place by each layout event. The view's
+    enclave identities are driver names: a loaded driver is its own identity
+    and every other actor is None. Each event class has one handler in
+    handlers; accesses record what the report must show in expectations."""
 
     def __init__(self, allocations):
         from . import kernel_sim as ks
@@ -146,20 +150,9 @@ class _Shadow:
             (ks.OTHER_DRIVER, ks.OTHER_DRIVER_FILL),
         ):
             self.store.fill_gpa_range(base, size, fill)
-        self.actor_code = {
-            "os_kernel": ks.OS_KERNEL_CODE[0] + ks.CODE_ENTRY_OFFSET,
-            "other_driver_0": ks.OTHER_DRIVER[0] + ks.CODE_ENTRY_OFFSET,
-        }
-        self.view = SnapshotView(RegionSnapshot(
-            os_kernel_ranges=(ks.OS_KERNEL_CODE,),
-            os_structure_ranges=(ks.OS_STRUCTURES,),
-            other_driver_ranges=(ks.OTHER_DRIVER,),
-            enclaves=(), foreign_pools=(), processes=(),
-        ))
-        self.identity: dict[str, int] = {}                      # loaded driver -> enclave id
+        self.view = SnapshotView((ks.OS_KERNEL_CODE,), (ks.OS_STRUCTURES,), (ks.OTHER_DRIVER,))
         self.ordinals: dict[str, int] = {}                      # allocations made, frees included
         self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
-        self._next_identity = 1
         self.alloc_rows = iter(allocations)
         self.expectations: dict[int, dict] = {}                 # access event -> {legal, data}
         # plain functions, not bound methods: a table of bound methods would
@@ -176,6 +169,10 @@ class _Shadow:
             ks.AccessEvent: cls._on_access,
         }
 
+    def _enclave_of(self, actor: str) -> str | None:
+        """The actor's enclave identity: its name if it is a loaded driver."""
+        return actor if actor in self.view.images else None
+
     def resolve(self, actor: str, ref) -> int:
         ks = self.ks
         if ref.kind in ("own_pool", "pool_of"):
@@ -183,7 +180,7 @@ class _Shadow:
             base, _ = self.live[owner][ref.index]
             return base + ref.offset
         if ref.kind == "image_of":
-            base, _ = self.view.images[self.identity[ref.driver]]
+            base, _ = self.view.images[ref.driver]
             return base + ref.offset
         if ref.kind == "eprocess":
             base, _ = self.view.processes[ref.pid][0]
@@ -198,18 +195,13 @@ class _Shadow:
 
     def _on_load(self, index: int, event) -> None:
         ks = self.ks
-        ident = self.identity[event.name] = self._next_identity
-        self._next_identity += 1
-        self.view.images[ident] = (event.image_base, event.image_base + event.image_size)
-        self.actor_code[event.name] = event.image_base + ks.CODE_ENTRY_OFFSET
+        self.view.images[event.name] = (event.image_base, event.image_base + event.image_size)
         self.store.fill_gpa_range(event.image_base, event.image_size, ks.image_fill(event.name))
 
     def _on_unload(self, index: int, event) -> None:
-        ident = self.identity.pop(event.name)
-        del self.view.images[ident]
-        del self.actor_code[event.name]
+        del self.view.images[event.name]
         for base, size in self.live.pop(event.name, {}).values():
-            self.view.remove_pool(ident, base, size)
+            self.view.remove_pool(event.name, base, size)
 
     def _on_process_create(self, index: int, event) -> None:
         regions = tuple((int(b), int(s)) for b, s in event.regions)
@@ -227,7 +219,7 @@ class _Shadow:
             raise RuntimeError(f"allocation table out of step at event {index}")
         base = int(row["base"], 0)
         size = int(row["size"], 0)
-        ident = self.identity.get(event.actor)
+        ident = self._enclave_of(event.actor)
         fill = ks.SECRET_FILL if ident is not None else ks.FOREIGN_POOL_FILL
         self.store.fill_gpa_range(base, size, fill)
         ordinal = self.ordinals.get(event.actor, 0)
@@ -237,7 +229,7 @@ class _Shadow:
 
     def _on_free(self, index: int, event) -> None:
         base, size = self.live[event.actor].pop(event.pool)
-        self.view.remove_pool(self.identity.get(event.actor), base, size)
+        self.view.remove_pool(self._enclave_of(event.actor), base, size)
 
     def _on_schedule(self, index: int, event) -> None:
         pass
@@ -246,7 +238,7 @@ class _Shadow:
         ks = self.ks
         dst = self.resolve(event.actor, event.dst)
         access = ks._ACCESS_OF[event.access]
-        legal = self.view.legal(self.actor_code[event.actor], dst, access)
+        legal = self.view.legal(self._enclave_of(event.actor), dst, access)
         data = None
         if access is Access.READ:
             data = self.store.read_gpa_range(dst, 4) if legal else bytes(4)
@@ -263,8 +255,7 @@ class _Shadow:
             "os_structures": self.store.digest_gpa_range(*ks.OS_STRUCTURES),
             "other_driver:0": self.store.digest_gpa_range(*ks.OTHER_DRIVER),
         }
-        for name, ident in self.identity.items():
-            base, end = self.view.images[ident]
+        for name, (base, end) in self.view.images.items():
             out[f"image:{name}"] = self.store.digest_gpa_range(base, end - base)
         for name, pools in self.live.items():
             for ordinal, (base, size) in pools.items():

@@ -164,6 +164,8 @@ class TestCodec:
         ({"ev": "access", "actor": "A", "access": "read", "dst": [1]}, "'dst'"),
         ({"ev": "access", "actor": "A", "access": "read", "dst": {"ref": "own_pool"},
           "payload": "xyz"}, "'payload'"),
+        ({"ev": "access", "actor": "A", "access": "write", "dst": {"ref": "own_pool"},
+          "payload": ""}, "'payload' is not a non-empty hex string"),
     ])
     def test_a_rejected_line_names_the_field(self, obj, named):
         with pytest.raises(TraceParseError, match=named) as info:
@@ -635,6 +637,27 @@ def test_every_mode_accepts_the_same_traces(events):
     no other exception escapes."""
     outcomes = {mode: _outcome(events, mode) for mode in ("off", "single-ept", "multi-ept")}
     assert len(set(outcomes.values())) == 1, outcomes
+
+
+# A executes B's image, which leaves the vcpu in B's context, then reads its own image.
+_CALL_THEN_READ = _OPENING + [
+    AccessEvent("A", DstRef("image_of", driver="B"), "execute"),
+    AccessEvent("A", DstRef("image_of", driver="A"), "read"),
+]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_traces())
+@example(_CALL_THEN_READ)
+def test_every_trace_multi_ept_completes_passes_verification(events):
+    """Whatever multi-ept accepts, it runs as the shadow replay says: every
+    read sees what the legality predicate allows, every digest agrees."""
+    try:
+        report = run_trace(events, "multi-ept")
+    except (SimulationError, ConfigError):
+        return
+    verdict = verify_run(events, report)
+    assert verdict.ok, verdict.summary()
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -263,77 +263,70 @@ class TestLegality:
 
     @pytest.fixture
     def view(self):
-        from memranger.reference_oracle import SnapshotView
-
         state = fresh()
         self.a = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
         self.b = state.on_driver_load(0x3100_0000, IMAGE_SIZE)
         state.on_alloc(0x3000_0100, 0x5000_0000, 0x100)
         state.on_alloc(KERNEL_CODE, 0x5000_2000, 0x80)
         state.on_process_create(4, [(STRUCTS[0] + 0x2000, 0x200)])
-        return SnapshotView(snapshot_from_map(state))
+        return snapshot_from_map(state)
 
     def test_owner_reads_own_pool(self, view):
-        assert view.legal(0x3000_0100, 0x5000_0010, Access.READ)
+        assert view.legal(self.a, 0x5000_0010, Access.READ)
 
     def test_neighbor_cannot(self, view):
-        assert not view.legal(0x3100_0100, 0x5000_0010, Access.READ)
-        assert not view.legal(KERNEL_CODE, 0x5000_0010, Access.READ)
+        assert not view.legal(self.b, 0x5000_0010, Access.READ)
+        assert not view.legal(None, 0x5000_0010, Access.READ)
 
     def test_unenclaved_pools_stay_open(self, view):
         # only enclave allocations are guarded; plain kernel heap is not
-        assert view.legal(KERNEL_CODE, 0x5000_2010, Access.WRITE)
-        assert view.legal(0x3000_0100, 0x5000_2010, Access.WRITE)
+        assert view.legal(None, 0x5000_2010, Access.WRITE)
+        assert view.legal(self.a, 0x5000_2010, Access.WRITE)
 
     def test_structures_are_kernel_only(self, view):
-        assert view.legal(KERNEL_CODE, STRUCTS[0], Access.WRITE)
-        assert not view.legal(0x3000_0100, STRUCTS[0], Access.WRITE)
+        assert view.legal(None, STRUCTS[0], Access.WRITE)
+        assert not view.legal(self.a, STRUCTS[0], Access.WRITE)
 
     def test_process_memory_is_kernel_only(self, view):
         slot = STRUCTS[0] + 0x2000
-        assert view.legal(KERNEL_CODE, slot + 8, Access.WRITE)
-        assert not view.legal(0x3000_0100, slot + 8, Access.WRITE)
+        assert view.legal(None, slot + 8, Access.WRITE)
+        assert not view.legal(self.a, slot + 8, Access.WRITE)
 
     def test_image_code_may_run_but_not_be_read(self, view):
         # calling into another driver is normal; peeking at its bytes is not
-        assert view.legal(0x3000_0100, 0x3000_0200, Access.EXECUTE)
-        assert view.legal(0x3100_0100, 0x3000_0200, Access.EXECUTE)
-        assert not view.legal(0x3100_0100, 0x3000_0200, Access.READ)
-        assert not view.legal(0x3100_0100, 0x3000_0200, Access.WRITE)
+        assert view.legal(self.a, 0x3000_0200, Access.EXECUTE)
+        assert view.legal(self.b, 0x3000_0200, Access.EXECUTE)
+        assert not view.legal(self.b, 0x3000_0200, Access.READ)
+        assert not view.legal(self.b, 0x3000_0200, Access.WRITE)
 
     def test_kernel_code_runs_for_everyone(self, view):
-        assert view.legal(0x3000_0100, KERNEL_CODE, Access.EXECUTE)
-        assert view.legal(KERNEL_CODE, KERNEL[0] + 0x80, Access.EXECUTE)
+        assert view.legal(self.a, KERNEL_CODE, Access.EXECUTE)
+        assert view.legal(None, KERNEL[0] + 0x80, Access.EXECUTE)
 
     def test_locked_page_bytes_stay_private(self):
-        from memranger.reference_oracle import SnapshotView
-
         state = fresh()
-        state.on_driver_load(0x3000_0000, IMAGE_SIZE)
-        state.on_driver_load(0x3100_0000, IMAGE_SIZE)
+        a = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+        b = state.on_driver_load(0x3100_0000, IMAGE_SIZE)
         state.on_alloc(0x3000_0100, 0x5000_0000, 16)
         state.on_alloc(0x3100_0100, 0x5000_0010, 16)
-        view = SnapshotView(snapshot_from_map(state))
+        view = snapshot_from_map(state)
         assert view.page_locked(0x5000_0000 >> 12)
-        assert view.legal(0x3000_0100, 0x5000_0004, Access.READ)
-        assert view.legal(0x3100_0100, 0x5000_0014, Access.READ)
-        assert not view.legal(0x3000_0100, 0x5000_0014, Access.READ)
-        assert not view.legal(0x3100_0100, 0x5000_0004, Access.READ)
+        assert view.legal(a, 0x5000_0004, Access.READ)
+        assert view.legal(b, 0x5000_0014, Access.READ)
+        assert not view.legal(a, 0x5000_0014, Access.READ)
+        assert not view.legal(b, 0x5000_0004, Access.READ)
 
     def test_execute_asks_the_image_first_and_data_the_pools(self):
         """An open pool laid over an enclave's image: a layout no trace can
         build, so only the rule's order decides. Execute goes by the image,
         a data access by the page's pools."""
-        from memranger.reference_oracle import EnclaveFacts, RegionSnapshot, SnapshotView
+        from memranger.reference_oracle import SnapshotView
 
-        view = SnapshotView(RegionSnapshot(
-            os_kernel_ranges=(KERNEL,), os_structure_ranges=(STRUCTS,),
-            other_driver_ranges=(OTHER,),
-            enclaves=(EnclaveFacts(1, 0x3000_0000, 0x3000_0000 + IMAGE_SIZE, ()),),
-            foreign_pools=((0x3000_0000, 16),), processes=(),
-        ))
-        assert view.legal(KERNEL_CODE, 0x3000_0008, Access.EXECUTE)
-        assert view.legal(KERNEL_CODE, 0x3000_0008, Access.READ)
+        view = SnapshotView((KERNEL,), (STRUCTS,), (OTHER,))
+        view.images[1] = (0x3000_0000, 0x3000_0000 + IMAGE_SIZE)
+        view.add_pool(None, 0x3000_0000, 16)
+        assert view.legal(None, 0x3000_0008, Access.EXECUTE)
+        assert view.legal(None, 0x3000_0008, Access.READ)
 
 
 class PolicyWalk(RuleBasedStateMachine):

@@ -85,7 +85,7 @@ def test_exclusive_pool_attrs(loaded):
 
 def test_kernel_pool_stays_open(state):
     state.on_alloc(KERNEL_CODE, POOL, 0x40)
-    assert state.foreign_pools
+    assert [pool.owner for pool in state.pools.values()] == [None]
     assert attrs(state, DEFAULT_EPT, POOL) == RW
     eid = state.on_driver_load(IMAGE_A, IMAGE_SIZE)
     assert attrs(state, eid, POOL) == RW
@@ -260,7 +260,7 @@ def _single_ept_expectation(sim) -> dict[int, object]:
     for rec in policy.enclaves.values():
         for page in pages_covering(rec.image_base, rec.image_end - rec.image_base):
             expected[page] = RWX
-        for pool in rec.drv_allocs:
+        for pool in [p for p in policy.pools.values() if p.owner == rec.ept_id]:
             for page in pages_covering(pool.base, pool.size):
                 expected[page] = NONE
     return expected

@@ -44,8 +44,6 @@ INVALID = {
     "image-over-16-MiB": [load("A", "0x30000000", "0x1000001")],
     "huge-image": [load("A", "0x30000000", "0x7ffffffff000")],
     "huge-process-region": [process(4, ("0x100000000", "0x7fff00000000"))],
-    "empty-write": [{"ev": "access", "actor": "os_kernel", "access": "write", "payload": "",
-                     "dst": {"ref": "os_structures", "offset": "0x10"}}],
 }
 
 
@@ -66,6 +64,9 @@ BAD_FILES = {
     "huge-image": trace_text(INVALID["huge-image"]).encode(),
     "huge-process-region": trace_text(INVALID["huge-process-region"]).encode(),
     "deep-brackets": b"[" * 100_000 + b"\n",
+    "empty-write": trace_text([{"ev": "access", "actor": "os_kernel", "access": "write",
+                                "payload": "", "dst": {"ref": "os_structures",
+                                                       "offset": "0x10"}}]).encode(),
     "not-utf-8": b'{"ev": "schedule", "actor": "\xff"}\n',
 }
 
@@ -115,6 +116,8 @@ ILL_TYPED = {
     "image-base-str": LoadDriver("A", "0x30000000"),
     "free-pool-str": Free("os_kernel", "0"),
     "access-list": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), ["read"]),
+    "payload-empty": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "write",
+                                 payload=b""),
 }
 
 

@@ -1,6 +1,7 @@
 """Cost accounting, independent replay verification, and the command line."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memranger.kernel_sim import (
+    IMAGE_SIZE,
     AccessEvent,
     Alloc,
     DstRef,
@@ -23,7 +25,9 @@ from memranger.kernel_sim import (
     gen_demo1_trace,
     gen_privesc_trace,
     gen_random_trace,
+    image_fill,
     run_trace,
+    serialize_trace,
 )
 from memranger.report_cli import (
     COMPARE_SCHEMA,
@@ -195,6 +199,60 @@ def test_a_departed_pool_leaves_the_shadow_view(mode, departure):
     assert verdict.checked_reads == 1
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("callee", [
+    DstRef("other_driver"),
+    DstRef("image_of", driver="B"),
+    DstRef("pool_of", driver="B"),
+], ids=["other-driver", "image-of-B", "pool-of-B"])
+def test_a_call_into_another_context_returns_to_the_caller(mode, callee, tmp_path, capsys):
+    """A executes code that runs in another context, then reads its own
+    pool. The read runs back in A's context and sees A's bytes."""
+    events = [
+        LoadDriver("A", 0x3000_0000),
+        LoadDriver("B", 0x4000_0000),
+        Alloc("A", 0x100, "page"),
+        Alloc("B", 0x100, "page"),
+        AccessEvent("A", callee, "execute"),
+        AccessEvent("A", DstRef("own_pool"), "read"),
+    ]
+    path = tmp_path / "call.trace"
+    path.write_text(serialize_trace(events))
+    assert main(["run", str(path), "--mode", mode]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_reloaded_driver_is_one_identity_in_the_shadow(mode):
+    """The shadow names enclaves by driver name, so a driver that unloads and
+    loads again at another slot must leave nothing of its first life behind:
+    one image:A over the new range, and its new pool private to it."""
+    events = [
+        LoadDriver("A", 0x3000_0000),
+        Alloc("A", 0x100, "page"),
+        UnloadDriver("A"),
+        LoadDriver("B", 0x3100_0000),
+        LoadDriver("A", 0x4000_0000),
+        Alloc("A", 0x100, "page"),
+        AccessEvent("A", DstRef("image_of", driver="A", offset=0x10), "write",
+                    payload=b"\x5a\x5a"),
+        AccessEvent("A", DstRef("own_pool", index=1), "read"),
+        AccessEvent("B", DstRef("pool_of", driver="A", index=1), "read"),
+        AccessEvent("os_kernel", DstRef("pool_of", driver="A", index=1), "read"),
+    ]
+    report = run_trace(events, mode)
+    expectations, digests = shadow_replay(events, report.allocations)
+    assert [expectations[i]["legal"] for i in (7, 8, 9)] == [True, False, False]
+    assert [label for label in digests if label.startswith("image:")] == ["image:B", "image:A"]
+    # A's write changed only its new image, so a digest of the first range
+    # would read the pristine fill
+    pristine = hashlib.sha256(image_fill("A") * IMAGE_SIZE).hexdigest()
+    assert digests["image:A"] == report.digests["image:A"] != pristine
+    if mode == "multi-ept":
+        verdict = verify_run(events, report)
+        assert verdict.ok, verdict.summary()
+        assert verdict.checked_reads == 3
+
+
 class TestCli:
     @pytest.fixture
     def demo(self, tmp_path):
@@ -253,10 +311,15 @@ class TestCli:
         assert done.stderr == ""
         assert "verification: ok" in done.stdout
 
-    def test_bad_cost_model_exits_one(self, demo, tmp_path):
+    @pytest.mark.parametrize("text", ['{"vmexit": 3}', "[" * 100_000 + "]" * 100_000],
+                             ids=["unknown-field", "deep-brackets"])
+    def test_bad_cost_model_exits_one(self, demo, tmp_path, capsys, text):
         model = tmp_path / "model.json"
-        model.write_text('{"vmexit": 3}')
+        model.write_text(text)
+        capsys.readouterr()
         assert main(["run", demo, "--cost-model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
 
     def test_cost_model_changes_the_bill(self, demo, tmp_path, capsys):
         model = tmp_path / "model.json"
