@@ -44,7 +44,7 @@ from .kernel_sim import (
     run_trace,
     serialize_trace,
 )
-from .policy_map import Decision, DecisionKind, MapState, StaticConfig, init
+from .policy_map import Decision, DecisionKind, MapState
 from .reference_oracle import OracleChecker, rebuild, snapshot_from_map
 from .report_cli import CostModel, RunReport, access_ticks, main, verify_run
 
@@ -82,7 +82,6 @@ __all__ = [
     "SimConfig",
     "Simulation",
     "SimulationError",
-    "StaticConfig",
     "TraceParseError",
     "UnloadDriver",
     "VcpuState",
@@ -93,7 +92,6 @@ __all__ = [
     "gen_privesc_trace",
     "gen_random_trace",
     "handle_mtf",
-    "init",
     "join_gpa",
     "main",
     "pages_covering",

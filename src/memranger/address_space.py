@@ -4,6 +4,10 @@ Addresses are plain ints. A guest-physical address (gpa) is at most 48 bits
 wide and splits 9/9/9/9/12 across the four paging levels plus the page
 offset. A page frame number (pfn) is the gpa shifted down by the page bits.
 
+The machine's three static regions (its kernel code, its kernel structures
+and one pre-existing driver) are fixed from boot; the engine and both
+checkers read them from here.
+
 The frame store maps pfns to frames. Filled frames are shared pattern pages
 until their first write, which copies the page into a private frame.
 """
@@ -24,12 +28,20 @@ INDEX_BITS = 9
 INDEX_MASK = (1 << INDEX_BITS) - 1
 OFFSET_MASK = PAGE_SIZE - 1
 
+# The static regions, (base, size): page-aligned and pairwise disjoint.
+OS_KERNEL_CODE = (0x1000_0000, 0x0010_0000)
+OS_STRUCTURES = (0x2000_0000, 0x0001_0000)
+OTHER_DRIVER = (0x2800_0000, 0x0002_0000)
+
 __all__ = [
     "PAGE_SIZE",
     "PAGE_SHIFT",
     "GPA_BITS",
     "GPA_LIMIT",
     "PFN_LIMIT",
+    "OS_KERNEL_CODE",
+    "OS_STRUCTURES",
+    "OTHER_DRIVER",
     "split_gpa",
     "join_gpa",
     "page_of",

@@ -101,12 +101,12 @@ def execute_access(
     dst: int,
     access: Access,
     payload: bytes | None = None,
-    length: int = 4,
     actor: str = "",
     home_ept: int | None = None,
 ) -> tuple[bytes | None, dict]:
     """Run one access to completion. Returns (data, log_record); data is the
-    bytes a read observed, None otherwise.
+    bytes a read observed, None otherwise. A read moves 4 bytes, a write its
+    payload and an instruction fetch 1 byte.
 
     home_ept, when given, is restored before the access runs: the scheduler
     passes it when dispatching the os kernel, whose code never faults on
@@ -117,8 +117,8 @@ def execute_access(
         if payload is None:
             raise SimulationError("write without payload")
         length = len(payload)
-    elif access is Access.EXECUTE:
-        length = 1
+    else:
+        length = 1 if access is Access.EXECUTE else 4
     if length <= 0 or offset_in_page(dst) + length > PAGE_SIZE:
         raise SimulationError(f"access at {dst:#x} length {length} crosses a page")
 

@@ -28,17 +28,15 @@ from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
-from .address_space import PAGE_SIZE, FrameStore
+from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SIZE, FrameStore
 from .dispatcher import VcpuState, execute_access, switch_ept
 from .ept_model import Access
 from .errors import SimulationError, TraceParseError
-from .policy_map import MapState, RegionLedger, SingleEptPolicy, StaticConfig
+from .policy_map import MapState, RegionLedger, SingleEptPolicy
 from .report_cli import CostModel, RunReport, access_ticks
 
-# Static fixture: one synthetic machine shared by every trace.
-OS_KERNEL_CODE = (0x1000_0000, 0x0010_0000)
-OS_STRUCTURES = (0x2000_0000, 0x0001_0000)
-OTHER_DRIVER = (0x2800_0000, 0x0002_0000)
+# Static fixture: one synthetic machine shared by every trace, around the
+# static regions address_space states.
 POOL_ARENA = (0x5000_0000, 0x0100_0000)
 IMAGE_SLOTS = (0x3000_0000, 0x4000_0000)
 IMAGE_SIZE = 0x2000
@@ -458,10 +456,6 @@ class ActorInfo:
     enclave_id: int | None = None
 
 
-def _static_config() -> StaticConfig:
-    return StaticConfig((OS_KERNEL_CODE,), (OS_STRUCTURES,), (OTHER_DRIVER,))
-
-
 _POLICIES = {Mode.OFF: RegionLedger, Mode.SINGLE_EPT: SingleEptPolicy, Mode.MULTI_EPT: MapState}
 
 
@@ -474,7 +468,7 @@ class Simulation:
         self.cost_model = self.config.cost_model
         self.store = FrameStore()
         # mode off keeps the bare ledger: the same input checks, no contexts
-        self.policy = _POLICIES[self.mode](_static_config())
+        self.policy = _POLICIES[self.mode]()
         self.vcpu = VcpuState(current_ept=self.policy.default_ept)
         for (base, size), fill in (
             (OS_KERNEL_CODE, OS_KERNEL_FILL),

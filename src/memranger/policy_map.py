@@ -1,19 +1,21 @@
 """Memory access policy: who may touch what, and through which context.
 
-RegionLedger holds the region facts every mode shares (static ranges, driver
-images, live pools, process regions), rejects any change that would make
-them overlap, and answers ownership queries. Each live pool is one record,
-kept by its base in pools and indexed by page in pool_pages; its owner is an
-enclave id, or None for a kernel-side caller. Each event hook updates the
+RegionLedger holds the region facts every mode shares (driver images, live
+pools, process regions), rejects any change that would make them overlap
+each other or the machine's static regions, and answers ownership queries.
+Each live pool is one record, kept by its base in pools and indexed by page
+in pool_pages; its owner is an enclave id, or None for a kernel-side caller. Each event hook updates the
 facts and then restamps the pages it changed in every translation context.
 A policy subclass says two things only: which contexts exist (_context_ids)
 and which bits a page holds in a context (_attrs, a pure function of the
 facts, whose static branch is _static_attrs(kind, context)). Mode ``off``
 uses the ledger bare, with no contexts to stamp.
 
-The static pages' leaves in a context follow from the static ranges and the
-bits _static_attrs gives each static kind, which no event changes. They are
-built once per (static config, bits per kind) into a template that every
+The static regions are address_space's three constants (kernel code, kernel
+structures, the pre-existing driver); _STATIC_KIND gives each of their pages
+its kind, once, at import. A static page's leaf in a context follows from
+its kind and the bits _static_attrs gives that kind, which no event changes.
+The leaves are built once per bits-per-kind into a template that every
 context with those bits, in every ledger, shares by reference as its
 read-only base map (static_template). A new context therefore writes only
 the pages of images, processes and pools into its own map; a page an event
@@ -41,11 +43,12 @@ from enum import Enum
 from functools import lru_cache
 
 from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
+from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER
 from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import ConfigError, SimulationError
 
 DEFAULT_EPT = 0
-# No image, process or static region may outgrow the pool arena (16 MiB):
+# No image or process region may outgrow the pool arena (16 MiB):
 # a region's pages are listed, filled and stamped one by one, so a region
 # near the 48-bit limit would exhaust memory before any overlap check ran.
 MAX_REGION_SIZE = 0x0100_0000
@@ -77,13 +80,6 @@ class EnclaveRecord:
 class ProcessRecord:
     pid: int
     regions: list[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class StaticConfig:
-    os_kernel_ranges: tuple[tuple[int, int], ...]
-    os_structure_ranges: tuple[tuple[int, int], ...]
-    other_driver_ranges: tuple[tuple[int, int], ...]
 
 
 class DecisionKind(Enum):
@@ -123,33 +119,21 @@ def _check_range(base: int, size: int, what: str) -> None:
 
 STATIC_KINDS = ("kernel", "structure", "other")
 
-
-@lru_cache(maxsize=16)
-def _static_kinds(config: StaticConfig) -> dict[int, str]:
-    """Static page -> its kind, after checking that no page is claimed twice.
-    Shared by every ledger of the config and never written."""
-    kinds: dict[int, str] = {}
-    for what, kind, ranges in (
-        ("os kernel code", "kernel", config.os_kernel_ranges),
-        ("os structures", "structure", config.os_structure_ranges),
-        ("other driver", "other", config.other_driver_ranges),
-    ):
-        for base, size in ranges:
-            _check_range(base, size, what)
-            for page in pages_covering(base, size):
-                if page in kinds:
-                    raise ConfigError(f"{what}: page {page:#x} claimed twice")
-                kinds[page] = kind
-    return kinds
+# Static page -> its kind. Shared by every ledger and never written.
+_STATIC_KIND = {
+    page: kind
+    for kind, region in zip(STATIC_KINDS, (OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER))
+    for page in pages_covering(*region)
+}
 
 
 @lru_cache(maxsize=16)
-def static_template(config: StaticConfig, bits: tuple[int, ...]) -> dict[int, EptEntry]:
+def static_template(bits: tuple[int, ...]) -> dict[int, EptEntry]:
     """Identity leaves of every static page, kind STATIC_KINDS[i] holding
     bits[i]: the read-only base map of every context whose rule gives those
     bits. Shared by reference, so nothing may write it."""
     of_kind = dict(zip(STATIC_KINDS, bits))
-    return {page: EptEntry(page, of_kind[kind]) for page, kind in _static_kinds(config).items()}
+    return {page: EptEntry(page, of_kind[kind]) for page, kind in _STATIC_KIND.items()}
 
 
 def _region_pages(regions) -> dict[int, None]:
@@ -160,9 +144,7 @@ def _region_pages(regions) -> dict[int, None]:
 class RegionLedger:
     """Region facts, their validation, ownership queries and the restamp loop."""
 
-    def __init__(self, config: StaticConfig):
-        self.config = config
-        self._static_kind = _static_kinds(config)     # shared, never written
+    def __init__(self):
         self.default_ept = DEFAULT_EPT
         self.epts: dict[int, Ept] = {}
         self.enclaves: dict[int, EnclaveRecord] = {}
@@ -208,7 +190,7 @@ class RegionLedger:
         for ept_id in wanted:
             if ept_id not in self.epts:
                 bits = tuple(self._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
-                ept = self.epts[ept_id] = Ept(ept_id, static_template(self.config, bits))
+                ept = self.epts[ept_id] = Ept(ept_id, static_template(bits))
                 for page in {**self._overlay, **self.pool_pages}:
                     ept.set_page_entry(page, EptEntry(page, self._attrs(page, ept_id)))
 
@@ -234,10 +216,8 @@ class RegionLedger:
         return None
 
     def _kernel_side_code(self, gpa: int) -> bool:
-        for base, size in self.config.os_kernel_ranges + self.config.other_driver_ranges:
-            if base <= gpa < base + size:
-                return True
-        return False
+        return (OS_KERNEL_CODE[0] <= gpa < OS_KERNEL_CODE[0] + OS_KERNEL_CODE[1]
+                or OTHER_DRIVER[0] <= gpa < OTHER_DRIVER[0] + OTHER_DRIVER[1])
 
     def _unindex(self, pool: AllocatedPool) -> list[int]:
         """Drop a pool from the page index; returns the pages it covered."""
@@ -255,7 +235,7 @@ class RegionLedger:
         _check_range(image_base, image_size, "driver image")
         pages = pages_covering(image_base, image_size)
         for page in pages:
-            if page in self._static_kind or page in self._overlay or page in self.pool_pages:
+            if page in _STATIC_KIND or page in self._overlay or page in self.pool_pages:
                 raise ConfigError(f"driver image overlaps page {page:#x}")
         eid = self._next_ept_id
         self._next_ept_id += 1
@@ -289,7 +269,7 @@ class RegionLedger:
         pages = pages_covering(base, size)
         end = base + size
         for page in pages:
-            if page in self._static_kind or page in self._overlay:
+            if page in _STATIC_KIND or page in self._overlay:
                 raise SimulationError(f"allocation overlaps configured region at page {page:#x}")
             for pool in self.pool_pages.get(page, ()):
                 if pool.base < end and base < pool.end:
@@ -319,7 +299,7 @@ class RegionLedger:
         for page in pages:
             if page in self._overlay or page in self.pool_pages:
                 raise ConfigError(f"process region overlaps page {page:#x}")
-            if self._static_kind.get(page) in ("kernel", "other"):
+            if _STATIC_KIND.get(page) in ("kernel", "other"):
                 raise ConfigError(f"process region overlaps code at page {page:#x}")
         self._overlay.update(dict.fromkeys(pages, ("process", pid)))
         self.processes[pid] = ProcessRecord(pid, regions)
@@ -359,7 +339,7 @@ class MapState(RegionLedger):
             if owner is None:
                 return RW                                      # kernel-side data stays open
             return RWX if ept_id == owner else NONE
-        kind = self._static_kind.get(page)
+        kind = _STATIC_KIND.get(page)
         return RW if kind is None else self._static_attrs(kind, ept_id)
 
     def _static_attrs(self, kind: str, ept_id: int) -> int:
@@ -403,14 +383,14 @@ class MapState(RegionLedger):
                         return switch_to(pool.owner)
                     return GRANT
                 return REDIRECT
-            static = self._static_kind.get(page)
+            static = _STATIC_KIND.get(page)
             if static in ("kernel", "other") or (static is None and overlay is None and not pools):
                 if current_ept != self.default_ept:
                     return switch_to(self.default_ept)
             return REDIRECT
 
         # data access
-        if (overlay is not None and overlay[0] == "process") or self._static_kind.get(page) == "structure":
+        if (overlay is not None and overlay[0] == "process") or _STATIC_KIND.get(page) == "structure":
             if self._kernel_side_code(src) and current_ept != self.default_ept:
                 return switch_to(self.default_ept)
             return REDIRECT
@@ -443,7 +423,7 @@ class SingleEptPolicy(RegionLedger):
         pools = self.pool_pages.get(page)
         if pools:
             return NONE if any(p.owner is not None for p in pools) else RW
-        kind = self._static_kind.get(page)
+        kind = _STATIC_KIND.get(page)
         return RW if kind is None else self._static_attrs(kind, ept_id)
 
     def _static_attrs(self, kind: str, ept_id: int) -> int:
@@ -468,12 +448,3 @@ class SingleEptPolicy(RegionLedger):
             return GRANT
         return REDIRECT
 
-
-def init(os_kernel_range, os_structure_ranges, other_driver_ranges) -> MapState:
-    """Build the initial policy state from the static region map."""
-    config = StaticConfig(
-        os_kernel_ranges=(tuple(os_kernel_range),),
-        os_structure_ranges=tuple(tuple(r) for r in os_structure_ranges),
-        other_driver_ranges=tuple(tuple(r) for r in other_driver_ranges),
-    )
-    return MapState(config)

@@ -1,11 +1,11 @@
 """Brute-force permission oracle, independent of the policy engine.
 
-The oracle consumes only raw region facts (static ranges, enclave image
-ranges, live pool extents, process regions) and recomputes the attribute
-triple every translation context must hold for every page. It shares no rule
-code with the policy engine it checks, not even the page-span arithmetic
-(_pages); agreement between the two is the product's central correctness
-property.
+The oracle consumes only raw region facts (the machine's static regions,
+which it reads from address_space, enclave image ranges, live pool extents,
+process regions) and recomputes the attribute triple every translation
+context must hold for every page. It shares no rule code with the policy
+engine it checks, not even the page-span arithmetic (_pages); agreement
+between the two is the product's central correctness property.
 
 SnapshotView is the one type those facts take, for both checkers: the oracle
 fills one from the engine's ledger (snapshot_from_map) before each rebuild,
@@ -17,12 +17,13 @@ The expected table is total over live state: rebuild lists the static pages
 and the pages live images, pools and processes claim, and every page off the
 table is expected to translate identity, readable and writable. The expected
 side stays brute force: after every layout change every claimed page is
-classified again from the raw facts. The one memo is the rows of the static
-pages (kernel code, OS structures, other driver), a pure function of the
-static ranges, which no event changes. The actual side is read only through
-Ept.entry_for and Ept.materialized_leaves, so a context's own leaves and the
-engine's shared template alike are read as the translation sees them; the
-oracle never reads the template or the engine's rules itself.
+classified again from the raw facts. The one exception is the rows of the
+static pages (kernel code, OS structures, other driver): no event changes
+them, so they are computed once, at import, with the oracle's own _pages.
+The actual side is read only through Ept.entry_for and
+Ept.materialized_leaves, so a context's own leaves and the engine's shared
+template alike are read as the translation sees them; the oracle never reads
+the template or the engine's rules itself.
 
 check_against is the from-scratch reference: for every context it compares
 the table's pages and the context's own leaves, so a stray leaf on a page no
@@ -37,10 +38,9 @@ runs check_against as a backstop against them.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
-from .address_space import PAGE_SHIFT
+from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SHIFT
 from .ept_model import NONE, RW, RWX, Access, Ept, R, W, X
 
 BAD_PFN_BITS = 0xFF    # sentinel: leaf points at a non-identity frame
@@ -55,26 +55,23 @@ def _pages(base: int, size: int) -> range:
     return range(base >> PAGE_SHIFT, ((base + size - 1) >> PAGE_SHIFT) + 1)
 
 
+def _within(gpa: int, region: tuple[int, int]) -> bool:
+    base, size = region
+    return base <= gpa < base + size
+
+
 class SnapshotView:
     """The raw region facts the checkers reason from, indexed for page
     ownership and byte membership queries. No attribute data, ever.
 
-    It starts from the static ranges alone. A caller then applies each fact:
+    It starts empty over the static regions. A caller then applies each fact:
     images (identity -> (base, end)) and processes (pid -> (base, size)
     regions) are plain dicts, and pools enter and leave the page index
     through add_pool and remove_pool. An identity names an enclave; the view
     only compares identities, and None marks everything outside enclaves.
     """
 
-    def __init__(
-        self,
-        os_kernel_ranges: tuple[tuple[int, int], ...],
-        os_structure_ranges: tuple[tuple[int, int], ...],
-        other_driver_ranges: tuple[tuple[int, int], ...],
-    ):
-        self.os_kernel_ranges = os_kernel_ranges
-        self.os_structure_ranges = os_structure_ranges
-        self.other_driver_ranges = other_driver_ranges
+    def __init__(self):
         self.images: dict = {}                         # identity -> (base, end)
         self.processes: dict[int, tuple[tuple[int, int], ...]] = {}
         self.pools_by_page: dict[int, list[tuple]] = {}    # page -> [(identity, base, end)]
@@ -95,10 +92,6 @@ class SnapshotView:
     def page_pool_identities(self, page: int) -> set:
         return {identity for identity, _, _ in self.pools_by_page.get(page, ())}
 
-    def page_locked(self, page: int) -> bool:
-        """A page hosting bytes of two distinct owners, at least one enclaved."""
-        return _locked(self.page_pool_identities(page))
-
     def byte_pool_identity(self, gpa: int):
         """Identity of the live pool whose bytes contain gpa, or a miss marker."""
         for identity, base, end in self.pools_by_page.get(gpa >> PAGE_SHIFT, []):
@@ -113,19 +106,8 @@ class SnapshotView:
         return None
 
     def in_process_region(self, gpa: int) -> bool:
-        return any(self._in_ranges(gpa, regions) for regions in self.processes.values())
-
-    def _in_ranges(self, gpa: int, ranges) -> bool:
-        return any(base <= gpa < base + size for base, size in ranges)
-
-    def in_os_kernel(self, gpa: int) -> bool:
-        return self._in_ranges(gpa, self.os_kernel_ranges)
-
-    def in_os_structures(self, gpa: int) -> bool:
-        return self._in_ranges(gpa, self.os_structure_ranges)
-
-    def in_other_driver(self, gpa: int) -> bool:
-        return self._in_ranges(gpa, self.other_driver_ranges)
+        return any(_within(gpa, region)
+                   for regions in self.processes.values() for region in regions)
 
     def legal(self, actor, dst: int, access: Access) -> bool:
         """Minimal-privilege legality: does the actor, by its enclave identity
@@ -145,11 +127,11 @@ class SnapshotView:
             # pages holding only non-enclaved allocations stay open
             return sole is None or actor == sole
         if execute:
-            return self.in_os_kernel(dst) or self.in_other_driver(dst)
+            return _within(dst, OS_KERNEL_CODE) or _within(dst, OTHER_DRIVER)
         eid = self.image_enclave(dst)
         if eid is not None:
             return actor == eid
-        if self.in_process_region(dst) or self.in_os_structures(dst):
+        if self.in_process_region(dst) or _within(dst, OS_STRUCTURES):
             return actor is None   # kernel and pre-existing drivers, not enclaves
         return True
 
@@ -157,9 +139,7 @@ class SnapshotView:
 def snapshot_from_map(m) -> SnapshotView:
     """Duck-read the live facts out of a policy map state object; an enclave's
     identity is its context id."""
-    config = m.config
-    view = SnapshotView(config.os_kernel_ranges, config.os_structure_ranges,
-                        config.other_driver_ranges)
+    view = SnapshotView()
     view.images = {eid: (e.image_base, e.image_end) for eid, e in m.enclaves.items()}
     view.processes = {pid: tuple(p.regions) for pid, p in m.processes.items()}
     for pool in m.pools.values():
@@ -168,7 +148,8 @@ def snapshot_from_map(m) -> SnapshotView:
 
 
 def _locked(identities: set) -> bool:
-    """page_locked, over the set of the page's pool identities."""
+    """Does a page whose pools have these identities host bytes of two
+    distinct owners, at least one enclaved?"""
     return len(identities) >= 2 and any(i is not None for i in identities)
 
 
@@ -202,50 +183,28 @@ class FlatPolicy:
     claimed: frozenset[int]
 
 
-# Expected bits of a static page in (the default context, any enclave context).
-_STATIC_BITS = {
-    "kernel": (RWX, RWX),    # executable everywhere by design
-    "structure": (RWX, NONE),
-    "other": (RWX, RW),
-}
-
-
-@lru_cache(maxsize=8)
-def _static_rows(
-    os_kernel_ranges: tuple[tuple[int, int], ...],
-    os_structure_ranges: tuple[tuple[int, int], ...],
-    other_driver_ranges: tuple[tuple[int, int], ...],
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Expected rows of the static pages: (default context, every enclave context).
-
-    A pure function of the static ranges, which no event changes, so it is
-    memoised; the rows are shared by every caller and never mutated. Later
-    ranges take precedence where ranges share a page.
-    """
-    tags: dict[int, str] = {}
-    for tag, ranges in (("kernel", os_kernel_ranges), ("structure", os_structure_ranges),
-                        ("other", other_driver_ranges)):
-        for base, size in ranges:
-            for page in _pages(base, size):
-                tags[page] = tag
-    return (
-        {page: _STATIC_BITS[tag][0] for page, tag in tags.items()},
-        {page: _STATIC_BITS[tag][1] for page, tag in tags.items()},
-    )
+# Each static region with the bits its pages hold in the default context and
+# in any enclave context.
+_STATIC_BITS = (
+    (OS_KERNEL_CODE, RWX, RWX),    # executable everywhere by design
+    (OS_STRUCTURES, RWX, NONE),
+    (OTHER_DRIVER, RWX, RW),
+)
+# Expected rows of the static pages, shared by every rebuild and never mutated.
+_DEFAULT_ROW = {page: bits for region, bits, _ in _STATIC_BITS for page in _pages(*region)}
+_ENCLAVE_ROW = {page: bits for region, _, bits in _STATIC_BITS for page in _pages(*region)}
 
 
 def rebuild(view: SnapshotView) -> FlatPolicy:
     """Recompute the expected table from the view's raw facts, reading each
     enclave identity as its context id (the default context is 0).
 
-    Only the static pages' rows are memoised (see _static_rows). Every page a
-    live region claims is classified again from the view on every call,
-    and its bits in every context recomputed; its claim overrides a static
-    one on the same page (a process region may lie over a structure page).
+    Only the static pages' rows are computed ahead (_DEFAULT_ROW and
+    _ENCLAVE_ROW). Every page a live region claims is classified again from
+    the view on every call, and its bits in every context recomputed; its
+    claim overrides a static one on the same page (a process region may lie
+    over a structure page).
     """
-    default_row, enclave_row = _static_rows(
-        view.os_kernel_ranges, view.os_structure_ranges, view.other_driver_ranges,
-    )
     kinds: dict[int, tuple] = {}
     for pid, regions in view.processes.items():
         for base, size in regions:
@@ -258,7 +217,7 @@ def rebuild(view: SnapshotView) -> FlatPolicy:
         kinds[page] = ("pool", view.page_pool_identities(page))
 
     table = {}
-    for ept_id, static_row in [(0, default_row)] + [(eid, enclave_row) for eid in view.images]:
+    for ept_id, static_row in [(0, _DEFAULT_ROW)] + [(eid, _ENCLAVE_ROW) for eid in view.images]:
         dynamic = {page: _expected(kind, ept_id) for page, kind in kinds.items()}
         table[ept_id] = {**static_row, **dynamic}
     return FlatPolicy(universe=list(table[0]), table=table, claimed=frozenset(kinds))

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .address_space import FrameStore
+from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, FrameStore
 from .ept_model import Access
 from .errors import ConfigError, SimulationError, TraceParseError
 from .reference_oracle import SnapshotView
@@ -145,12 +145,12 @@ class _Shadow:
         self.ks = ks
         self.store = FrameStore()
         for (base, size), fill in (
-            (ks.OS_KERNEL_CODE, ks.OS_KERNEL_FILL),
-            (ks.OS_STRUCTURES, ks.OS_STRUCT_FILL),
-            (ks.OTHER_DRIVER, ks.OTHER_DRIVER_FILL),
+            (OS_KERNEL_CODE, ks.OS_KERNEL_FILL),
+            (OS_STRUCTURES, ks.OS_STRUCT_FILL),
+            (OTHER_DRIVER, ks.OTHER_DRIVER_FILL),
         ):
             self.store.fill_gpa_range(base, size, fill)
-        self.view = SnapshotView((ks.OS_KERNEL_CODE,), (ks.OS_STRUCTURES,), (ks.OTHER_DRIVER,))
+        self.view = SnapshotView()
         self.ordinals: dict[str, int] = {}                      # allocations made, frees included
         self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
         self.alloc_rows = iter(allocations)
@@ -174,7 +174,6 @@ class _Shadow:
         return actor if actor in self.view.images else None
 
     def resolve(self, actor: str, ref) -> int:
-        ks = self.ks
         if ref.kind in ("own_pool", "pool_of"):
             owner = actor if ref.kind == "own_pool" else ref.driver
             base, _ = self.live[owner][ref.index]
@@ -186,11 +185,11 @@ class _Shadow:
             base, _ = self.view.processes[ref.pid][0]
             return base + ref.offset
         if ref.kind == "os_kernel_code":
-            return ks.OS_KERNEL_CODE[0] + ref.offset
+            return OS_KERNEL_CODE[0] + ref.offset
         if ref.kind == "os_structures":
-            return ks.OS_STRUCTURES[0] + ref.offset
+            return OS_STRUCTURES[0] + ref.offset
         if ref.kind == "other_driver":
-            return ks.OTHER_DRIVER[0] + ref.offset
+            return OTHER_DRIVER[0] + ref.offset
         raise SimulationError(f"unknown target kind {ref.kind!r}")
 
     def _on_load(self, index: int, event) -> None:
@@ -249,11 +248,10 @@ class _Shadow:
 
     def digests(self) -> dict[str, str]:
         import hashlib
-        ks = self.ks
         out = {
-            "os_kernel_code": self.store.digest_gpa_range(*ks.OS_KERNEL_CODE),
-            "os_structures": self.store.digest_gpa_range(*ks.OS_STRUCTURES),
-            "other_driver:0": self.store.digest_gpa_range(*ks.OTHER_DRIVER),
+            "os_kernel_code": self.store.digest_gpa_range(*OS_KERNEL_CODE),
+            "os_structures": self.store.digest_gpa_range(*OS_STRUCTURES),
+            "other_driver:0": self.store.digest_gpa_range(*OTHER_DRIVER),
         }
         for name, (base, end) in self.view.images.items():
             out[f"image:{name}"] = self.store.digest_gpa_range(base, end - base)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from memranger.address_space import PAGE_SIZE, ZERO_PAGE, FrameStore
+from memranger.address_space import OS_KERNEL_CODE, PAGE_SIZE, ZERO_PAGE, FrameStore
 from memranger.dispatcher import (
     RETRY_BUDGET,
     VcpuState,
@@ -12,16 +12,13 @@ from memranger.dispatcher import (
 )
 from memranger.ept_model import NONE, Access, Ept
 from memranger.errors import PolicyLivelockError, SimulationError
-from memranger.policy_map import DEFAULT_EPT, init, switch_to
+from memranger.policy_map import DEFAULT_EPT, MapState, switch_to
 
-KERNEL = (0x1000_0000, 0x0010_0000)
-STRUCTS = (0x2000_0000, 0x0001_0000)
-OTHER = (0x2800_0000, 0x0002_0000)
 IMAGE_A = 0x3000_0000
 IMAGE_B = 0x3100_0000
 IMAGE_SIZE = 0x2000
 POOL_A = 0x5000_0000
-KERNEL_CODE = KERNEL[0] + 0x40
+KERNEL_CODE = OS_KERNEL_CODE[0] + 0x40
 CODE_A = IMAGE_A + 0x100
 CODE_B = IMAGE_B + 0x100
 
@@ -30,7 +27,7 @@ SECRET = b"\xde\xad\xbe\xef"
 
 @pytest.fixture
 def world():
-    policy = init(KERNEL, [STRUCTS], [OTHER])
+    policy = MapState()
     store = FrameStore()
     a = policy.on_driver_load(IMAGE_A, IMAGE_SIZE)
     b = policy.on_driver_load(IMAGE_B, IMAGE_SIZE)

@@ -59,6 +59,25 @@ def test_the_shadow_verifier_imports_nothing_from_the_engine():
     assert not local & {"policy_map", "dispatcher"}, local
 
 
+def test_the_engine_imports_nothing_from_the_checkers():
+    """The engine cannot borrow the oracle's static rows or the shadow's
+    bookkeeping: a fault in its copy must not be mirrored on the expected side."""
+    for name in ("policy_map", "dispatcher", "ept_model"):
+        local, _ = _imports((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        assert not local & {"reference_oracle", "report_cli"}, (name, local)
+
+
+def test_the_static_regions_are_stated_once():
+    """The three static regions are assigned in address_space alone."""
+    names = {"OS_KERNEL_CODE", "OS_STRUCTURES", "OTHER_DRIVER"}
+    assigned = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in names:
+                assigned.setdefault(node.id, []).append(path.name)
+    assert assigned == {name: ["address_space.py"] for name in names}
+
+
 @pytest.mark.parametrize("line, module", [
     ("import memranger", "__init__"),
     ("import memranger.dispatcher", "dispatcher"),

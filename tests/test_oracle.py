@@ -8,28 +8,28 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test
 
-from memranger import address_space
-from memranger.address_space import PAGE_SIZE
+from memranger import address_space, policy_map
+from memranger.address_space import OS_KERNEL_CODE as KERNEL
+from memranger.address_space import OS_STRUCTURES as STRUCTS
+from memranger.address_space import PAGE_SHIFT
 from memranger.ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
 from memranger.kernel_sim import gen_random_trace, run_trace
-from memranger.policy_map import DEFAULT_EPT, init
+from memranger.policy_map import DEFAULT_EPT, MapState
 from memranger.reference_oracle import (
     Mismatch,
     OracleChecker,
+    SnapshotView,
     check_against,
     rebuild,
     snapshot_from_map,
 )
 
-KERNEL = (0x1000_0000, 0x0010_0000)
-STRUCTS = (0x2000_0000, 0x0001_0000)
-OTHER = (0x2800_0000, 0x0002_0000)
 IMAGE_SIZE = 0x2000
 KERNEL_CODE = KERNEL[0] + 0x40
 
 
 def fresh():
-    return init(KERNEL, [STRUCTS], [OTHER])
+    return MapState()
 
 
 def test_clean_state_agrees():
@@ -155,7 +155,7 @@ def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
         def hook(sim, index, event, history=history):
             nonlocal checks, sabotaged, flagged
             m = sim.policy
-            history.update(m._static_kind, m._overlay, m.pool_pages)
+            history.update(policy_map._STATIC_KIND, m._overlay, m.pool_pages)
             if rng.random() < 0.05:
                 ept = m.epts[rng.choice(sorted(m.epts))]
                 page = rng.choice(sorted(history))
@@ -258,6 +258,29 @@ def test_oracle_does_not_share_the_engines_page_span(monkeypatch):
     assert mismatches > 0
 
 
+@pytest.mark.parametrize("mutant", ["structure-page-dropped", "structure-page-as-other"])
+def test_oracle_does_not_share_the_engines_static_regions(monkeypatch, mutant):
+    """A structure page patched out of, or reclassified in, the engine's
+    static-kind table, with the templates rebuilt from it: the oracle reads
+    the static regions from address_space itself, so in a state with one
+    loaded driver it reports the page sealed from the driver's context."""
+    page = STRUCTS[0] >> PAGE_SHIFT
+    if mutant == "structure-page-dropped":
+        monkeypatch.delitem(policy_map._STATIC_KIND, page)
+    else:
+        monkeypatch.setitem(policy_map._STATIC_KIND, page, "other")
+    policy_map.static_template.cache_clear()
+    try:
+        state = fresh()
+        eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+        mismatches = OracleChecker().verify(state, state.epts)
+    finally:
+        monkeypatch.undo()
+        policy_map.static_template.cache_clear()
+    assert Mismatch(eid, page, "---", "rw-") in mismatches
+    assert {m.page for m in mismatches} == {page}
+
+
 class TestLegality:
     """Ground-truth access verdicts, independent of any table state."""
 
@@ -310,7 +333,8 @@ class TestLegality:
         state.on_alloc(0x3000_0100, 0x5000_0000, 16)
         state.on_alloc(0x3100_0100, 0x5000_0010, 16)
         view = snapshot_from_map(state)
-        assert view.page_locked(0x5000_0000 >> 12)
+        # two owners share the page, so it is sealed in every context
+        assert [row[0x5000_0000 >> 12] for row in rebuild(view).table.values()] == [NONE] * 3
         assert view.legal(a, 0x5000_0004, Access.READ)
         assert view.legal(b, 0x5000_0014, Access.READ)
         assert not view.legal(a, 0x5000_0014, Access.READ)
@@ -320,9 +344,7 @@ class TestLegality:
         """An open pool laid over an enclave's image: a layout no trace can
         build, so only the rule's order decides. Execute goes by the image,
         a data access by the page's pools."""
-        from memranger.reference_oracle import SnapshotView
-
-        view = SnapshotView((KERNEL,), (STRUCTS,), (OTHER,))
+        view = SnapshotView()
         view.images[1] = (0x3000_0000, 0x3000_0000 + IMAGE_SIZE)
         view.add_pool(None, 0x3000_0000, 16)
         assert view.legal(None, 0x3000_0008, Access.EXECUTE)

@@ -3,24 +3,36 @@
 import pytest
 
 from memranger.address_space import GPA_LIMIT, PAGE_SHIFT, PAGE_SIZE, pages_covering
+from memranger.address_space import OS_KERNEL_CODE as KERNEL
+from memranger.address_space import OS_STRUCTURES as STRUCTS
+from memranger.address_space import OTHER_DRIVER as OTHER
 from memranger.ept_model import NONE, RW, RWX, Access, EptEntry
 from memranger.errors import ConfigError, SimulationError
 from memranger.kernel_sim import (
+    IMAGE_SIZE,
+    IMAGE_SLOTS,
+    POOL_ARENA,
+    PROCESS_REGION_SIZE,
+    PROCESS_SLOT_BASE,
+    PROCESS_SLOT_COUNT,
+    PROCESS_SLOT_STRIDE,
     Simulation,
     gen_benchmark_trace,
     gen_demo1_trace,
     gen_privesc_trace,
     gen_random_trace,
 )
-from memranger.policy_map import DEFAULT_EPT, STATIC_KINDS, DecisionKind, init, static_template
-
-KERNEL = (0x1000_0000, 0x0010_0000)
-STRUCTS = (0x2000_0000, 0x0001_0000)
-OTHER = (0x2800_0000, 0x0002_0000)
+from memranger.policy_map import (
+    _STATIC_KIND,
+    DEFAULT_EPT,
+    STATIC_KINDS,
+    DecisionKind,
+    MapState,
+    static_template,
+)
 
 IMAGE_A = 0x3000_0000
 IMAGE_B = 0x3100_0000
-IMAGE_SIZE = 0x2000
 POOL = 0x5000_0000
 
 KERNEL_CODE = KERNEL[0] + 0x40
@@ -33,7 +45,7 @@ def attrs(state, ept_id, gpa):
 
 @pytest.fixture
 def state():
-    return init(KERNEL, [STRUCTS], [OTHER])
+    return MapState()
 
 
 @pytest.fixture
@@ -55,9 +67,24 @@ def test_initial_default_context(state):
     assert attrs(state, DEFAULT_EPT, 0x9000_0000) == RW
 
 
-def test_static_ranges_must_not_collide():
-    with pytest.raises(ConfigError):
-        init(KERNEL, [KERNEL], [OTHER])
+def _overlap(a, b) -> bool:
+    return a[0] < b[0] + b[1] and b[0] < a[0] + a[1]
+
+
+def test_static_regions_are_laid_apart():
+    """The machine's static regions are page-aligned and pairwise disjoint,
+    clear of every image slot and of the pool arena, and every process slot
+    lies inside the kernel structures."""
+    static = [KERNEL, STRUCTS, OTHER]
+    for base, size in static:
+        assert size > 0 and (base | size) % PAGE_SIZE == 0
+    images = [(slot, IMAGE_SIZE) for slot in IMAGE_SLOTS]
+    for index, region in enumerate(static):
+        for other in static[index + 1:] + images + [POOL_ARENA]:
+            assert not _overlap(region, other), (region, other)
+    for slot in range(PROCESS_SLOT_COUNT):
+        base = PROCESS_SLOT_BASE + slot * PROCESS_SLOT_STRIDE
+        assert STRUCTS[0] <= base and base + PROCESS_REGION_SIZE <= STRUCTS[0] + STRUCTS[1]
 
 
 def test_enclave_view_after_load(loaded):
@@ -243,16 +270,10 @@ def _single_ept_expectation(sim) -> dict[int, object]:
     """single-ept's table from raw region facts: protected data sealed, code
     executable, everything else plain data."""
     policy = sim.policy
-    config = policy.config
     expected = {}
-    for ranges, bits in (
-        (config.os_kernel_ranges, RWX),
-        (config.other_driver_ranges, RWX),
-        (config.os_structure_ranges, NONE),
-    ):
-        for base, size in ranges:
-            for page in pages_covering(base, size):
-                expected[page] = bits
+    for region, bits in ((KERNEL, RWX), (OTHER, RWX), (STRUCTS, NONE)):
+        for page in pages_covering(*region):
+            expected[page] = bits
     for proc in policy.processes.values():
         for base, size in proc.regions:
             for page in pages_covering(base, size):
@@ -284,7 +305,7 @@ def test_single_ept_table_matches_raw_facts(seed):
     own leaf holds the bits the raw facts call for."""
     events = gen_random_trace(seed, length=200, attack_probability=0.4)
     sim = Simulation("single-ept")
-    history = set(sim.policy._static_kind)
+    history = set(_STATIC_KIND)
     for index, event in enumerate(events):
         sim.step(event)
         assert set(sim.policy.epts) == {DEFAULT_EPT}
@@ -297,7 +318,7 @@ def test_single_ept_table_matches_raw_facts(seed):
 
 
 def _template_key(policy, ept_id):
-    return policy.config, tuple(policy._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
+    return tuple(policy._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
 
 
 @pytest.mark.parametrize("mode", ["single-ept", "multi-ept"])
@@ -319,12 +340,12 @@ def test_templates_stay_pristine(mode):
         static_redirects += sum(
             1 for record in sim.log
             if record["decision"] == "redirect_to_fake"
-            and int(record["dst"], 16) >> PAGE_SHIFT in sim.policy._static_kind
+            and int(record["dst"], 16) >> PAGE_SHIFT in _STATIC_KIND
         )
     assert static_redirects > 0
     assert len(shared) == (1 if mode == "single-ept" else 2)
-    for (config, bits), template in shared.items():
-        assert template == static_template.__wrapped__(config, bits)
+    for bits, template in shared.items():
+        assert template == static_template.__wrapped__(bits)
 
 
 @pytest.mark.parametrize("mode", ["single-ept", "multi-ept"])
@@ -335,7 +356,7 @@ def test_every_tracked_leaf_follows_the_rule(mode):
     holds the identity frame and the bits its policy's rule gives."""
     for seed in range(20):
         sim = Simulation(mode)
-        history = set(sim.policy._static_kind)
+        history = set(_STATIC_KIND)
         for index, event in enumerate(gen_random_trace(seed, length=100, attack_probability=0.6)):
             sim.step(event)
             assert sim.vcpu.mtf is None
