@@ -14,12 +14,15 @@ structure grows with the pages the trace has ever claimed.
 
 Prints the mean cost of the oracle checks that follow a layout change in an
 early window (events 1,000-2,999) and a late one (the last 2,000 events),
-their ratio, and each context's own-leaf count at the end. Exits 1 if the
+their ratio, each context's own-leaf count at the end, and the process's peak
+resident size (ru_maxrss) with its share per event, so runs at two lengths
+show how memory grows with the trace. Exits 1 if the
 parsed events differ from the generated ones, on any oracle mismatch,
 verification violation or stray own leaf, else 0.
 """
 
 import argparse
+import resource
 import statistics
 import sys
 from pathlib import Path
@@ -105,6 +108,8 @@ def soak(seed: int, length: int) -> int:
     counts = {k: v for k, v in verdict.summary().items() if k != "samples"}
     print(f"oracle mismatches {mismatches}, final sweep {len(swept)},"
           f" stray own leaves {stray}, verification {counts}")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024   # Linux counts KiB
+    print(f"peak RSS {peak / 2**20:.1f} MiB, {peak / length:.0f} B per event")
     clean = round_trip and not mismatches and not stray and verdict.ok
     print("PASS" if clean else "FAIL")
     return 0 if clean else 1

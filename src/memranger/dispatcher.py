@@ -8,12 +8,14 @@ access, then restore the leaf entry bit for bit on the single-step exit.
 A policy that keeps no contexts (mode ``off``) runs with translation off:
 each access passes the same checks and lands on its identity frame untrapped.
 
-Every access returns a log record carrying the trap/switch/window counts the
-cost model is computed from.
+Every access returns a log record, an AccessRecord: the raw fields of the
+access plus the trap/switch/window counts the cost model is computed from.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 from .address_space import PAGE_SHIFT, PAGE_SIZE, FrameStore, offset_in_page
 from .ept_model import ACCESS_BIT, Access, EptEntry, EptViolation
@@ -21,6 +23,70 @@ from .errors import PolicyLivelockError, SimulationError
 from .policy_map import DecisionKind, RegionLedger
 
 RETRY_BUDGET = 4
+
+# Bound once: reading a member through the enum class costs about 100 ns.
+READ, WRITE, EXECUTE = Access.READ, Access.WRITE, Access.EXECUTE
+
+
+class AccessRecord(NamedTuple):
+    """One logged access, kept compact: ints, the shared label strings and the
+    raw bytes a read observed. Its dict form, the one a report prints, is
+    rendered only on demand, by as_dict(), and record[key], record.get(key)
+    and dict(record) read that same form: src and dst as hex strings, data as
+    a hex string, and trapped, redirected and granted derived."""
+
+    seq: int                    # position in the run's log
+    event: int                  # index of the trace event that made the access
+    actor: str
+    src: int
+    dst: int
+    access: str                 # "read" | "write" | "execute"
+    decision: str               # "allow" | "redirect_to_fake" | "temporary_grant"
+    ept_before: int
+    ept_after: int
+    traps: int
+    switches: int
+    data: bytes | None          # the bytes a read observed; None otherwise
+    expect: str | None          # the trace's own label, if it gave one
+
+    def as_dict(self) -> dict:
+        return {key: read(self) for key, read in _RENDER.items()}
+
+    def keys(self):
+        return _RENDER.keys()
+
+    def __getitem__(self, key):
+        if type(key) is str:
+            return _RENDER[key](self)
+        return tuple.__getitem__(self, key)
+
+    def get(self, key: str, default=None):
+        read = _RENDER.get(key)
+        return default if read is None else read(self)
+
+
+# The dict form of a record, one reader per key, in the order a report has
+# always listed them.
+_RENDER = {
+    "actor": attrgetter("actor"),
+    "src": lambda record: f"{record.src:#x}",
+    "dst": lambda record: f"{record.dst:#x}",
+    "access": attrgetter("access"),
+    "ept_before": attrgetter("ept_before"),
+    "ept_after": attrgetter("ept_after"),
+    "decision": attrgetter("decision"),
+    "trapped": lambda record: record.traps > 0,
+    "traps": attrgetter("traps"),
+    "switches": attrgetter("switches"),
+    "redirected": lambda record: record.decision == "redirect_to_fake",
+    "granted": lambda record: record.decision == "temporary_grant",
+    "data": lambda record: None if record.data is None else record.data.hex(),
+    "seq": attrgetter("seq"),
+    "event": attrgetter("event"),
+    "expect": attrgetter("expect"),
+}
+# Builds a record without the named tuple's Python-level __new__.
+_new_record = tuple.__new__
 
 
 class MtfKind(Enum):
@@ -84,10 +150,10 @@ def handle_mtf(vcpu: VcpuState, policy, store: FrameStore) -> None:
 def _perform(store: FrameStore, hpa: int, access: Access, payload, length: int):
     pfn = hpa >> PAGE_SHIFT
     offset = hpa & (PAGE_SIZE - 1)
-    if access is Access.READ:
+    if access is READ:
         store.ensure(pfn)
         return store.read_bytes(pfn, offset, length)
-    if access is Access.WRITE:
+    if access is WRITE:
         store.ensure(pfn)
         store.write_bytes(pfn, offset, payload)
     return None    # instruction fetch moves no data here
@@ -103,22 +169,30 @@ def execute_access(
     payload: bytes | None = None,
     actor: str = "",
     home_ept: int | None = None,
-) -> tuple[bytes | None, dict]:
-    """Run one access to completion. Returns (data, log_record); data is the
+    seq: int = 0,
+    event: int = -1,
+    expect: str | None = None,
+) -> tuple[bytes | None, AccessRecord]:
+    """Run one access to completion. Returns (data, record); data is the
     bytes a read observed, None otherwise. A read moves 4 bytes, a write its
-    payload and an instruction fetch 1 byte.
+    payload and an instruction fetch 1 byte. seq, event and expect are the
+    caller's bookkeeping, copied into the record as they are.
 
     home_ept, when given, is restored before the access runs: the scheduler
     passes it when dispatching the os kernel, whose code never faults on
     fetch and would otherwise keep running in the last driver's context."""
     if vcpu.mtf is not None:
         raise RuntimeError("access started while a single-step window is open")
-    if access is Access.WRITE:
+    if access is READ:
+        length, label = 4, "read"
+    elif access is WRITE:
         if payload is None:
             raise SimulationError("write without payload")
-        length = len(payload)
+        length, label = len(payload), "write"
+    elif access is EXECUTE:
+        length, label = 1, "execute"
     else:
-        length = 1 if access is Access.EXECUTE else 4
+        raise SimulationError(f"unknown access kind {access!r}")
     if length <= 0 or offset_in_page(dst) + length > PAGE_SIZE:
         raise SimulationError(f"access at {dst:#x} length {length} crosses a page")
 
@@ -127,8 +201,6 @@ def execute_access(
     traps = 0
     switches = 0
     decision_label = "allow"
-    redirected = False
-    granted = False
     data = None
 
     if home_ept is not None and home_ept != vcpu.current_ept:
@@ -162,13 +234,11 @@ def execute_access(
         page = dst >> PAGE_SHIFT
         saved = ept.entry_for(page)
         if decision.kind is DecisionKind.REDIRECT_TO_FAKE:
-            redirected = True
             decision_label = "redirect_to_fake"
             vcpu.counters["redirects"] += 1
             window_pfn = store.fake_pfn
             kind = MtfKind.RESTORE_AFTER_FAKE
         else:    # TEMPORARY_GRANT
-            granted = True
             decision_label = "temporary_grant"
             vcpu.counters["grants"] += 1
             window_pfn = saved.pfn
@@ -185,19 +255,7 @@ def execute_access(
             raise RuntimeError("single-step window failed to restore the leaf entry")
         break
 
-    record = {
-        "actor": actor,
-        "src": f"{src:#x}",
-        "dst": f"{dst:#x}",
-        "access": access.value,
-        "ept_before": ept_before,
-        "ept_after": vcpu.current_ept,
-        "decision": decision_label,
-        "trapped": traps > 0,
-        "traps": traps,
-        "switches": switches,
-        "redirected": redirected,
-        "granted": granted,
-        "data": data.hex() if data is not None else None,
-    }
-    return data, record
+    return data, _new_record(AccessRecord, (
+        seq, event, actor, src, dst, label, decision_label,
+        ept_before, vcpu.current_ept, traps, switches, data, expect,
+    ))

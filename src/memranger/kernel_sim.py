@@ -29,7 +29,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SIZE, FrameStore
-from .dispatcher import VcpuState, execute_access, switch_ept
+from .dispatcher import EXECUTE, WRITE, AccessRecord, VcpuState, execute_access, switch_ept
 from .ept_model import Access
 from .errors import SimulationError, TraceParseError
 from .policy_map import MapState, RegionLedger, SingleEptPolicy
@@ -342,7 +342,17 @@ def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
 
 
 def serialize_trace(events) -> str:
-    return "".join(json.dumps(event_to_dict(event)) + "\n" for event in events)
+    """Encode events as JSON lines. Each distinct event object is encoded once
+    per call and a repeat reuses its line; the memo holds the event too, so
+    its id cannot be reused by another object while the call runs."""
+    lines: dict[int, tuple] = {}
+    out = []
+    for event in events:
+        known = lines.get(id(event))
+        if known is None:
+            known = lines[id(event)] = (event, json.dumps(event_to_dict(event)) + "\n")
+        out.append(known[1])
+    return "".join(out)
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
@@ -483,10 +493,12 @@ class Simulation:
         }
         self.pools: dict[str, list[PoolInfo]] = {}
         self.scheduled = "os_kernel"
-        self.log: list[dict] = []
+        self.log: list[AccessRecord] = []
         self.allocations: list[dict] = []
         self.event_index = -1
         self.ticks = 0
+        self.rw_trapped = 0         # trapped reads and writes
+        self.exec_trapped = 0       # trapped instruction fetches
 
     # -- plumbing ---------------------------------------------------------
 
@@ -496,11 +508,14 @@ class Simulation:
             raise SimulationError(f"unknown actor {name!r}")
         return info
 
-    def _record(self, record: dict, expect: str | None = None) -> None:
-        record["seq"] = len(self.log)
-        record["event"] = self.event_index
-        record["expect"] = expect
+    def _record(self, record: AccessRecord) -> None:
+        """Log the record, and price and count it from its fields."""
         self.ticks += access_ticks(record, self.cost_model)
+        if record.traps:
+            if record.access == "execute":
+                self.exec_trapped += 1
+            else:
+                self.rw_trapped += 1
         self.log.append(record)
 
     def _fetch(self, target: str, expect: str | None = None) -> None:
@@ -512,9 +527,10 @@ class Simulation:
         home = self.policy.default_ept if info.kind == "os" else None
         _, record = execute_access(
             self.vcpu, self.policy, self.store,
-            SCHEDULER_STUB, info.code, Access.EXECUTE, actor=target, home_ept=home,
+            SCHEDULER_STUB, info.code, EXECUTE, actor=target, home_ept=home,
+            seq=len(self.log), event=self.event_index, expect=expect,
         )
-        self._record(record, expect)
+        self._record(record)
         self.scheduled = target
 
     def _ensure_running(self, name: str) -> None:
@@ -657,14 +673,15 @@ class Simulation:
         self._ensure_running(event.actor)
         dst = self._resolve(info, event.dst)
         payload = event.payload
-        if access is Access.WRITE and payload is None:
+        if access is WRITE and payload is None:
             payload = DEFAULT_WRITE
         _, record = execute_access(
             self.vcpu, self.policy, self.store,
             info.code, dst, access, payload=payload, actor=event.actor,
+            seq=len(self.log), event=self.event_index, expect=event.expect,
         )
-        self._record(record, event.expect)
-        if record["ept_after"] != record["ept_before"] and access is Access.EXECUTE:
+        self._record(record)
+        if record.ept_after != record.ept_before and access is EXECUTE:
             # a call into another context: the actor's next event returns to
             # its own code, which a fresh fetch of its entry models
             self.scheduled = None
@@ -695,12 +712,8 @@ class Simulation:
 
     def report(self) -> RunReport:
         counters = dict(self.vcpu.counters)
-        counters["rw_trapped_accesses"] = sum(
-            1 for r in self.log if r["trapped"] and r["access"] != "execute"
-        )
-        counters["exec_trapped_accesses"] = sum(
-            1 for r in self.log if r["trapped"] and r["access"] == "execute"
-        )
+        counters["rw_trapped_accesses"] = self.rw_trapped
+        counters["exec_trapped_accesses"] = self.exec_trapped
         return RunReport(
             mode=self.mode.value,
             config={
@@ -804,14 +817,15 @@ def gen_benchmark_trace(n_accesses: int = 10_000, align: str = "page",
         Schedule("X"),
         Alloc("X", 0x1000, align),
     ]
+    # each distinct (frozen) event is built once and repeated by reference
     slots = 0x1000 // 4
+    reads = [AccessEvent("X", DstRef("own_pool", index=0, offset=slot * 4), "read", expect="legal")
+             for slot in range(min(n_accesses, slots))]
+    preempt = (Schedule("other_driver_0"), Schedule("X"))
     for i in range(n_accesses):
         if i and i % quantum == 0:
-            events.append(Schedule("other_driver_0"))
-            events.append(Schedule("X"))
-        events.append(AccessEvent(
-            "X", DstRef("own_pool", index=0, offset=(i % slots) * 4), "read", expect="legal",
-        ))
+            events += preempt
+        events.append(reads[i % slots])
     return events
 
 

@@ -1,9 +1,10 @@
 """Run reports, the modeled cost account, trace verification, and the CLI.
 
 The verifier replays the trace with its own bookkeeping (shadow memory plus
-the brute-force legality predicate) and audits the report against it: illegal
-reads must observe zeros, legal reads must observe true bytes, and final
-region digests must equal a replay in which illegal writes never happened.
+the brute-force legality predicate) in lockstep with the report's log and
+audits the log against it: illegal reads must observe zeros, legal reads must
+observe true bytes, and final region digests must equal a replay in which
+illegal writes never happened.
 
 Exit codes: 0 clean, 1 malformed input, 2 property violation.
 """
@@ -14,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, FrameStore
 from .ept_model import Access
@@ -23,6 +25,7 @@ from .reference_oracle import SnapshotView
 REPORT_SCHEMA = "ranger-report/1"
 COMPARE_SCHEMA = "ranger-compare/1"
 MODES = ("off", "single-ept", "multi-ept")
+READ, WRITE = Access.READ, Access.WRITE      # bound once: a read through the class is slow
 
 _COST_FIELDS = (
     "base_access",
@@ -68,12 +71,13 @@ class CostModel:
         return {name: getattr(self, name) for name in _COST_FIELDS}
 
 
-def access_ticks(record: dict, cost_model: CostModel) -> int:
-    """Modeled price of one logged access; totals are sums of these."""
+def access_ticks(record, cost_model: CostModel) -> int:
+    """Modeled price of one logged access (a dispatcher.AccessRecord), read
+    from its raw fields; totals are sums of these."""
     ticks = cost_model.base_access
-    ticks += cost_model.vmexit_cost * record["traps"]
-    ticks += (cost_model.ept_switch_cost + cost_model.page_walk_after_flush) * record["switches"]
-    if record["redirected"] or record["granted"]:
+    ticks += cost_model.vmexit_cost * record.traps
+    ticks += (cost_model.ept_switch_cost + cost_model.page_walk_after_flush) * record.switches
+    if record.decision != "allow":      # a redirect or a grant: one single-step window
         ticks += cost_model.mtf_roundtrip_cost
     return ticks
 
@@ -83,7 +87,7 @@ class RunReport:
     mode: str
     config: dict
     counters: dict
-    log: list
+    log: list                   # dispatcher.AccessRecord, one per access
     allocations: list
     digests: dict
     modeled_total_ticks: int
@@ -97,7 +101,7 @@ class RunReport:
             "allocations": self.allocations,
             "digests": self.digests,
             "modeled_total_ticks": self.modeled_total_ticks,
-            "log": self.log,
+            "log": [record.as_dict() for record in self.log],
         }
 
     def to_json(self, extra: dict | None = None) -> str:
@@ -132,13 +136,21 @@ class VerifyResult:
         }
 
 
+class Expectation(NamedTuple):
+    """What the shadow expects of one access event."""
+    dst: int
+    legal: bool
+    data: bytes | None          # a read's bytes: true if legal, zeros if not
+
+
 class _Shadow:
     """Trace replay with independent bookkeeping: shadow memory in which only
     legal writes land, plus one live view of the raw facts the legality
     predicate needs, updated in place by each layout event. The view's
     enclave identities are driver names: a loaded driver is its own identity
     and every other actor is None. Each event class has one handler in
-    handlers; accesses record what the report must show in expectations."""
+    handlers; step applies one event and returns an access event's
+    Expectation, None for any other event."""
 
     def __init__(self, allocations):
         from . import kernel_sim as ks
@@ -154,7 +166,6 @@ class _Shadow:
         self.ordinals: dict[str, int] = {}                      # allocations made, frees included
         self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
         self.alloc_rows = iter(allocations)
-        self.expectations: dict[int, dict] = {}                 # access event -> {legal, data}
         # plain functions, not bound methods: a table of bound methods would
         # hold the shadow in a reference cycle, alive until a gc collection
         cls = type(self)
@@ -168,6 +179,12 @@ class _Shadow:
             ks.Schedule: cls._on_schedule,
             ks.AccessEvent: cls._on_access,
         }
+
+    def step(self, index: int, event) -> Expectation | None:
+        handle = self.handlers.get(type(event))
+        if handle is None:
+            raise SimulationError(f"unknown event {event!r}")
+        return handle(self, index, event)
 
     def _enclave_of(self, actor: str) -> str | None:
         """The actor's enclave identity: its name if it is a loaded driver."""
@@ -233,18 +250,18 @@ class _Shadow:
     def _on_schedule(self, index: int, event) -> None:
         pass
 
-    def _on_access(self, index: int, event) -> None:
+    def _on_access(self, index: int, event) -> Expectation:
         ks = self.ks
         dst = self.resolve(event.actor, event.dst)
         access = ks._ACCESS_OF[event.access]
         legal = self.view.legal(self._enclave_of(event.actor), dst, access)
         data = None
-        if access is Access.READ:
+        if access is READ:
             data = self.store.read_gpa_range(dst, 4) if legal else bytes(4)
-        elif access is Access.WRITE and legal:
+        elif access is WRITE and legal:
             payload = event.payload if event.payload is not None else ks.DEFAULT_WRITE
             self.store.fill_gpa_range(dst, len(payload), payload)
-        self.expectations[index] = {"legal": legal, "data": data}
+        return Expectation(dst, legal, data)
 
     def digests(self) -> dict[str, str]:
         import hashlib
@@ -266,23 +283,11 @@ class _Shadow:
         return out
 
 
-def shadow_replay(events, allocations) -> tuple[dict, dict]:
-    """Replay events independently of the simulator. Returns per-event access
-    expectations {index: {legal, data}} and the final shadow digests."""
-    shadow = _Shadow(allocations)
-    for index, event in enumerate(events):
-        handle = shadow.handlers.get(type(event))
-        if handle is None:
-            raise SimulationError(f"unknown event {event!r}")
-        handle(shadow, index, event)
-    return shadow.expectations, shadow.digests()
-
-
-def _mismatch(record: dict, want: str) -> dict:
+def _mismatch(record, want: str | None) -> dict:
     return {
-        "seq": record["seq"],
-        "event": record["event"],
-        "actor": record["actor"],
+        "seq": record.seq,
+        "event": record.event,
+        "actor": record.actor,
         "dst": record["dst"],
         "got": record["data"],
         "want": want,
@@ -290,22 +295,42 @@ def _mismatch(record: dict, want: str) -> dict:
 
 
 def verify_run(events, report: RunReport) -> VerifyResult:
-    """Audit a run report against the independent shadow replay."""
-    expectations, shadow_digests = shadow_replay(events, report.allocations)
+    """Audit a run report against the independent shadow replay, in lockstep
+    with its log: the shadow applies event i, the log's records of event i
+    are checked against it, then event i + 1 follows, so the shadow holds
+    one event's expectation at a time.
+
+    Each read event must log exactly one read, and no other event any. A
+    read the log lacks (its entry's got is None), a read no event asked for,
+    and a record out of event order or past the trace's end (want is None)
+    all count as wrong data."""
+    shadow = _Shadow(report.allocations)
     result = VerifyResult(ok=True, checked_reads=0)
-    for record in report.log:
-        if record["access"] != "read":
-            continue
-        expected = expectations.get(record["event"])
-        if expected is None:
-            continue
-        data = bytes.fromhex(record["data"]) if record["data"] else b""
-        result.checked_reads += 1
-        if expected["legal"]:
-            if data != expected["data"]:
-                result.wrong_data.append(_mismatch(record, expected["data"].hex()))
-        elif any(data):
-            result.leaks.append(_mismatch(record, "00" * len(data)))
+    records = iter(report.log)
+    record = next(records, None)
+    for index, event in enumerate(events):
+        expected = shadow.step(index, event)
+        want = expected.data if expected is not None else None    # bytes: a read is due
+        while record is not None and record.event <= index:
+            if record.event == index and want is not None and record.access == "read":
+                result.checked_reads += 1
+                got = record.data or b""
+                if not expected.legal and any(got):
+                    result.leaks.append(_mismatch(record, "00" * len(got)))
+                elif got != want:
+                    result.wrong_data.append(_mismatch(record, want.hex()))
+                want = None
+            elif record.event < index or record.access == "read":
+                result.wrong_data.append(_mismatch(record, None))
+            record = next(records, None)
+        if want is not None:
+            result.wrong_data.append({"seq": None, "event": index, "actor": event.actor,
+                                      "dst": f"{expected.dst:#x}", "got": None,
+                                      "want": want.hex()})
+    while record is not None:
+        result.wrong_data.append(_mismatch(record, None))
+        record = next(records, None)
+    shadow_digests = shadow.digests()
     labels = sorted(set(shadow_digests) | set(report.digests))
     for label in labels:
         want = shadow_digests.get(label)

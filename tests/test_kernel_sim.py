@@ -120,6 +120,27 @@ class TestCodec:
         assert decoded == [1, 2, 1, 2]
         assert all(x is not y for x, y in zip(first, second))
 
+    def test_each_distinct_event_is_encoded_once_per_call(self, monkeypatch):
+        """A repeated event object reuses its line; events made one at a time
+        and dropped at once still each get their own line, though a freed
+        object's id may come back for the next one."""
+        encoded = []
+
+        def counting(event):
+            encoded.append(event)
+            return event_to_dict(event)
+
+        monkeypatch.setattr(kernel_sim, "event_to_dict", counting)
+        events = gen_benchmark_trace(3000, quantum=64)
+        text = serialize_trace(events)
+        # the generator builds 1,024 distinct reads, 3 set-up events and 2 preemption events
+        assert encoded == list({id(event): event for event in events}.values())
+        assert len(encoded) == 1024 + 3 + 2
+        assert text == "".join(serialize_trace([event]) for event in events)
+        names = [f"D{i}" for i in range(500)]
+        lines = serialize_trace(Schedule(name) for name in names).splitlines()
+        assert [json.loads(line)["actor"] for line in lines] == names
+
     def test_rejects_bad_access_kind(self):
         with pytest.raises(TraceParseError):
             event_from_dict({"ev": "access", "actor": "A", "access": "poke",
@@ -735,6 +756,31 @@ def test_reports_keep_the_pinned_bytes():
         for mode in ("off", "single-ept", "multi-ept"):
             digest.update(run_trace(trace, mode).to_json().encode())
     assert digest.hexdigest() == "9a8747b1187e88a88a8faed5e20ebd66b6f6fa0f43424944a9e026fc35232f7e"
+
+
+# The keys of a logged access's dict form, as reports have always printed it.
+RECORD_KEYS = {"seq", "event", "expect", "actor", "src", "dst", "access", "ept_before",
+               "ept_after", "decision", "trapped", "traps", "switches", "redirected",
+               "granted", "data"}
+
+
+def test_every_reading_of_a_record_gives_its_dict_form():
+    """A log record is compact, but record[key], record.get(key) and
+    dict(record) read exactly what as_dict() renders, and as_dict() has the
+    keys a report has always had."""
+    traces = [gen_demo1_trace(), gen_privesc_trace()]
+    traces += [gen_random_trace(seed) for seed in range(20)]
+    for trace in traces:
+        for mode in MODES:
+            for record in run_trace(trace, mode).log:
+                rendered = record.as_dict()
+                assert set(rendered) == RECORD_KEYS
+                for key in RECORD_KEYS:
+                    assert record[key] == rendered[key], (key, record)
+                    assert record.get(key) == rendered[key], (key, record)
+                assert dict(record) == rendered
+                assert (rendered["src"], rendered["dst"]) == (f"{record.src:#x}", f"{record.dst:#x}")
+                assert rendered["data"] == (None if record.data is None else record.data.hex())
 
 
 def _kernel_code_writes():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memranger.dispatcher import AccessRecord
 from memranger.kernel_sim import (
     IMAGE_SIZE,
     AccessEvent,
@@ -22,6 +24,7 @@ from memranger.kernel_sim import (
     Free,
     LoadDriver,
     UnloadDriver,
+    gen_benchmark_trace,
     gen_demo1_trace,
     gen_privesc_trace,
     gen_random_trace,
@@ -34,9 +37,9 @@ from memranger.report_cli import (
     MODES,
     REPORT_SCHEMA,
     CostModel,
+    _Shadow,
     access_ticks,
     main,
-    shadow_replay,
     verify_run,
 )
 
@@ -79,13 +82,14 @@ class TestCostModel:
 
 def test_access_ticks_arithmetic():
     cm = CostModel()
-    quiet = {"traps": 0, "switches": 0, "redirected": False, "granted": False}
+    quiet = AccessRecord(0, 0, "A", 0, 0, "read", "allow", 0, 0, traps=0, switches=0,
+                         data=None, expect=None)
     assert access_ticks(quiet, cm) == 1
-    windowed = {"traps": 1, "switches": 0, "redirected": True, "granted": False}
+    windowed = quiet._replace(traps=1, switches=0, decision="redirect_to_fake")
     assert access_ticks(windowed, cm) == 1 + 2000 + 4000
-    routed = {"traps": 1, "switches": 1, "redirected": False, "granted": False}
+    routed = quiet._replace(traps=1, switches=1, decision="allow")
     assert access_ticks(routed, cm) == 1 + 2000 + 550
-    granted = {"traps": 1, "switches": 0, "redirected": False, "granted": True}
+    granted = quiet._replace(traps=1, switches=0, decision="temporary_grant")
     assert access_ticks(granted, cm) == 1 + 2000 + 4000
 
 
@@ -93,6 +97,13 @@ def test_report_total_is_the_sum_of_its_accesses():
     report = run_trace(gen_demo1_trace(), "multi-ept")
     cm = CostModel()
     assert report.modeled_total_ticks == sum(access_ticks(r, cm) for r in report.log)
+
+
+def _shadow_replay(events, allocations) -> tuple[list, dict]:
+    """The shadow's expectation of every event (None off the access events)
+    and its final digests."""
+    shadow = _Shadow(allocations)
+    return [shadow.step(index, event) for index, event in enumerate(events)], shadow.digests()
 
 
 class TestVerification:
@@ -119,9 +130,9 @@ class TestVerification:
     def test_shadow_replay_tracks_legal_writes_only(self):
         events = gen_demo1_trace()
         report = run_trace(events, "multi-ept")
-        expectations, digests = shadow_replay(events, report.allocations)
+        expectations, digests = _shadow_replay(events, report.allocations)
         assert digests == report.digests
-        labels = {e["legal"] for e in expectations.values()}
+        labels = {e.legal for e in expectations if e is not None}
         assert labels == {True, False}
 
     def test_mismatch_entries_name_the_bad_read(self):
@@ -129,12 +140,12 @@ class TestVerification:
         copy of demo1's multi-ept log are reported entry for entry."""
         events = gen_demo1_trace()
         report = run_trace(events, "multi-ept")
-        log = [dict(record) for record in report.log]
+        log = list(report.log)
         by_seq = {record["seq"]: record for record in log}
         assert (by_seq[4]["event"], by_seq[4]["data"]) == (8, "11223344")       # A reads its pool
         assert (by_seq[5]["event"], by_seq[5]["data"]) == (9, "00000000")       # A reads B's pool
-        by_seq[4]["data"] = "deadbeef"
-        by_seq[5]["data"] = "000000ff"
+        log[4] = by_seq[4]._replace(data=bytes.fromhex("deadbeef"))
+        log[5] = by_seq[5]._replace(data=bytes.fromhex("000000ff"))
         verdict = verify_run(events, replace(report, log=log))
         assert verdict.wrong_data == [{"seq": 4, "event": 8, "actor": "A", "dst": "0x50000000",
                                        "got": "deadbeef", "want": "11223344"}]
@@ -174,7 +185,85 @@ class TestVerification:
         doctored = [dict(a, actor="B" if a["actor"] == "A" else "A")
                     for a in report.allocations]
         with pytest.raises(RuntimeError):
-            shadow_replay(events, doctored)
+            verify_run(events, replace(report, allocations=doctored))
+
+
+class TestVerifierGaps:
+    """The audit walks the events and the log together: a read the log holds
+    but no read event asked for, a read event the log has no read for, and a
+    log out of event order all count as wrong data, never as nothing."""
+
+    @pytest.fixture
+    def demo(self):
+        events = gen_demo1_trace()
+        return events, run_trace(events, "multi-ept")
+
+    def _stray(self, report, event: int):
+        """A copy of a redirected read, claiming event and the bytes deadbeef."""
+        redirected = next(r for r in report.log if r.access == "read" and r.decision != "allow")
+        return redirected._replace(seq=len(report.log), event=event,
+                                   data=bytes.fromhex("deadbeef"))
+
+    @pytest.mark.parametrize("event, first", [(0, True), (99, False), (0, False)],
+                             ids=["non-access-event", "past-the-trace", "out-of-order"])
+    def test_a_read_no_event_asked_for(self, demo, event, first):
+        events, report = demo
+        stray = self._stray(report, event)
+        log = [stray] + report.log if first else report.log + [stray]
+        verdict = verify_run(events, replace(report, log=log))
+        assert not verdict.ok
+        assert verdict.wrong_data == [{"seq": stray.seq, "event": event, "actor": stray.actor,
+                                       "dst": f"{stray.dst:#x}", "got": "deadbeef",
+                                       "want": None}]
+        assert verdict.checked_reads == 5 and not verdict.leaks
+
+    def test_a_read_event_the_log_lacks(self, demo):
+        events, report = demo
+        log = [r for r in report.log if r.seq != 4]        # A's read of its own pool, event 8
+        verdict = verify_run(events, replace(report, log=log))
+        assert not verdict.ok
+        assert verdict.wrong_data == [{"seq": None, "event": 8, "actor": "A",
+                                       "dst": "0x50000000", "got": None, "want": "11223344"}]
+        assert verdict.checked_reads == 4
+
+    def test_a_log_out_of_event_order(self, demo):
+        events, report = demo
+        log = list(report.log)
+        log[4], log[5] = log[5], log[4]                     # the reads of events 8 and 9
+        verdict = verify_run(events, replace(report, log=log))
+        assert not verdict.ok
+        assert [(e["seq"], e["event"], e["want"]) for e in verdict.wrong_data] == [
+            (None, 8, "11223344"),                          # event 8's read is not where it belongs
+            (4, 8, None),                                   # and turns up after event 9's
+        ]
+
+    def test_an_execute_record_out_of_order(self, demo):
+        events, report = demo
+        fetch = report.log[0]                               # A's first dispatch, event 2
+        verdict = verify_run(events, replace(report, log=report.log + [fetch]))
+        assert not verdict.ok
+        assert [(e["seq"], e["event"], e["got"]) for e in verdict.wrong_data] == [(0, 2, None)]
+
+
+# Bytes a multi-ept replay plus its audit may hold per logged access at their
+# peak. A record of raw fields costs about 300 bytes; the dict records and the
+# whole-trace expectation table this replaced cost about 980.
+PEAK_BYTES_PER_ACCESS = 450
+
+
+def test_replay_and_audit_memory_per_access():
+    events = gen_benchmark_trace(20_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = run_trace(events, "multi-ept")
+        verdict = verify_run(events, report)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    assert peak / len(report.log) < PEAK_BYTES_PER_ACCESS, peak / len(report.log)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -240,8 +329,8 @@ def test_a_reloaded_driver_is_one_identity_in_the_shadow(mode):
         AccessEvent("os_kernel", DstRef("pool_of", driver="A", index=1), "read"),
     ]
     report = run_trace(events, mode)
-    expectations, digests = shadow_replay(events, report.allocations)
-    assert [expectations[i]["legal"] for i in (7, 8, 9)] == [True, False, False]
+    expectations, digests = _shadow_replay(events, report.allocations)
+    assert [expectations[i].legal for i in (7, 8, 9)] == [True, False, False]
     assert [label for label in digests if label.startswith("image:")] == ["image:B", "image:A"]
     # A's write changed only its new image, so a digest of the first range
     # would read the pristine fill
