@@ -8,9 +8,10 @@ gen_random_trace(S, length=N) (default 100,000 events), writes it with
 serialize_trace and reads it back with parse_trace, printing the parse time
 and the number of distinct lines. Replays the parsed events in multi-ept with
 OracleChecker.verify after every event, then runs one uncached check_against
-and verify_run over the whole report. Every 1,000th event it also checks
-that each context's own leaves lie on pages the live facts claim, so no
-structure grows with the pages the trace has ever claimed.
+and verify_run over the whole report. Every 1,000th event, and once at the
+end, it also checks that each context's own leaves lie on pages the live
+facts claim and that the engine's pool records are exactly the ledger's live
+pools, so no structure grows with the pages or pools the trace has ever had.
 
 Prints the mean cost of the oracle checks that follow a layout change in an
 early window (events 1,000-2,999) and a late one (the last 2,000 events),
@@ -18,7 +19,7 @@ their ratio, each context's own-leaf count at the end, and the process's peak
 resident size (ru_maxrss) with its share per event, so runs at two lengths
 show how memory grows with the trace. Exits 1 if the
 parsed events differ from the generated ones, on any oracle mismatch,
-verification violation or stray own leaf, else 0.
+verification violation, stray own leaf or stray pool record, else 0.
 """
 
 import argparse
@@ -49,6 +50,15 @@ WINDOW = 2_000
 LEAF_CHECK_EVERY = 1_000
 
 
+def stray_pool_records(sim) -> int:
+    """Pool records the engine holds that are not the ledger's live pools,
+    plus live pools it holds no record of."""
+    held = [pool for pools in sim.pools.values() for pool in pools.values()]
+    live = sim.policy.pools
+    stray = sum(live.get(pool.base) is not pool for pool in held)
+    return stray + len(live) - (len(held) - stray)
+
+
 def soak(seed: int, length: int) -> int:
     generated = gen_random_trace(seed, length=length)
     text = serialize_trace(generated)
@@ -62,7 +72,7 @@ def soak(seed: int, length: int) -> int:
     sim = Simulation("multi-ept")
     checker = OracleChecker()
     costs: dict[str, list[float]] = {"early": [], "late": []}
-    mismatches = stray = 0
+    mismatches = stray = stray_pools = 0
     began = perf_counter()
     for index, event in enumerate(events):
         version = sim.policy.layout_version
@@ -86,8 +96,10 @@ def soak(seed: int, length: int) -> int:
                     stray += len(outside)
                     print(f"event {index}: context {ept_id} holds {len(outside)} own leaves"
                           f" on unclaimed pages, first {outside[0]:#x}")
+            stray_pools += stray_pool_records(sim)
     replayed = perf_counter() - began
     policy = sim.policy
+    stray_pools += stray_pool_records(sim)
     swept = check_against(rebuild(snapshot_from_map(policy)), policy.epts)
     mismatches += len(swept)
     began = perf_counter()
@@ -107,10 +119,11 @@ def soak(seed: int, length: int) -> int:
     print(f"own leaves per context: {leaves}; pages claimed: {len(checker.policy_for(policy).claimed)}")
     counts = {k: v for k, v in verdict.summary().items() if k != "samples"}
     print(f"oracle mismatches {mismatches}, final sweep {len(swept)},"
-          f" stray own leaves {stray}, verification {counts}")
+          f" stray own leaves {stray}, stray pool records {stray_pools},"
+          f" verification {counts}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024   # Linux counts KiB
     print(f"peak RSS {peak / 2**20:.1f} MiB, {peak / length:.0f} B per event")
-    clean = round_trip and not mismatches and not stray and verdict.ok
+    clean = round_trip and not mismatches and not stray and not stray_pools and verdict.ok
     print("PASS" if clean else "FAIL")
     return 0 if clean else 1
 

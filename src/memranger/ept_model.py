@@ -13,16 +13,15 @@ address_space.split_gpa.) A refused translation is reported as a value, not
 an exception.
 
 Every leaf write goes through Ept.set_page_entry into the context's own map,
-never into the base, and is journaled: one entry per page, holding the serial
-of its latest write, so a reader that remembers a serial can ask which pages
-changed after it. A write that gives a page what the base or the identity
+never into the base. A write that gives a page what the base or the identity
 default already gives drops the page's own leaf instead of storing it, so
-the own map holds only the pages that differ, not every page ever written.
+the own map holds only the pages that differ, not every page ever written,
+and a context's effective leaves change exactly when its own map does.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple
+from typing import ItemsView, Mapping, NamedTuple
 
 from .address_space import OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
 
@@ -73,10 +72,8 @@ class Ept:
         self.id = ept_id
         self.base = base
         self._flat: dict[int, EptEntry] = {}    # page -> the context's own leaf
-        self.mutations = 0                       # serial of the latest write
-        # page -> serial of its latest write; re-inserted on every write, so
-        # iteration order is last-write order and the size is one per page
-        self._written: dict[int, int] = {}
+        # leaf writes so far; the benchmark's policy_map.leaf_writes gauge reads it
+        self.mutations = 0
 
     def entry_for(self, page: int) -> EptEntry:
         """Effective leaf entry governing a page: own, else base, else default."""
@@ -97,18 +94,6 @@ class Ept:
         else:
             flat[page] = entry
         self.mutations += 1
-        written = self._written
-        written.pop(page, None)
-        written[page] = self.mutations
-
-    def written_since(self, serial: int) -> list[int]:
-        """Pages written after write serial `serial`, newest first, each once."""
-        pages = []
-        for page, written in reversed(self._written.items()):
-            if written <= serial:
-                break
-            pages.append(page)
-        return pages
 
     def set_page_attrs(self, page: int, attrs: int) -> None:
         self.set_page_entry(page, EptEntry(self.entry_for(page).pfn, attrs))
@@ -127,7 +112,8 @@ class Ept:
             return (entry.pfn << PAGE_SHIFT) | (gpa & OFFSET_MASK)
         return EptViolation(self.id, gpa, access, entry)
 
-    def materialized_leaves(self) -> Iterator[tuple[int, EptEntry]]:
-        """The context's own leaves; pages of the base map are not listed."""
-        return iter(self._flat.items())
+    def materialized_leaves(self) -> ItemsView[int, EptEntry]:
+        """A live view of the context's own leaves; pages of the base map are
+        not listed."""
+        return self._flat.items()
 

@@ -32,7 +32,7 @@ from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SIZ
 from .dispatcher import EXECUTE, WRITE, AccessRecord, VcpuState, execute_access, switch_ept
 from .ept_model import Access
 from .errors import SimulationError, TraceParseError
-from .policy_map import MapState, RegionLedger, SingleEptPolicy
+from .policy_map import AllocatedPool, MapState, RegionLedger, SingleEptPolicy
 from .report_cli import CostModel, RunReport, access_ticks
 
 # Static fixture: one synthetic machine shared by every trace, around the
@@ -452,13 +452,6 @@ def _placed(cursor: int, size: int, grain: int) -> tuple[int, int]:
 # -- simulation ----------------------------------------------------------------
 
 @dataclass
-class PoolInfo:
-    base: int
-    size: int
-    live: bool = True
-
-
-@dataclass
 class ActorInfo:
     name: str
     kind: str                   # "driver" | "os" | "other"
@@ -491,7 +484,8 @@ class Simulation:
             "os_kernel": ActorInfo("os_kernel", "os", OS_KERNEL_CODE[0] + CODE_ENTRY_OFFSET),
             "other_driver_0": ActorInfo("other_driver_0", "other", OTHER_DRIVER[0] + CODE_ENTRY_OFFSET),
         }
-        self.pools: dict[str, list[PoolInfo]] = {}
+        self.ordinals: dict[str, int] = {}       # allocations made, frees included
+        self.pools: dict[str, dict[int, AllocatedPool]] = {}   # live pools by ordinal
         self.scheduled = "os_kernel"
         self.log: list[AccessRecord] = []
         self.allocations: list[dict] = []
@@ -538,13 +532,13 @@ class Simulation:
             self._fetch(name)
 
     def _pool_addr(self, owner: str, index: int, offset: int) -> int:
-        pools = self.pools.get(owner)
-        if not pools:
+        made = self.ordinals.get(owner, 0)
+        if not made:
             raise SimulationError(f"actor {owner!r} has no allocations")
-        if not 0 <= index < len(pools):
+        if not 0 <= index < made:
             raise SimulationError(f"no pool ordinal {index} for actor {owner!r}")
-        pool = pools[index]
-        if not pool.live:
+        pool = self.pools.get(owner, {}).get(index)
+        if pool is None:
             raise SimulationError(f"pool {owner}:{index} already freed")
         if not 0 <= offset < pool.size:
             raise SimulationError(f"offset {offset:#x} outside pool {owner}:{index}")
@@ -608,7 +602,6 @@ class Simulation:
         self.actors[event.name] = ActorInfo(
             event.name, "driver", event.image_base + CODE_ENTRY_OFFSET, eid,
         )
-        self.pools.setdefault(event.name, [])
 
     def _on_unload(self, event: UnloadDriver) -> None:
         info = self._actor(event.name)
@@ -620,10 +613,8 @@ class Simulation:
             switch_ept(self.vcpu, self.policy, self.policy.default_ept)
             self.vcpu.counters["forced_switches"] += 1
         del self.actors[event.name]
-        for pool in self.pools.get(event.name, ()):
-            if pool.live:
-                self.allocator.release(pool.base)
-            pool.live = False
+        for pool in self.pools.pop(event.name, {}).values():
+            self.allocator.release(pool.base)
         if self.scheduled == event.name:
             self.scheduled = "os_kernel"
 
@@ -642,30 +633,30 @@ class Simulation:
         base = self.allocator.take(event.size, align)
         fill = SECRET_FILL if info.kind == "driver" else FOREIGN_POOL_FILL
         self.store.fill_gpa_range(base, event.size, fill)
-        self.policy.on_alloc(info.code, base, event.size)
-        ordinals = self.pools.setdefault(event.actor, [])
+        pool = self.policy.on_alloc(info.code, base, event.size)
+        ordinal = self.ordinals.get(event.actor, 0)
+        self.ordinals[event.actor] = ordinal + 1
+        self.pools.setdefault(event.actor, {})[ordinal] = pool
         self.allocations.append({
             "event": self.event_index,
             "actor": event.actor,
-            "ordinal": len(ordinals),
+            "ordinal": ordinal,
             "base": _hex(base),
             "size": _hex(event.size),
             "align": align,
         })
-        ordinals.append(PoolInfo(base, event.size))
 
     def _on_free(self, event: Free) -> None:
         self._actor(event.actor)
         self._ensure_running(event.actor)
-        pools = self.pools.get(event.actor, [])
-        if not 0 <= event.pool < len(pools):
+        if not 0 <= event.pool < self.ordinals.get(event.actor, 0):
             raise SimulationError(f"free of unknown pool ordinal {event.pool}")
-        info = pools[event.pool]
-        if not info.live:
+        pool = self.pools.get(event.actor, {}).get(event.pool)
+        if pool is None:
             raise SimulationError(f"double free of pool {event.actor}:{event.pool}")
-        self.policy.on_free(info.base)
-        self.allocator.release(info.base)
-        info.live = False
+        self.policy.on_free(pool.base)
+        self.allocator.release(pool.base)
+        del self.pools[event.actor][event.pool]
 
     def _on_access(self, event: AccessEvent) -> None:
         info = self._actor(event.actor)
@@ -700,9 +691,8 @@ class Simulation:
                 image = self.policy.enclaves[info.enclave_id]
                 out[f"image:{name}"] = self.store.digest_gpa_range(image.image_base, image.image_size)
         for name, pools in self.pools.items():
-            for ordinal, pool in enumerate(pools):
-                if pool.live:
-                    out[f"pool:{name}:{ordinal}"] = self.store.digest_gpa_range(pool.base, pool.size)
+            for ordinal, pool in pools.items():
+                out[f"pool:{name}:{ordinal}"] = self.store.digest_gpa_range(pool.base, pool.size)
         for pid, proc in self.policy.processes.items():
             digest = hashlib.sha256()
             for base, size in proc.regions:

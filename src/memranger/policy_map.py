@@ -260,10 +260,10 @@ class RegionLedger:
         self._restamp(pages)
         self.layout_version += 1
 
-    def on_alloc(self, caller_addr: int, base: int, size: int) -> None:
-        """Record an allocation; returns None. A pool whose caller is not
-        enclaved stays open data, recorded only so that overlaps and shared
-        pages are seen."""
+    def on_alloc(self, caller_addr: int, base: int, size: int) -> AllocatedPool:
+        """Record an allocation and return its live record. A pool whose
+        caller is not enclaved stays open data, recorded only so that
+        overlaps and shared pages are seen."""
         if size <= 0 or base < 0 or base + size > GPA_LIMIT:
             raise SimulationError(f"allocation [{base:#x}, +{size:#x}) out of range")
         pages = pages_covering(base, size)
@@ -279,6 +279,7 @@ class RegionLedger:
             self.pool_pages.setdefault(page, []).append(pool)
         self._restamp(pages)
         self.layout_version += 1
+        return pool
 
     def on_free(self, base: int) -> None:
         pool = self.pools.pop(base, None)

@@ -28,20 +28,22 @@ the template or the engine's rules itself.
 check_against is the from-scratch reference: for every context it compares
 the table's pages and the context's own leaves, so a stray leaf on a page no
 region claims is caught too. OracleChecker finds the same mismatches by one
-incremental rule, applied per context: it compares the pages the context's
-write journal lists since the last check; after a layout change, also the
-pages claimed before or after it; and for a context object it has not seen
-before, every table page and every own leaf. Each compared (context, page)
-pair enters or leaves one mismatch set, and every check reports the whole
-set. Writes that bypass the journal are invisible to the checker; a caller
-runs check_against as a backstop against them.
+incremental rule, applied per context. It keeps a copy of the own leaves it
+last compared and compares the pages whose own leaf differs from that copy;
+after a layout change, also the pages claimed before or after it; and for a
+context object it has not seen before, every table page and every own leaf.
+The base a context reads is shared and never written, so its own map is the
+only thing that changes an effective leaf: a leaf written by any path, not
+only through Ept.set_page_entry, shows in the difference. Each compared
+(context, page) pair enters or leaves one mismatch set, and every check
+reports the whole set.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SHIFT
-from .ept_model import NONE, RW, RWX, Access, Ept, R, W, X
+from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
 
 BAD_PFN_BITS = 0xFF    # sentinel: leaf points at a non-identity frame
 
@@ -281,7 +283,8 @@ class OracleChecker:
         self._version = None
         self._policy: FlatPolicy | None = None
         self._checked: FlatPolicy | None = None           # table of the last check
-        self._seen: dict[int, tuple[Ept, int]] = {}       # id -> (context, serial) compared
+        # id -> (context, copy of the own leaves it held when last compared)
+        self._seen: dict[int, tuple[Ept, dict[int, EptEntry]]] = {}
         self._bad: dict[tuple[int, int], Mismatch] = {}   # (context, page) -> mismatch
 
     def policy_for(self, map_state) -> FlatPolicy:
@@ -293,28 +296,32 @@ class OracleChecker:
     def verify(self, map_state, epts: dict[int, Ept]) -> list[Mismatch]:
         """Every mismatch a fresh check_against would report, sorted."""
         policy = self.policy_for(map_state)
-        relaid: list[int] = []
+        relaid: frozenset[int] = frozenset()
         if policy is not self._checked:
             before = self._checked.claimed if self._checked is not None else frozenset()
-            relaid = list(policy.claimed | before)
+            relaid = policy.claimed | before
         bad, seen = self._bad, {}
         for ept_id, row in policy.table.items():
             ept = epts.get(ept_id)
             if ept is None:
                 continue
+            own = ept.materialized_leaves().mapping     # read-only, live
             last = self._seen.get(ept_id)
             if last is not None and last[0] is ept:
-                pages = ept.written_since(last[1]) + relaid
+                kept, pages = last[1], relaid
+                if own != kept:
+                    pages = relaid.union(page for page, _ in own.items() ^ kept.items())
+                    kept = own.copy()
             else:
                 self._forget(ept_id)
-                pages = _every_page(row, ept)
+                kept, pages = own.copy(), _every_page(row, ept)
             for page in pages:
                 found = _compare(ept_id, row, ept, page)
                 if found is None:
                     bad.pop((ept_id, page), None)
                 else:
                     bad[(ept_id, page)] = found
-            seen[ept_id] = (ept, ept.mutations)
+            seen[ept_id] = (ept, kept)
         for ept_id in self._seen.keys() - seen.keys():
             self._forget(ept_id)
         self._checked, self._seen = policy, seen

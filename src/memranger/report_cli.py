@@ -300,10 +300,11 @@ def verify_run(events, report: RunReport) -> VerifyResult:
     are checked against it, then event i + 1 follows, so the shadow holds
     one event's expectation at a time.
 
-    Each read event must log exactly one read, and no other event any. A
-    read the log lacks (its entry's got is None), a read no event asked for,
-    and a record out of event order or past the trace's end (want is None)
-    all count as wrong data."""
+    Each read event must log exactly one read, by the event's actor at the
+    address the shadow resolves, and no other event any. A read of the
+    wrong bytes, address or actor, a read the log lacks (its entry's got is
+    None), a read no event asked for, and a record out of event order or
+    past the trace's end (want is None) all count as wrong data."""
     shadow = _Shadow(report.allocations)
     result = VerifyResult(ok=True, checked_reads=0)
     records = iter(report.log)
@@ -317,7 +318,7 @@ def verify_run(events, report: RunReport) -> VerifyResult:
                 got = record.data or b""
                 if not expected.legal and any(got):
                     result.leaks.append(_mismatch(record, "00" * len(got)))
-                elif got != want:
+                elif got != want or record.dst != expected.dst or record.actor != event.actor:
                     result.wrong_data.append(_mismatch(record, want.hex()))
                 want = None
             elif record.event < index or record.access == "read":

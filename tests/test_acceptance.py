@@ -48,11 +48,11 @@ def verdict(capsys, ok: bool, label: str, detail: str) -> None:
 def corpus():
     """Replay the whole corpus once; retain only aggregate facts per trace.
 
-    The checker after every event compares the pages each context's write
-    journal lists, and after a layout change the pages claimed before or after
-    it; after a trace's last event one more sweep reads every context's table
-    pages and own leaves from scratch, so a leaf write that bypassed the
-    journal still shows up as a mismatch.
+    The checker after every event compares the pages whose own leaf changed
+    since its previous check, and after a layout change the pages claimed
+    before or after it; after a trace's last event one more sweep reads every
+    context's table pages and own leaves from scratch, so the incremental
+    answer is backed by an uncached one.
     """
     runs = []
     oracle_mismatches = 0

@@ -69,31 +69,6 @@ def test_mutations_counter_tracks_writes():
     assert ept.mutations == before + 2
 
 
-def test_written_since_lists_later_pages_newest_first_once():
-    ept = Ept(0)
-    ept.set_page_attrs(1, NONE)
-    mark = ept.mutations
-    assert ept.written_since(mark) == []
-    ept.set_page_attrs(2, RWX)
-    ept.set_page_entry(3, EptEntry(9, RW))
-    ept.set_page_attrs(2, NONE)           # rewritten: moves to the front, listed once
-    ept.set_page_entry(4, EptEntry(4, RW))
-    assert ept.written_since(mark) == [4, 2, 3]
-    assert ept.written_since(0) == [4, 2, 3, 1]
-    assert ept.written_since(ept.mutations) == []
-    ept.set_page_attrs(1, RWX)            # a page written before the mark, written again
-    assert ept.written_since(mark) == [1, 4, 2, 3]
-
-
-def test_journal_holds_one_entry_per_page():
-    ept = Ept(0)
-    for i in range(100_000):
-        ept.set_page_attrs(i % 3, RWX if i & 1 else NONE)
-    assert ept.mutations == 100_000
-    assert len(ept._written) == 3
-    assert ept.written_since(0) == [0, 2, 1]   # 99,999 % 3 == 0 was written last
-
-
 def test_materialized_leaves_mirror_the_radix():
     ept = Ept(0)
     ept.set_page_attrs(10, NONE)
@@ -127,7 +102,6 @@ def test_a_write_the_base_or_default_already_gives_drops_the_own_leaf():
     ept = Ept(1, template)
     ept.set_page_attrs(7, NONE)
     before = {page: ept.entry_for(page) for page in (5, 7, 9)}
-    mark = ept.mutations
     saved = ept.entry_for(5)
     ept.set_page_entry(5, EptEntry(0xFA4E, RWX))   # a single-step window over a template page
     assert dict(ept.materialized_leaves()) == {5: EptEntry(0xFA4E, RWX), 7: EptEntry(7, NONE)}
@@ -135,7 +109,6 @@ def test_a_write_the_base_or_default_already_gives_drops_the_own_leaf():
     ept.set_page_attrs(7, RW)                     # the identity default
     ept.set_page_entry(9, EptEntry(9, RW))        # never written, already the default
     assert list(ept.materialized_leaves()) == []
-    assert ept.written_since(mark) == [9, 7, 5]
     assert {page: ept.entry_for(page) for page in (5, 9)} == {5: before[5], 9: before[9]}
     assert ept.entry_for(7) == EptEntry(7, RW)
     assert template == {5: EptEntry(5, NONE)}

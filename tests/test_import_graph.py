@@ -88,3 +88,17 @@ def test_the_static_regions_are_stated_once():
 def test_every_spelling_of_a_package_import_is_seen(line, module):
     local, absolute = _imports(f"def f():\n    {line}\n")
     assert local == {module} and not absolute
+
+
+def test_the_oracle_reads_no_private_attribute_of_another_object():
+    """The oracle reads contexts and the engine's ledger through their public
+    names only (Ept.entry_for, Ept.materialized_leaves, the ledger's fact
+    tables): a _-prefixed attribute may be read on self alone."""
+    tree = ast.parse((SRC / "reference_oracle.py").read_text(encoding="utf-8"))
+    private = [
+        (node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert private == []

@@ -812,9 +812,8 @@ def _fresh_digests(sim) -> dict[str, str]:
             image = sim.policy.enclaves[info.enclave_id]
             out[f"image:{name}"] = sha((image.image_base, image.image_size))
     for name, pools in sim.pools.items():
-        for ordinal, pool in enumerate(pools):
-            if pool.live:
-                out[f"pool:{name}:{ordinal}"] = sha((pool.base, pool.size))
+        for ordinal, pool in pools.items():
+            out[f"pool:{name}:{ordinal}"] = sha((pool.base, pool.size))
     for pid, proc in sim.policy.processes.items():
         out[f"eprocess:{pid}"] = sha(*proc.regions)
     return out

@@ -128,7 +128,7 @@ def test_released_page_left_unstamped_is_caught(monkeypatch):
 
 def test_replaced_context_is_read_again():
     """A context replaced by another object under the same id, with the same
-    write serial and the layout unchanged, is read again in full."""
+    number of writes and the layout unchanged, is read again in full."""
     page = 0x3000_0000 >> 12
     states = fresh(), fresh()
     for state, attrs in zip(states, (RWX, NONE)):
@@ -144,7 +144,7 @@ def test_replaced_context_is_read_again():
 
 
 def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
-    """The journal-fed checker must report exactly what a from-scratch sweep
+    """The incremental checker must report exactly what a from-scratch sweep
     reports, also when leaves are overwritten behind the policy's back."""
     rng = random.Random(20261018)
     checks = sabotaged = flagged = 0
@@ -176,10 +176,35 @@ def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
     assert flagged >= sabotaged      # a sabotaged leaf mostly stays wrong for a while
 
 
+def test_a_write_that_bypasses_set_page_entry_is_caught():
+    """Leaves written straight into a context's own map, behind
+    Ept.set_page_entry: each check reports exactly what a from-scratch sweep
+    reports, until the own map holds the engine's leaves again."""
+    state = fresh()
+    checker = OracleChecker()
+    eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+    state.on_alloc(0x3000_0100, 0x5000_0000, 0x100)
+    assert checker.verify(state, state.epts) == []
+    own = state.epts[eid]._flat
+    pool, stray = 0x5000_0000 >> PAGE_SHIFT, 0x6000_0000 >> PAGE_SHIFT
+    good = own[pool]
+    reported = []
+    for page, entry in ((pool, EptEntry(pool, NONE)), (stray, EptEntry(stray + 1, RW)),
+                        (pool, None), (pool, good), (stray, None)):
+        if entry is None:
+            del own[page]                        # falls back to the identity default
+        else:
+            own[page] = entry
+        found = checker.verify(state, state.epts)
+        assert found == check_against(rebuild(snapshot_from_map(state)), state.epts)
+        reported.append(len(found))
+    assert reported == [1, 2, 2, 1, 0]
+
+
 def test_planted_leaf_is_reported_until_restored():
     """A bad leaf is reported on every check, also on checks with no change in
-    between, and also across a layout change; a journaled write that restores
-    the leaf clears it."""
+    between, and also across a layout change; a write that restores the leaf
+    clears it."""
     state = fresh()
     checker = OracleChecker()
     eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)

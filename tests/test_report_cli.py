@@ -237,6 +237,22 @@ class TestVerifierGaps:
             (4, 8, None),                                   # and turns up after event 9's
         ]
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("dst", 0x7000_0000, {"dst": "0x70000000"}),
+        ("actor", "B", {"actor": "B"}),
+    ], ids=["dst", "actor"])
+    def test_a_read_by_the_wrong_actor_or_at_the_wrong_address(self, demo, field, value, shown):
+        """A's read of its own pool (seq 4, event 8) with the right bytes but
+        another address or another actor is wrong data."""
+        events, report = demo
+        log = list(report.log)
+        log[4] = log[4]._replace(**{field: value})
+        verdict = verify_run(events, replace(report, log=log))
+        assert not verdict.ok
+        assert verdict.wrong_data == [{"seq": 4, "event": 8, "actor": "A", "dst": "0x50000000",
+                                       "got": "11223344", "want": "11223344", **shown}]
+        assert verdict.checked_reads == 5 and not verdict.leaks
+
     def test_an_execute_record_out_of_order(self, demo):
         events, report = demo
         fetch = report.log[0]                               # A's first dispatch, event 2
