@@ -26,12 +26,14 @@ from .errors import (
 from .kernel_sim import (
     AccessEvent,
     Alloc,
+    CostModel,
     CreateProcess,
     DstRef,
     ExitProcess,
     Free,
     LoadDriver,
     Mode,
+    RunReport,
     Schedule,
     SimConfig,
     Simulation,
@@ -46,7 +48,7 @@ from .kernel_sim import (
 )
 from .policy_map import Decision, DecisionKind, MapState
 from .reference_oracle import OracleChecker, rebuild, snapshot_from_map
-from .report_cli import CostModel, RunReport, access_ticks, main, verify_run
+from .report_cli import main, verify_run
 
 __version__ = "0.1.0"
 
@@ -85,7 +87,6 @@ __all__ = [
     "TraceParseError",
     "UnloadDriver",
     "VcpuState",
-    "access_ticks",
     "execute_access",
     "gen_benchmark_trace",
     "gen_demo1_trace",

@@ -9,7 +9,9 @@ A policy that keeps no contexts (mode ``off``) runs with translation off:
 each access passes the same checks and lands on its identity frame untrapped.
 
 Every access returns a log record, an AccessRecord: the raw fields of the
-access plus the trap/switch/window counts the cost model is computed from.
+access plus its trap and switch counts. The run's counters, kept in
+VcpuState.counters, are what the cost model prices; a record explains where
+one access's share came from.
 """
 
 from dataclasses import dataclass, field
@@ -112,6 +114,8 @@ def _fresh_counters() -> dict:
         "grants": 0,
         "mtf_windows": 0,
         "forced_switches": 0,
+        "rw_trapped_accesses": 0,       # reads and writes that trapped at least once
+        "exec_trapped_accesses": 0,     # instruction fetches that trapped at least once
     }
 
 
@@ -255,6 +259,8 @@ def execute_access(
             raise RuntimeError("single-step window failed to restore the leaf entry")
         break
 
+    if traps:
+        vcpu.counters["exec_trapped_accesses" if access is EXECUTE else "rw_trapped_accesses"] += 1
     return data, _new_record(AccessRecord, (
         seq, event, actor, src, dst, label, decision_label,
         ept_before, vcpu.current_ept, traps, switches, data, expect,

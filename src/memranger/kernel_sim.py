@@ -14,8 +14,10 @@ The mode picks the policy class and names the report; every mode replays
 through the same handlers and the same dispatcher.execute_access.
 
 The policies live in policy_map; this module owns the replay (Simulation),
-the pool allocator, the trace JSON-lines codec and the trace generators
-(demo, privilege-escalation, benchmark, seeded random).
+its configuration and report (SimConfig, CostModel, RunReport), the pool
+allocator, the trace JSON-lines codec and the trace generators (demo,
+privilege-escalation, benchmark, seeded random). A run is priced once, when
+its report is made, from the counters the dispatcher keeps.
 """
 
 import bisect
@@ -25,15 +27,15 @@ import json
 import random
 import string
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
+from pathlib import Path
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SIZE, FrameStore
 from .dispatcher import EXECUTE, WRITE, AccessRecord, VcpuState, execute_access, switch_ept
 from .ept_model import Access
 from .errors import SimulationError, TraceParseError
 from .policy_map import AllocatedPool, MapState, RegionLedger, SingleEptPolicy
-from .report_cli import CostModel, RunReport, access_ticks
 
 # Static fixture: one synthetic machine shared by every trace, around the
 # static regions address_space states.
@@ -70,10 +72,89 @@ class Mode(Enum):
     MULTI_EPT = "multi-ept"
 
 
+@dataclass(frozen=True)
+class CostModel:
+    """Tick prices for the modeled cost account. Defaults follow the rough
+    magnitude ordering of the real hardware events they stand in for."""
+
+    base_access: int = 1
+    vmexit_cost: int = 2000
+    ept_switch_cost: int = 500
+    mtf_roundtrip_cost: int = 4000
+    page_walk_after_flush: int = 50
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "CostModel":
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown cost model fields: {sorted(unknown)}")
+        for key, value in raw.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"cost model field {key!r} must be a non-negative integer")
+        return cls(**raw)
+
+    @classmethod
+    def from_file(cls, path) -> "CostModel":
+        try:
+            raw = json.loads(Path(path).read_text())
+        except RecursionError:
+            raise ValueError("cost model json is nested too deeply") from None
+        if not isinstance(raw, dict):
+            raise ValueError("cost model file must hold a json object")
+        return cls.from_dict(raw)
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    def ticks(self, counters: dict) -> int:
+        """The modeled total of a run: each price times the counter it is
+        charged per. The switch forced by an unload makes no access and is
+        not charged."""
+        return (
+            self.base_access * counters["accesses"]
+            + self.vmexit_cost * counters["ept_violations"]
+            + (self.ept_switch_cost + self.page_walk_after_flush)
+            * (counters["ept_switches"] - counters["forced_switches"])
+            + self.mtf_roundtrip_cost * counters["mtf_windows"]
+        )
+
+
 @dataclass
 class SimConfig:
     force_page_aligned: bool = False
     cost_model: CostModel = field(default_factory=CostModel)
+
+
+REPORT_SCHEMA = "ranger-report/1"
+
+
+@dataclass
+class RunReport:
+    mode: str
+    config: dict
+    counters: dict
+    log: list                   # dispatcher.AccessRecord, one per access
+    allocations: list
+    digests: dict
+    modeled_total_ticks: int
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": REPORT_SCHEMA,
+            "mode": self.mode,
+            "config": self.config,
+            "counters": self.counters,
+            "allocations": self.allocations,
+            "digests": self.digests,
+            "modeled_total_ticks": self.modeled_total_ticks,
+            "log": [record.as_dict() for record in self.log],
+        }
+
+    def to_json(self, extra: dict | None = None) -> str:
+        payload = self.to_dict()
+        if extra:
+            payload.update(extra)
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # -- trace events -----------------------------------------------------------
@@ -468,7 +549,6 @@ class Simulation:
     def __init__(self, mode, config: SimConfig | None = None):
         self.mode = mode if isinstance(mode, Mode) else Mode(mode)
         self.config = config or SimConfig()
-        self.cost_model = self.config.cost_model
         self.store = FrameStore()
         # mode off keeps the bare ledger: the same input checks, no contexts
         self.policy = _POLICIES[self.mode]()
@@ -490,9 +570,6 @@ class Simulation:
         self.log: list[AccessRecord] = []
         self.allocations: list[dict] = []
         self.event_index = -1
-        self.ticks = 0
-        self.rw_trapped = 0         # trapped reads and writes
-        self.exec_trapped = 0       # trapped instruction fetches
 
     # -- plumbing ---------------------------------------------------------
 
@@ -501,16 +578,6 @@ class Simulation:
         if info is None:
             raise SimulationError(f"unknown actor {name!r}")
         return info
-
-    def _record(self, record: AccessRecord) -> None:
-        """Log the record, and price and count it from its fields."""
-        self.ticks += access_ticks(record, self.cost_model)
-        if record.traps:
-            if record.access == "execute":
-                self.exec_trapped += 1
-            else:
-                self.rw_trapped += 1
-        self.log.append(record)
 
     def _fetch(self, target: str, expect: str | None = None) -> None:
         """Scheduler stub fetches the target's entry point; in multi-ept mode
@@ -524,7 +591,7 @@ class Simulation:
             SCHEDULER_STUB, info.code, EXECUTE, actor=target, home_ept=home,
             seq=len(self.log), event=self.event_index, expect=expect,
         )
-        self._record(record)
+        self.log.append(record)
         self.scheduled = target
 
     def _ensure_running(self, name: str) -> None:
@@ -671,7 +738,7 @@ class Simulation:
             info.code, dst, access, payload=payload, actor=event.actor,
             seq=len(self.log), event=self.event_index, expect=event.expect,
         )
-        self._record(record)
+        self.log.append(record)
         if record.ept_after != record.ept_before and access is EXECUTE:
             # a call into another context: the actor's next event returns to
             # its own code, which a fresh fetch of its entry models
@@ -702,19 +769,18 @@ class Simulation:
 
     def report(self) -> RunReport:
         counters = dict(self.vcpu.counters)
-        counters["rw_trapped_accesses"] = self.rw_trapped
-        counters["exec_trapped_accesses"] = self.exec_trapped
+        cost_model = self.config.cost_model
         return RunReport(
             mode=self.mode.value,
             config={
                 "force_page_aligned": self.config.force_page_aligned,
-                "cost_model": self.cost_model.as_dict(),
+                "cost_model": cost_model.as_dict(),
             },
             counters=counters,
             log=list(self.log),
             allocations=list(self.allocations),
             digests=self.digests(),
-            modeled_total_ticks=self.ticks,
+            modeled_total_ticks=cost_model.ticks(counters),
         )
 
 

@@ -1,15 +1,18 @@
-"""Run reports, the modeled cost account, trace verification, and the CLI.
+"""Trace verification and the command line.
 
-The verifier replays the trace with its own bookkeeping (shadow memory plus
-the brute-force legality predicate) in lockstep with the report's log and
-audits the log against it: illegal reads must observe zeros, legal reads must
-observe true bytes, and final region digests must equal a replay in which
-illegal writes never happened.
+The engine owns the run and its report (kernel_sim.Simulation, RunReport,
+CostModel); this module checks a report and prints it. The verifier replays
+the trace with its own bookkeeping (shadow memory plus the brute-force
+legality predicate) in lockstep with the report's log and audits the log
+against it: illegal reads must observe zeros, legal reads must observe true
+bytes, and final region digests must equal a replay in which illegal writes
+never happened.
 
 Exit codes: 0 clean, 1 malformed input, 2 property violation.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -20,95 +23,18 @@ from typing import NamedTuple
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, FrameStore
 from .ept_model import Access
 from .errors import ConfigError, SimulationError, TraceParseError
+from .kernel_sim import (
+    _ACCESS_OF, ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, OS_KERNEL_FILL, OS_STRUCT_FILL,
+    OTHER_DRIVER_FILL, SECRET_FILL, AccessEvent, Alloc, CostModel, CreateProcess, ExitProcess,
+    Free, LoadDriver, Mode, RunReport, Schedule, SimConfig, UnloadDriver, gen_benchmark_trace,
+    gen_demo1_trace, gen_privesc_trace, gen_random_trace, image_fill, parse_trace, run_trace,
+    serialize_trace,
+)
 from .reference_oracle import SnapshotView
 
-REPORT_SCHEMA = "ranger-report/1"
 COMPARE_SCHEMA = "ranger-compare/1"
-MODES = ("off", "single-ept", "multi-ept")
+MODES = tuple(mode.value for mode in Mode)
 READ, WRITE = Access.READ, Access.WRITE      # bound once: a read through the class is slow
-
-_COST_FIELDS = (
-    "base_access",
-    "vmexit_cost",
-    "ept_switch_cost",
-    "mtf_roundtrip_cost",
-    "page_walk_after_flush",
-)
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Tick prices for the modeled cost account. Defaults follow the rough
-    magnitude ordering of the real hardware events they stand in for."""
-
-    base_access: int = 1
-    vmexit_cost: int = 2000
-    ept_switch_cost: int = 500
-    mtf_roundtrip_cost: int = 4000
-    page_walk_after_flush: int = 50
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CostModel":
-        unknown = set(raw) - set(_COST_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown cost model fields: {sorted(unknown)}")
-        for key, value in raw.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"cost model field {key!r} must be a non-negative integer")
-        return cls(**raw)
-
-    @classmethod
-    def from_file(cls, path) -> "CostModel":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except RecursionError:
-            raise ValueError("cost model json is nested too deeply") from None
-        if not isinstance(raw, dict):
-            raise ValueError("cost model file must hold a json object")
-        return cls.from_dict(raw)
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _COST_FIELDS}
-
-
-def access_ticks(record, cost_model: CostModel) -> int:
-    """Modeled price of one logged access (a dispatcher.AccessRecord), read
-    from its raw fields; totals are sums of these."""
-    ticks = cost_model.base_access
-    ticks += cost_model.vmexit_cost * record.traps
-    ticks += (cost_model.ept_switch_cost + cost_model.page_walk_after_flush) * record.switches
-    if record.decision != "allow":      # a redirect or a grant: one single-step window
-        ticks += cost_model.mtf_roundtrip_cost
-    return ticks
-
-
-@dataclass
-class RunReport:
-    mode: str
-    config: dict
-    counters: dict
-    log: list                   # dispatcher.AccessRecord, one per access
-    allocations: list
-    digests: dict
-    modeled_total_ticks: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "mode": self.mode,
-            "config": self.config,
-            "counters": self.counters,
-            "allocations": self.allocations,
-            "digests": self.digests,
-            "modeled_total_ticks": self.modeled_total_ticks,
-            "log": [record.as_dict() for record in self.log],
-        }
-
-    def to_json(self, extra: dict | None = None) -> str:
-        payload = self.to_dict()
-        if extra:
-            payload.update(extra)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # -- shadow replay -------------------------------------------------------------
@@ -153,13 +79,11 @@ class _Shadow:
     Expectation, None for any other event."""
 
     def __init__(self, allocations):
-        from . import kernel_sim as ks
-        self.ks = ks
         self.store = FrameStore()
         for (base, size), fill in (
-            (OS_KERNEL_CODE, ks.OS_KERNEL_FILL),
-            (OS_STRUCTURES, ks.OS_STRUCT_FILL),
-            (OTHER_DRIVER, ks.OTHER_DRIVER_FILL),
+            (OS_KERNEL_CODE, OS_KERNEL_FILL),
+            (OS_STRUCTURES, OS_STRUCT_FILL),
+            (OTHER_DRIVER, OTHER_DRIVER_FILL),
         ):
             self.store.fill_gpa_range(base, size, fill)
         self.view = SnapshotView()
@@ -170,14 +94,14 @@ class _Shadow:
         # hold the shadow in a reference cycle, alive until a gc collection
         cls = type(self)
         self.handlers = {
-            ks.LoadDriver: cls._on_load,
-            ks.UnloadDriver: cls._on_unload,
-            ks.CreateProcess: cls._on_process_create,
-            ks.ExitProcess: cls._on_process_exit,
-            ks.Alloc: cls._on_alloc,
-            ks.Free: cls._on_free,
-            ks.Schedule: cls._on_schedule,
-            ks.AccessEvent: cls._on_access,
+            LoadDriver: cls._on_load,
+            UnloadDriver: cls._on_unload,
+            CreateProcess: cls._on_process_create,
+            ExitProcess: cls._on_process_exit,
+            Alloc: cls._on_alloc,
+            Free: cls._on_free,
+            Schedule: cls._on_schedule,
+            AccessEvent: cls._on_access,
         }
 
     def step(self, index: int, event) -> Expectation | None:
@@ -210,9 +134,8 @@ class _Shadow:
         raise SimulationError(f"unknown target kind {ref.kind!r}")
 
     def _on_load(self, index: int, event) -> None:
-        ks = self.ks
         self.view.images[event.name] = (event.image_base, event.image_base + event.image_size)
-        self.store.fill_gpa_range(event.image_base, event.image_size, ks.image_fill(event.name))
+        self.store.fill_gpa_range(event.image_base, event.image_size, image_fill(event.name))
 
     def _on_unload(self, index: int, event) -> None:
         del self.view.images[event.name]
@@ -223,20 +146,19 @@ class _Shadow:
         regions = tuple((int(b), int(s)) for b, s in event.regions)
         self.view.processes[event.pid] = regions
         for base, size in regions:
-            self.store.fill_gpa_range(base, size, self.ks.SECRET_FILL)
+            self.store.fill_gpa_range(base, size, SECRET_FILL)
 
     def _on_process_exit(self, index: int, event) -> None:
         del self.view.processes[event.pid]
 
     def _on_alloc(self, index: int, event) -> None:
-        ks = self.ks
         row = next(self.alloc_rows, None)
         if row is None or row["actor"] != event.actor or row["event"] != index:
             raise RuntimeError(f"allocation table out of step at event {index}")
         base = int(row["base"], 0)
         size = int(row["size"], 0)
         ident = self._enclave_of(event.actor)
-        fill = ks.SECRET_FILL if ident is not None else ks.FOREIGN_POOL_FILL
+        fill = SECRET_FILL if ident is not None else FOREIGN_POOL_FILL
         self.store.fill_gpa_range(base, size, fill)
         ordinal = self.ordinals.get(event.actor, 0)
         self.ordinals[event.actor] = ordinal + 1
@@ -251,20 +173,18 @@ class _Shadow:
         pass
 
     def _on_access(self, index: int, event) -> Expectation:
-        ks = self.ks
         dst = self.resolve(event.actor, event.dst)
-        access = ks._ACCESS_OF[event.access]
+        access = _ACCESS_OF[event.access]
         legal = self.view.legal(self._enclave_of(event.actor), dst, access)
         data = None
         if access is READ:
             data = self.store.read_gpa_range(dst, 4) if legal else bytes(4)
         elif access is WRITE and legal:
-            payload = event.payload if event.payload is not None else ks.DEFAULT_WRITE
+            payload = event.payload if event.payload is not None else DEFAULT_WRITE
             self.store.fill_gpa_range(dst, len(payload), payload)
         return Expectation(dst, legal, data)
 
     def digests(self) -> dict[str, str]:
-        import hashlib
         out = {
             "os_kernel_code": self.store.digest_gpa_range(*OS_KERNEL_CODE),
             "os_structures": self.store.digest_gpa_range(*OS_STRUCTURES),
@@ -368,14 +288,13 @@ def _render_text(report: RunReport, verdict: VerifyResult) -> str:
 
 
 def _load_events(path: str):
-    from . import kernel_sim as ks
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return None
     try:
-        return ks.parse_trace(text)
+        return parse_trace(text)
     except TraceParseError as exc:
         print(f"{path}:{exc.line}: {exc}", file=sys.stderr)
         return None
@@ -392,16 +311,15 @@ def _load_cost_model(path: str | None) -> CostModel | None:
 
 
 def cli_run(args) -> int:
-    from . import kernel_sim as ks
     events = _load_events(args.trace)
     if events is None:
         return 1
     cost_model = _load_cost_model(args.cost_model)
     if cost_model is None:
         return 1
-    config = ks.SimConfig(force_page_aligned=args.page_aligned, cost_model=cost_model)
+    config = SimConfig(force_page_aligned=args.page_aligned, cost_model=cost_model)
     try:
-        report = ks.run_trace(events, args.mode, config)
+        report = run_trace(events, args.mode, config)
     except (ConfigError, SimulationError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
@@ -414,7 +332,6 @@ def cli_run(args) -> int:
 
 
 def cli_compare(args) -> int:
-    from . import kernel_sim as ks
     events = _load_events(args.trace)
     if events is None:
         return 1
@@ -423,9 +340,9 @@ def cli_compare(args) -> int:
         return 1
     reports: dict[str, RunReport] = {}
     for mode in MODES:
-        config = ks.SimConfig(force_page_aligned=args.page_aligned, cost_model=cost_model)
+        config = SimConfig(force_page_aligned=args.page_aligned, cost_model=cost_model)
         try:
-            reports[mode] = ks.run_trace(events, mode, config)
+            reports[mode] = run_trace(events, mode, config)
         except (ConfigError, SimulationError) as exc:
             print(f"simulation failed under {mode}: {exc}", file=sys.stderr)
             return 1
@@ -474,7 +391,6 @@ def cli_compare(args) -> int:
 
 
 def cli_gen(args) -> int:
-    from . import kernel_sim as ks
     seed = args.seed
     env_seed = os.environ.get("RANGER_SEED")
     if env_seed is not None:
@@ -485,16 +401,16 @@ def cli_gen(args) -> int:
             return 1
     try:
         if args.kind == "demo1":
-            events = ks.gen_demo1_trace()
+            events = gen_demo1_trace()
         elif args.kind == "privesc":
-            events = ks.gen_privesc_trace()
+            events = gen_privesc_trace()
         elif args.kind == "bench":
-            events = ks.gen_benchmark_trace(
+            events = gen_benchmark_trace(
                 n_accesses=args.n if args.n is not None else 10_000,
                 align=args.align,
             )
         else:
-            events = ks.gen_random_trace(
+            events = gen_random_trace(
                 seed,
                 length=args.n if args.n is not None else 200,
                 attack_probability=args.attack_probability,
@@ -503,7 +419,7 @@ def cli_gen(args) -> int:
         print(f"gen {args.kind}: {exc}", file=sys.stderr)
         return 1
     try:
-        Path(args.output).write_text(ks.serialize_trace(events))
+        Path(args.output).write_text(serialize_trace(events))
     except OSError as exc:
         print(f"{args.output}: {exc}", file=sys.stderr)
         return 1
@@ -512,7 +428,6 @@ def cli_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import kernel_sim as ks
     parser = argparse.ArgumentParser(
         prog="memranger",
         description="Deterministic driver-isolation simulator and report tool.",
@@ -541,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random trace seed (RANGER_SEED overrides)")
     gen_p.add_argument("--n", type=int, default=None,
                        help="accesses for bench, events for random")
-    gen_p.add_argument("--align", choices=ks.ALIGNS, default="page")
+    gen_p.add_argument("--align", choices=ALIGNS, default="page")
     gen_p.add_argument("--attack-probability", type=float, default=0.3)
     gen_p.add_argument("-o", "--output", required=True)
     gen_p.set_defaults(func=cli_gen)

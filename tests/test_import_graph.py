@@ -1,5 +1,5 @@
 """The brute-force oracle and the shadow verifier stay independent of the
-engine they check.
+engine they check, and every module states its imports at its top.
 
 Read from the source with ast, so an import inside a function counts too.
 """
@@ -53,8 +53,9 @@ def test_the_oracle_imports_only_the_address_and_ept_primitives():
 
 
 def test_the_shadow_verifier_imports_nothing_from_the_engine():
-    """report_cli reads event classes and constants through kernel_sim, but
-    no policy or dispatch code: its legality rule comes from the oracle."""
+    """report_cli takes the event classes, fill constants, report and replay
+    entry points from kernel_sim, but no policy or dispatch code: its
+    legality rule comes from the oracle."""
     local, _ = _imports((SRC / "report_cli.py").read_text(encoding="utf-8"))
     assert not local & {"policy_map", "dispatcher"}, local
 
@@ -62,9 +63,23 @@ def test_the_shadow_verifier_imports_nothing_from_the_engine():
 def test_the_engine_imports_nothing_from_the_checkers():
     """The engine cannot borrow the oracle's static rows or the shadow's
     bookkeeping: a fault in its copy must not be mirrored on the expected side."""
-    for name in ("policy_map", "dispatcher", "ept_model"):
+    for name in ("kernel_sim", "policy_map", "dispatcher", "ept_model"):
         local, _ = _imports((SRC / f"{name}.py").read_text(encoding="utf-8"))
         assert not local & {"reference_oracle", "report_cli"}, (name, local)
+
+
+def test_every_import_is_at_the_top_of_its_module():
+    """No module of the package imports inside a function, class or block: its
+    dependencies are read in one place, and a cycle cannot hide in a call."""
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = set(map(id, tree.body))
+        nested += [
+            (path.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []
 
 
 def test_the_static_regions_are_stated_once():

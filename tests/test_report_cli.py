@@ -15,14 +15,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memranger.dispatcher import AccessRecord
 from memranger.kernel_sim import (
     IMAGE_SIZE,
+    REPORT_SCHEMA,
     AccessEvent,
     Alloc,
+    CostModel,
     DstRef,
     Free,
     LoadDriver,
+    SimConfig,
     UnloadDriver,
     gen_benchmark_trace,
     gen_demo1_trace,
@@ -32,16 +34,7 @@ from memranger.kernel_sim import (
     run_trace,
     serialize_trace,
 )
-from memranger.report_cli import (
-    COMPARE_SCHEMA,
-    MODES,
-    REPORT_SCHEMA,
-    CostModel,
-    _Shadow,
-    access_ticks,
-    main,
-    verify_run,
-)
+from memranger.report_cli import COMPARE_SCHEMA, MODES, _Shadow, main, verify_run
 
 
 class TestCostModel:
@@ -80,23 +73,51 @@ class TestCostModel:
             CostModel.from_file(path)
 
 
-def test_access_ticks_arithmetic():
-    cm = CostModel()
-    quiet = AccessRecord(0, 0, "A", 0, 0, "read", "allow", 0, 0, traps=0, switches=0,
-                         data=None, expect=None)
-    assert access_ticks(quiet, cm) == 1
-    windowed = quiet._replace(traps=1, switches=0, decision="redirect_to_fake")
-    assert access_ticks(windowed, cm) == 1 + 2000 + 4000
-    routed = quiet._replace(traps=1, switches=1, decision="allow")
-    assert access_ticks(routed, cm) == 1 + 2000 + 550
-    granted = quiet._replace(traps=1, switches=0, decision="temporary_grant")
-    assert access_ticks(granted, cm) == 1 + 2000 + 4000
+def test_cost_model_prices_each_counter():
+    """One price per counter, and the switch an unload forces costs nothing:
+    it is counted in ept_switches and again in forced_switches."""
+    cost = CostModel(2, 3, 5, 7, 11)
+    counters = {"accesses": 10, "ept_violations": 4, "ept_switches": 3,
+                "forced_switches": 1, "mtf_windows": 2}
+    assert cost.ticks(counters) == 2 * 10 + 3 * 4 + (5 + 11) * (3 - 1) + 7 * 2
+    unforced = dict(counters, ept_switches=2, forced_switches=0)
+    assert cost.ticks(unforced) == cost.ticks(counters)
+    assert CostModel().ticks(dict.fromkeys(counters, 0)) == 0
 
 
-def test_report_total_is_the_sum_of_its_accesses():
-    report = run_trace(gen_demo1_trace(), "multi-ept")
-    cm = CostModel()
-    assert report.modeled_total_ticks == sum(access_ticks(r, cm) for r in report.log)
+def _priced_by_record(record, cost: CostModel) -> int:
+    """One logged access priced from its own fields, the reference a run's
+    total must add up to: a base price, one exit per trap, a switch and its
+    flush walk per switch, and one single-step window unless it was allowed."""
+    ticks = cost.base_access + cost.vmexit_cost * record.traps
+    ticks += (cost.ept_switch_cost + cost.page_walk_after_flush) * record.switches
+    if record.decision != "allow":
+        ticks += cost.mtf_roundtrip_cost
+    return ticks
+
+
+def test_the_total_priced_from_counters_is_the_sum_over_the_log():
+    """Prices apart enough that no term can stand in for another; the random
+    traces unload drivers while they run, so a forced switch priced as an
+    access's switch would show."""
+    cost = CostModel(2, 3, 5, 7, 11)
+    config = SimConfig(cost_model=cost)
+    traces = [gen_demo1_trace(), gen_privesc_trace(), gen_benchmark_trace(3000)]
+    traces += [gen_random_trace(seed, attack_probability=p)
+               for seed in range(20) for p in (0.3, 0.6)]
+    forced = 0
+    for trace in traces:
+        for mode in MODES:
+            report = run_trace(trace, mode, config)
+            log = report.log
+            assert report.modeled_total_ticks == sum(_priced_by_record(r, cost) for r in log)
+            counters = report.counters
+            assert counters["rw_trapped_accesses"] == sum(
+                1 for r in log if r.traps and r.access != "execute")
+            assert counters["exec_trapped_accesses"] == sum(
+                1 for r in log if r.traps and r.access == "execute")
+            forced += counters["forced_switches"]
+    assert forced > 0
 
 
 def _shadow_replay(events, allocations) -> tuple[list, dict]:
@@ -491,6 +512,28 @@ class TestCli:
         assert main(["run", str(path), "--page-aligned", "--report", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["force_page_aligned"] is True
+
+
+def test_cli_output_keeps_the_pinned_bytes(tmp_path, capsys):
+    """run (each mode) and compare print the same bytes and exit with the same
+    code under a cost model with no default price, in text and JSON, with and
+    without --page-aligned: the report's figures are priced where the engine
+    reports, and the CLI only prints them."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"base_access": 3, "vmexit_cost": 1700, "ept_switch_cost": 611,
+                                 "mtf_roundtrip_cost": 2900, "page_walk_after_flush": 77}))
+    digest = hashlib.sha256()
+    for kind in (["demo1"], ["privesc"], ["bench", "--n", "600"]):
+        path = str(tmp_path / f"{kind[0]}.trace")
+        assert main(["gen", *kind, "-o", path]) == 0
+        capsys.readouterr()
+        for command in [["run", path, "--mode", mode] for mode in MODES] + [["compare", path]]:
+            for report in ("text", "json"):
+                for aligned in ([], ["--page-aligned"]):
+                    code = main([*command, "--report", report, *aligned,
+                                 "--cost-model", str(model)])
+                    digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == "2728be634268c32592ff09a618e535872649574c6fc8dfeb956443cc070c87ff"
 
 
 @settings(max_examples=50, deadline=None)
