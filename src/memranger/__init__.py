@@ -14,8 +14,8 @@ from .address_space import (
     pages_covering,
     split_gpa,
 )
-from .dispatcher import VcpuState, execute_access, handle_mtf, switch_ept
-from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry, EptViolation
+from .dispatcher import VcpuState, execute_access, switch_ept
+from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import (
     ConfigError,
     FrameFault,
@@ -64,7 +64,6 @@ __all__ = [
     "DstRef",
     "Ept",
     "EptEntry",
-    "EptViolation",
     "ExitProcess",
     "FrameFault",
     "FrameStore",
@@ -92,7 +91,6 @@ __all__ = [
     "gen_demo1_trace",
     "gen_privesc_trace",
     "gen_random_trace",
-    "handle_mtf",
     "join_gpa",
     "main",
     "pages_covering",

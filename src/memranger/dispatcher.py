@@ -1,9 +1,11 @@
 """Access execution engine.
 
-Runs one guest access against the current translation context, consuming
-violations as values: switch contexts and retry, or open a one-instruction
-window (decoy frame for refusals, the real frame for grants), perform the
-access, then restore the leaf entry bit for bit on the single-step exit.
+Runs one guest access against the current translation context. Its addresses
+must lie in the modelled space, or it is rejected before anything moves. A
+refused translation goes to the policy, which either switches contexts for a
+retry or has the leaf opened for one single-stepped instruction (the decoy
+frame for a redirect, the real frame for a grant): the access runs, and the
+leaf is restored bit for bit on the single-step exit.
 
 A policy that keeps no contexts (mode ``off``) runs with translation off:
 each access passes the same checks and lands on its identity frame untrapped.
@@ -15,19 +17,15 @@ one access's share came from.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
-from .address_space import PAGE_SHIFT, PAGE_SIZE, FrameStore, offset_in_page
-from .ept_model import ACCESS_BIT, Access, EptEntry, EptViolation
+from .address_space import GPA_LIMIT, PAGE_SHIFT, PAGE_SIZE, FrameStore, offset_in_page
+from .ept_model import ACCESS_BIT, EXECUTE, READ, WRITE, Access, EptEntry
 from .errors import PolicyLivelockError, SimulationError
 from .policy_map import DecisionKind, RegionLedger
 
 RETRY_BUDGET = 4
-
-# Bound once: reading a member through the enum class costs about 100 ns.
-READ, WRITE, EXECUTE = Access.READ, Access.WRITE, Access.EXECUTE
 
 
 class AccessRecord(NamedTuple):
@@ -42,7 +40,7 @@ class AccessRecord(NamedTuple):
     actor: str
     src: int
     dst: int
-    access: str                 # "read" | "write" | "execute"
+    access: Access | str        # the access kind, a member or its trace string
     decision: str               # "allow" | "redirect_to_fake" | "temporary_grant"
     ept_before: int
     ept_after: int
@@ -73,7 +71,7 @@ _RENDER = {
     "actor": attrgetter("actor"),
     "src": lambda record: f"{record.src:#x}",
     "dst": lambda record: f"{record.dst:#x}",
-    "access": attrgetter("access"),
+    "access": lambda record: str.__str__(record.access),    # the plain string, also for a member
     "ept_before": attrgetter("ept_before"),
     "ept_after": attrgetter("ept_after"),
     "decision": attrgetter("decision"),
@@ -89,19 +87,6 @@ _RENDER = {
 }
 # Builds a record without the named tuple's Python-level __new__.
 _new_record = tuple.__new__
-
-
-class MtfKind(Enum):
-    RESTORE_AFTER_FAKE = "restore_after_fake"
-    RELOCK_AFTER_GRANT = "relock_after_grant"
-
-
-@dataclass(frozen=True)
-class MtfPending:
-    kind: MtfKind
-    ept_id: int
-    page: int
-    saved: EptEntry
 
 
 def _fresh_counters() -> dict:
@@ -122,7 +107,6 @@ def _fresh_counters() -> dict:
 @dataclass
 class VcpuState:
     current_ept: int = 0
-    mtf: MtfPending | None = None
     counters: dict = field(default_factory=_fresh_counters)
 
 
@@ -138,26 +122,13 @@ def switch_ept(vcpu: VcpuState, policy, target: int) -> None:
     vcpu.counters["tlb_flushes"] += 1
 
 
-def handle_mtf(vcpu: VcpuState, policy, store: FrameStore) -> None:
-    """Close the pending single-step window: restore the saved leaf entry
-    exactly, and scrub the decoy frame so redirected writes vanish."""
-    pending = vcpu.mtf
-    if pending is None:
-        raise RuntimeError("single-step exit without a pending window")
-    policy.epts[pending.ept_id].set_page_entry(pending.page, pending.saved)
-    if pending.kind is MtfKind.RESTORE_AFTER_FAKE:
-        store.zero_fake()
-    vcpu.mtf = None
-    vcpu.counters["mtf_windows"] += 1
-
-
 def _perform(store: FrameStore, hpa: int, access: Access, payload, length: int):
     pfn = hpa >> PAGE_SHIFT
     offset = hpa & (PAGE_SIZE - 1)
-    if access is READ:
+    if access == READ:
         store.ensure(pfn)
         return store.read_bytes(pfn, offset, length)
-    if access is WRITE:
+    if access == WRITE:
         store.ensure(pfn)
         store.write_bytes(pfn, offset, payload)
     return None    # instruction fetch moves no data here
@@ -179,89 +150,91 @@ def execute_access(
 ) -> tuple[bytes | None, AccessRecord]:
     """Run one access to completion. Returns (data, record); data is the
     bytes a read observed, None otherwise. A read moves 4 bytes, a write its
-    payload and an instruction fetch 1 byte. seq, event and expect are the
-    caller's bookkeeping, copied into the record as they are.
+    payload and an instruction fetch 1 byte. src and dst must lie in the
+    modelled space. seq, event and expect are the caller's bookkeeping,
+    copied into the record as they are.
 
     home_ept, when given, is restored before the access runs: the scheduler
     passes it when dispatching the os kernel, whose code never faults on
     fetch and would otherwise keep running in the last driver's context."""
-    if vcpu.mtf is not None:
-        raise RuntimeError("access started while a single-step window is open")
-    if access is READ:
-        length, label = 4, "read"
-    elif access is WRITE:
+    if not (0 <= src < GPA_LIMIT and 0 <= dst < GPA_LIMIT):
+        raise SimulationError(f"access from {src:#x} to {dst:#x} outside the modelled space")
+    if access == READ:
+        length = 4
+    elif access == WRITE:
         if payload is None:
             raise SimulationError("write without payload")
-        length, label = len(payload), "write"
-    elif access is EXECUTE:
-        length, label = 1, "execute"
+        length = len(payload)
+    elif access == EXECUTE:
+        length = 1
     else:
         raise SimulationError(f"unknown access kind {access!r}")
     if length <= 0 or offset_in_page(dst) + length > PAGE_SIZE:
         raise SimulationError(f"access at {dst:#x} length {length} crosses a page")
 
-    vcpu.counters["accesses"] += 1
+    counters = vcpu.counters
+    counters["accesses"] += 1
     ept_before = vcpu.current_ept
     traps = 0
     switches = 0
     decision_label = "allow"
-    data = None
 
     if home_ept is not None and home_ept != vcpu.current_ept:
         switches += 1
         switch_ept(vcpu, policy, home_ept)
 
-    while True:
-        if not policy.epts:    # no contexts: translation is off
-            data = _perform(store, dst, access, payload, length)
+    epts = policy.epts
+    hpa = dst    # with no contexts translation is off: the identity frame
+    while epts:
+        ept = epts[vcpu.current_ept]
+        hpa = ept.translate(dst, access)
+        if hpa is not None:
             break
-        ept = policy.epts[vcpu.current_ept]
-        result = ept.translate(dst, access)
-        if not isinstance(result, EptViolation):
-            data = _perform(store, result, access, payload, length)
-            break
-
         traps += 1
-        vcpu.counters["ept_violations"] += 1
+        counters["ept_violations"] += 1
         decision = policy.classify_access(vcpu.current_ept, src, dst, access)
-        if decision.kind is DecisionKind.SWITCH_EPT:
-            switches += 1
-            if switches > RETRY_BUDGET:
-                raise PolicyLivelockError(
-                    f"access to {dst:#x} still faulting after {RETRY_BUDGET} switches"
-                )
-            switch_ept(vcpu, policy, decision.target_ept)
-            continue
-        if decision.kind is DecisionKind.DENY:
-            raise SimulationError(f"access to {dst:#x} denied: {decision.reason}")
+        if decision.kind is not DecisionKind.SWITCH_EPT:
+            break
+        switches += 1
+        if switches > RETRY_BUDGET:
+            raise PolicyLivelockError(
+                f"access to {dst:#x} still faulting after {RETRY_BUDGET} switches"
+            )
+        switch_ept(vcpu, policy, decision.target_ept)
 
+    if hpa is not None:
+        data = _perform(store, hpa, access, payload, length)
+    else:
+        # a single-step window: open the leaf to exactly this access kind for
+        # one instruction, through the decoy frame or the real one
         page = dst >> PAGE_SHIFT
         saved = ept.entry_for(page)
-        if decision.kind is DecisionKind.REDIRECT_TO_FAKE:
+        redirect = decision.kind is DecisionKind.REDIRECT_TO_FAKE
+        if redirect:
             decision_label = "redirect_to_fake"
-            vcpu.counters["redirects"] += 1
+            counters["redirects"] += 1
             window_pfn = store.fake_pfn
-            kind = MtfKind.RESTORE_AFTER_FAKE
         else:    # TEMPORARY_GRANT
             decision_label = "temporary_grant"
-            vcpu.counters["grants"] += 1
+            counters["grants"] += 1
             window_pfn = saved.pfn
-            kind = MtfKind.RELOCK_AFTER_GRANT
-        # permit exactly this access kind for the single stepped instruction
         ept.set_page_entry(page, EptEntry(window_pfn, saved.attrs | ACCESS_BIT[access]))
-        vcpu.mtf = MtfPending(kind, ept.id, page, saved)
-        window = ept.translate(dst, access)
-        if isinstance(window, EptViolation):
+        hpa = ept.translate(dst, access)
+        if hpa is None:
             raise RuntimeError("window entry still refuses the access")
-        data = _perform(store, window, access, payload, length)
-        handle_mtf(vcpu, policy, store)
+        data = _perform(store, hpa, access, payload, length)
+        # the single-step exit: restore the leaf, and scrub the decoy frame
+        # so that redirected writes vanish
+        ept.set_page_entry(page, saved)
+        if redirect:
+            store.zero_fake()
+        counters["mtf_windows"] += 1
         if ept.entry_for(page) != saved:
             raise RuntimeError("single-step window failed to restore the leaf entry")
-        break
 
     if traps:
-        vcpu.counters["exec_trapped_accesses" if access is EXECUTE else "rw_trapped_accesses"] += 1
+        counters["exec_trapped_accesses" if access == EXECUTE else "rw_trapped_accesses"] += 1
     return data, _new_record(AccessRecord, (
-        seq, event, actor, src, dst, label, decision_label,
+        seq, event, actor, src, dst, access, decision_label,
         ept_before, vcpu.current_ept, traps, switches, data, expect,
     ))

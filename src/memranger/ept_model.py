@@ -9,8 +9,8 @@ static pages, shared by every context of one rule); a page in neither
 translates identity, readable and writable but not executable. A leaf's
 attributes are the int R|W|X, bits 0-2 as in an Intel EPT entry. (The
 9/9/9/9/12 split of a gpa across the paging levels is
-address_space.split_gpa.) A refused translation is reported as a value, not
-an exception.
+address_space.split_gpa.) A refused translation returns None, not an
+exception.
 
 Every leaf write goes through Ept.set_page_entry into the context's own map,
 never into the base. A write that gives a page what the base or the identity
@@ -19,40 +19,36 @@ the own map holds only the pages that differ, not every page ever written,
 and a context's effective leaves change exactly when its own map does.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import ItemsView, Mapping, NamedTuple
 
 from .address_space import OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
 
 
-class Access(Enum):
+class Access(str, Enum):
+    """An access kind. Each member is the trace's own string: it compares and
+    hashes as that string, so a member and the plain string are
+    interchangeable wherever an access kind is read."""
+
     READ = "read"
     WRITE = "write"
     EXECUTE = "execute"
 
+
+# Bound once: reading a member through the enum class costs about 100 ns.
+READ, WRITE, EXECUTE = Access.READ, Access.WRITE, Access.EXECUTE
 
 R, W, X = 1, 2, 4
 RWX = R | W | X
 RW = R | W
 NONE = 0
 
-ACCESS_BIT = {Access.READ: R, Access.WRITE: W, Access.EXECUTE: X}
+ACCESS_BIT = {READ: R, WRITE: W, EXECUTE: X}
 
 
 class EptEntry(NamedTuple):
     pfn: int
     attrs: int                   # R|W|X bits
-
-
-@dataclass(frozen=True)
-class EptViolation:
-    """A refused translation attempt, with the leaf entry as it stood."""
-
-    ept: int
-    gpa: int
-    access: Access
-    entry: EptEntry
 
 
 _NO_BASE: Mapping[int, EptEntry] = {}
@@ -98,19 +94,17 @@ class Ept:
     def set_page_attrs(self, page: int, attrs: int) -> None:
         self.set_page_entry(page, EptEntry(self.entry_for(page).pfn, attrs))
 
-    def translate(self, gpa: int, access: Access) -> int | EptViolation:
-        """Pure lookup: host address on success, violation value on refusal."""
+    def translate(self, gpa: int, access: Access) -> int | None:
+        """Pure lookup: host address on success, None on refusal."""
         page = check_gpa(gpa) >> PAGE_SHIFT
         entry = self._flat.get(page)
         if entry is None:
             entry = self.base.get(page)
-            if entry is None:
-                if ACCESS_BIT[access] & RW:
-                    return gpa                       # the identity RW default
-                entry = _new_tuple(EptEntry, (page, RW))
+            if entry is None:                        # the identity RW default
+                return gpa if ACCESS_BIT[access] & RW else None
         if entry.attrs & ACCESS_BIT[access]:
             return (entry.pfn << PAGE_SHIFT) | (gpa & OFFSET_MASK)
-        return EptViolation(self.id, gpa, access, entry)
+        return None
 
     def materialized_leaves(self) -> ItemsView[int, EptEntry]:
         """A live view of the context's own leaves; pages of the base map are

@@ -6,7 +6,7 @@ class ConfigError(Exception):
 
 
 class SimulationError(Exception):
-    """Runtime failure while driving the simulation (bad refs, denied access)."""
+    """Runtime failure while driving the simulation (bad refs, out-of-range access)."""
 
 
 class PolicyLivelockError(SimulationError):

@@ -32,8 +32,8 @@ from enum import Enum
 from pathlib import Path
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SIZE, FrameStore
-from .dispatcher import EXECUTE, WRITE, AccessRecord, VcpuState, execute_access, switch_ept
-from .ept_model import Access
+from .dispatcher import AccessRecord, VcpuState, execute_access, switch_ept
+from .ept_model import EXECUTE, WRITE, Access
 from .errors import SimulationError, TraceParseError
 from .policy_map import AllocatedPool, MapState, RegionLedger, SingleEptPolicy
 
@@ -263,9 +263,6 @@ def _event(ev: str | None = None):
 
 ALIGNS = ("natural", "page")    # "natural" packs at 16 bytes, "page" at 4 KiB
 
-# value -> Access; a dict lookup costs a tenth of calling Access(value)
-_ACCESS_OF = {access.value: access for access in Access}
-
 
 @_event("load_driver")
 class LoadDriver:
@@ -323,7 +320,7 @@ class DstRef:
 class AccessEvent:
     actor: str = _spec(STR)
     dst: DstRef = _spec(_nested(DstRef))
-    access: str = _spec(_one_of(tuple(_ACCESS_OF)))
+    access: str = _spec(_one_of(tuple(access.value for access in Access)))
     payload: bytes | None = _spec(HEX_BYTES, None)
     expect: str | None = _spec(_one_of(("legal", "illegal")), None)   # the generator's own label
 
@@ -727,11 +724,11 @@ class Simulation:
 
     def _on_access(self, event: AccessEvent) -> None:
         info = self._actor(event.actor)
-        access = _ACCESS_OF[event.access]
+        access = event.access
         self._ensure_running(event.actor)
         dst = self._resolve(info, event.dst)
         payload = event.payload
-        if access is WRITE and payload is None:
+        if access == WRITE and payload is None:
             payload = DEFAULT_WRITE
         _, record = execute_access(
             self.vcpu, self.policy, self.store,
@@ -739,7 +736,7 @@ class Simulation:
             seq=len(self.log), event=self.event_index, expect=event.expect,
         )
         self.log.append(record)
-        if record.ept_after != record.ept_before and access is EXECUTE:
+        if record.ept_after != record.ept_before and access == EXECUTE:
             # a call into another context: the actor's next event returns to
             # its own code, which a fresh fetch of its entry models
             self.scheduled = None

@@ -35,7 +35,9 @@ template.
 
 Allocation ownership is attributed by the caller's code address.
 classify_access is each policy's violation brain: for a refused translation
-it picks switch / redirect / grant / deny.
+it picks switch / redirect / grant. The dispatcher checks an access's
+addresses before any translation, so every address it is asked about lies in
+the modelled space.
 """
 
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ from functools import lru_cache
 
 from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER
-from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
+from .ept_model import EXECUTE, NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import ConfigError, SimulationError
 
 DEFAULT_EPT = 0
@@ -86,14 +88,12 @@ class DecisionKind(Enum):
     SWITCH_EPT = "switch_ept"
     REDIRECT_TO_FAKE = "redirect_to_fake"
     TEMPORARY_GRANT = "temporary_grant"
-    DENY = "deny"
 
 
 @dataclass(frozen=True)
 class Decision:
     kind: DecisionKind
     target_ept: int | None = None
-    reason: str = ""
 
 
 REDIRECT = Decision(DecisionKind.REDIRECT_TO_FAKE)
@@ -102,10 +102,6 @@ GRANT = Decision(DecisionKind.TEMPORARY_GRANT)
 
 def switch_to(ept_id: int) -> Decision:
     return Decision(DecisionKind.SWITCH_EPT, target_ept=ept_id)
-
-
-def deny(reason: str) -> Decision:
-    return Decision(DecisionKind.DENY, reason=reason)
 
 
 def _check_range(base: int, size: int, what: str) -> None:
@@ -352,15 +348,13 @@ class MapState(RegionLedger):
 
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
         """Decide what a refused translation means. Called on violations only."""
-        if not (0 <= src < GPA_LIMIT and 0 <= dst < GPA_LIMIT):
-            return deny("address outside modeled space")
         page = dst >> PAGE_SHIFT
         overlay = self._overlay.get(page)
         pools = self.pool_pages.get(page, ())
         identities = {pool.owner for pool in pools}
         locked = len(identities) >= 2    # two owners, so at least one enclave
 
-        if access is Access.EXECUTE:
+        if access == EXECUTE:
             if overlay is not None and overlay[0] == "image":
                 eid = overlay[1]
                 if current_ept != eid:
@@ -431,9 +425,7 @@ class SingleEptPolicy(RegionLedger):
         return NONE if kind == "structure" else RWX
 
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
-        if not (0 <= src < GPA_LIMIT and 0 <= dst < GPA_LIMIT):
-            return deny("address outside modeled space")
-        if access is Access.EXECUTE:
+        if access == EXECUTE:
             return REDIRECT
         actor = self._enclave_of_code(src)
         pools = self.pool_pages.get(dst >> PAGE_SHIFT, ())

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SHIFT
-from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
+from .ept_model import EXECUTE, NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
 
 BAD_PFN_BITS = 0xFF    # sentinel: leaf points at a non-identity frame
 
@@ -114,7 +114,7 @@ class SnapshotView:
     def legal(self, actor, dst: int, access: Access) -> bool:
         """Minimal-privilege legality: does the actor, by its enclave identity
         (None for the kernel and pre-existing drivers), get true data at dst?"""
-        execute = access is Access.EXECUTE
+        execute = access == EXECUTE
         if execute and self.image_enclave(dst) is not None:
             return True
         identities = self.page_pool_identities(dst >> PAGE_SHIFT)

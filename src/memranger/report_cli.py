@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, FrameStore
-from .ept_model import Access
+from .ept_model import READ, WRITE
 from .errors import ConfigError, SimulationError, TraceParseError
 from .kernel_sim import (
-    _ACCESS_OF, ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, OS_KERNEL_FILL, OS_STRUCT_FILL,
+    ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, OS_KERNEL_FILL, OS_STRUCT_FILL,
     OTHER_DRIVER_FILL, SECRET_FILL, AccessEvent, Alloc, CostModel, CreateProcess, ExitProcess,
     Free, LoadDriver, Mode, RunReport, Schedule, SimConfig, UnloadDriver, gen_benchmark_trace,
     gen_demo1_trace, gen_privesc_trace, gen_random_trace, image_fill, parse_trace, run_trace,
@@ -34,7 +34,6 @@ from .reference_oracle import SnapshotView
 
 COMPARE_SCHEMA = "ranger-compare/1"
 MODES = tuple(mode.value for mode in Mode)
-READ, WRITE = Access.READ, Access.WRITE      # bound once: a read through the class is slow
 
 
 # -- shadow replay -------------------------------------------------------------
@@ -174,12 +173,12 @@ class _Shadow:
 
     def _on_access(self, index: int, event) -> Expectation:
         dst = self.resolve(event.actor, event.dst)
-        access = _ACCESS_OF[event.access]
+        access = event.access
         legal = self.view.legal(self._enclave_of(event.actor), dst, access)
         data = None
-        if access is READ:
+        if access == READ:
             data = self.store.read_gpa_range(dst, 4) if legal else bytes(4)
-        elif access is WRITE and legal:
+        elif access == WRITE and legal:
             payload = event.payload if event.payload is not None else DEFAULT_WRITE
             self.store.fill_gpa_range(dst, len(payload), payload)
         return Expectation(dst, legal, data)

@@ -1,18 +1,13 @@
-"""Violation handling end to end: decoy windows, grants, context routing."""
+"""Violation handling end to end: decoy windows, grants, context routing, and
+the address check at the door."""
 
 import pytest
 
-from memranger.address_space import OS_KERNEL_CODE, PAGE_SIZE, ZERO_PAGE, FrameStore
-from memranger.dispatcher import (
-    RETRY_BUDGET,
-    VcpuState,
-    execute_access,
-    handle_mtf,
-    switch_ept,
-)
+from memranger.address_space import GPA_LIMIT, OS_KERNEL_CODE, PAGE_SIZE, ZERO_PAGE, FrameStore
+from memranger.dispatcher import RETRY_BUDGET, VcpuState, execute_access, switch_ept
 from memranger.ept_model import NONE, Access, Ept
 from memranger.errors import PolicyLivelockError, SimulationError
-from memranger.policy_map import DEFAULT_EPT, MapState, switch_to
+from memranger.policy_map import DEFAULT_EPT, MapState, RegionLedger, SingleEptPolicy, switch_to
 
 IMAGE_A = 0x3000_0000
 IMAGE_B = 0x3100_0000
@@ -59,7 +54,7 @@ def test_foreign_read_redirects_and_restores(world):
     assert record["ept_after"] == b              # no context change for theft
     assert policy.epts[b].entry_for(page) == before
     assert vcpu.counters["mtf_windows"] == 1
-    assert vcpu.mtf is None
+    assert store.frames[store.fake_pfn] is ZERO_PAGE    # the window closed and scrubbed
 
 
 def test_foreign_write_lands_in_the_decoy(world):
@@ -182,12 +177,6 @@ def test_switch_to_self_is_free(world):
     assert vcpu.counters["tlb_flushes"] == 0
 
 
-def test_stray_single_step_exit(world):
-    policy, store, vcpu, _, _ = world
-    with pytest.raises(RuntimeError):
-        handle_mtf(vcpu, policy, store)
-
-
 class _PingPongPolicy:
     """Pathological brain: bounces the vcpu between two contexts forever."""
 
@@ -207,3 +196,37 @@ def test_livelock_budget_trips():
     with pytest.raises(PolicyLivelockError):
         execute_access(vcpu, policy, FrameStore(), 0x1000, 0x7000_0000, Access.READ)
     assert vcpu.counters["ept_violations"] == RETRY_BUDGET + 1
+
+
+@pytest.mark.parametrize("policy_class", [RegionLedger, SingleEptPolicy, MapState])
+@pytest.mark.parametrize("src, dst, access", [
+    (-5, POOL_A + 4, Access.READ),              # an untrapped read at the parent
+    (2**60, 0x9000_0000, Access.READ),          # likewise: nothing traps on open data
+    (GPA_LIMIT, POOL_A + 4, Access.WRITE),
+    (KERNEL_CODE, -1, Access.READ),
+    (KERNEL_CODE, GPA_LIMIT, Access.EXECUTE),
+    (KERNEL_CODE, 2**60, Access.READ),
+], ids=["src-negative", "src-huge", "src-at-limit", "dst-negative", "dst-at-limit", "dst-huge"])
+def test_out_of_range_address_is_rejected_at_the_door(policy_class, src, dst, access):
+    """An access whose src or dst lies outside [0, GPA_LIMIT) raises before
+    anything moves: no counter, no context, no leaf, no frame, no record."""
+    policy = policy_class()
+    a = policy.on_driver_load(IMAGE_A, IMAGE_SIZE)
+    policy.on_alloc(CODE_A, POOL_A, 0x100)
+    store = FrameStore()
+    vcpu = VcpuState(current_ept=DEFAULT_EPT)
+    if a in policy.epts:
+        switch_ept(vcpu, policy, a)
+    counters = dict(vcpu.counters)
+    leaves = {ept_id: dict(ept.materialized_leaves()) for ept_id, ept in policy.epts.items()}
+    frames = dict(store.frames)
+    log = []
+    with pytest.raises(SimulationError, match="outside the modelled space"):
+        log.append(execute_access(
+            vcpu, policy, store, src, dst, access, payload=b"\x5a" * 4, home_ept=DEFAULT_EPT,
+        ))
+    assert log == []
+    assert vcpu.counters == counters
+    assert vcpu.current_ept == (a if a in policy.epts else DEFAULT_EPT)
+    assert {ept_id: dict(ept.materialized_leaves()) for ept_id, ept in policy.epts.items()} == leaves
+    assert store.frames == frames

@@ -1,21 +1,28 @@
-"""Per-context translation hierarchies: permissions, remaps, violations."""
+"""Per-context translation hierarchies: permissions, remaps, refusals, and
+the one access-kind type."""
+
+import json
 
 from hypothesis import given, strategies as st
 
 from memranger.address_space import GPA_LIMIT, PAGE_SIZE
+from memranger.dispatcher import AccessRecord
 from memranger.ept_model import (
     ACCESS_BIT,
+    EXECUTE,
     NONE,
+    READ,
     RW,
     RWX,
+    WRITE,
     Access,
     Ept,
     EptEntry,
-    EptViolation,
     R,
     W,
     X,
 )
+from memranger.kernel_sim import gen_demo1_trace, run_trace
 
 
 def test_rwx_bits_packing():
@@ -37,26 +44,22 @@ def test_rwx_permits():
             if attrs & bit:
                 assert got == 99 * PAGE_SIZE + 0x20
             else:
-                assert got == EptViolation(0, gpa, access, EptEntry(99, attrs))
+                assert got is None
+            assert ept.entry_for(7) == EptEntry(99, attrs)    # a lookup leaves the leaf as it was
 
 
 def test_fresh_context_identity_maps_rw():
     ept = Ept(0)
     assert ept.translate(0x1234, Access.READ) == 0x1234
     assert ept.translate(0x1234, Access.WRITE) == 0x1234
-    hit = ept.translate(0x1234, Access.EXECUTE)
-    assert isinstance(hit, EptViolation)
+    assert ept.translate(0x1234, Access.EXECUTE) is None
 
 
-def test_violation_carries_the_refusing_entry():
+def test_a_refusal_leaves_the_refusing_entry_in_place():
     ept = Ept(3)
     ept.set_page_attrs(5, NONE)
-    result = ept.translate(5 * PAGE_SIZE + 0x10, Access.READ)
-    assert isinstance(result, EptViolation)
-    assert result.ept == 3
-    assert result.gpa == 5 * PAGE_SIZE + 0x10
-    assert result.access is Access.READ
-    assert result.entry == EptEntry(5, NONE)
+    assert ept.translate(5 * PAGE_SIZE + 0x10, Access.READ) is None
+    assert ept.entry_for(5) == EptEntry(5, NONE)
 
 
 def test_mutations_counter_tracks_writes():
@@ -80,7 +83,7 @@ def test_materialized_leaves_mirror_the_radix():
         if entry.attrs & R:
             assert got == entry.pfn * PAGE_SIZE
         else:
-            assert isinstance(got, EptViolation)
+            assert got is None
 
 
 @given(st.integers(0, GPA_LIMIT - 1), st.sampled_from(list(Access)))
@@ -93,8 +96,8 @@ def test_translate_agrees_with_entry_for(gpa, access):
     if entry.attrs & ACCESS_BIT[access]:
         assert result == (entry.pfn << 12) | (gpa & (PAGE_SIZE - 1))
     else:
-        assert isinstance(result, EptViolation)
-        assert result.entry == entry
+        assert result is None
+    assert ept.entry_for(gpa >> 12) == entry
 
 
 def test_a_write_the_base_or_default_already_gives_drops_the_own_leaf():
@@ -112,3 +115,43 @@ def test_a_write_the_base_or_default_already_gives_drops_the_own_leaf():
     assert {page: ept.entry_for(page) for page in (5, 9)} == {5: before[5], 9: before[9]}
     assert ept.entry_for(7) == EptEntry(7, RW)
     assert template == {5: EptEntry(5, NONE)}
+
+
+def test_an_access_kind_is_its_trace_string():
+    """Each member is the trace's own string: the same value, the same hash,
+    and the member is what the string names."""
+    assert (READ, WRITE, EXECUTE) == (Access.READ, Access.WRITE, Access.EXECUTE)
+    for member, text in ((READ, "read"), (WRITE, "write"), (EXECUTE, "execute")):
+        assert Access(text) is member
+        assert member == text and text == member
+        assert hash(member) == hash(text)
+        assert ACCESS_BIT[text] == ACCESS_BIT[member]
+    assert [member.value for member in Access] == ["read", "write", "execute"]
+
+
+def test_translate_reads_a_member_and_its_string_alike():
+    """For every combination of bits, a lookup by member and by the trace
+    string give the same answer, for every access kind."""
+    gpa = 7 * PAGE_SIZE + 0x20
+    for attrs in range(8):
+        ept = Ept(0)
+        ept.set_page_entry(7, EptEntry(99, attrs))
+        for member in Access:
+            assert ept.translate(gpa, member.value) == ept.translate(gpa, member)
+        for member in Access:    # the identity default, off every own leaf
+            assert ept.translate(gpa + PAGE_SIZE, member.value) == ept.translate(gpa + PAGE_SIZE, member)
+
+
+def test_a_record_made_with_a_member_renders_the_plain_string():
+    """The scheduler's fetch passes the member, a trace access its string; both
+    records render the plain string, in as_dict() and in the report's JSON."""
+    report = run_trace(gen_demo1_trace(), "multi-ept")
+    kinds = {type(record.access) for record in report.log}
+    assert kinds == {Access, str}
+    rendered = json.loads(report.to_json())["log"]
+    for record, row in zip(report.log, rendered, strict=True):
+        assert type(record.as_dict()["access"]) is str
+        assert type(record["access"]) is str
+        assert record.as_dict()["access"] == row["access"] == Access(record.access).value
+    record = AccessRecord(0, 0, "drv", 0x10, 0x20, EXECUTE, "allow", 0, 0, 0, 0, None, None)
+    assert record.as_dict()["access"] == "execute" and type(record.as_dict()["access"]) is str

@@ -117,3 +117,15 @@ def test_the_oracle_reads_no_private_attribute_of_another_object():
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
     assert private == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A _-prefixed name is its module's own: no package module imports one
+    from another package module."""
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith(SRC.name)):
+                private += [(path.name, node.lineno, alias.name)
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []

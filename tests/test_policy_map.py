@@ -2,7 +2,7 @@
 
 import pytest
 
-from memranger.address_space import GPA_LIMIT, PAGE_SHIFT, PAGE_SIZE, pages_covering
+from memranger.address_space import PAGE_SHIFT, PAGE_SIZE, ZERO_PAGE, pages_covering
 from memranger.address_space import OS_KERNEL_CODE as KERNEL
 from memranger.address_space import OS_STRUCTURES as STRUCTS
 from memranger.address_space import OTHER_DRIVER as OTHER
@@ -198,11 +198,6 @@ def test_layout_version_advances(loaded):
 class TestClassify:
     """Violation verdicts. Only ever consulted after a refused translation."""
 
-    def test_out_of_space_is_denied(self, loaded):
-        state, _, _ = loaded
-        verdict = state.classify_access(DEFAULT_EPT, KERNEL_CODE, GPA_LIMIT, Access.READ)
-        assert verdict.kind is DecisionKind.DENY
-
     def test_execute_of_image_switches_home(self, loaded):
         state, a, _ = loaded
         verdict = state.classify_access(DEFAULT_EPT, KERNEL_CODE, IMAGE_A + 0x100, Access.EXECUTE)
@@ -350,16 +345,17 @@ def test_templates_stay_pristine(mode):
 
 @pytest.mark.parametrize("mode", ["single-ept", "multi-ept"])
 def test_every_tracked_leaf_follows_the_rule(mode):
-    """Between events no single-step window is open, and in every context
-    every static page, every page the trace ever claimed and every own leaf,
-    whether its leaf is the context's own, the template's or the default,
-    holds the identity frame and the bits its policy's rule gives."""
+    """Between events no single-step window is open (the decoy frame is the
+    scrubbed zero page), and in every context every static page, every page
+    the trace ever claimed and every own leaf, whether its leaf is the
+    context's own, the template's or the default, holds the identity frame
+    and the bits its policy's rule gives."""
     for seed in range(20):
         sim = Simulation(mode)
         history = set(_STATIC_KIND)
         for index, event in enumerate(gen_random_trace(seed, length=100, attack_probability=0.6)):
             sim.step(event)
-            assert sim.vcpu.mtf is None
+            assert sim.store.frames[sim.store.fake_pfn] is ZERO_PAGE
             policy = sim.policy
             claimed = _ever_claimed(policy, history)
             for ept_id, ept in policy.epts.items():
