@@ -18,7 +18,6 @@ from .dispatcher import VcpuState, execute_access, switch_ept
 from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import (
     ConfigError,
-    FrameFault,
     PolicyLivelockError,
     SimulationError,
     TraceParseError,
@@ -65,7 +64,6 @@ __all__ = [
     "Ept",
     "EptEntry",
     "ExitProcess",
-    "FrameFault",
     "FrameStore",
     "Free",
     "GPA_LIMIT",

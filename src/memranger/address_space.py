@@ -8,15 +8,14 @@ The machine's three static regions (its kernel code, its kernel structures
 and one pre-existing driver) are fixed from boot; the engine and both
 checkers read them from here.
 
-The frame store maps pfns to frames. Filled frames are shared pattern pages
-until their first write, which copies the page into a private frame.
+The frame store holds guest memory by gpa; a frame never filled or written
+reads as zeros. Filled frames are shared pattern pages until their first
+write, which copies the page into a private frame.
 """
 
 import hashlib
 from functools import lru_cache
 from itertools import cycle
-
-from .errors import FrameFault
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -123,53 +122,44 @@ def _pages_digest(pages: tuple[bytes, ...]) -> str:
 class FrameStore:
     """Backing content for physical frames, 4096 bytes each.
 
-    A frame is either a private bytearray or a shared, immutable bytes page:
+    A frame never filled or written has no entry and reads as the zero page.
+    An entry is either a private bytearray or a shared, immutable bytes page:
     the zero page, or a pattern page that fills map whole pages to. Shared
-    pages are never written; write_bytes copies one into a private frame
-    first. A digest over whole shared pages is a pure function of those page
-    objects and is computed once.
+    pages are never written; write_gpa copies one into a private frame first.
+    A digest over whole shared pages is a pure function of those page objects
+    and is computed once.
 
     One designated fake frame sits at the top of the pfn space; redirected
-    accesses land there. Its content is all-zero whenever no single-step
-    window is in flight.
+    accesses land there. It has no entry, so reads zero, whenever no
+    single-step window is in flight.
     """
 
-    FAKE_PFN = PFN_LIMIT - 1
+    fake_pfn = PFN_LIMIT - 1
 
     def __init__(self):
         self.frames: dict[int, bytes | bytearray] = {}
-        self.fake_pfn = self.FAKE_PFN
-        self.ensure(self.fake_pfn)
 
-    def ensure(self, pfn: int) -> None:
-        """Map a frame if absent; fresh frames read zero."""
-        if not 0 <= pfn < PFN_LIMIT:
-            raise ValueError(f"pfn {pfn:#x} out of range")
-        self.frames.setdefault(pfn, ZERO_PAGE)
+    def read_gpa(self, gpa: int, length: int) -> bytes:
+        """The length bytes at gpa, which must stay inside one page."""
+        offset = gpa & OFFSET_MASK
+        if not 0 <= gpa < GPA_LIMIT or length < 0 or offset + length > PAGE_SIZE:
+            raise ValueError(f"read of {length} bytes at {gpa:#x} leaves its page or the space")
+        return bytes(self.frames.get(gpa >> PAGE_SHIFT, ZERO_PAGE)[offset:offset + length])
 
-    def _frame(self, pfn: int) -> bytes | bytearray:
-        try:
-            return self.frames[pfn]
-        except KeyError:
-            raise FrameFault(f"pfn {pfn:#x} not mapped") from None
-
-    def read_bytes(self, pfn: int, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
-            raise ValueError("read crosses frame boundary")
-        return bytes(self._frame(pfn)[offset:offset + length])
-
-    def write_bytes(self, pfn: int, offset: int, data: bytes) -> None:
-        """The only writer: a shared page becomes a private copy first."""
-        if offset < 0 or offset + len(data) > PAGE_SIZE:
-            raise ValueError("write crosses frame boundary")
-        frame = self._frame(pfn)
+    def write_gpa(self, gpa: int, data: bytes) -> None:
+        """The only writer, inside one page: a shared page is copied first."""
+        offset = gpa & OFFSET_MASK
+        if not 0 <= gpa < GPA_LIMIT or offset + len(data) > PAGE_SIZE:
+            raise ValueError(f"write of {len(data)} bytes at {gpa:#x} leaves its page or the space")
+        pfn = gpa >> PAGE_SHIFT
+        frame = self.frames.get(pfn, ZERO_PAGE)
         if type(frame) is bytes:
             frame = self.frames[pfn] = bytearray(frame)
         frame[offset:offset + len(data)] = data
 
     def zero_fake(self) -> None:
-        """Scrub the decoy frame: point it back at the zero page."""
-        self.frames[self.fake_pfn] = ZERO_PAGE
+        """Scrub the decoy frame: drop its entry, so it reads zero again."""
+        self.frames.pop(self.fake_pfn, None)
 
     def _pieces(self, base: int, end: int):
         """(pfn, offset, length) of each in-page piece of [base, end), in order;
@@ -185,8 +175,9 @@ class FrameStore:
         end = _range_end(base, size)
         if base >> PAGE_SHIFT == (end - 1) >> PAGE_SHIFT:      # one page: one slice
             offset = base & OFFSET_MASK
-            return bytes(self._frame(base >> PAGE_SHIFT)[offset:offset + size])
-        return b"".join(self._frame(pfn)[offset:offset + length]
+            return bytes(self.frames.get(base >> PAGE_SHIFT, ZERO_PAGE)[offset:offset + size])
+        frames = self.frames
+        return b"".join(frames.get(pfn, ZERO_PAGE)[offset:offset + length]
                         for pfn, offset, length in self._pieces(base, end))
 
     def fill_gpa_range(self, base: int, size: int, pattern: bytes) -> None:
@@ -206,20 +197,20 @@ class FrameStore:
         for start, stop in ((base, head), (tail, end)):
             if start < stop:
                 phase = (start - base) % len(pattern)
-                frames.setdefault(start >> PAGE_SHIFT, ZERO_PAGE)
                 tile = pattern * ((stop - start) // len(pattern) + 2)
-                self.write_bytes(start >> PAGE_SHIFT, start & OFFSET_MASK,
-                                 tile[phase:phase + stop - start])
+                self.write_gpa(start, tile[phase:phase + stop - start])
 
     def digest_gpa_range(self, base: int, size: int) -> str:
         """sha256 of a byte range, hashed piece by piece without copying it.
         A page-aligned range of shared pages takes its memoised digest."""
         end = _range_end(base, size)
+        frames = self.frames
         if not (base | size) & OFFSET_MASK:
-            pages = tuple(map(self._frame, range(base >> PAGE_SHIFT, end >> PAGE_SHIFT)))
+            pages = tuple(frames.get(pfn, ZERO_PAGE)
+                          for pfn in range(base >> PAGE_SHIFT, end >> PAGE_SHIFT))
             if bytearray not in map(type, pages):
                 return _pages_digest(pages)
         digest = hashlib.sha256()
         for pfn, offset, length in self._pieces(base, end):
-            digest.update(memoryview(self._frame(pfn))[offset:offset + length])
+            digest.update(memoryview(frames.get(pfn, ZERO_PAGE))[offset:offset + length])
         return digest.hexdigest()

@@ -123,14 +123,10 @@ def switch_ept(vcpu: VcpuState, policy, target: int) -> None:
 
 
 def _perform(store: FrameStore, hpa: int, access: Access, payload, length: int):
-    pfn = hpa >> PAGE_SHIFT
-    offset = hpa & (PAGE_SIZE - 1)
     if access == READ:
-        store.ensure(pfn)
-        return store.read_bytes(pfn, offset, length)
+        return store.read_gpa(hpa, length)
     if access == WRITE:
-        store.ensure(pfn)
-        store.write_bytes(pfn, offset, payload)
+        store.write_gpa(hpa, payload)
     return None    # instruction fetch moves no data here
 
 

@@ -13,10 +13,6 @@ class PolicyLivelockError(SimulationError):
     """A single access kept bouncing between EPTs past the retry budget."""
 
 
-class FrameFault(SimulationError):
-    """Byte access to a physical frame that is not mapped."""
-
-
 class TraceParseError(ValueError):
     """Malformed trace input; carries the 1-based line number."""
 

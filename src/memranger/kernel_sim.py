@@ -35,7 +35,7 @@ from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SIZ
 from .dispatcher import AccessRecord, VcpuState, execute_access, switch_ept
 from .ept_model import EXECUTE, WRITE, Access
 from .errors import SimulationError, TraceParseError
-from .policy_map import AllocatedPool, MapState, RegionLedger, SingleEptPolicy
+from .policy_map import DEFAULT_EPT, AllocatedPool, MapState, RegionLedger, SingleEptPolicy
 
 # Static fixture: one synthetic machine shared by every trace, around the
 # static regions address_space states.
@@ -205,7 +205,7 @@ def _regions(value):
 INT = _Form("type({v}) is int", "an integer", _int)   # event_to_dict picks hex or decimal
 STR = _Form("type({v}) is str", "a string")
 HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string", _hex_bytes)
-REGIONS = _Form("type({v}) is tuple and all(type(r) is tuple and len(r) == 2"
+REGIONS = _Form("type({v}) is tuple and len({v}) > 0 and all(type(r) is tuple and len(r) == 2"
                 " and type(r[0]) is int and type(r[1]) is int for r in {v})",
                 "a non-empty list of [base, size] pairs", _regions)
 
@@ -395,16 +395,18 @@ def _decoded(cls, obj: dict):
     return cls(*args)
 
 
-def _fault(cls, value, obj: dict, prefix: str = "") -> str:
-    """Name the first field of value that fails its check."""
+def _fault(cls, value, obj: dict | None, prefix: str = "") -> str:
+    """Name the first field of value that fails its check; obj is the JSON
+    object value was decoded from, None for a value built in Python."""
     for name, key, form, _, ok in _SPECS[cls].fields:
         if not ok(value):
             inner = getattr(value, name)
-            if key not in obj:
+            if obj is not None and key not in obj:
                 return f"missing field {prefix + key!r}"
+            raw = inner if obj is None else obj[key]
             if type(inner) is form.nested:
-                return _fault(form.nested, inner, obj[key], f"{prefix}{key}.")
-            return f"field {prefix + key!r} is not {form.what}: {obj[key]!r}"
+                return _fault(form.nested, inner, None if obj is None else raw, f"{prefix}{key}.")
+            return f"field {prefix + key!r} is not {form.what}: {raw!r}"
 
 
 def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
@@ -420,14 +422,19 @@ def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
 
 
 def serialize_trace(events) -> str:
-    """Encode events as JSON lines. Each distinct event object is encoded once
-    per call and a repeat reuses its line; the memo holds the event too, so
-    its id cannot be reused by another object while the call runs."""
+    """Encode events as JSON lines that parse_trace reads back; an event that
+    fails its field check is a TraceParseError at its 1-based position. Each
+    distinct event object is checked and encoded once per call and a repeat
+    reuses its line; the memo holds the event too, so its id cannot be
+    reused by another object while the call runs."""
     lines: dict[int, tuple] = {}
     out = []
-    for event in events:
+    for position, event in enumerate(events, start=1):
         known = lines.get(id(event))
         if known is None:
+            spec = _SPECS.get(type(event))
+            if spec is not None and not spec.check(event):
+                raise TraceParseError(_fault(type(event), event, None), position)
             known = lines[id(event)] = (event, json.dumps(event_to_dict(event)) + "\n")
         out.append(known[1])
     return "".join(out)
@@ -549,7 +556,7 @@ class Simulation:
         self.store = FrameStore()
         # mode off keeps the bare ledger: the same input checks, no contexts
         self.policy = _POLICIES[self.mode]()
-        self.vcpu = VcpuState(current_ept=self.policy.default_ept)
+        self.vcpu = VcpuState(current_ept=DEFAULT_EPT)
         for (base, size), fill in (
             (OS_KERNEL_CODE, OS_KERNEL_FILL),
             (OS_STRUCTURES, OS_STRUCT_FILL),
@@ -582,7 +589,7 @@ class Simulation:
         info = self._actor(target)
         # dispatching the os restores its home context; drivers reach theirs
         # through the fetch fault, their code runs nowhere else
-        home = self.policy.default_ept if info.kind == "os" else None
+        home = DEFAULT_EPT if info.kind == "os" else None
         _, record = execute_access(
             self.vcpu, self.policy, self.store,
             SCHEDULER_STUB, info.code, EXECUTE, actor=target, home_ept=home,
@@ -627,10 +634,10 @@ class Simulation:
             image = self.policy.enclaves[owner.enclave_id]
             return bounded(image.image_base, image.image_size)
         if ref.kind == "eprocess":
-            proc = self.policy.processes.get(ref.pid)
-            if proc is None:
+            regions = self.policy.processes.get(ref.pid)
+            if regions is None:
                 raise SimulationError(f"no live process {ref.pid}")
-            return bounded(*proc.regions[0])
+            return bounded(*regions[0])
         if ref.kind == "os_kernel_code":
             return bounded(*OS_KERNEL_CODE)
         if ref.kind == "os_structures":
@@ -674,7 +681,7 @@ class Simulation:
         self.policy.on_driver_unload(info.enclave_id)
         if self.vcpu.current_ept == info.enclave_id:
             # the departed context cannot stay active; fall back, counted
-            switch_ept(self.vcpu, self.policy, self.policy.default_ept)
+            switch_ept(self.vcpu, self.policy, DEFAULT_EPT)
             self.vcpu.counters["forced_switches"] += 1
         del self.actors[event.name]
         for pool in self.pools.pop(event.name, {}).values():
@@ -684,7 +691,7 @@ class Simulation:
 
     def _on_process_create(self, event: CreateProcess) -> None:
         self.policy.on_process_create(event.pid, event.regions)
-        for base, size in self.policy.processes[event.pid].regions:
+        for base, size in self.policy.processes[event.pid]:
             self.store.fill_gpa_range(base, size, SECRET_FILL)
 
     def _on_process_exit(self, event: ExitProcess) -> None:
@@ -757,9 +764,9 @@ class Simulation:
         for name, pools in self.pools.items():
             for ordinal, pool in pools.items():
                 out[f"pool:{name}:{ordinal}"] = self.store.digest_gpa_range(pool.base, pool.size)
-        for pid, proc in self.policy.processes.items():
+        for pid, regions in self.policy.processes.items():
             digest = hashlib.sha256()
-            for base, size in proc.regions:
+            for base, size in regions:
                 digest.update(self.store.read_gpa_range(base, size))
             out[f"eprocess:{pid}"] = digest.hexdigest()
         return out

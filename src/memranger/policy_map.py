@@ -69,19 +69,12 @@ class AllocatedPool:
 
 @dataclass
 class EnclaveRecord:
-    ept_id: int
     image_base: int
     image_end: int
 
     @property
     def image_size(self) -> int:
         return self.image_end - self.image_base
-
-
-@dataclass
-class ProcessRecord:
-    pid: int
-    regions: list[tuple[int, int]]
 
 
 class DecisionKind(Enum):
@@ -141,10 +134,9 @@ class RegionLedger:
     """Region facts, their validation, ownership queries and the restamp loop."""
 
     def __init__(self):
-        self.default_ept = DEFAULT_EPT
         self.epts: dict[int, Ept] = {}
         self.enclaves: dict[int, EnclaveRecord] = {}
-        self.processes: dict[int, ProcessRecord] = {}
+        self.processes: dict[int, tuple[tuple[int, int], ...]] = {}   # pid -> its regions
         self.pools: dict[int, AllocatedPool] = {}           # base -> live pool
         self.pool_pages: dict[int, list[AllocatedPool]] = {}  # page -> its live pools
         self.layout_version = 0
@@ -235,7 +227,7 @@ class RegionLedger:
                 raise ConfigError(f"driver image overlaps page {page:#x}")
         eid = self._next_ept_id
         self._next_ept_id += 1
-        self.enclaves[eid] = EnclaveRecord(eid, image_base, image_base + image_size)
+        self.enclaves[eid] = EnclaveRecord(image_base, image_base + image_size)
         self._overlay.update(dict.fromkeys(pages, ("image", eid)))
         self._sync_contexts()
         self._restamp(pages)
@@ -287,7 +279,7 @@ class RegionLedger:
     def on_process_create(self, pid: int, regions) -> None:
         if pid in self.processes:
             raise ConfigError(f"process {pid} already exists")
-        regions = [(int(base), int(size)) for base, size in regions]
+        regions = tuple((int(base), int(size)) for base, size in regions)
         if not regions:
             raise ConfigError("process needs at least one region")
         for base, size in regions:
@@ -299,15 +291,15 @@ class RegionLedger:
             if _STATIC_KIND.get(page) in ("kernel", "other"):
                 raise ConfigError(f"process region overlaps code at page {page:#x}")
         self._overlay.update(dict.fromkeys(pages, ("process", pid)))
-        self.processes[pid] = ProcessRecord(pid, regions)
+        self.processes[pid] = regions
         self._restamp(pages)
         self.layout_version += 1
 
     def on_process_exit(self, pid: int) -> None:
-        rec = self.processes.pop(pid, None)
-        if rec is None:
+        regions = self.processes.pop(pid, None)
+        if regions is None:
             raise SimulationError(f"exit of unknown process {pid}")
-        pages = _region_pages(rec.regions)
+        pages = _region_pages(regions)
         for page in pages:
             del self._overlay[page]
         self._restamp(pages)
@@ -380,20 +372,20 @@ class MapState(RegionLedger):
                 return REDIRECT
             static = _STATIC_KIND.get(page)
             if static in ("kernel", "other") or (static is None and overlay is None and not pools):
-                if current_ept != self.default_ept:
-                    return switch_to(self.default_ept)
+                if current_ept != DEFAULT_EPT:
+                    return switch_to(DEFAULT_EPT)
             return REDIRECT
 
         # data access
         if (overlay is not None and overlay[0] == "process") or _STATIC_KIND.get(page) == "structure":
-            if self._kernel_side_code(src) and current_ept != self.default_ept:
-                return switch_to(self.default_ept)
+            if self._kernel_side_code(src) and current_ept != DEFAULT_EPT:
+                return switch_to(DEFAULT_EPT)
             return REDIRECT
         if locked:
             pool = self._byte_pool(dst)
             if pool is not None and self._enclave_of_code(src) == pool.owner:
                 # grants happen only in the owner identity's home context
-                home = pool.owner if pool.owner is not None else self.default_ept
+                home = pool.owner if pool.owner is not None else DEFAULT_EPT
                 if current_ept != home:
                     return switch_to(home)
                 return GRANT

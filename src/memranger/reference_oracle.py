@@ -143,7 +143,7 @@ def snapshot_from_map(m) -> SnapshotView:
     identity is its context id."""
     view = SnapshotView()
     view.images = {eid: (e.image_base, e.image_end) for eid, e in m.enclaves.items()}
-    view.processes = {pid: tuple(p.regions) for pid, p in m.processes.items()}
+    view.processes = dict(m.processes)
     for pool in m.pools.values():
         view.add_pool(pool.owner, pool.base, pool.size)
     return view

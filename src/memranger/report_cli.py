@@ -74,7 +74,7 @@ class _Shadow:
     predicate needs, updated in place by each layout event. The view's
     enclave identities are driver names: a loaded driver is its own identity
     and every other actor is None. Each event class has one handler in
-    handlers; step applies one event and returns an access event's
+    _SHADOW_HANDLERS; step applies one event and returns an access event's
     Expectation, None for any other event."""
 
     def __init__(self, allocations):
@@ -89,22 +89,9 @@ class _Shadow:
         self.ordinals: dict[str, int] = {}                      # allocations made, frees included
         self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
         self.alloc_rows = iter(allocations)
-        # plain functions, not bound methods: a table of bound methods would
-        # hold the shadow in a reference cycle, alive until a gc collection
-        cls = type(self)
-        self.handlers = {
-            LoadDriver: cls._on_load,
-            UnloadDriver: cls._on_unload,
-            CreateProcess: cls._on_process_create,
-            ExitProcess: cls._on_process_exit,
-            Alloc: cls._on_alloc,
-            Free: cls._on_free,
-            Schedule: cls._on_schedule,
-            AccessEvent: cls._on_access,
-        }
 
     def step(self, index: int, event) -> Expectation | None:
-        handle = self.handlers.get(type(event))
+        handle = _SHADOW_HANDLERS.get(type(event))
         if handle is None:
             raise SimulationError(f"unknown event {event!r}")
         return handle(self, index, event)
@@ -142,9 +129,8 @@ class _Shadow:
             self.view.remove_pool(event.name, base, size)
 
     def _on_process_create(self, index: int, event) -> None:
-        regions = tuple((int(b), int(s)) for b, s in event.regions)
-        self.view.processes[event.pid] = regions
-        for base, size in regions:
+        self.view.processes[event.pid] = event.regions
+        for base, size in event.regions:
             self.store.fill_gpa_range(base, size, SECRET_FILL)
 
     def _on_process_exit(self, index: int, event) -> None:
@@ -200,6 +186,19 @@ class _Shadow:
                 digest.update(self.store.read_gpa_range(base, size))
             out[f"eprocess:{pid}"] = digest.hexdigest()
         return out
+
+
+# Each event class's shadow handler, looked up once per step.
+_SHADOW_HANDLERS = {
+    LoadDriver: _Shadow._on_load,
+    UnloadDriver: _Shadow._on_unload,
+    CreateProcess: _Shadow._on_process_create,
+    ExitProcess: _Shadow._on_process_exit,
+    Alloc: _Shadow._on_alloc,
+    Free: _Shadow._on_free,
+    Schedule: _Shadow._on_schedule,
+    AccessEvent: _Shadow._on_access,
+}
 
 
 def _mismatch(record, want: str | None) -> dict:

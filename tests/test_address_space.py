@@ -18,7 +18,6 @@ from memranger.address_space import (
     pattern_page,
     split_gpa,
 )
-from memranger.errors import FrameFault
 
 
 def test_split_worked_example():
@@ -94,38 +93,56 @@ def test_pages_covering_is_contiguous(base, size):
 
 
 class TestFrameStore:
-    def test_unmapped_frames_fault(self):
-        store = FrameStore()
-        with pytest.raises(FrameFault):
-            store.read_bytes(5, 0, 8)
-        with pytest.raises(FrameFault):
-            store.write_bytes(5, 0, b"x")
-
     def test_fresh_frames_read_zero(self):
+        """A fresh store reads zero at any gpa, through every reader, and
+        reading maps nothing."""
         store = FrameStore()
-        store.ensure(5)
-        assert store.read_bytes(5, 0, 8) == bytes(8)
+        zeros = hashlib.sha256(bytes(2 * PAGE_SIZE)).hexdigest()
+        for gpa in (0, 0x5000, 0x1234_5678, GPA_LIMIT - 3 * PAGE_SIZE):
+            page = gpa - gpa % PAGE_SIZE
+            assert store.read_gpa(gpa, 8) == bytes(8)
+            assert store.read_gpa_range(gpa + 3, PAGE_SIZE + 100) == bytes(PAGE_SIZE + 100)
+            # whole pages take the memoised digest, a mid-page start the piecewise one
+            assert store.digest_gpa_range(page, 2 * PAGE_SIZE) == zeros
+            assert store.digest_gpa_range(page + 5, 2 * PAGE_SIZE) == zeros
+        assert store.frames == {}
 
     def test_write_then_read(self):
         store = FrameStore()
-        store.ensure(5)
-        store.write_bytes(5, 100, b"\x01\x02\x03")
-        assert store.read_bytes(5, 99, 5) == b"\x00\x01\x02\x03\x00"
+        store.write_gpa(5 * PAGE_SIZE + 100, b"\x01\x02\x03")
+        assert store.read_gpa(5 * PAGE_SIZE + 99, 5) == b"\x00\x01\x02\x03\x00"
+        # the neighbours on both sides, and the rest of the page, still read zero
+        assert store.read_gpa_range(4 * PAGE_SIZE, 3 * PAGE_SIZE) == (
+            bytes(PAGE_SIZE + 100) + b"\x01\x02\x03" + bytes(2 * PAGE_SIZE - 103))
+        assert list(store.frames) == [5]
 
     def test_access_must_stay_inside_one_frame(self):
         store = FrameStore()
-        store.ensure(0)
         with pytest.raises(ValueError):
-            store.read_bytes(0, PAGE_SIZE - 2, 4)
+            store.read_gpa(PAGE_SIZE - 2, 4)
         with pytest.raises(ValueError):
-            store.write_bytes(0, PAGE_SIZE, b"x")
+            store.write_gpa(PAGE_SIZE - 1, b"xy")
+        with pytest.raises(ValueError):
+            store.read_gpa(0, PAGE_SIZE + 1)
+        with pytest.raises(ValueError):
+            store.read_gpa(0, -1)
+        # a whole page, from its first byte, is still inside it
+        assert store.read_gpa(PAGE_SIZE, PAGE_SIZE) == ZERO_PAGE
+        assert store.frames == {}
 
     def test_pfn_bounds(self):
+        """Only the frames below PFN_LIMIT exist: an access outside
+        [0, GPA_LIMIT) is refused before anything is mapped."""
         store = FrameStore()
-        with pytest.raises(ValueError):
-            store.ensure(PFN_LIMIT)
-        with pytest.raises(FrameFault):
-            store.read_bytes(PFN_LIMIT, 0, 1)
+        for gpa in (-1, -PAGE_SIZE, GPA_LIMIT, GPA_LIMIT + 8, 1 << 52):
+            with pytest.raises(ValueError):
+                store.read_gpa(gpa, 1)
+            with pytest.raises(ValueError):
+                store.write_gpa(gpa, b"x")
+        assert store.frames == {}
+        # the last byte of the space is the fake frame's
+        assert store.fake_pfn == PFN_LIMIT - 1
+        assert store.read_gpa(GPA_LIMIT - 1, 1) == b"\x00"
 
     def test_gpa_range_spans_pages(self):
         store = FrameStore()
@@ -133,7 +150,7 @@ class TestFrameStore:
         store.fill_gpa_range(base, 8, b"\xaa\xbb")
         assert store.read_gpa_range(base, 8) == b"\xaa\xbb" * 4
         # the tail lands on the next frame
-        assert store.read_bytes(3, 0, 4) == b"\xaa\xbb\xaa\xbb"
+        assert store.read_gpa(3 * PAGE_SIZE, 4) == b"\xaa\xbb\xaa\xbb"
 
     def test_fill_tiles_from_range_start(self):
         store = FrameStore()
@@ -154,15 +171,20 @@ class TestFrameStore:
 
     def test_fake_frame_starts_and_rezeros_clean(self):
         store, other = FrameStore(), FrameStore()
-        other.ensure(7)
+        fake = store.fake_pfn * PAGE_SIZE
         assert store.fake_pfn == PFN_LIMIT - 1
-        store.write_bytes(store.fake_pfn, 0, b"\xff\xff")
+        assert store.fake_pfn not in store.frames
+        store.write_gpa(fake, b"\xff\xff")
+        assert store.read_gpa(fake, 4) == b"\xff\xff\x00\x00"
         # the write copied the shared zero page; no other store sees it
-        assert other.read_bytes(other.fake_pfn, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
-        assert other.read_bytes(7, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert other.read_gpa(fake, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert other.read_gpa(7 * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
         assert ZERO_PAGE == bytes(PAGE_SIZE)
         store.zero_fake()
-        assert store.read_bytes(store.fake_pfn, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert store.fake_pfn not in store.frames
+        assert store.read_gpa(fake, PAGE_SIZE) == bytes(PAGE_SIZE)
+        store.zero_fake()      # scrubbing a clean decoy is a no-op
+        assert store.frames == {}
 
     def test_whole_pages_share_one_immutable_page(self):
         store = FrameStore()
@@ -177,10 +199,10 @@ class TestFrameStore:
         store, other = FrameStore(), FrameStore()
         for s in (store, other):
             s.fill_gpa_range(0x10_000, 2 * PAGE_SIZE, b"\xde\xad\xbe\xef")
-        store.write_bytes(0x10, 8, b"\x01\x02")
+        store.write_gpa(0x10_008, b"\x01\x02")
         want = b"\xde\xad\xbe\xef" * (PAGE_SIZE // 4)
-        assert store.read_bytes(0x10, 6, 6) == b"\xbe\xef\x01\x02\xbe\xef"
-        assert store.read_bytes(0x11, 0, PAGE_SIZE) == want
+        assert store.read_gpa(0x10_006, 6) == b"\xbe\xef\x01\x02\xbe\xef"
+        assert store.read_gpa(0x11_000, PAGE_SIZE) == want
         assert other.read_gpa_range(0x10_000, 2 * PAGE_SIZE) == want * 2
         assert pattern_page(b"\xde\xad\xbe\xef", 0) == want
         assert store.digest_gpa_range(0x10_000, PAGE_SIZE) != other.digest_gpa_range(0x10_000, PAGE_SIZE)
@@ -191,7 +213,7 @@ class TestFrameStore:
         store.fill_gpa_range(base, size, b"\x01\x02\x03\x04")
         want = (b"\x01\x02\x03\x04" * size)[:size]
         assert store.read_gpa_range(base, size) == want
-        assert store.read_bytes(0x11, 0, 4) == b"\x02\x03\x04\x01"
+        assert store.read_gpa(0x11_000, 4) == b"\x02\x03\x04\x01"
         assert store.digest_gpa_range(0x11_000, PAGE_SIZE) == hashlib.sha256(
             want[PAGE_SIZE - 3:2 * PAGE_SIZE - 3]).hexdigest()
 
@@ -207,7 +229,7 @@ class TestFrameStore:
         with pytest.raises(ValueError, match="extends beyond 48-bit space"):
             call(GPA_LIMIT - PAGE_SIZE, 2 * PAGE_SIZE, *extra)
         # nothing was mapped before the check failed
-        assert list(store.frames) == [store.fake_pfn]
+        assert store.frames == {}
 
 
 _PATTERNS = (st.sampled_from([b"\x90", b"\xde\xad\xbe\xef"])
@@ -266,7 +288,7 @@ def test_store_matches_a_bytearray_model(ops):
         elif op[0] == "write":
             _, start, data = op
             data = data[:PAGE_SIZE - start % PAGE_SIZE]
-            store.write_bytes(page_of(_ORIGIN + start), offset_in_page(start), data)
+            store.write_gpa(_ORIGIN + start, data)
             model[start:start + len(data)] = data
         elif op[0] == "read":
             _, (start, size) = op

@@ -3,7 +3,7 @@ the address check at the door."""
 
 import pytest
 
-from memranger.address_space import GPA_LIMIT, OS_KERNEL_CODE, PAGE_SIZE, ZERO_PAGE, FrameStore
+from memranger.address_space import GPA_LIMIT, OS_KERNEL_CODE, PAGE_SIZE, FrameStore
 from memranger.dispatcher import RETRY_BUDGET, VcpuState, execute_access, switch_ept
 from memranger.ept_model import NONE, Access, Ept
 from memranger.errors import PolicyLivelockError, SimulationError
@@ -54,7 +54,7 @@ def test_foreign_read_redirects_and_restores(world):
     assert record["ept_after"] == b              # no context change for theft
     assert policy.epts[b].entry_for(page) == before
     assert vcpu.counters["mtf_windows"] == 1
-    assert store.frames[store.fake_pfn] is ZERO_PAGE    # the window closed and scrubbed
+    assert store.fake_pfn not in store.frames    # the window closed and scrubbed
 
 
 def test_foreign_write_lands_in_the_decoy(world):
@@ -66,7 +66,8 @@ def test_foreign_write_lands_in_the_decoy(world):
     assert record["redirected"] is True
     # victim bytes untouched; decoy frame scrubbed after the window closed
     assert store.read_gpa_range(POOL_A + 4, 4) == SECRET
-    assert store.read_bytes(store.fake_pfn, 4, 4) == bytes(4)
+    assert store.read_gpa(store.fake_pfn * PAGE_SIZE + 4, 4) == bytes(4)
+    assert store.fake_pfn not in store.frames
 
 
 def test_decoy_frame_reads_zero_after_a_redirected_write(world):
@@ -76,9 +77,9 @@ def test_decoy_frame_reads_zero_after_a_redirected_write(world):
         vcpu, policy, store, CODE_B, POOL_A + 4, Access.WRITE, payload=b"\x5a" * 4
     )
     assert record["redirected"] is True and vcpu.counters["mtf_windows"] == 1
-    # the restore points the decoy back at the shared zero page, no copy left behind
-    assert store.read_bytes(store.fake_pfn, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
-    assert store.frames[store.fake_pfn] is ZERO_PAGE
+    # the restore drops the decoy's entry, no copy left behind
+    assert store.read_gpa(store.fake_pfn * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+    assert store.fake_pfn not in store.frames
 
 
 def test_fetch_then_access_discipline(world):
@@ -181,7 +182,6 @@ class _PingPongPolicy:
     """Pathological brain: bounces the vcpu between two contexts forever."""
 
     def __init__(self):
-        self.default_ept = 0
         self.epts = {0: Ept(0), 1: Ept(1)}
         for ept in self.epts.values():
             ept.set_page_attrs(0x7000_0000 >> 12, NONE)

@@ -9,9 +9,11 @@ from memranger.errors import ConfigError, SimulationError, TraceParseError
 from memranger.kernel_sim import (
     AccessEvent,
     Alloc,
+    CreateProcess,
     DstRef,
     Free,
     LoadDriver,
+    Schedule,
     Simulation,
     parse_trace,
     run_trace,
@@ -118,7 +120,24 @@ ILL_TYPED = {
     "access-list": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), ["read"]),
     "payload-empty": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "write",
                                  payload=b""),
+    "regions-empty": CreateProcess(4, ()),
 }
+# the field each ILL_TYPED event gets wrong, as a parse error names it
+BAD_FIELD = {
+    "alloc-size-str": "size", "payload-str": "payload", "offset-str": "dst.offset",
+    "image-base-str": "image_base", "free-pool-str": "pool", "access-list": "access",
+    "payload-empty": "payload", "regions-empty": "regions",
+}
+
+
+@pytest.mark.parametrize("name", ILL_TYPED)
+def test_serialize_refuses_what_parse_refuses(name):
+    """The encoder writes no line the decoder would reject: it names the
+    event's first bad field, and the event's 1-based position as the line."""
+    event = ILL_TYPED[name]
+    with pytest.raises(TraceParseError, match=f"field '{BAD_FIELD[name]}' is not") as caught:
+        serialize_trace([Schedule("os_kernel"), event, event])
+    assert caught.value.line == 2
 
 
 @pytest.mark.parametrize("mode", MODES)
