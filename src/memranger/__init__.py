@@ -17,7 +17,6 @@ from .address_space import (
 from .dispatcher import VcpuState, execute_access, switch_ept
 from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import (
-    ConfigError,
     PolicyLivelockError,
     SimulationError,
     TraceParseError,
@@ -55,7 +54,6 @@ __all__ = [
     "Access",
     "AccessEvent",
     "Alloc",
-    "ConfigError",
     "CostModel",
     "CreateProcess",
     "Decision",

@@ -1,12 +1,9 @@
 """Exception types shared across the simulator."""
 
 
-class ConfigError(Exception):
-    """Invalid static configuration: overlapping regions, unknown ids, bad ranges."""
-
-
 class SimulationError(Exception):
-    """Runtime failure while driving the simulation (bad refs, out-of-range access)."""
+    """A trace asks the machine for something impossible: overlapping or
+    out-of-range regions, unknown actors, pools or targets."""
 
 
 class PolicyLivelockError(SimulationError):
@@ -14,7 +11,9 @@ class PolicyLivelockError(SimulationError):
 
 
 class TraceParseError(ValueError):
-    """Malformed trace input; carries the 1-based line number."""
+    """A trace event that breaks its spec, refused when it is built or read;
+    carries the 1-based line number of a trace line, 0 for an event built in
+    Python."""
 
     def __init__(self, message: str, line: int = 0):
         super().__init__(message)

@@ -16,8 +16,9 @@ through the same handlers and the same dispatcher.execute_access.
 The policies live in policy_map; this module owns the replay (Simulation),
 its configuration and report (SimConfig, CostModel, RunReport), the pool
 allocator, the trace JSON-lines codec and the trace generators (demo,
-privilege-escalation, benchmark, seeded random). A run is priced once, when
-its report is made, from the counters the dispatcher keeps.
+privilege-escalation, benchmark, seeded random). A trace event checks its
+fields when it is built, so the codec and the replay never check one. A run is
+priced once, when its report is made, from the counters the dispatcher keeps.
 """
 
 import bisect
@@ -162,19 +163,20 @@ class RunReport:
 # Each event class states its fields once: the dataclass gives each field's
 # name and default (None: it may be null or absent), _spec its codec form and
 # JSON key. From these, once at import, _event compiles the class's field check
-# into one expression, which Simulation.step runs on every event and
-# event_from_dict on every event it decodes. event_to_dict stays written out
-# for speed; a test pins the keys it writes to the spec's.
+# into one expression, which every construction runs: an event that breaks its
+# spec is refused as it is built, so no consumer checks an event again.
+# event_to_dict stays written out for speed; a test pins the keys it writes to
+# the spec's.
 
 @dataclass(frozen=True, eq=False)
 class _Form:
-    """A field's codec form: its check over one value ({v} in test), what a
-    parse error says a good value is, and the conversion from JSON, which
-    hands back a value it cannot convert for the check to reject."""
+    """A field's codec form: its check over one value ({v} in test), what an
+    error says a good value is, and the conversion from JSON, which hands
+    back a value it cannot convert for the check to refuse."""
     test: str
     what: str
     decode: Callable | None = None      # None: the JSON value is the field value
-    nested: type | None = None          # the spec class a JSON object decodes to
+    nested: type | None = None          # the event class a JSON object decodes to
 
 
 def _int(value):
@@ -202,7 +204,8 @@ def _regions(value):
     return value
 
 
-INT = _Form("type({v}) is int", "an integer", _int)   # event_to_dict picks hex or decimal
+# event_to_dict picks hex or decimal; json writes and reads back any 64-bit decimal
+INT = _Form("type({v}) is int and -2**63 <= {v} < 2**63", "a 64-bit integer", _int)
 STR = _Form("type({v}) is str", "a string")
 HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string", _hex_bytes)
 REGIONS = _Form("type({v}) is tuple and len({v}) > 0 and all(type(r) is tuple and len(r) == 2"
@@ -215,23 +218,16 @@ def _one_of(values: tuple) -> _Form:
 
 
 def _nested(cls) -> _Form:
-    return _Form(f"type({{v}}) is {cls.__name__} and {_SPECS[cls].test}", "an object",
-                 lambda value: _decoded(cls, value) if type(value) is dict else value,
-                 cls)
+    """A field holding a cls, which was checked when it was built."""
+    return _Form(f"type({{v}}) is {cls.__name__}", "an object", nested=cls)
 
 
 def _spec(form: _Form, default=MISSING, key: str | None = None):
     return field(default=default, metadata={"form": form, "key": key})
 
 
-@dataclass(frozen=True)
-class _ClassSpec:
-    fields: tuple       # (name, key, form, default, this field's check) in field order
-    test: str           # the whole check over {v}
-    check: Callable
-
-
-_SPECS: dict[type, _ClassSpec] = {}
+# event class -> (name, JSON key, form, default, that field's check) per field, in order
+_SPECS: dict[type, tuple] = {}
 _EVENT_OF: dict[str, type] = {}         # trace name ("ev") -> event class
 
 
@@ -241,20 +237,39 @@ def _compiled(test: str) -> Callable:
     return eval("lambda e: " + test.replace("{v}", "e"), globals())
 
 
+def _fault(cls, values) -> tuple:
+    """The spec row of the first field whose value (one per field) fails its check."""
+    return next(row for row, value in zip(_SPECS[cls], values) if not row[4](value))
+
+
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:                  # an int past Python's decimal-digit limit
+        return f"<{type(value).__name__} too long to show>"
+
+
 def _event(ev: str | None = None):
-    """Make cls a frozen dataclass and derive its field check from its spec."""
+    """Make cls a frozen dataclass whose construction runs the field check its
+    spec states, raising TraceParseError (line 0) that names the first bad
+    field."""
     def derive(cls):
+        def __post_init__(self):
+            if not check(self):
+                name, key, form, _, _ = _fault(cls, [getattr(self, row[0]) for row in rows])
+                raise TraceParseError(f"field {key!r} is not {form.what}: "
+                                      f"{_shown(getattr(self, name))}")
+
+        cls.__post_init__ = __post_init__       # the __init__ dataclass writes calls it
         cls = dataclass(frozen=True)(cls)
         rows, tests = [], []
         for f in fields(cls):
             form = f.metadata["form"]
-            test = form.test.replace("{v}", "{v}." + f.name)
-            if f.default is None:
-                test = f"{{v}}.{f.name} is None or {test}"
-            tests.append(f"({test})")
+            test = form.test if f.default is not None else "{v} is None or " + form.test
             rows.append((f.name, f.metadata["key"] or f.name, form, f.default, _compiled(test)))
-        test = " and ".join(tests)
-        _SPECS[cls] = _ClassSpec(tuple(rows), test, _compiled(test))
+            tests.append("(" + test.replace("{v}", "{v}." + f.name) + ")")
+        rows = _SPECS[cls] = tuple(rows)
+        check = _compiled(" and ".join(tests))
         if ev is not None:
             _EVENT_OF[ev] = cls
         return cls
@@ -383,30 +398,26 @@ def event_to_dict(event: TraceEvent) -> dict:
     raise TypeError(f"not a trace event: {event!r}")
 
 
-def _decoded(cls, obj: dict):
-    """cls built from obj, each value converted by its field's form, unchecked;
-    a missing field without a default holds MISSING, which no check passes."""
+def _decoded(cls, obj: dict, line: int, prefix: str = ""):
+    """cls built from obj, each value converted by its field's form; a missing
+    field without a default is passed as MISSING, which no check accepts. A
+    refusal names the field by its path from the line and shows its JSON
+    value."""
     args = []
-    for _, key, form, default, _ in _SPECS[cls].fields:
+    for _, key, form, default, _ in _SPECS[cls]:
         if key not in obj:
             args.append(default)
+        elif form.nested is not None and type(obj[key]) is dict:
+            args.append(_decoded(form.nested, obj[key], line, f"{prefix}{key}."))
         else:
             args.append(obj[key] if form.decode is None else form.decode(obj[key]))
-    return cls(*args)
-
-
-def _fault(cls, value, obj: dict | None, prefix: str = "") -> str:
-    """Name the first field of value that fails its check; obj is the JSON
-    object value was decoded from, None for a value built in Python."""
-    for name, key, form, _, ok in _SPECS[cls].fields:
-        if not ok(value):
-            inner = getattr(value, name)
-            if obj is not None and key not in obj:
-                return f"missing field {prefix + key!r}"
-            raw = inner if obj is None else obj[key]
-            if type(inner) is form.nested:
-                return _fault(form.nested, inner, None if obj is None else raw, f"{prefix}{key}.")
-            return f"field {prefix + key!r} is not {form.what}: {raw!r}"
+    try:
+        return cls(*args)
+    except TraceParseError:
+        _, key, form, _, _ = _fault(cls, args)
+    if key not in obj:
+        raise TraceParseError(f"missing field {prefix + key!r}", line)
+    raise TraceParseError(f"field {prefix + key!r} is not {form.what}: {obj[key]!r}", line)
 
 
 def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
@@ -415,26 +426,19 @@ def event_from_dict(obj: dict, line: int = 0) -> TraceEvent:
     if cls is None:
         raise TraceParseError(f"unknown event kind {ev!r}" if "ev" in obj
                               else "missing field 'ev'", line)
-    event = _decoded(cls, obj)
-    if not _SPECS[cls].check(event):
-        raise TraceParseError(_fault(cls, event, obj), line)
-    return event
+    return _decoded(cls, obj, line)
 
 
 def serialize_trace(events) -> str:
-    """Encode events as JSON lines that parse_trace reads back; an event that
-    fails its field check is a TraceParseError at its 1-based position. Each
-    distinct event object is checked and encoded once per call and a repeat
-    reuses its line; the memo holds the event too, so its id cannot be
-    reused by another object while the call runs."""
+    """Encode events as JSON lines that parse_trace reads back. Each distinct
+    event object is encoded once per call and a repeat reuses its line; the
+    memo holds the event too, so its id cannot be reused by another object
+    while the call runs."""
     lines: dict[int, tuple] = {}
     out = []
-    for position, event in enumerate(events, start=1):
+    for event in events:
         known = lines.get(id(event))
         if known is None:
-            spec = _SPECS.get(type(event))
-            if spec is not None and not spec.check(event):
-                raise TraceParseError(_fault(type(event), event, None), position)
             known = lines[id(event)] = (event, json.dumps(event_to_dict(event)) + "\n")
         out.append(known[1])
     return "".join(out)
@@ -651,14 +655,10 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def step(self, event: TraceEvent) -> None:
-        """Check the event's fields, then apply it. An event built in Python
-        that no trace line could produce fails before touching state."""
-        kind = _EVENT_KINDS.get(type(event))
-        if kind is None:
+        """Apply the event; its fields were checked when it was built."""
+        handle = _EVENT_KINDS.get(type(event))
+        if handle is None:
             raise SimulationError(f"unknown event {event!r}")
-        fields_ok, handle = kind
-        if not fields_ok(event):
-            raise SimulationError(f"field of the wrong type or value in {event!r}")
         self.event_index += 1
         handle(self, event)
 
@@ -788,9 +788,8 @@ class Simulation:
         )
 
 
-# Each event kind's field check (derived from its spec) and handler, looked up
-# once per step.
-_EVENT_KINDS = {cls: (_SPECS[cls].check, handle) for cls, handle in {
+# Each event class's handler, looked up once per step.
+_EVENT_KINDS = {
     LoadDriver: Simulation._on_load,
     UnloadDriver: Simulation._on_unload,
     CreateProcess: Simulation._on_process_create,
@@ -799,7 +798,7 @@ _EVENT_KINDS = {cls: (_SPECS[cls].check, handle) for cls, handle in {
     Free: Simulation._on_free,
     Schedule: Simulation._on_schedule,
     AccessEvent: Simulation._on_access,
-}.items()}
+}
 
 
 def run_trace(events, mode, config: SimConfig | None = None, after_event=None) -> RunReport:

@@ -47,7 +47,7 @@ from functools import lru_cache
 from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER
 from .ept_model import EXECUTE, NONE, RW, RWX, Access, Ept, EptEntry
-from .errors import ConfigError, SimulationError
+from .errors import SimulationError
 
 DEFAULT_EPT = 0
 # No image or process region may outgrow the pool arena (16 MiB):
@@ -99,11 +99,11 @@ def switch_to(ept_id: int) -> Decision:
 
 def _check_range(base: int, size: int, what: str) -> None:
     if size <= 0:
-        raise ConfigError(f"{what}: size must be positive")
+        raise SimulationError(f"{what}: size must be positive")
     if size > MAX_REGION_SIZE:
-        raise ConfigError(f"{what}: size {size:#x} exceeds {MAX_REGION_SIZE:#x}")
+        raise SimulationError(f"{what}: size {size:#x} exceeds {MAX_REGION_SIZE:#x}")
     if base < 0 or base + size > GPA_LIMIT:
-        raise ConfigError(f"{what}: outside 48-bit space")
+        raise SimulationError(f"{what}: outside 48-bit space")
 
 
 STATIC_KINDS = ("kernel", "structure", "other")
@@ -224,7 +224,7 @@ class RegionLedger:
         pages = pages_covering(image_base, image_size)
         for page in pages:
             if page in _STATIC_KIND or page in self._overlay or page in self.pool_pages:
-                raise ConfigError(f"driver image overlaps page {page:#x}")
+                raise SimulationError(f"driver image overlaps page {page:#x}")
         eid = self._next_ept_id
         self._next_ept_id += 1
         self.enclaves[eid] = EnclaveRecord(image_base, image_base + image_size)
@@ -237,7 +237,7 @@ class RegionLedger:
     def on_driver_unload(self, eid: int) -> None:
         rec = self.enclaves.pop(eid, None)
         if rec is None:
-            raise ConfigError(f"unload of unknown enclave {eid}")
+            raise SimulationError(f"unload of unknown enclave {eid}")
         pages = dict.fromkeys(pages_covering(rec.image_base, rec.image_size))
         for page in pages:
             del self._overlay[page]
@@ -278,18 +278,16 @@ class RegionLedger:
 
     def on_process_create(self, pid: int, regions) -> None:
         if pid in self.processes:
-            raise ConfigError(f"process {pid} already exists")
+            raise SimulationError(f"process {pid} already exists")
         regions = tuple((int(base), int(size)) for base, size in regions)
-        if not regions:
-            raise ConfigError("process needs at least one region")
         for base, size in regions:
             _check_range(base, size, f"process {pid} region")
         pages = _region_pages(regions)
         for page in pages:
             if page in self._overlay or page in self.pool_pages:
-                raise ConfigError(f"process region overlaps page {page:#x}")
+                raise SimulationError(f"process region overlaps page {page:#x}")
             if _STATIC_KIND.get(page) in ("kernel", "other"):
-                raise ConfigError(f"process region overlaps code at page {page:#x}")
+                raise SimulationError(f"process region overlaps code at page {page:#x}")
         self._overlay.update(dict.fromkeys(pages, ("process", pid)))
         self.processes[pid] = regions
         self._restamp(pages)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, FrameStore
 from .ept_model import READ, WRITE
-from .errors import ConfigError, SimulationError, TraceParseError
+from .errors import SimulationError, TraceParseError
 from .kernel_sim import (
     ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, OS_KERNEL_FILL, OS_STRUCT_FILL,
     OTHER_DRIVER_FILL, SECRET_FILL, AccessEvent, Alloc, CostModel, CreateProcess, ExitProcess,
@@ -318,7 +318,7 @@ def cli_run(args) -> int:
     config = SimConfig(force_page_aligned=args.page_aligned, cost_model=cost_model)
     try:
         report = run_trace(events, args.mode, config)
-    except (ConfigError, SimulationError) as exc:
+    except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
     verdict = verify_run(events, report)
@@ -341,7 +341,7 @@ def cli_compare(args) -> int:
         config = SimConfig(force_page_aligned=args.page_aligned, cost_model=cost_model)
         try:
             reports[mode] = run_trace(events, mode, config)
-        except (ConfigError, SimulationError) as exc:
+        except SimulationError as exc:
             print(f"simulation failed under {mode}: {exc}", file=sys.stderr)
             return 1
     ticks = {mode: reports[mode].modeled_total_ticks for mode in MODES}

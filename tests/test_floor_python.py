@@ -3,7 +3,9 @@
 The suite itself runs on one interpreter; this test finds an installed one of
 the floor version (requires-python) and replays the demo, the privilege-
 escalation scenario and one random trace in every mode under it, each run
-audited by verify_run. It is skipped where no such interpreter is installed.
+audited by verify_run, and checks that a trace event's construction hook
+refuses a bad field there as it does here. It is skipped where no such
+interpreter is installed.
 """
 
 import os
@@ -62,9 +64,28 @@ def _floor_python() -> str | None:
     return next((python for python in candidates if _reported_version(python) == FLOOR), None)
 
 
-def _replay(python: str) -> list[str]:
+# Prints the line number and message of each refusal: two events built in
+# Python and one trace line.
+REFUSALS = """
+from memranger import AccessEvent, Alloc, DstRef, TraceParseError, parse_trace
+
+for build in (lambda: Alloc("A", "0x10"),
+              lambda: AccessEvent("A", DstRef("own_pool", offset="zz"), "read")):
+    try:
+        build()
+    except TraceParseError as exc:
+        print(exc.line, exc)
+try:
+    parse_trace('{"ev": "access", "actor": "A", "access": "read",'
+                ' "dst": {"ref": "own_pool", "offset": "zz"}}')
+except TraceParseError as exc:
+    print(exc.line, exc)
+"""
+
+
+def _run(python: str, script: str) -> list[str]:
     done = subprocess.run(
-        [python, "-c", REPLAY], cwd=ROOT, capture_output=True, text=True, timeout=300,
+        [python, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert done.returncode == 0, done.stdout + done.stderr
@@ -79,10 +100,24 @@ def test_floor_python_replays_every_mode_as_this_one_does():
     python = _floor_python()
     if python is None:
         pytest.skip(f"no working Python {'.'.join(map(str, FLOOR))} installed")
-    floor, here = _replay(python), _replay(sys.executable)
+    floor, here = _run(python, REPLAY), _run(sys.executable, REPLAY)
     assert floor[0] == " ".join(map(str, FLOOR))
     runs = [line.split() for line in floor[1:]]
     assert [(name, mode) for name, mode, _, _ in runs] == [
         (name, mode) for name in ("demo1", "privesc", "random-3") for mode in MODES]
     assert all(ok == "True" for _, mode, ok, _ in runs if mode == "multi-ept")
     assert floor[1:] == here[1:]
+
+
+def test_floor_python_refuses_a_bad_field_at_construction():
+    """A frozen event's __post_init__ runs under the floor version too: each
+    bad event is refused as it is built, naming its field, and the bad line
+    names the field's key path."""
+    python = _floor_python()
+    if python is None:
+        pytest.skip(f"no working Python {'.'.join(map(str, FLOOR))} installed")
+    assert _run(python, REFUSALS) == _run(sys.executable, REFUSALS) == [
+        "0 field 'size' is not a 64-bit integer: '0x10'",
+        "0 field 'offset' is not a 64-bit integer: 'zz'",
+        "1 field 'dst.offset' is not a 64-bit integer: 'zz'",
+    ]

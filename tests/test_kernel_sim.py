@@ -3,15 +3,16 @@
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memranger import kernel_sim
 from memranger.address_space import PAGE_SIZE, pages_covering, pattern_page
-from memranger.errors import ConfigError, SimulationError, TraceParseError
+from memranger.errors import SimulationError, TraceParseError
 from memranger.kernel_sim import (
     FOREIGN_POOL_FILL,
     IMAGE_SIZE,
@@ -193,8 +194,21 @@ class TestCodec:
             parse_trace("# one comment line\n" + json.dumps(obj) + "\n")
         assert info.value.line == 2
 
+    def test_an_int_past_64_bits_is_refused(self):
+        """Every event that can be built can be written and read back: a pool
+        ordinal json could not write in decimal cannot be built, and a line
+        past 64 bits is refused with its line number."""
+        with pytest.raises(TraceParseError, match="field 'pool' is not a 64-bit integer") as info:
+            Free("A", 10**5000)
+        assert info.value.line == 0
+        with pytest.raises(TraceParseError, match="field 'pool' is not a 64-bit integer") as info:
+            parse_trace('{"ev": "free", "actor": "A", "pool": 18446744073709551616}\n')
+        assert info.value.line == 1
+        edges = [Free("A", 2**63 - 1), Free("A", -2**63)]
+        assert parse_trace(serialize_trace(edges)) == edges
 
-# -- one field spec per event class: the encoder, decoder and replay check agree
+
+# -- one field spec per event class: construction checks it, the codec follows it
 
 FULL_EVENTS = [
     LoadDriver("A", IMAGE_SLOTS[0], 0x1000),
@@ -237,17 +251,6 @@ def test_the_encoder_writes_exactly_the_spec_keys():
                     assert written[key] == (hex(number) if key in _HEX_KEYS else number), key
 
 
-def _check_accepts(event) -> bool:
-    """Whether Simulation.step's field check lets the event through."""
-    try:
-        Simulation("off").step(event)
-    except SimulationError as exc:
-        return "wrong type or value" not in str(exc)
-    except ConfigError:
-        pass
-    return True
-
-
 _NAMES_JSON = st.sampled_from(["A", "B", "os_kernel", ""]) | st.text(max_size=3)
 _HEX_JSON = st.integers(-2, 2**50).map(hex) | st.integers(0, 2**50)
 _DEC_JSON = st.integers(-2, 9) | st.integers(0, 9).map(str)
@@ -265,7 +268,8 @@ _GOOD_JSON = {
 }
 _ODD_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2),
                       st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
-                      st.just({}), st.just([[1, 2]]), st.just(["0x1", "0x2"]))
+                      st.just({}), st.just([[1, 2]]), st.just(["0x1", "0x2"]),
+                      st.sampled_from([2**63, -2**63 - 1, hex(2**64)]))
 
 
 @st.composite
@@ -287,15 +291,15 @@ _TRACE_LINES = st.sampled_from(sorted(kernel_sim._EVENT_OF.items())).flatmap(
 
 @settings(max_examples=400, deadline=None)
 @given(_TRACE_LINES)
-def test_the_codec_builds_only_events_the_replay_check_accepts(obj):
-    """A decoded line passes step's field check and writes back to a fixed
-    point; everything else is a TraceParseError."""
+def test_a_decoded_line_is_refused_with_its_line_or_round_trips(obj):
+    """A line the decoder builds an event from writes back to a fixed point
+    (serialize, parse, serialize gives the same bytes); every other line is a
+    TraceParseError that carries its line number."""
     try:
         event = event_from_dict(obj, 7)
     except TraceParseError as exc:
         assert exc.line == 7
         return
-    assert _check_accepts(event)
     text = serialize_trace([event])
     assert serialize_trace(parse_trace(text)) == text
 
@@ -316,27 +320,74 @@ _GOOD_PY = {
 
 
 @st.composite
-def _python_value(draw, cls):
-    """cls built in Python, each field well-typed or, one time in ten, not."""
+def _python_args(draw, cls) -> dict:
+    """Arguments for cls, each well-typed or, one time in ten, not; a DstRef
+    comes as its own arguments, a dict, which no odd value is."""
     args = {}
     for key, (name, _) in _spec_keys(cls).items():
-        good = _python_value(DstRef) if key == "dst" else _GOOD_PY[key]
+        good = _python_args(DstRef) if key == "dst" else _GOOD_PY[key]
         args[name] = draw(_ODD_PY if draw(st.integers(0, 9)) == 0 else good)
-    return cls(**args)
+    return args
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(kernel_sim._EVENT_OF.values(), key=lambda cls: cls.__name__))
-       .flatmap(_python_value))
-def test_events_the_check_accepts_write_back_to_a_fixed_point(event):
-    """serialize, parse, serialize gives the same bytes for any event step's
-    check accepts, and serialize refuses every event the check refuses."""
-    if not _check_accepts(event):
-        with pytest.raises(TraceParseError):
-            serialize_trace([event])
+       .flatmap(lambda cls: _python_args(cls).map(lambda args: (cls, args))))
+def test_events_the_check_accepts_write_back_to_a_fixed_point(drawn):
+    """An event built in Python is refused, naming one of its fields (or its
+    target's), or serialize, parse, serialize gives it back with the same
+    bytes."""
+    cls, args = drawn
+    keys = set(_spec_keys(cls)) | (set(_spec_keys(DstRef)) if cls is AccessEvent else set())
+    try:
+        if type(args.get("dst")) is dict:
+            args = {**args, "dst": DstRef(**args["dst"])}
+        event = cls(**args)
+    except TraceParseError as exc:
+        named = re.match(r"field '(\w+)' is not ", str(exc))
+        assert exc.line == 0 and named and named[1] in keys, exc
         return
     text = serialize_trace([event])
     assert serialize_trace(parse_trace(text)) == text
+
+
+def _other_forms(form, default) -> list[tuple]:
+    """Values of another form than a field of this form and default takes:
+    (in Python, in a JSON line)."""
+    if form is kernel_sim.INT:
+        values = [("zz", "zz"), (2**64, 2**64)]
+    elif form is kernel_sim.REGIONS:
+        values = [((), [])]
+    elif form is kernel_sim.HEX_BYTES:
+        values = [(b"", "")]
+    else:                               # strings, labels, the access target
+        values = [(5, 5)]
+    return values + ([(None, None)] if default is not None else [])
+
+
+# Each event class's fully set event from FULL_EVENTS; a DstRef is met in its AccessEvent
+_HOSTS = {type(event): event for event in FULL_EVENTS}
+_HOSTS[DstRef] = _HOSTS[AccessEvent]
+_WRONG = [(cls, name, key, py, js) for cls, spec in kernel_sim._SPECS.items()
+          for name, key, form, default, _ in spec for py, js in _other_forms(form, default)]
+
+
+@pytest.mark.parametrize("cls, name, key, py, js", _WRONG,
+                         ids=[f"{cls.__name__}.{name}={py!r}" for cls, name, _, py, _ in _WRONG])
+def test_every_field_refuses_a_value_of_another_form(cls, name, key, py, js):
+    """Walks every class's spec: a value of another form in any field is
+    refused when the event is built, naming the field, and the same value in
+    a trace line is refused naming its key path and the line."""
+    host = _HOSTS[cls]
+    with pytest.raises(TraceParseError, match=f"^field '{key}' is not ") as info:
+        replace(host.dst if cls is DstRef else host, **{name: py})
+    assert info.value.line == 0
+    obj = event_to_dict(host)
+    (obj["dst"] if cls is DstRef else obj)[key] = js
+    path = f"dst.{key}" if cls is DstRef else key
+    with pytest.raises(TraceParseError, match=f"^field '{path}' is not ") as info:
+        parse_trace("# one comment line\n" + json.dumps(obj) + "\n")
+    assert info.value.line == 2
 
 
 class TestAllocator:
@@ -534,7 +585,7 @@ def test_a_trace_past_the_arena_reuses_freed_pools():
 # drivers, creates a process and allocates, then up to 25 events over three
 # driver names and a few pids, with regions of at most a few pages and
 # references that are often invalid (unknown actors, freed pools, offsets past
-# the end, bases on claimed pages, empty or page-crossing payloads).
+# the end, bases on claimed pages, page-crossing payloads).
 _OPENING = [
     LoadDriver("A", IMAGE_SLOTS[0]),
     LoadDriver("B", IMAGE_SLOTS[1]),
@@ -567,7 +618,7 @@ _DST = st.builds(
 )
 _ACCESSES = st.builds(
     AccessEvent, actor=_ACTORS, dst=_DST, access=st.sampled_from(["read", "write", "execute"]),
-    payload=st.sampled_from([None, None, b"\x01\x02", b"\x07" * 8, b""]),
+    payload=st.sampled_from([None, None, b"\x01\x02", b"\x07" * 8]),
 )
 _EVENTS = st.one_of(
     _ACCESSES, _ACCESSES, _ACCESSES,
@@ -578,7 +629,8 @@ _EVENTS = st.one_of(
     st.builds(LoadDriver, name=_NAMES, image_base=_IMAGE_BASES,
               image_size=st.sampled_from([IMAGE_SIZE, IMAGE_SIZE, 0x1000, 0x1800, 0])),
     st.builds(UnloadDriver, name=_ACTORS),
-    st.builds(CreateProcess, pid=_PIDS, regions=st.lists(_REGION, max_size=2).map(tuple)),
+    st.builds(CreateProcess, pid=_PIDS,
+              regions=st.lists(_REGION, min_size=1, max_size=2).map(tuple)),
     st.builds(ExitProcess, pid=_PIDS),
 )
 _FREE_BASES = (IMAGE_SLOTS[0], IMAGE_SLOTS[1], IMAGE_SLOTS[0] + 0x10_0000)
@@ -643,16 +695,16 @@ def _traces(draw):
 def _outcome(events, mode):
     try:
         run_trace(events, mode)
-    except (SimulationError, ConfigError) as exc:
-        return type(exc)
+    except SimulationError as exc:
+        return type(exc), str(exc)
     return None
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_traces())
 def test_every_mode_accepts_the_same_traces(events):
-    """Each mode completes the trace, or each fails with the same error class;
-    no other exception escapes."""
+    """Each mode completes the trace, or each fails with the same error class
+    and message; no other exception escapes."""
     outcomes = {mode: _outcome(events, mode) for mode in ("off", "single-ept", "multi-ept")}
     assert len(set(outcomes.values())) == 1, outcomes
 
@@ -672,21 +724,25 @@ def test_every_trace_multi_ept_completes_passes_verification(events):
     read sees what the legality predicate allows, every digest agrees."""
     try:
         report = run_trace(events, "multi-ept")
-    except (SimulationError, ConfigError):
+    except SimulationError:
         return
     verdict = verify_run(events, report)
     assert verdict.ok, verdict.summary()
 
 
+_NO_REGIONS = '{"ev": "create_process", "pid": 5, "regions": []}\n'
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(events=_traces())
-def test_any_parsed_trace_runs_to_an_exit_code(events, tmp_path_factory):
+@given(events=_traces(), at=st.none() | st.integers(0, 30))
+def test_any_parsed_trace_runs_to_an_exit_code(events, at, tmp_path_factory):
     """memranger run ends every trace it can read with exit 0, 1 or 2 and
     one-line errors, never a traceback, in every mode."""
     path = tmp_path_factory.mktemp("trace") / "events.trace"
-    # encoded without serialize_trace's check, so that a line parse_trace
-    # rejects (a process with no regions) still reaches the file
-    path.write_text("".join(json.dumps(event_to_dict(event)) + "\n" for event in events))
+    lines = serialize_trace(events).splitlines(keepends=True)
+    if at is not None:                  # a line parse_trace refuses, which no event can write
+        lines.insert(at, _NO_REGIONS)
+    path.write_text("".join(lines))
     for mode in MODES:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

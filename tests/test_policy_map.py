@@ -7,7 +7,7 @@ from memranger.address_space import OS_KERNEL_CODE as KERNEL
 from memranger.address_space import OS_STRUCTURES as STRUCTS
 from memranger.address_space import OTHER_DRIVER as OTHER
 from memranger.ept_model import NONE, RW, RWX, Access, EptEntry
-from memranger.errors import ConfigError, SimulationError
+from memranger.errors import SimulationError
 from memranger.kernel_sim import (
     IMAGE_SIZE,
     IMAGE_SLOTS,
@@ -120,9 +120,9 @@ def test_kernel_pool_stays_open(state):
 
 def test_image_overlap_rejected(loaded):
     state, _, _ = loaded
-    with pytest.raises(ConfigError):
+    with pytest.raises(SimulationError):
         state.on_driver_load(IMAGE_A + PAGE_SIZE, IMAGE_SIZE)
-    with pytest.raises(ConfigError):
+    with pytest.raises(SimulationError):
         state.on_driver_load(KERNEL[0], IMAGE_SIZE)
 
 
@@ -165,7 +165,7 @@ def test_unload_releases_everything(loaded):
     # its pool page too
     assert attrs(state, DEFAULT_EPT, POOL) == RW
     assert attrs(state, b, POOL) == RW
-    with pytest.raises(ConfigError):
+    with pytest.raises(SimulationError):
         state.on_driver_unload(a)
 
 
@@ -184,7 +184,7 @@ def test_process_regions_are_default_only(loaded):
 
 
 def test_process_region_must_not_claim_code(state):
-    with pytest.raises(ConfigError):
+    with pytest.raises(SimulationError):
         state.on_process_create(1, [(KERNEL[0], 0x100)])
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from memranger.errors import ConfigError, SimulationError, TraceParseError
+from memranger.errors import SimulationError, TraceParseError
 from memranger.kernel_sim import (
     AccessEvent,
     Alloc,
@@ -13,11 +13,9 @@ from memranger.kernel_sim import (
     DstRef,
     Free,
     LoadDriver,
-    Schedule,
     Simulation,
     parse_trace,
     run_trace,
-    serialize_trace,
 )
 from memranger.report_cli import MODES, main, verify_run
 
@@ -54,7 +52,7 @@ def test_invalid_trace_rejected_in_every_mode(events, tmp_path, capsys):
     text = trace_text(events)
     parsed = parse_trace(text)
     for mode in MODES:
-        with pytest.raises((ConfigError, SimulationError)):
+        with pytest.raises(SimulationError):
             run_trace(parsed, mode)
     path = tmp_path / "bad.trace"
     path.write_text(text)
@@ -95,36 +93,47 @@ def test_process_regions_may_share_a_page():
         assert verify_run(events, run_trace(events, mode)).ok
 
 
-@pytest.mark.parametrize("event", [
-    Alloc("os_kernel", 0x100, "bogus"),
-    AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "fetch"),
-    AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "read", expect="bogus"),
-], ids=["align-bogus", "access-fetch", "expect-bogus"])
-def test_events_the_codec_rejects_fail_in_every_mode(event):
-    """An event built in Python gets no further than the same event read
-    from a trace file."""
-    with pytest.raises(TraceParseError):
-        parse_trace(serialize_trace([event]))
-    for mode in MODES:
-        with pytest.raises(SimulationError):
-            run_trace([event], mode)
-
-
-ILL_TYPED = {
-    "alloc-size-str": Alloc("os_kernel", "0x100"),
-    "payload-str": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "write",
-                               payload="abcd"),
-    "offset-str": AccessEvent("os_kernel", DstRef("os_structures", offset="0x10"), "read"),
-    "image-base-str": LoadDriver("A", "0x30000000"),
-    "free-pool-str": Free("os_kernel", "0"),
-    "access-list": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), ["read"]),
-    "payload-empty": AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "write",
-                                 payload=b""),
-    "regions-empty": CreateProcess(4, ()),
+# Each a builder of an event the codec refuses, and the same event as a line.
+UNKNOWN_LABELS = {
+    "align-bogus": (lambda: Alloc("os_kernel", 0x100, "bogus"),
+                    {"ev": "alloc", "actor": "os_kernel", "size": "0x100", "align": "bogus"}),
+    "access-fetch": (lambda: AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "fetch"),
+                     {"ev": "access", "actor": "os_kernel", "access": "fetch",
+                      "dst": {"ref": "os_structures", "offset": "0x10"}}),
+    "expect-bogus": (lambda: AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "read",
+                                         expect="bogus"),
+                     {"ev": "access", "actor": "os_kernel", "access": "read", "expect": "bogus",
+                      "dst": {"ref": "os_structures", "offset": "0x10"}}),
 }
-# the field each ILL_TYPED event gets wrong, as a parse error names it
+
+
+@pytest.mark.parametrize("build, line", UNKNOWN_LABELS.values(), ids=UNKNOWN_LABELS.keys())
+def test_events_the_codec_rejects_fail_in_every_mode(build, line):
+    """An event with an unknown label cannot be built in Python, and its line
+    does not parse, so no mode ever meets it."""
+    with pytest.raises(TraceParseError):
+        build()
+    with pytest.raises(TraceParseError):
+        parse_trace(json.dumps(line) + "\n")
+
+
+# Builders of events with a field of the wrong type or value
+ILL_TYPED = {
+    "alloc-size-str": lambda: Alloc("os_kernel", "0x100"),
+    "payload-str": lambda: AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "write",
+                                       payload="abcd"),
+    "offset-str": lambda: AccessEvent("os_kernel", DstRef("os_structures", offset="0x10"), "read"),
+    "image-base-str": lambda: LoadDriver("A", "0x30000000"),
+    "free-pool-str": lambda: Free("os_kernel", "0"),
+    "access-list": lambda: AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), ["read"]),
+    "payload-empty": lambda: AccessEvent("os_kernel", DstRef("os_structures", offset=0x10), "write",
+                                         payload=b""),
+    "regions-empty": lambda: CreateProcess(4, ()),
+}
+# the field each ILL_TYPED builder gets wrong; the DstRef is refused before the
+# AccessEvent exists, so its field is named without the "dst." a line shows
 BAD_FIELD = {
-    "alloc-size-str": "size", "payload-str": "payload", "offset-str": "dst.offset",
+    "alloc-size-str": "size", "payload-str": "payload", "offset-str": "offset",
     "image-base-str": "image_base", "free-pool-str": "pool", "access-list": "access",
     "payload-empty": "payload", "regions-empty": "regions",
 }
@@ -132,26 +141,44 @@ BAD_FIELD = {
 
 @pytest.mark.parametrize("name", ILL_TYPED)
 def test_serialize_refuses_what_parse_refuses(name):
-    """The encoder writes no line the decoder would reject: it names the
-    event's first bad field, and the event's 1-based position as the line."""
-    event = ILL_TYPED[name]
+    """An event the parser would refuse cannot be built, so the encoder never
+    meets one: building it raises the parser's TraceParseError, naming the
+    bad field, with line 0."""
     with pytest.raises(TraceParseError, match=f"field '{BAD_FIELD[name]}' is not") as caught:
-        serialize_trace([Schedule("os_kernel"), event, event])
-    assert caught.value.line == 2
+        ILL_TYPED[name]()
+    assert caught.value.line == 0
+
+
+def access(kind: str, **extra) -> dict:
+    return {"ev": "access", "actor": "os_kernel", "access": kind,
+            "dst": {"ref": "os_structures", "offset": "0x10"}, **extra}
+
+
+# Each ILL_TYPED fault as a trace line holds it, and the key path a parse error
+# names; a string such as "0x100" or "abcd" is a good value in a line
+ILL_TYPED_LINES = {
+    "alloc-size-str": ({"ev": "alloc", "actor": "os_kernel", "size": "zz"}, "size"),
+    "payload-str": (access("write", payload="xyz"), "payload"),
+    "offset-str": ({**access("read"), "dst": {"ref": "os_structures", "offset": "zz"}},
+                   "dst.offset"),
+    "image-base-str": (load("A", "zz"), "image_base"),
+    "free-pool-str": ({"ev": "free", "actor": "os_kernel", "pool": "zz"}, "pool"),
+    "access-list": (access(["read"]), "access"),
+    "payload-empty": (access("write", payload=""), "payload"),
+    "regions-empty": (process(4), "regions"),
+}
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("event", ILL_TYPED.values(), ids=ILL_TYPED.keys())
-def test_ill_typed_event_fails_before_touching_state(event, mode):
-    """A field of the wrong type is a SimulationError, not a TypeError from
-    deep inside the replay, and the rejected event changes nothing."""
-    sim = Simulation(mode)
-    sim.step(Alloc("os_kernel", 0x100))
-
-    def state():
-        return sim.report().to_json(), sim.event_index, sim.policy.layout_version
-
-    before = state()
-    with pytest.raises(SimulationError, match="wrong type or value"):
-        sim.step(event)
-    assert state() == before
+@pytest.mark.parametrize("name", ILL_TYPED)
+def test_ill_typed_event_fails_before_touching_state(name, mode, tmp_path, capsys):
+    """The same fault in a trace line stops memranger run, in every mode,
+    before any event is replayed: exit 1 and one line naming the file, the
+    line and the field's key path, and no report."""
+    line, named = ILL_TYPED_LINES[name]
+    path = tmp_path / "bad.trace"
+    path.write_text(trace_text([{"ev": "alloc", "actor": "os_kernel", "size": "0x100"}, line]))
+    assert main(["run", str(path), "--mode", mode]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}:2: field '{named}' is not") and len(err.splitlines()) == 1, err
