@@ -5,8 +5,8 @@ wide and splits 9/9/9/9/12 across the four paging levels plus the page
 offset. A page frame number (pfn) is the gpa shifted down by the page bits.
 
 The machine's three static regions (its kernel code, its kernel structures
-and one pre-existing driver) are fixed from boot; the engine and both
-checkers read them from here.
+and one pre-existing driver) and its pool arena are fixed from boot; the
+engine and both checkers read them from here.
 
 The frame store holds guest memory by gpa; a frame never filled or written
 reads as zeros. Filled frames are shared pattern pages until their first
@@ -31,6 +31,8 @@ OFFSET_MASK = PAGE_SIZE - 1
 OS_KERNEL_CODE = (0x1000_0000, 0x0010_0000)
 OS_STRUCTURES = (0x2000_0000, 0x0001_0000)
 OTHER_DRIVER = (0x2800_0000, 0x0002_0000)
+# The pool arena, (base, size), that every allocation comes from.
+POOL_ARENA = (0x5000_0000, 0x0100_0000)
 
 __all__ = [
     "PAGE_SIZE",
@@ -41,6 +43,7 @@ __all__ = [
     "OS_KERNEL_CODE",
     "OS_STRUCTURES",
     "OTHER_DRIVER",
+    "POOL_ARENA",
     "split_gpa",
     "join_gpa",
     "page_of",

@@ -143,8 +143,8 @@ def execute_access(
     seq: int = 0,
     event: int = -1,
     expect: str | None = None,
-) -> tuple[bytes | None, AccessRecord]:
-    """Run one access to completion. Returns (data, record); data is the
+) -> AccessRecord:
+    """Run one access to completion and return its record, whose data is the
     bytes a read observed, None otherwise. A read moves 4 bytes, a write its
     payload and an instruction fetch 1 byte. src and dst must lie in the
     modelled space. seq, event and expect are the caller's bookkeeping,
@@ -230,7 +230,7 @@ def execute_access(
 
     if traps:
         counters["exec_trapped_accesses" if access == EXECUTE else "rw_trapped_accesses"] += 1
-    return data, _new_record(AccessRecord, (
+    return _new_record(AccessRecord, (
         seq, event, actor, src, dst, access, decision_label,
         ept_before, vcpu.current_ept, traps, switches, data, expect,
     ))

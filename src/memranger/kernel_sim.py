@@ -16,9 +16,11 @@ through the same handlers and the same dispatcher.execute_access.
 The policies live in policy_map; this module owns the replay (Simulation),
 its configuration and report (SimConfig, CostModel, RunReport), the pool
 allocator, the trace JSON-lines codec and the trace generators (demo,
-privilege-escalation, benchmark, seeded random). A trace event checks its
-fields when it is built, so the codec and the replay never check one. A run is
-priced once, when its report is made, from the counters the dispatcher keeps.
+privilege-escalation, benchmark, seeded random). Each event class states its
+fields once; its construction checks them, so the codec and the replay never
+check an event, and the codec reads and writes them from that same statement.
+A run is priced once, when its report is made, from the counters the
+dispatcher keeps.
 """
 
 import bisect
@@ -28,19 +30,19 @@ import json
 import random
 import string
 from collections.abc import Callable
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
-from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SIZE, FrameStore
+from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, POOL_ARENA
+from .address_space import PAGE_SIZE, FrameStore
 from .dispatcher import AccessRecord, VcpuState, execute_access, switch_ept
 from .ept_model import EXECUTE, WRITE, Access
 from .errors import SimulationError, TraceParseError
 from .policy_map import DEFAULT_EPT, AllocatedPool, MapState, RegionLedger, SingleEptPolicy
 
 # Static fixture: one synthetic machine shared by every trace, around the
-# static regions address_space states.
-POOL_ARENA = (0x5000_0000, 0x0100_0000)
+# static regions and pool arena address_space states.
 IMAGE_SLOTS = (0x3000_0000, 0x4000_0000)
 IMAGE_SIZE = 0x2000
 
@@ -164,18 +166,19 @@ class RunReport:
 # name and default (None: it may be null or absent), _spec its codec form and
 # JSON key. From these, once at import, _event compiles the class's field check
 # into one expression, which every construction runs: an event that breaks its
-# spec is refused as it is built, so no consumer checks an event again.
-# event_to_dict stays written out for speed; a test pins the keys it writes to
-# the spec's.
+# spec is refused as it is built, so no consumer checks an event again. The
+# decoder and the encoder walk the same spec rows, so they agree on every key.
 
 @dataclass(frozen=True, eq=False)
 class _Form:
     """A field's codec form: its check over one value ({v} in test), what an
-    error says a good value is, and the conversion from JSON, which hands
-    back a value it cannot convert for the check to refuse."""
+    error says a good value is, the conversion from JSON, which hands back a
+    value it cannot convert for the check to refuse, and the conversion to
+    JSON."""
     test: str
     what: str
     decode: Callable | None = None      # None: the JSON value is the field value
+    encode: Callable | None = None      # None: the field value is the JSON value
     nested: type | None = None          # the event class a JSON object decodes to
 
 
@@ -204,13 +207,21 @@ def _regions(value):
     return value
 
 
-# event_to_dict picks hex or decimal; json writes and reads back any 64-bit decimal
+def _hex(value: int) -> str:
+    return f"{value:#x}"
+
+
+# INT is written decimal, which json reads back for any 64-bit integer; HEX,
+# for addresses, sizes and offsets, is an INT written as a hex string
 INT = _Form("type({v}) is int and -2**63 <= {v} < 2**63", "a 64-bit integer", _int)
+HEX = replace(INT, encode=_hex)
 STR = _Form("type({v}) is str", "a string")
-HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string", _hex_bytes)
+HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string", _hex_bytes,
+                  bytes.hex)
 REGIONS = _Form("type({v}) is tuple and len({v}) > 0 and all(type(r) is tuple and len(r) == 2"
                 " and type(r[0]) is int and type(r[1]) is int for r in {v})",
-                "a non-empty list of [base, size] pairs", _regions)
+                "a non-empty list of [base, size] pairs", _regions,
+                lambda regions: [[_hex(base), _hex(size)] for base, size in regions])
 
 
 def _one_of(values: tuple) -> _Form:
@@ -219,7 +230,7 @@ def _one_of(values: tuple) -> _Form:
 
 def _nested(cls) -> _Form:
     """A field holding a cls, which was checked when it was built."""
-    return _Form(f"type({{v}}) is {cls.__name__}", "an object", nested=cls)
+    return _Form(f"type({{v}}) is {cls.__name__}", "an object", encode=_written, nested=cls)
 
 
 def _spec(form: _Form, default=MISSING, key: str | None = None):
@@ -229,6 +240,7 @@ def _spec(form: _Form, default=MISSING, key: str | None = None):
 # event class -> (name, JSON key, form, default, that field's check) per field, in order
 _SPECS: dict[type, tuple] = {}
 _EVENT_OF: dict[str, type] = {}         # trace name ("ev") -> event class
+_NAME_OF: dict[type, str] = {}          # event class -> trace name
 
 
 def _compiled(test: str) -> Callable:
@@ -272,8 +284,26 @@ def _event(ev: str | None = None):
         check = _compiled(" and ".join(tests))
         if ev is not None:
             _EVENT_OF[ev] = cls
+            _NAME_OF[cls] = ev
         return cls
     return derive
+
+
+_INDEXED_KINDS = ("own_pool", "pool_of", "other_driver")   # target kinds that take an index
+
+
+def _written(value) -> dict:
+    """value's fields as JSON: each field that is not None, under its key, in
+    its form. A target's index is written where its kind takes one or it is
+    not 0, so a target whose kind takes none reads back as itself."""
+    out = {}
+    for name, key, form, _, _ in _SPECS[type(value)]:
+        item = getattr(value, name)
+        if item is not None:
+            out[key] = item if form.encode is None else form.encode(item)
+    if type(value) is DstRef and value.index == 0 and value.kind not in _INDEXED_KINDS:
+        del out["index"]
+    return out
 
 
 ALIGNS = ("natural", "page")    # "natural" packs at 16 bytes, "page" at 4 KiB
@@ -282,8 +312,8 @@ ALIGNS = ("natural", "page")    # "natural" packs at 16 bytes, "page" at 4 KiB
 @_event("load_driver")
 class LoadDriver:
     name: str = _spec(STR)
-    image_base: int = _spec(INT)
-    image_size: int = _spec(INT, IMAGE_SIZE)
+    image_base: int = _spec(HEX)
+    image_size: int = _spec(HEX, IMAGE_SIZE)
 
 
 @_event("unload_driver")
@@ -305,7 +335,7 @@ class ExitProcess:
 @_event("alloc")
 class Alloc:
     actor: str = _spec(STR)
-    size: int = _spec(INT)
+    size: int = _spec(HEX)
     align: str = _spec(_one_of(ALIGNS), "natural")
 
 
@@ -328,7 +358,7 @@ class DstRef:
     driver: str | None = _spec(STR, None)
     index: int = _spec(INT, 0)
     pid: int | None = _spec(INT, None)
-    offset: int = _spec(INT, 0)
+    offset: int = _spec(HEX, 0)
 
 
 @_event("access")
@@ -345,57 +375,14 @@ TraceEvent = (
     | Alloc | Free | Schedule | AccessEvent
 )
 
-_INDEXED_KINDS = ("own_pool", "pool_of", "other_driver")   # kinds whose index is written
-
-
-def _hex(value: int) -> str:
-    return f"{value:#x}"
-
 
 # -- JSON-lines codec --------------------------------------------------------
 
 def event_to_dict(event: TraceEvent) -> dict:
-    match event:
-        case LoadDriver():
-            return {
-                "ev": "load_driver",
-                "name": event.name,
-                "image_base": _hex(event.image_base),
-                "image_size": _hex(event.image_size),
-            }
-        case UnloadDriver():
-            return {"ev": "unload_driver", "name": event.name}
-        case CreateProcess():
-            return {
-                "ev": "create_process",
-                "pid": event.pid,
-                "regions": [[_hex(base), _hex(size)] for base, size in event.regions],
-            }
-        case ExitProcess():
-            return {"ev": "exit_process", "pid": event.pid}
-        case Alloc():
-            return {"ev": "alloc", "actor": event.actor, "size": _hex(event.size),
-                    "align": event.align}
-        case Free():
-            return {"ev": "free", "actor": event.actor, "pool": event.pool}
-        case Schedule():
-            return {"ev": "schedule", "actor": event.actor}
-        case AccessEvent():
-            dst: dict = {"ref": event.dst.kind}
-            if event.dst.driver is not None:
-                dst["driver"] = event.dst.driver
-            if event.dst.pid is not None:
-                dst["pid"] = event.dst.pid
-            if event.dst.kind in _INDEXED_KINDS:
-                dst["index"] = event.dst.index
-            dst["offset"] = _hex(event.dst.offset)
-            out: dict = {"ev": "access", "actor": event.actor, "dst": dst, "access": event.access}
-            if event.payload is not None:
-                out["payload"] = event.payload.hex()
-            if event.expect is not None:
-                out["expect"] = event.expect
-            return out
-    raise TypeError(f"not a trace event: {event!r}")
+    name = _NAME_OF.get(type(event))
+    if name is None:
+        raise TypeError(f"not a trace event: {event!r}")
+    return {"ev": name, **_written(event)}
 
 
 def _decoded(cls, obj: dict, line: int, prefix: str = ""):
@@ -587,17 +574,17 @@ class Simulation:
             raise SimulationError(f"unknown actor {name!r}")
         return info
 
-    def _fetch(self, target: str, expect: str | None = None) -> None:
+    def _fetch(self, target: str) -> None:
         """Scheduler stub fetches the target's entry point; in multi-ept mode
         this is the moment contexts actually change."""
         info = self._actor(target)
         # dispatching the os restores its home context; drivers reach theirs
         # through the fetch fault, their code runs nowhere else
         home = DEFAULT_EPT if info.kind == "os" else None
-        _, record = execute_access(
+        record = execute_access(
             self.vcpu, self.policy, self.store,
             SCHEDULER_STUB, info.code, EXECUTE, actor=target, home_ept=home,
-            seq=len(self.log), event=self.event_index, expect=expect,
+            seq=len(self.log), event=self.event_index,
         )
         self.log.append(record)
         self.scheduled = target
@@ -737,7 +724,7 @@ class Simulation:
         payload = event.payload
         if access == WRITE and payload is None:
             payload = DEFAULT_WRITE
-        _, record = execute_access(
+        record = execute_access(
             self.vcpu, self.policy, self.store,
             info.code, dst, access, payload=payload, actor=event.actor,
             seq=len(self.log), event=self.event_index, expect=event.expect,

@@ -45,7 +45,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
-from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER
+from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, POOL_ARENA
 from .ept_model import EXECUTE, NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import SimulationError
 
@@ -53,7 +53,7 @@ DEFAULT_EPT = 0
 # No image or process region may outgrow the pool arena (16 MiB):
 # a region's pages are listed, filled and stamped one by one, so a region
 # near the 48-bit limit would exhaust memory before any overlap check ran.
-MAX_REGION_SIZE = 0x0100_0000
+MAX_REGION_SIZE = POOL_ARENA[1]
 
 
 @dataclass

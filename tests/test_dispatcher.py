@@ -35,8 +35,8 @@ def world():
 def test_legal_access_is_untrapped(world):
     policy, store, vcpu, a, _ = world
     switch_ept(vcpu, policy, a)
-    data, record = execute_access(vcpu, policy, store, CODE_A, POOL_A + 4, Access.READ)
-    assert data == SECRET
+    record = execute_access(vcpu, policy, store, CODE_A, POOL_A + 4, Access.READ)
+    assert record.data == SECRET
     assert record["trapped"] is False
     assert record["decision"] == "allow"
     assert vcpu.counters["ept_violations"] == 0
@@ -47,8 +47,8 @@ def test_foreign_read_redirects_and_restores(world):
     switch_ept(vcpu, policy, b)
     page = POOL_A >> 12
     before = policy.epts[b].entry_for(page)
-    data, record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 4, Access.READ)
-    assert data == bytes(4)                      # decoy frame, not the secret
+    record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 4, Access.READ)
+    assert record.data == bytes(4)               # decoy frame, not the secret
     assert record["decision"] == "redirect_to_fake"
     assert record["redirected"] is True
     assert record["ept_after"] == b              # no context change for theft
@@ -60,7 +60,7 @@ def test_foreign_read_redirects_and_restores(world):
 def test_foreign_write_lands_in_the_decoy(world):
     policy, store, vcpu, a, b = world
     switch_ept(vcpu, policy, b)
-    _, record = execute_access(
+    record = execute_access(
         vcpu, policy, store, CODE_B, POOL_A + 4, Access.WRITE, payload=b"\x00" * 4
     )
     assert record["redirected"] is True
@@ -73,7 +73,7 @@ def test_foreign_write_lands_in_the_decoy(world):
 def test_decoy_frame_reads_zero_after_a_redirected_write(world):
     policy, store, vcpu, a, b = world
     switch_ept(vcpu, policy, b)
-    _, record = execute_access(
+    record = execute_access(
         vcpu, policy, store, CODE_B, POOL_A + 4, Access.WRITE, payload=b"\x5a" * 4
     )
     assert record["redirected"] is True and vcpu.counters["mtf_windows"] == 1
@@ -86,18 +86,18 @@ def test_fetch_then_access_discipline(world):
     """An owner reaches its pool by faulting on the fetch, never on the data."""
     policy, store, vcpu, a, _ = world
     assert vcpu.current_ept == DEFAULT_EPT
-    _, fetch = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, Access.EXECUTE)
+    fetch = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, Access.EXECUTE)
     assert fetch["ept_after"] == a
     assert fetch["trapped"] is True
-    data, record = execute_access(vcpu, policy, store, CODE_A, POOL_A, Access.READ)
-    assert data == SECRET
+    record = execute_access(vcpu, policy, store, CODE_A, POOL_A, Access.READ)
+    assert record.data == SECRET
     assert record["trapped"] is False
     assert record["decision"] == "allow"
 
 
 def test_execute_fetch_switches_into_the_enclave(world):
     policy, store, vcpu, a, _ = world
-    _, record = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, Access.EXECUTE)
+    record = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, Access.EXECUTE)
     assert record["ept_after"] == a
     assert record["switches"] == 1
     assert vcpu.counters["tlb_flushes"] == 1
@@ -113,7 +113,7 @@ def test_window_writes_the_leaf_twice_and_restores_it(world):
     ept = policy.epts[b]
     for dst, decision in ((POOL_A + 4, "redirect_to_fake"), (POOL_A + 0x104, "temporary_grant")):
         before, writes = ept.entry_for(page), ept.mutations
-        _, record = execute_access(vcpu, policy, store, CODE_B, dst, Access.READ)
+        record = execute_access(vcpu, policy, store, CODE_B, dst, Access.READ)
         assert record["decision"] == decision
         assert record["ept_after"] == b
         assert ept.mutations == writes + 2
@@ -126,7 +126,7 @@ def test_home_restore_happens_before_translation(world):
     vcpu.counters["tlb_flushes"] = 0
     # kernel code is executable everywhere, so without the explicit home the
     # fetch would silently keep running inside the enclave
-    _, record = execute_access(
+    record = execute_access(
         vcpu, policy, store, KERNEL_CODE, KERNEL_CODE, Access.EXECUTE,
         home_ept=DEFAULT_EPT,
     )
@@ -142,8 +142,8 @@ def test_locked_page_grant_relocks(world):
     page = POOL_A >> 12
     assert policy.epts[a].entry_for(page).attrs == NONE
     switch_ept(vcpu, policy, b)
-    data, record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 0x104, Access.READ)
-    assert data == b"\x22" * 4
+    record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 0x104, Access.READ)
+    assert record.data == b"\x22" * 4
     assert record["decision"] == "temporary_grant"
     assert record["granted"] is True
     # grant never leaves the page open

@@ -23,17 +23,19 @@ ROOT = Path(__file__).resolve().parent.parent
 FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
                                  (ROOT / "pyproject.toml").read_text()).groups()))
 
-# Prints the interpreter's version, then per trace and mode the verdict and
-# a hash of the whole report.
+# Prints the interpreter's version, then per trace a hash of its written
+# lines, and per trace and mode the verdict and a hash of the whole report.
 REPLAY = """
 import hashlib, sys
-from memranger import gen_demo1_trace, gen_privesc_trace, gen_random_trace, run_trace, verify_run
+from memranger import (gen_demo1_trace, gen_privesc_trace, gen_random_trace, run_trace,
+                       serialize_trace, verify_run)
 from memranger.report_cli import MODES
 
 print(*sys.version_info[:2])
 traces = {"demo1": gen_demo1_trace(), "privesc": gen_privesc_trace(),
           "random-3": gen_random_trace(3, length=400)}
 for name, events in traces.items():
+    print(name, "trace", hashlib.sha256(serialize_trace(events).encode()).hexdigest())
     for mode in MODES:
         report = run_trace(events, mode)
         verdict = verify_run(events, report)
@@ -93,19 +95,19 @@ def _run(python: str, script: str) -> list[str]:
 
 
 def test_floor_python_replays_every_mode_as_this_one_does():
-    """Under the floor version every run ends, every multi-ept run passes its
-    audit, and every verdict and report is byte-for-byte the one this
-    interpreter gives (the weaker modes leak by design, the same way under
-    both)."""
+    """Under the floor version every trace is written as the same bytes, every
+    run ends, every multi-ept run passes its audit, and every verdict and
+    report is byte-for-byte the one this interpreter gives (the weaker modes
+    leak by design, the same way under both)."""
     python = _floor_python()
     if python is None:
         pytest.skip(f"no working Python {'.'.join(map(str, FLOOR))} installed")
     floor, here = _run(python, REPLAY), _run(sys.executable, REPLAY)
     assert floor[0] == " ".join(map(str, FLOOR))
-    runs = [line.split() for line in floor[1:]]
-    assert [(name, mode) for name, mode, _, _ in runs] == [
-        (name, mode) for name in ("demo1", "privesc", "random-3") for mode in MODES]
-    assert all(ok == "True" for _, mode, ok, _ in runs if mode == "multi-ept")
+    lines = [line.split() for line in floor[1:]]
+    assert [tuple(line[:2]) for line in lines] == [
+        (name, mode) for name in ("demo1", "privesc", "random-3") for mode in ("trace", *MODES)]
+    assert all(line[2] == "True" for line in lines if line[1] == "multi-ept")
     assert floor[1:] == here[1:]
 
 
