@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
-from .address_space import GPA_LIMIT, PAGE_SHIFT, PAGE_SIZE, FrameStore, offset_in_page
+from .address_space import GPA_LIMIT, OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, FrameStore
 from .ept_model import ACCESS_BIT, EXECUTE, READ, WRITE, Access, EptEntry
 from .errors import PolicyLivelockError, SimulationError
 from .policy_map import DecisionKind, RegionLedger
@@ -85,8 +85,8 @@ _RENDER = {
     "event": attrgetter("event"),
     "expect": attrgetter("expect"),
 }
-# Builds a record without the named tuple's Python-level __new__.
-_new_record = tuple.__new__
+# Builds a record or a window leaf without the named tuple's Python-level __new__.
+_new_tuple = tuple.__new__
 
 
 def _fresh_counters() -> dict:
@@ -120,14 +120,6 @@ def switch_ept(vcpu: VcpuState, policy, target: int) -> None:
     vcpu.current_ept = target
     vcpu.counters["ept_switches"] += 1
     vcpu.counters["tlb_flushes"] += 1
-
-
-def _perform(store: FrameStore, hpa: int, access: Access, payload, length: int):
-    if access == READ:
-        return store.read_gpa(hpa, length)
-    if access == WRITE:
-        store.write_gpa(hpa, payload)
-    return None    # instruction fetch moves no data here
 
 
 def execute_access(
@@ -165,7 +157,7 @@ def execute_access(
         length = 1
     else:
         raise SimulationError(f"unknown access kind {access!r}")
-    if length <= 0 or offset_in_page(dst) + length > PAGE_SIZE:
+    if length <= 0 or (dst & OFFSET_MASK) + length > PAGE_SIZE:
         raise SimulationError(f"access at {dst:#x} length {length} crosses a page")
 
     counters = vcpu.counters
@@ -198,9 +190,8 @@ def execute_access(
             )
         switch_ept(vcpu, policy, decision.target_ept)
 
-    if hpa is not None:
-        data = _perform(store, hpa, access, payload, length)
-    else:
+    saved = None
+    if hpa is None:
         # a single-step window: open the leaf to exactly this access kind for
         # one instruction, through the decoy frame or the real one
         page = dst >> PAGE_SHIFT
@@ -214,11 +205,18 @@ def execute_access(
             decision_label = "temporary_grant"
             counters["grants"] += 1
             window_pfn = saved.pfn
-        ept.set_page_entry(page, EptEntry(window_pfn, saved.attrs | ACCESS_BIT[access]))
+        ept.set_page_entry(page, _new_tuple(EptEntry, (window_pfn, saved.attrs | ACCESS_BIT[access])))
         hpa = ept.translate(dst, access)
         if hpa is None:
             raise RuntimeError("window entry still refuses the access")
-        data = _perform(store, hpa, access, payload, length)
+
+    data = None    # an instruction fetch moves no data here
+    if access == READ:
+        data = store.read_gpa(hpa, length)
+    elif access == WRITE:
+        store.write_gpa(hpa, payload)
+
+    if saved is not None:
         # the single-step exit: restore the leaf, and scrub the decoy frame
         # so that redirected writes vanish
         ept.set_page_entry(page, saved)
@@ -230,7 +228,7 @@ def execute_access(
 
     if traps:
         counters["exec_trapped_accesses" if access == EXECUTE else "rw_trapped_accesses"] += 1
-    return _new_record(AccessRecord, (
+    return _new_tuple(AccessRecord, (
         seq, event, actor, src, dst, access, decision_label,
         ept_before, vcpu.current_ept, traps, switches, data, expect,
     ))

@@ -22,7 +22,7 @@ and a context's effective leaves change exactly when its own map does.
 from enum import Enum
 from typing import ItemsView, Mapping, NamedTuple
 
-from .address_space import OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
+from .address_space import GPA_LIMIT, OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
 
 
 class Access(str, Enum):
@@ -96,7 +96,9 @@ class Ept:
 
     def translate(self, gpa: int, access: Access) -> int | None:
         """Pure lookup: host address on success, None on refusal."""
-        page = check_gpa(gpa) >> PAGE_SHIFT
+        if not 0 <= gpa < GPA_LIMIT:
+            check_gpa(gpa)                  # raises, with the one out-of-space message
+        page = gpa >> PAGE_SHIFT
         entry = self._flat.get(page)
         if entry is None:
             entry = self.base.get(page)

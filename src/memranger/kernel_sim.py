@@ -218,9 +218,11 @@ HEX = replace(INT, encode=_hex)
 STR = _Form("type({v}) is str", "a string")
 HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string", _hex_bytes,
                   bytes.hex)
+# each base and size of a region pair is bounded as an INT is
 REGIONS = _Form("type({v}) is tuple and len({v}) > 0 and all(type(r) is tuple and len(r) == 2"
-                " and type(r[0]) is int and type(r[1]) is int for r in {v})",
-                "a non-empty list of [base, size] pairs", _regions,
+                " and " + INT.test.replace("{v}", "r[0]") + " and " + INT.test.replace("{v}", "r[1]")
+                + " for r in {v})",
+                "a non-empty list of [base, size] pairs of 64-bit integers", _regions,
                 lambda regions: [[_hex(base), _hex(size)] for base, size in regions])
 
 
@@ -527,6 +529,13 @@ def _placed(cursor: int, size: int, grain: int) -> tuple[int, int]:
 
 # -- simulation ----------------------------------------------------------------
 
+def _bounded(ref: DstRef, base: int, size: int) -> int:
+    """The address ref's offset names in the region [base, base + size)."""
+    if not 0 <= ref.offset < size:
+        raise SimulationError(f"offset {ref.offset:#x} outside {ref.kind}")
+    return base + ref.offset
+
+
 @dataclass
 class ActorInfo:
     name: str
@@ -589,29 +598,21 @@ class Simulation:
         self.log.append(record)
         self.scheduled = target
 
-    def _ensure_running(self, name: str) -> None:
-        if self.scheduled != name:
-            self._fetch(name)
-
     def _pool_addr(self, owner: str, index: int, offset: int) -> int:
+        pool = self.pools.get(owner, {}).get(index)
+        if pool is not None and 0 <= offset < pool.size:
+            return pool.base + offset
+        # a miss: the first of the four refusals that applies
         made = self.ordinals.get(owner, 0)
         if not made:
             raise SimulationError(f"actor {owner!r} has no allocations")
         if not 0 <= index < made:
             raise SimulationError(f"no pool ordinal {index} for actor {owner!r}")
-        pool = self.pools.get(owner, {}).get(index)
         if pool is None:
             raise SimulationError(f"pool {owner}:{index} already freed")
-        if not 0 <= offset < pool.size:
-            raise SimulationError(f"offset {offset:#x} outside pool {owner}:{index}")
-        return pool.base + offset
+        raise SimulationError(f"offset {offset:#x} outside pool {owner}:{index}")
 
     def _resolve(self, info: ActorInfo, ref: DstRef) -> int:
-        def bounded(base: int, size: int) -> int:
-            if not 0 <= ref.offset < size:
-                raise SimulationError(f"offset {ref.offset:#x} outside {ref.kind}")
-            return base + ref.offset
-
         if ref.kind == "own_pool":
             return self._pool_addr(info.name, ref.index, ref.offset)
         if ref.kind == "pool_of":
@@ -623,20 +624,20 @@ class Simulation:
             if owner is None or owner.kind != "driver":
                 raise SimulationError(f"no loaded image for {ref.driver!r}")
             image = self.policy.enclaves[owner.enclave_id]
-            return bounded(image.image_base, image.image_size)
+            return _bounded(ref, image.image_base, image.image_size)
         if ref.kind == "eprocess":
             regions = self.policy.processes.get(ref.pid)
             if regions is None:
                 raise SimulationError(f"no live process {ref.pid}")
-            return bounded(*regions[0])
+            return _bounded(ref, *regions[0])
         if ref.kind == "os_kernel_code":
-            return bounded(*OS_KERNEL_CODE)
+            return _bounded(ref, *OS_KERNEL_CODE)
         if ref.kind == "os_structures":
-            return bounded(*OS_STRUCTURES)
+            return _bounded(ref, *OS_STRUCTURES)
         if ref.kind == "other_driver":
             if ref.index != 0:
                 raise SimulationError(f"no pre-existing driver {ref.index}")
-            return bounded(*OTHER_DRIVER)
+            return _bounded(ref, *OTHER_DRIVER)
         raise SimulationError(f"unknown target kind {ref.kind!r}")
 
     # -- event handlers -----------------------------------------------------
@@ -686,7 +687,8 @@ class Simulation:
 
     def _on_alloc(self, event: Alloc) -> None:
         info = self._actor(event.actor)
-        self._ensure_running(event.actor)
+        if self.scheduled != event.actor:
+            self._fetch(event.actor)
         align = "page" if self.config.force_page_aligned else event.align
         base = self.allocator.take(event.size, align)
         fill = SECRET_FILL if info.kind == "driver" else FOREIGN_POOL_FILL
@@ -706,7 +708,8 @@ class Simulation:
 
     def _on_free(self, event: Free) -> None:
         self._actor(event.actor)
-        self._ensure_running(event.actor)
+        if self.scheduled != event.actor:
+            self._fetch(event.actor)
         if not 0 <= event.pool < self.ordinals.get(event.actor, 0):
             raise SimulationError(f"free of unknown pool ordinal {event.pool}")
         pool = self.pools.get(event.actor, {}).get(event.pool)
@@ -717,20 +720,21 @@ class Simulation:
         del self.pools[event.actor][event.pool]
 
     def _on_access(self, event: AccessEvent) -> None:
-        info = self._actor(event.actor)
+        actor = event.actor
+        info = self._actor(actor)
         access = event.access
-        self._ensure_running(event.actor)
+        if self.scheduled != actor:
+            self._fetch(actor)
         dst = self._resolve(info, event.dst)
         payload = event.payload
         if access == WRITE and payload is None:
             payload = DEFAULT_WRITE
-        record = execute_access(
-            self.vcpu, self.policy, self.store,
-            info.code, dst, access, payload=payload, actor=event.actor,
-            seq=len(self.log), event=self.event_index, expect=event.expect,
-        )
-        self.log.append(record)
-        if record.ept_after != record.ept_before and access == EXECUTE:
+        log = self.log
+        # positional, in execute_access's order: payload, actor, home_ept, seq, event, expect
+        record = execute_access(self.vcpu, self.policy, self.store, info.code, dst, access,
+                                payload, actor, None, len(log), self.event_index, event.expect)
+        log.append(record)
+        if access == EXECUTE and record.ept_after != record.ept_before:
             # a call into another context: the actor's next event returns to
             # its own code, which a fresh fetch of its entry models
             self.scheduled = None

@@ -418,15 +418,15 @@ class SingleEptPolicy(RegionLedger):
         if access == EXECUTE:
             return REDIRECT
         actor = self._enclave_of_code(src)
-        pools = self.pool_pages.get(dst >> PAGE_SHIFT, ())
+        pools = self.pool_pages.get(dst >> PAGE_SHIFT)
         if pools:
-            identities = {p.owner for p in pools}
-            if len(identities) == 1:
-                return GRANT if actor == next(iter(identities)) else REDIRECT
-            pool = self._byte_pool(dst)
-            if pool is not None and pool.owner == actor:
-                return GRANT
-            return REDIRECT
+            owner = pools[0].owner
+            for pool in pools:
+                if pool.owner != owner:
+                    # two owners share the page: the pool holding the byte decides
+                    pool = self._byte_pool(dst)
+                    return GRANT if pool is not None and pool.owner == actor else REDIRECT
+            return GRANT if actor == owner else REDIRECT
         if actor is None and self._kernel_side_code(src):
             return GRANT
         return REDIRECT

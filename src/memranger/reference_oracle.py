@@ -117,12 +117,14 @@ class SnapshotView:
         execute = access == EXECUTE
         if execute and self.image_enclave(dst) is not None:
             return True
-        identities = self.page_pool_identities(dst >> PAGE_SHIFT)
-        if identities:
-            if _locked(identities):
-                identity = self.byte_pool_identity(dst)
-                return identity is not _NO_POOL and identity == actor
-            (sole,) = identities    # one owner: a set holds None at most once
+        pools = self.pools_by_page.get(dst >> PAGE_SHIFT)
+        if pools:
+            sole = pools[0][0]
+            for identity, _, _ in pools:
+                if identity != sole:
+                    # two distinct identities, so at least one enclave: locked
+                    identity = self.byte_pool_identity(dst)
+                    return identity is not _NO_POOL and identity == actor
             if execute:
                 # an enclave's pool is executable in its owner's context only
                 return sole is not None

@@ -68,6 +68,10 @@ class Expectation(NamedTuple):
     data: bytes | None          # a read's bytes: true if legal, zeros if not
 
 
+# Builds an Expectation without the named tuple's Python-level __new__.
+_new_expectation = tuple.__new__
+
+
 class _Shadow:
     """Trace replay with independent bookkeeping: shadow memory in which only
     legal writes land, plus one live view of the raw facts the legality
@@ -163,11 +167,12 @@ class _Shadow:
         legal = self.view.legal(self._enclave_of(event.actor), dst, access)
         data = None
         if access == READ:
-            data = self.store.read_gpa_range(dst, 4) if legal else bytes(4)
+            # in-page: the engine refuses a page-crossing access before any report exists
+            data = self.store.read_gpa(dst, 4) if legal else bytes(4)
         elif access == WRITE and legal:
             payload = event.payload if event.payload is not None else DEFAULT_WRITE
             self.store.fill_gpa_range(dst, len(payload), payload)
-        return Expectation(dst, legal, data)
+        return _new_expectation(Expectation, (dst, legal, data))
 
     def digests(self) -> dict[str, str]:
         out = {
@@ -225,6 +230,7 @@ def verify_run(events, report: RunReport) -> VerifyResult:
     past the trace's end (want is None) all count as wrong data."""
     shadow = _Shadow(report.allocations)
     result = VerifyResult(ok=True, checked_reads=0)
+    checked_reads = 0
     records = iter(report.log)
     record = next(records, None)
     for index, event in enumerate(events):
@@ -232,7 +238,7 @@ def verify_run(events, report: RunReport) -> VerifyResult:
         want = expected.data if expected is not None else None    # bytes: a read is due
         while record is not None and record.event <= index:
             if record.event == index and want is not None and record.access == "read":
-                result.checked_reads += 1
+                checked_reads += 1
                 got = record.data or b""
                 if not expected.legal and any(got):
                     result.leaks.append(_mismatch(record, "00" * len(got)))
@@ -249,6 +255,7 @@ def verify_run(events, report: RunReport) -> VerifyResult:
     while record is not None:
         result.wrong_data.append(_mismatch(record, None))
         record = next(records, None)
+    result.checked_reads = checked_reads
     shadow_digests = shadow.digests()
     labels = sorted(set(shadow_digests) | set(report.digests))
     for label in labels:

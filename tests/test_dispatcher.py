@@ -151,6 +151,34 @@ def test_locked_page_grant_relocks(world):
     assert vcpu.counters["grants"] == 1
 
 
+@pytest.mark.parametrize("src, dst, decision, data", [
+    (CODE_A, POOL_A + 4, "temporary_grant", SECRET),              # A's own bytes
+    (CODE_A, POOL_A + 0x104, "redirect_to_fake", bytes(4)),       # the kernel pool's, to A
+    (KERNEL_CODE, POOL_A + 0x104, "temporary_grant", b"\x22" * 4),
+    (KERNEL_CODE, POOL_A + 4, "redirect_to_fake", bytes(4)),
+    (CODE_A, POOL_A + 0x204, "redirect_to_fake", bytes(4)),       # no pool's bytes
+    (KERNEL_CODE, POOL_A + 0x204, "redirect_to_fake", bytes(4)),
+], ids=["owner", "enclave-to-kernel-pool", "kernel-owner", "kernel-to-enclave-pool",
+        "enclave-gap", "kernel-gap"])
+def test_single_ept_shared_page_goes_by_the_byte_owner(src, dst, decision, data):
+    """Single-ept, a page shared by an enclave pool and a kernel-side pool:
+    the page is sealed, every read traps once, and the owner of the byte's
+    own pool, not of the page, decides between grant and redirect."""
+    policy = SingleEptPolicy()
+    store = FrameStore()
+    policy.on_driver_load(IMAGE_A, IMAGE_SIZE)
+    policy.on_alloc(CODE_A, POOL_A, 0x100)
+    policy.on_alloc(KERNEL_CODE, POOL_A + 0x100, 0x100)
+    store.fill_gpa_range(POOL_A, 0x100, SECRET)
+    store.fill_gpa_range(POOL_A + 0x100, 0x100, b"\x22")
+    page = POOL_A >> 12
+    assert policy.epts[DEFAULT_EPT].entry_for(page).attrs == NONE
+    vcpu = VcpuState(current_ept=DEFAULT_EPT)
+    record = execute_access(vcpu, policy, store, src, dst, Access.READ)
+    assert (record.decision, record.data, record.traps) == (decision, data, 1)
+    assert policy.epts[DEFAULT_EPT].entry_for(page).attrs == NONE
+
+
 def test_write_requires_payload(world):
     policy, store, vcpu, _, _ = world
     with pytest.raises(SimulationError):

@@ -8,6 +8,7 @@ refuses a bad field there as it does here. It is skipped where no such
 interpreter is installed.
 """
 
+import json
 import os
 import re
 import shutil
@@ -24,9 +25,10 @@ FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
                                  (ROOT / "pyproject.toml").read_text()).groups()))
 
 # Prints the interpreter's version, then per trace a hash of its written
-# lines, and per trace and mode the verdict and a hash of the whole report.
+# lines, and per trace and mode the verdict's counts (its summary without the
+# samples) and a hash of the whole report.
 REPLAY = """
-import hashlib, sys
+import hashlib, json, sys
 from memranger import (gen_demo1_trace, gen_privesc_trace, gen_random_trace, run_trace,
                        serialize_trace, verify_run)
 from memranger.report_cli import MODES
@@ -38,8 +40,9 @@ for name, events in traces.items():
     print(name, "trace", hashlib.sha256(serialize_trace(events).encode()).hexdigest())
     for mode in MODES:
         report = run_trace(events, mode)
-        verdict = verify_run(events, report)
-        print(name, mode, verdict.ok, hashlib.sha256(report.to_json().encode()).hexdigest())
+        counts = {k: v for k, v in verify_run(events, report).summary().items() if k != "samples"}
+        print(name, mode, json.dumps(counts, sort_keys=True, separators=(",", ":")),
+              hashlib.sha256(report.to_json().encode()).hexdigest())
 """
 
 
@@ -66,13 +69,14 @@ def _floor_python() -> str | None:
     return next((python for python in candidates if _reported_version(python) == FLOOR), None)
 
 
-# Prints the line number and message of each refusal: two events built in
+# Prints the line number and message of each refusal: three events built in
 # Python and one trace line.
 REFUSALS = """
-from memranger import AccessEvent, Alloc, DstRef, TraceParseError, parse_trace
+from memranger import AccessEvent, Alloc, CreateProcess, DstRef, TraceParseError, parse_trace
 
 for build in (lambda: Alloc("A", "0x10"),
-              lambda: AccessEvent("A", DstRef("own_pool", offset="zz"), "read")):
+              lambda: AccessEvent("A", DstRef("own_pool", offset="zz"), "read"),
+              lambda: CreateProcess(4, ((2**70, -1),))):
     try:
         build()
     except TraceParseError as exc:
@@ -107,7 +111,7 @@ def test_floor_python_replays_every_mode_as_this_one_does():
     lines = [line.split() for line in floor[1:]]
     assert [tuple(line[:2]) for line in lines] == [
         (name, mode) for name in ("demo1", "privesc", "random-3") for mode in ("trace", *MODES)]
-    assert all(line[2] == "True" for line in lines if line[1] == "multi-ept")
+    assert all(json.loads(line[2])["ok"] for line in lines if line[1] == "multi-ept")
     assert floor[1:] == here[1:]
 
 
@@ -121,5 +125,7 @@ def test_floor_python_refuses_a_bad_field_at_construction():
     assert _run(python, REFUSALS) == _run(sys.executable, REFUSALS) == [
         "0 field 'size' is not a 64-bit integer: '0x10'",
         "0 field 'offset' is not a 64-bit integer: 'zz'",
+        "0 field 'regions' is not a non-empty list of [base, size] pairs of 64-bit integers:"
+        " ((1180591620717411303424, -1),)",
         "1 field 'dst.offset' is not a 64-bit integer: 'zz'",
     ]

@@ -207,6 +207,20 @@ class TestCodec:
         edges = [Free("A", 2**63 - 1), Free("A", -2**63)]
         assert parse_trace(serialize_trace(edges)) == edges
 
+    def test_a_region_pair_past_64_bits_is_refused(self):
+        """A region's base and size are bounded as every other integer field:
+        the pair cannot be built, and its line is refused with its number."""
+        with pytest.raises(TraceParseError, match="^field 'regions' is not ") as info:
+            CreateProcess(4, ((2**70, -1),))
+        assert info.value.line == 0
+        with pytest.raises(TraceParseError, match="^field 'regions' is not ") as info:
+            parse_trace('# one comment line\n'
+                        '{"ev": "create_process", "pid": 4,'
+                        ' "regions": [["0x400000000000000000", "-0x1"]]}\n')
+        assert info.value.line == 2
+        edges = [CreateProcess(4, ((2**63 - 1, -2**63),))]
+        assert parse_trace(serialize_trace(edges)) == edges
+
 
 # -- one field spec per event class: construction checks it, the codec follows it
 
@@ -356,7 +370,7 @@ def _other_forms(form, default) -> list[tuple]:
     if form is kernel_sim.INT or form is kernel_sim.HEX:
         values = [("zz", "zz"), (2**64, 2**64)]
     elif form is kernel_sim.REGIONS:
-        values = [((), [])]
+        values = [((), []), (((2**70, -1),), [[2**70, -1]])]     # empty; a pair past 64 bits
     elif form is kernel_sim.HEX_BYTES:
         values = [(b"", "")]
     else:                               # strings, labels, the access target
@@ -985,6 +999,37 @@ def test_access_to_freed_pool_rejected():
     ]
     with pytest.raises(SimulationError):
         run_trace(events, "multi-ept")
+
+
+_POOL_TRACE = [
+    LoadDriver("A", IMAGE_SLOTS[0]),
+    LoadDriver("B", IMAGE_SLOTS[1]),
+    Schedule("A"),
+]
+
+
+@pytest.mark.parametrize("setup, index, offset, message", [
+    ([], 0, 0, "actor 'A' has no allocations"),
+    ([Alloc("A", 0x40)], 1, 0, "no pool ordinal 1 for actor 'A'"),
+    ([Alloc("A", 0x40), Alloc("A", 0x40)], 2, 0, "no pool ordinal 2 for actor 'A'"),
+    ([Alloc("A", 0x40), Free("A", 0)], 0, 0, "pool A:0 already freed"),
+    ([Alloc("A", 0x40)], 0, 0x40, "offset 0x40 outside pool A:0"),
+], ids=["no-allocations", "ordinal-at-count", "ordinal-past-count", "freed", "offset-at-size"])
+@pytest.mark.parametrize("ref", ["own_pool", "pool_of"])
+def test_a_pool_target_is_refused_by_its_first_failing_rule(setup, index, offset, message, ref):
+    """A's pool, named by A as its own or by B through pool_of: each miss
+    raises exactly one message, the first of the four rules in order that
+    fails, in every mode; a live pool and an in-range offset resolve."""
+    actor = "A" if ref == "own_pool" else "B"
+    target = DstRef(ref, driver=None if ref == "own_pool" else "A", index=index, offset=offset)
+    events = _POOL_TRACE + setup + [AccessEvent(actor, target, "read")]
+    for mode in MODES:
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            run_trace(events, mode)
+    resolved = _POOL_TRACE + [Alloc("A", 0x40), AccessEvent(actor, replace(target, index=0,
+                                                                            offset=0x3f), "read")]
+    for mode in MODES:
+        assert run_trace(resolved, mode).log[-1].dst == kernel_sim.POOL_ARENA[0] + 0x3f
 
 
 def test_unknown_mode_rejected():

@@ -4,13 +4,14 @@ import random
 import sys
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test
 
 from memranger import address_space, policy_map
 from memranger.address_space import OS_KERNEL_CODE as KERNEL
 from memranger.address_space import OS_STRUCTURES as STRUCTS
+from memranger.address_space import OTHER_DRIVER
 from memranger.address_space import PAGE_SHIFT
 from memranger.ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
 from memranger.kernel_sim import gen_random_trace, run_trace
@@ -26,6 +27,7 @@ from memranger.reference_oracle import (
 
 IMAGE_SIZE = 0x2000
 KERNEL_CODE = KERNEL[0] + 0x40
+POOL_PAGE = 0x5000_0000
 
 
 def fresh():
@@ -306,6 +308,63 @@ def test_oracle_does_not_share_the_engines_static_regions(monkeypatch, mutant):
     assert {m.page for m in mismatches} == {page}
 
 
+def _inside(gpa: int, region: tuple[int, int]) -> bool:
+    return region[0] <= gpa < region[0] + region[1]
+
+
+def _set_rule(view: SnapshotView, actor, dst: int, access: Access) -> bool:
+    """The legality predicate as it reads over the set of the page's pool
+    owners: the reference the predicate's one scan must agree with."""
+    execute = access == Access.EXECUTE
+    if execute and view.image_enclave(dst) is not None:
+        return True
+    pools = view.pools_by_page.get(dst >> PAGE_SHIFT, ())
+    identities = {identity for identity, _, _ in pools}
+    if identities:
+        if len(identities) >= 2 and any(identity is not None for identity in identities):
+            hits = [identity for identity, base, end in pools if base <= dst < end]
+            return bool(hits) and hits[0] == actor
+        (sole,) = identities
+        if execute:
+            return sole is not None
+        return sole is None or actor == sole
+    if execute:
+        return _inside(dst, KERNEL) or _inside(dst, OTHER_DRIVER)
+    eid = view.image_enclave(dst)
+    if eid is not None:
+        return actor == eid
+    if view.in_process_region(dst) or _inside(dst, STRUCTS):
+        return actor is None
+    return True
+
+
+@st.composite
+def _views(draw):
+    """A view of 1-3 pools on one or two pages, each owned by None, "A" or
+    "B", maybe with an image or a process region on those pages, and the
+    byte addresses to ask about: every pool's edges, a few drawn ones on or
+    beside the pages, and one in each static region and in open memory."""
+    span = draw(st.sampled_from([1, 2])) << PAGE_SHIFT
+
+    def extent() -> tuple[int, int]:
+        start = draw(st.integers(0, span - 1))
+        return POOL_PAGE + start, draw(st.integers(1, span - start))
+
+    view, addresses = SnapshotView(), {KERNEL[0], STRUCTS[0], OTHER_DRIVER[0], 0x9000_0000}
+    for _ in range(draw(st.integers(1, 3))):
+        base, size = extent()
+        view.add_pool(draw(st.sampled_from([None, "A", "B"])), base, size)
+        addresses |= {base - 1, base, base + size - 1, base + size}
+    extra = draw(st.sampled_from([None, "image", "process"]))
+    if extra == "image":
+        base, size = extent()
+        view.images[draw(st.sampled_from(["A", "B"]))] = (base, base + size)
+    elif extra == "process":
+        view.processes[4] = (extent(),)
+    addresses |= set(draw(st.lists(st.integers(POOL_PAGE - 8, POOL_PAGE + span + 8), max_size=6)))
+    return view, sorted(addresses)
+
+
 class TestLegality:
     """Ground-truth access verdicts, independent of any table state."""
 
@@ -374,6 +433,18 @@ class TestLegality:
         view.add_pool(None, 0x3000_0000, 16)
         assert view.legal(None, 0x3000_0008, Access.EXECUTE)
         assert view.legal(None, 0x3000_0008, Access.READ)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_views())
+    def test_the_owner_scan_agrees_with_the_owner_set(self, drawn):
+        """For every actor, access kind and sampled byte, legal decides as the
+        rule over the page's set of pool owners does."""
+        view, addresses = drawn
+        for actor in (None, "A", "B"):
+            for access in Access:
+                for dst in addresses:
+                    assert view.legal(actor, dst, access) == _set_rule(view, actor, dst, access), (
+                        actor, f"{dst:#x}", access)
 
 
 class PolicyWalk(RuleBasedStateMachine):
