@@ -10,8 +10,10 @@ and the number of distinct lines. Replays the parsed events in multi-ept with
 OracleChecker.verify after every event, then runs one uncached check_against
 and verify_run over the whole report. Every 1,000th event, and once at the
 end, it also checks that each context's own leaves lie on pages the live
-facts claim and that the engine's pool records are exactly the ledger's live
-pools, so no structure grows with the pages or pools the trace has ever had.
+facts claim, that the engine's pool records are exactly the ledger's live
+pools, so no structure grows with the pages or pools the trace has ever had,
+and that the ledger's claims map equals a derivation from its images,
+processes and pools.
 
 Prints the mean cost of the oracle checks that follow a layout change in an
 early window (events 1,000-2,999) and a late one (the last 2,000 events),
@@ -19,7 +21,8 @@ their ratio, each context's own-leaf count at the end, and the process's peak
 resident size (ru_maxrss) with its share per event, so runs at two lengths
 show how memory grows with the trace. Exits 1 if the
 parsed events differ from the generated ones, on any oracle mismatch,
-verification violation, stray own leaf or stray pool record, else 0.
+verification violation, stray own leaf, stray pool record or stray claim,
+else 0.
 """
 
 import argparse
@@ -31,6 +34,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from memranger.address_space import pages_covering  # noqa: E402
 from memranger.kernel_sim import (  # noqa: E402
     Simulation,
     gen_random_trace,
@@ -59,6 +63,26 @@ def stray_pool_records(sim) -> int:
     return stray + len(live) - (len(held) - stray)
 
 
+def stray_claims(ledger) -> int:
+    """Pages whose entry in the ledger's claims map differs from what its
+    images, processes and pools derive, a page of pools with two owners
+    shared, counting pages claimed on one side only."""
+    want = {}
+    for pid, regions in ledger.processes.items():
+        for base, size in regions:
+            want.update(dict.fromkeys(pages_covering(base, size), ("process", pid)))
+    for eid, rec in ledger.enclaves.items():
+        want.update(dict.fromkeys(pages_covering(rec.image_base, rec.image_size), ("image", eid)))
+    owners: dict[int, set] = {}
+    for pool in ledger.pools.values():
+        for page in pages_covering(pool.base, pool.size):
+            owners.setdefault(page, set()).add(pool.owner)
+    for page, identities in owners.items():
+        want[page] = ("pool", *identities) if len(identities) == 1 else ("shared", None)
+    held = ledger._claims
+    return sum(held.get(page) != claim for page, claim in want.items()) + len(held.keys() - want.keys())
+
+
 def soak(seed: int, length: int) -> int:
     generated = gen_random_trace(seed, length=length)
     text = serialize_trace(generated)
@@ -72,7 +96,7 @@ def soak(seed: int, length: int) -> int:
     sim = Simulation("multi-ept")
     checker = OracleChecker()
     costs: dict[str, list[float]] = {"early": [], "late": []}
-    mismatches = stray = stray_pools = 0
+    mismatches = stray = stray_pools = strays_claimed = 0
     began = perf_counter()
     for index, event in enumerate(events):
         version = sim.policy.layout_version
@@ -97,9 +121,11 @@ def soak(seed: int, length: int) -> int:
                     print(f"event {index}: context {ept_id} holds {len(outside)} own leaves"
                           f" on unclaimed pages, first {outside[0]:#x}")
             stray_pools += stray_pool_records(sim)
+            strays_claimed += stray_claims(policy)
     replayed = perf_counter() - began
     policy = sim.policy
     stray_pools += stray_pool_records(sim)
+    strays_claimed += stray_claims(policy)
     swept = check_against(rebuild(snapshot_from_map(policy)), policy.epts)
     mismatches += len(swept)
     began = perf_counter()
@@ -120,10 +146,11 @@ def soak(seed: int, length: int) -> int:
     counts = {k: v for k, v in verdict.summary().items() if k != "samples"}
     print(f"oracle mismatches {mismatches}, final sweep {len(swept)},"
           f" stray own leaves {stray}, stray pool records {stray_pools},"
-          f" verification {counts}")
+          f" stray claims {strays_claimed}, verification {counts}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024   # Linux counts KiB
     print(f"peak RSS {peak / 2**20:.1f} MiB, {peak / length:.0f} B per event")
-    clean = round_trip and not mismatches and not stray and not stray_pools and verdict.ok
+    clean = (round_trip and not mismatches and not stray and not stray_pools
+             and not strays_claimed and verdict.ok)
     print("PASS" if clean else "FAIL")
     return 0 if clean else 1
 

@@ -6,7 +6,9 @@ offset. A page frame number (pfn) is the gpa shifted down by the page bits.
 
 The machine's three static regions (its kernel code, its kernel structures
 and one pre-existing driver) and its pool arena are fixed from boot; the
-engine and both checkers read them from here.
+engine and both checkers read them from here. The last page of the space,
+DECOY_PFN, holds the decoy frame that redirected accesses land on, so no
+region may claim it.
 
 The frame store holds guest memory by gpa; a frame never filled or written
 reads as zeros. Filled frames are shared pattern pages until their first
@@ -33,6 +35,8 @@ OS_STRUCTURES = (0x2000_0000, 0x0001_0000)
 OTHER_DRIVER = (0x2800_0000, 0x0002_0000)
 # The pool arena, (base, size), that every allocation comes from.
 POOL_ARENA = (0x5000_0000, 0x0100_0000)
+# The page of the decoy frame: the last of the space, reserved from boot.
+DECOY_PFN = PFN_LIMIT - 1
 
 __all__ = [
     "PAGE_SIZE",
@@ -44,6 +48,7 @@ __all__ = [
     "OS_STRUCTURES",
     "OTHER_DRIVER",
     "POOL_ARENA",
+    "DECOY_PFN",
     "split_gpa",
     "join_gpa",
     "page_of",
@@ -132,12 +137,11 @@ class FrameStore:
     A digest over whole shared pages is a pure function of those page objects
     and is computed once.
 
-    One designated fake frame sits at the top of the pfn space; redirected
-    accesses land there. It has no entry, so reads zero, whenever no
-    single-step window is in flight.
+    The decoy frame sits at DECOY_PFN; redirected accesses land there. It
+    has no entry, so reads zero, whenever no single-step window is in flight.
     """
 
-    fake_pfn = PFN_LIMIT - 1
+    fake_pfn = DECOY_PFN
 
     def __init__(self):
         self.frames: dict[int, bytes | bytearray] = {}

@@ -710,13 +710,10 @@ class Simulation:
         self._actor(event.actor)
         if self.scheduled != event.actor:
             self._fetch(event.actor)
-        if not 0 <= event.pool < self.ordinals.get(event.actor, 0):
-            raise SimulationError(f"free of unknown pool ordinal {event.pool}")
-        pool = self.pools.get(event.actor, {}).get(event.pool)
-        if pool is None:
-            raise SimulationError(f"double free of pool {event.actor}:{event.pool}")
-        self.policy.on_free(pool.base)
-        self.allocator.release(pool.base)
+        # a live pool has a byte at offset 0, so any miss is _pool_addr's refusal
+        base = self._pool_addr(event.actor, event.pool, 0)
+        self.policy.on_free(base)
+        self.allocator.release(base)
         del self.pools[event.actor][event.pool]
 
     def _on_access(self, event: AccessEvent) -> None:

@@ -2,14 +2,20 @@
 
 RegionLedger holds the region facts every mode shares (driver images, live
 pools, process regions), rejects any change that would make them overlap
-each other or the machine's static regions, and answers ownership queries.
-Each live pool is one record, kept by its base in pools and indexed by page
-in pool_pages; its owner is an enclave id, or None for a kernel-side caller. Each event hook updates the
-facts and then restamps the pages it changed in every translation context.
-A policy subclass says two things only: which contexts exist (_context_ids)
-and which bits a page holds in a context (_attrs, a pure function of the
-facts, whose static branch is _static_attrs(kind, context)). Mode ``off``
-uses the ledger bare, with no contexts to stamp.
+each other, the machine's static regions or the decoy frame's page, and
+answers ownership queries. Each live pool is one record, kept by its base in
+pools and indexed by page in pool_pages; its owner is an enclave id, or None
+for a kernel-side caller. What claims each page is decided once, when an
+event changes the layout, into one claims map: ("image", eid), ("process",
+pid), ("pool", owner) when the page's live pools have one owner, or
+("shared", None) when they have two; _claim_pool_pages is the one place that
+reads owners out of pool_pages. A page off the map reads as (its static
+kind, None), or as ("free", None). Each event hook updates the facts and
+then restamps the pages it changed in every translation context. A policy
+subclass says two things only: which contexts exist (_context_ids) and which
+bits a page holds in a context (_attrs, a pure function of the page's claim,
+whose static branch is _static_attrs(kind, context)). Mode ``off`` uses the
+ledger bare, with no contexts to stamp.
 
 The static regions are address_space's three constants (kernel code, kernel
 structures, the pre-existing driver); _STATIC_KIND gives each of their pages
@@ -33,18 +39,19 @@ template.
 * SingleEptPolicy (``single-ept``) keeps one context that seals protected
   data outright.
 
-Allocation ownership is attributed by the caller's code address.
-classify_access is each policy's violation brain: for a refused translation
-it picks switch / redirect / grant. The dispatcher checks an access's
-addresses before any translation, so every address it is asked about lies in
-the modelled space.
+Allocation ownership is attributed by the caller's code address, which lies
+in an image or in kernel-side code, never in a pool. classify_access is each
+policy's violation brain: for a refused translation it reads the target
+page's claim and picks switch / redirect / grant. The dispatcher checks an
+access's addresses before any translation, so every address it is asked
+about lies in the modelled space.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .address_space import GPA_LIMIT, PAGE_SHIFT, pages_covering
+from .address_space import DECOY_PFN, GPA_LIMIT, PAGE_SHIFT, pages_covering
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, POOL_ARENA
 from .ept_model import EXECUTE, NONE, RW, RWX, Access, Ept, EptEntry
 from .errors import SimulationError
@@ -104,6 +111,8 @@ def _check_range(base: int, size: int, what: str) -> None:
         raise SimulationError(f"{what}: size {size:#x} exceeds {MAX_REGION_SIZE:#x}")
     if base < 0 or base + size > GPA_LIMIT:
         raise SimulationError(f"{what}: outside 48-bit space")
+    if base + size > DECOY_PFN << PAGE_SHIFT:
+        raise SimulationError(f"{what}: overlaps the decoy frame's page {DECOY_PFN:#x}")
 
 
 STATIC_KINDS = ("kernel", "structure", "other")
@@ -114,6 +123,9 @@ _STATIC_KIND = {
     for kind, region in zip(STATIC_KINDS, (OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER))
     for page in pages_covering(*region)
 }
+_FREE = ("free", None)           # the claim of a page nothing claims
+_SHARED = ("shared", None)       # the claim of a page whose live pools have two owners
+_KERNEL_SIDE = ("kernel", "other")   # the static kinds of kernel-side code
 
 
 @lru_cache(maxsize=16)
@@ -131,7 +143,7 @@ def _region_pages(regions) -> dict[int, None]:
 
 
 class RegionLedger:
-    """Region facts, their validation, ownership queries and the restamp loop."""
+    """Region facts, their validation, the claims map and the restamp loop."""
 
     def __init__(self):
         self.epts: dict[int, Ept] = {}
@@ -141,7 +153,7 @@ class RegionLedger:
         self.pool_pages: dict[int, list[AllocatedPool]] = {}  # page -> its live pools
         self.layout_version = 0
         self._next_ept_id = DEFAULT_EPT + 1
-        self._overlay: dict[int, tuple] = {}   # page -> ("image", eid) | ("process", pid)
+        self._claims: dict[int, tuple] = {}    # page -> its claim (module docstring)
         self._sync_contexts()
         self.layout_version += 1
 
@@ -152,7 +164,7 @@ class RegionLedger:
         return []
 
     def _attrs(self, page: int, ept_id: int) -> int:
-        """Bits a page holds in a context, from the facts alone."""
+        """Bits a page holds in a context, from its claim alone."""
         raise NotImplementedError
 
     def _static_attrs(self, kind: str, ept_id: int) -> int:
@@ -169,9 +181,8 @@ class RegionLedger:
     def _sync_contexts(self) -> None:
         """Drop contexts the facts no longer call for and create the missing
         ones: each reads the static pages from its rule's shared template and
-        gets its own leaf for every page an image, process or pool claims. A
-        fresh context maps every page identity, so those leaves are written
-        directly."""
+        gets its own leaf for every claimed page. A fresh context maps every
+        page identity, so those leaves are written directly."""
         wanted = self._context_ids()
         for ept_id in [e for e in self.epts if e not in wanted]:
             del self.epts[ept_id]
@@ -179,7 +190,7 @@ class RegionLedger:
             if ept_id not in self.epts:
                 bits = tuple(self._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
                 ept = self.epts[ept_id] = Ept(ept_id, static_template(bits))
-                for page in {**self._overlay, **self.pool_pages}:
+                for page in self._claims:
                     ept.set_page_entry(page, EptEntry(page, self._attrs(page, ept_id)))
 
     # -- queries -----------------------------------------------------------
@@ -191,21 +202,27 @@ class RegionLedger:
         return None
 
     def _enclave_of_code(self, gpa: int) -> int | None:
-        """Enclave whose image or pool bytes contain gpa, if any."""
-        overlay = self._overlay.get(gpa >> PAGE_SHIFT)
-        if overlay is not None and overlay[0] == "image":
-            eid = overlay[1]
+        """Enclave whose image bytes contain gpa, if any."""
+        kind, eid = self._claims.get(gpa >> PAGE_SHIFT, _FREE)
+        if kind == "image":
             rec = self.enclaves[eid]
             if rec.image_base <= gpa < rec.image_end:
                 return eid
-        pool = self._byte_pool(gpa)
-        if pool is not None:
-            return pool.owner
         return None
 
-    def _kernel_side_code(self, gpa: int) -> bool:
-        return (OS_KERNEL_CODE[0] <= gpa < OS_KERNEL_CODE[0] + OS_KERNEL_CODE[1]
-                or OTHER_DRIVER[0] <= gpa < OTHER_DRIVER[0] + OTHER_DRIVER[1])
+    def _claim_pool_pages(self, pages) -> list[int]:
+        """Decide each page's claim from its live pools: their one owner, or
+        shared when they have two; a page with none left loses its claim.
+        Returns the pages."""
+        claims = self._claims
+        for page in pages:
+            pools = self.pool_pages.get(page)
+            if pools is None:
+                claims.pop(page, None)
+                continue
+            owner = pools[0].owner
+            claims[page] = _SHARED if any(p.owner != owner for p in pools) else ("pool", owner)
+        return pages
 
     def _unindex(self, pool: AllocatedPool) -> list[int]:
         """Drop a pool from the page index; returns the pages it covered."""
@@ -223,12 +240,12 @@ class RegionLedger:
         _check_range(image_base, image_size, "driver image")
         pages = pages_covering(image_base, image_size)
         for page in pages:
-            if page in _STATIC_KIND or page in self._overlay or page in self.pool_pages:
+            if page in _STATIC_KIND or page in self._claims:
                 raise SimulationError(f"driver image overlaps page {page:#x}")
         eid = self._next_ept_id
         self._next_ept_id += 1
         self.enclaves[eid] = EnclaveRecord(image_base, image_base + image_size)
-        self._overlay.update(dict.fromkeys(pages, ("image", eid)))
+        self._claims.update(dict.fromkeys(pages, ("image", eid)))
         self._sync_contexts()
         self._restamp(pages)
         self.layout_version += 1
@@ -238,12 +255,12 @@ class RegionLedger:
         rec = self.enclaves.pop(eid, None)
         if rec is None:
             raise SimulationError(f"unload of unknown enclave {eid}")
+        # the image's pages hold no pool, so the claims helper drops them too
         pages = dict.fromkeys(pages_covering(rec.image_base, rec.image_size))
-        for page in pages:
-            del self._overlay[page]
         for pool in [pool for pool in self.pools.values() if pool.owner == eid]:
             del self.pools[pool.base]
             pages.update(dict.fromkeys(self._unindex(pool)))
+        self._claim_pool_pages(pages)
         self._sync_contexts()
         self._restamp(pages)
         self.layout_version += 1
@@ -257,7 +274,7 @@ class RegionLedger:
         pages = pages_covering(base, size)
         end = base + size
         for page in pages:
-            if page in _STATIC_KIND or page in self._overlay:
+            if page in _STATIC_KIND or self._claims.get(page, _FREE)[0] in ("image", "process"):
                 raise SimulationError(f"allocation overlaps configured region at page {page:#x}")
             for pool in self.pool_pages.get(page, ()):
                 if pool.base < end and base < pool.end:
@@ -265,7 +282,7 @@ class RegionLedger:
         pool = self.pools[base] = AllocatedPool(base, size, self._enclave_of_code(caller_addr))
         for page in pages:
             self.pool_pages.setdefault(page, []).append(pool)
-        self._restamp(pages)
+        self._restamp(self._claim_pool_pages(pages))
         self.layout_version += 1
         return pool
 
@@ -273,7 +290,7 @@ class RegionLedger:
         pool = self.pools.pop(base, None)
         if pool is None:
             raise SimulationError(f"free of unknown pool base {base:#x}")
-        self._restamp(self._unindex(pool))
+        self._restamp(self._claim_pool_pages(self._unindex(pool)))
         self.layout_version += 1
 
     def on_process_create(self, pid: int, regions) -> None:
@@ -284,11 +301,11 @@ class RegionLedger:
             _check_range(base, size, f"process {pid} region")
         pages = _region_pages(regions)
         for page in pages:
-            if page in self._overlay or page in self.pool_pages:
+            if page in self._claims:
                 raise SimulationError(f"process region overlaps page {page:#x}")
-            if _STATIC_KIND.get(page) in ("kernel", "other"):
+            if _STATIC_KIND.get(page) in _KERNEL_SIDE:
                 raise SimulationError(f"process region overlaps code at page {page:#x}")
-        self._overlay.update(dict.fromkeys(pages, ("process", pid)))
+        self._claims.update(dict.fromkeys(pages, ("process", pid)))
         self.processes[pid] = regions
         self._restamp(pages)
         self.layout_version += 1
@@ -299,7 +316,7 @@ class RegionLedger:
             raise SimulationError(f"exit of unknown process {pid}")
         pages = _region_pages(regions)
         for page in pages:
-            del self._overlay[page]
+            del self._claims[page]
         self._restamp(pages)
         self.layout_version += 1
 
@@ -311,23 +328,18 @@ class MapState(RegionLedger):
         return [DEFAULT_EPT, *self.enclaves]
 
     def _attrs(self, page: int, ept_id: int) -> int:
-        overlay = self._overlay.get(page)
-        if overlay is not None:
-            kind, who = overlay
-            if kind == "image":
-                return RWX if ept_id == who else NONE
-            return RWX if ept_id == DEFAULT_EPT else NONE     # process region
-        pools = self.pool_pages.get(page)
-        if pools:
-            identities = {p.owner for p in pools}
-            if len(identities) >= 2:
-                return NONE                                    # sealed for every owner
-            owner = next(iter(identities))
-            if owner is None:
+        kind, who = self._claims.get(page) or (_STATIC_KIND.get(page, "free"), None)
+        if kind == "image":
+            return RWX if ept_id == who else NONE
+        if kind == "process":
+            return RWX if ept_id == DEFAULT_EPT else NONE
+        if kind == "pool":
+            if who is None:
                 return RW                                      # kernel-side data stays open
-            return RWX if ept_id == owner else NONE
-        kind = _STATIC_KIND.get(page)
-        return RW if kind is None else self._static_attrs(kind, ept_id)
+            return RWX if ept_id == who else NONE
+        if kind == "shared":
+            return NONE                                        # sealed for every owner
+        return RW if kind == "free" else self._static_attrs(kind, ept_id)
 
     def _static_attrs(self, kind: str, ept_id: int) -> int:
         if kind == "kernel" or ept_id == DEFAULT_EPT:
@@ -339,54 +351,28 @@ class MapState(RegionLedger):
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
         """Decide what a refused translation means. Called on violations only."""
         page = dst >> PAGE_SHIFT
-        overlay = self._overlay.get(page)
-        pools = self.pool_pages.get(page, ())
-        identities = {pool.owner for pool in pools}
-        locked = len(identities) >= 2    # two owners, so at least one enclave
-
-        if access == EXECUTE:
-            if overlay is not None and overlay[0] == "image":
-                eid = overlay[1]
-                if current_ept != eid:
-                    return switch_to(eid)
-                return REDIRECT
-            if pools and not locked:
-                sole = next(iter(identities))
-                if sole is not None:
-                    # an enclave's pool runs only in its owner's context
-                    if current_ept != sole:
-                        return switch_to(sole)
-                    return REDIRECT
-            if locked:
-                pool = self._byte_pool(dst)
-                if (
-                    pool is not None
-                    and pool.owner is not None
-                    and pool.owner == self._enclave_of_code(src)
-                ):
-                    if current_ept != pool.owner:
-                        return switch_to(pool.owner)
-                    return GRANT
-                return REDIRECT
-            static = _STATIC_KIND.get(page)
-            if static in ("kernel", "other") or (static is None and overlay is None and not pools):
-                if current_ept != DEFAULT_EPT:
-                    return switch_to(DEFAULT_EPT)
-            return REDIRECT
-
-        # data access
-        if (overlay is not None and overlay[0] == "process") or _STATIC_KIND.get(page) == "structure":
-            if self._kernel_side_code(src) and current_ept != DEFAULT_EPT:
-                return switch_to(DEFAULT_EPT)
-            return REDIRECT
-        if locked:
+        kind, who = self._claims.get(page) or (_STATIC_KIND.get(page, "free"), None)
+        if kind == "shared":
+            # the pool holding the byte decides: its owner is granted in the
+            # owner's home context; bytes outside enclaves never run as code
             pool = self._byte_pool(dst)
-            if pool is not None and self._enclave_of_code(src) == pool.owner:
-                # grants happen only in the owner identity's home context
-                home = pool.owner if pool.owner is not None else DEFAULT_EPT
-                if current_ept != home:
-                    return switch_to(home)
-                return GRANT
+            if pool is None or pool.owner != self._enclave_of_code(src) or (
+                    pool.owner is None and access == EXECUTE):
+                return REDIRECT
+            home = DEFAULT_EPT if pool.owner is None else pool.owner
+            return GRANT if current_ept == home else switch_to(home)
+        if access == EXECUTE:
+            # code runs in its home context: an enclave's own, else the default
+            if kind == "image" or kind == "pool" and who is not None:
+                home = who
+            elif kind in ("kernel", "other", "free"):
+                home = DEFAULT_EPT
+            else:
+                return REDIRECT
+            return REDIRECT if current_ept == home else switch_to(home)
+        if kind == "process" or kind == "structure":
+            if current_ept != DEFAULT_EPT and _STATIC_KIND.get(src >> PAGE_SHIFT) in _KERNEL_SIDE:
+                return switch_to(DEFAULT_EPT)
         return REDIRECT
 
 
@@ -402,14 +388,14 @@ class SingleEptPolicy(RegionLedger):
         return [DEFAULT_EPT]
 
     def _attrs(self, page: int, ept_id: int) -> int:
-        overlay = self._overlay.get(page)
-        if overlay is not None:
-            return RWX if overlay[0] == "image" else NONE
-        pools = self.pool_pages.get(page)
-        if pools:
-            return NONE if any(p.owner is not None for p in pools) else RW
-        kind = _STATIC_KIND.get(page)
-        return RW if kind is None else self._static_attrs(kind, ept_id)
+        kind, who = self._claims.get(page) or (_STATIC_KIND.get(page, "free"), None)
+        if kind == "image":
+            return RWX
+        if kind == "pool" and who is None or kind == "free":
+            return RW
+        if kind in STATIC_KINDS:
+            return self._static_attrs(kind, ept_id)
+        return NONE                      # a process, an enclave's pool or a shared page
 
     def _static_attrs(self, kind: str, ept_id: int) -> int:
         return NONE if kind == "structure" else RWX
@@ -417,17 +403,11 @@ class SingleEptPolicy(RegionLedger):
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
         if access == EXECUTE:
             return REDIRECT
-        actor = self._enclave_of_code(src)
-        pools = self.pool_pages.get(dst >> PAGE_SHIFT)
-        if pools:
-            owner = pools[0].owner
-            for pool in pools:
-                if pool.owner != owner:
-                    # two owners share the page: the pool holding the byte decides
-                    pool = self._byte_pool(dst)
-                    return GRANT if pool is not None and pool.owner == actor else REDIRECT
-            return GRANT if actor == owner else REDIRECT
-        if actor is None and self._kernel_side_code(src):
-            return GRANT
-        return REDIRECT
-
+        kind, who = self._claims.get(dst >> PAGE_SHIFT, _FREE)
+        if kind == "pool":
+            return GRANT if self._enclave_of_code(src) == who else REDIRECT
+        if kind == "shared":
+            # the pool holding the byte decides
+            pool = self._byte_pool(dst)
+            return GRANT if pool is not None and pool.owner == self._enclave_of_code(src) else REDIRECT
+        return GRANT if _STATIC_KIND.get(src >> PAGE_SHIFT) in _KERNEL_SIDE else REDIRECT

@@ -69,30 +69,40 @@ class SnapshotView:
     It starts empty over the static regions. A caller then applies each fact:
     images (identity -> (base, end)) and processes (pid -> (base, size)
     regions) are plain dicts, and pools enter and leave the page index
-    through add_pool and remove_pool. An identity names an enclave; the view
-    only compares identities, and None marks everything outside enclaves.
+    through add_pool and remove_pool, which also keep each pool page's owner:
+    the one identity of its pools, or _SHARED when they have two (two
+    distinct identities always include an enclave). An identity names an
+    enclave; the view only compares identities, and None marks everything
+    outside enclaves.
     """
 
     def __init__(self):
         self.images: dict = {}                         # identity -> (base, end)
         self.processes: dict[int, tuple[tuple[int, int], ...]] = {}
         self.pools_by_page: dict[int, list[tuple]] = {}    # page -> [(identity, base, end)]
+        self.page_owner: dict = {}                     # pool page -> identity | _SHARED
 
     def add_pool(self, identity, base: int, size: int) -> None:
         pool = (identity, base, base + size)
         for page in _pages(base, size):
             self.pools_by_page.setdefault(page, []).append(pool)
+            self._decide_owner(page)
 
     def remove_pool(self, identity, base: int, size: int) -> None:
         pool = (identity, base, base + size)
         for page in _pages(base, size):
-            pools = self.pools_by_page[page]
-            pools.remove(pool)
-            if not pools:
-                del self.pools_by_page[page]
+            self.pools_by_page[page].remove(pool)
+            self._decide_owner(page)
 
-    def page_pool_identities(self, page: int) -> set:
-        return {identity for identity, _, _ in self.pools_by_page.get(page, ())}
+    def _decide_owner(self, page: int) -> None:
+        """Decide a pool page's owner from its pools; a page with none left
+        leaves both maps."""
+        pools = self.pools_by_page[page]
+        if not pools:
+            del self.pools_by_page[page], self.page_owner[page]
+            return
+        sole = pools[0][0]
+        self.page_owner[page] = _SHARED if any(p[0] != sole for p in pools) else sole
 
     def byte_pool_identity(self, gpa: int):
         """Identity of the live pool whose bytes contain gpa, or a miss marker."""
@@ -117,19 +127,16 @@ class SnapshotView:
         execute = access == EXECUTE
         if execute and self.image_enclave(dst) is not None:
             return True
-        pools = self.pools_by_page.get(dst >> PAGE_SHIFT)
-        if pools:
-            sole = pools[0][0]
-            for identity, _, _ in pools:
-                if identity != sole:
-                    # two distinct identities, so at least one enclave: locked
-                    identity = self.byte_pool_identity(dst)
-                    return identity is not _NO_POOL and identity == actor
+        owner = self.page_owner.get(dst >> PAGE_SHIFT, _NO_POOL)
+        if owner is _SHARED:
+            identity = self.byte_pool_identity(dst)
+            return identity is not _NO_POOL and identity == actor
+        if owner is not _NO_POOL:
             if execute:
                 # an enclave's pool is executable in its owner's context only
-                return sole is not None
+                return owner is not None
             # pages holding only non-enclaved allocations stay open
-            return sole is None or actor == sole
+            return owner is None or actor == owner
         if execute:
             return _within(dst, OS_KERNEL_CODE) or _within(dst, OTHER_DRIVER)
         eid = self.image_enclave(dst)
@@ -151,13 +158,8 @@ def snapshot_from_map(m) -> SnapshotView:
     return view
 
 
-def _locked(identities: set) -> bool:
-    """Does a page whose pools have these identities host bytes of two
-    distinct owners, at least one enclaved?"""
-    return len(identities) >= 2 and any(i is not None for i in identities)
-
-
 _NO_POOL = object()
+_SHARED = object()      # the owner of a page whose pools have two identities
 
 
 class Mismatch(NamedTuple):
@@ -217,8 +219,8 @@ def rebuild(view: SnapshotView) -> FlatPolicy:
     for eid, (base, end) in view.images.items():
         for page in _pages(base, end - base):
             kinds[page] = ("image", eid)
-    for page in view.pools_by_page:
-        kinds[page] = ("pool", view.page_pool_identities(page))
+    for page, owner in view.page_owner.items():
+        kinds[page] = ("pool", owner)
 
     table = {}
     for ept_id, static_row in [(0, _DEFAULT_ROW)] + [(eid, _ENCLAVE_ROW) for eid in view.images]:
@@ -234,13 +236,12 @@ def _expected(kind: tuple, ept_id: int) -> int:
         return RWX if ept_id == 0 else NONE
     if tag == "image":
         return RWX if ept_id == kind[1] else NONE
-    identities = kind[1]                     # a pool page
-    if _locked(identities):
+    owner = kind[1]                          # a pool page
+    if owner is _SHARED:
         return NONE                          # shared page: sealed in every context
-    sole = next(iter(identities))
-    if sole is None:
+    if owner is None:
         return RW                            # non-enclaved allocations stay open
-    return RWX if ept_id == sole else NONE
+    return RWX if ept_id == owner else NONE
 
 
 def _compare(ept_id: int, row: dict[int, int], ept: Ept, page: int) -> Mismatch | None:

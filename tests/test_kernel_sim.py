@@ -1014,18 +1014,29 @@ _POOL_TRACE = [
     ([Alloc("A", 0x40), Alloc("A", 0x40)], 2, 0, "no pool ordinal 2 for actor 'A'"),
     ([Alloc("A", 0x40), Free("A", 0)], 0, 0, "pool A:0 already freed"),
     ([Alloc("A", 0x40)], 0, 0x40, "offset 0x40 outside pool A:0"),
-], ids=["no-allocations", "ordinal-at-count", "ordinal-past-count", "freed", "offset-at-size"])
+    ([Alloc("A", 0x40), UnloadDriver("A"), LoadDriver("A", IMAGE_SLOTS[0])], 0, 0,
+     "pool A:0 already freed"),
+], ids=["no-allocations", "ordinal-at-count", "ordinal-past-count", "freed", "offset-at-size",
+        "unloaded-and-reloaded"])
 @pytest.mark.parametrize("ref", ["own_pool", "pool_of"])
 def test_a_pool_target_is_refused_by_its_first_failing_rule(setup, index, offset, message, ref):
     """A's pool, named by A as its own or by B through pool_of: each miss
     raises exactly one message, the first of the four rules in order that
-    fails, in every mode; a live pool and an in-range offset resolve."""
+    fails, in every mode; a live pool and an in-range offset resolve. A free
+    of the same ordinal by A is refused by the same rule, and one that names
+    a live pool (a free names no offset) is accepted."""
     actor = "A" if ref == "own_pool" else "B"
     target = DstRef(ref, driver=None if ref == "own_pool" else "A", index=index, offset=offset)
     events = _POOL_TRACE + setup + [AccessEvent(actor, target, "read")]
+    free = _POOL_TRACE + setup + [Free("A", index)]
     for mode in MODES:
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             run_trace(events, mode)
+        if offset:
+            run_trace(free, mode)
+        else:
+            with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+                run_trace(free, mode)
     resolved = _POOL_TRACE + [Alloc("A", 0x40), AccessEvent(actor, replace(target, index=0,
                                                                             offset=0x3f), "read")]
     for mode in MODES:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test
 
-from memranger import address_space, policy_map
+from memranger import address_space, policy_map, reference_oracle
 from memranger.address_space import OS_KERNEL_CODE as KERNEL
 from memranger.address_space import OS_STRUCTURES as STRUCTS
 from memranger.address_space import OTHER_DRIVER
 from memranger.address_space import PAGE_SHIFT
 from memranger.ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
-from memranger.kernel_sim import gen_random_trace, run_trace
+from memranger.kernel_sim import Simulation, gen_random_trace, run_trace
 from memranger.policy_map import DEFAULT_EPT, MapState
 from memranger.reference_oracle import (
     Mismatch,
@@ -24,6 +24,7 @@ from memranger.reference_oracle import (
     rebuild,
     snapshot_from_map,
 )
+from memranger.report_cli import _Shadow
 
 IMAGE_SIZE = 0x2000
 KERNEL_CODE = KERNEL[0] + 0x40
@@ -157,7 +158,7 @@ def test_cached_checker_matches_a_fresh_sweep_under_sabotage():
         def hook(sim, index, event, history=history):
             nonlocal checks, sabotaged, flagged
             m = sim.policy
-            history.update(policy_map._STATIC_KIND, m._overlay, m.pool_pages)
+            history.update(policy_map._STATIC_KIND, m._claims, m.pool_pages)
             if rng.random() < 0.05:
                 ept = m.epts[rng.choice(sorted(m.epts))]
                 page = rng.choice(sorted(history))
@@ -513,3 +514,49 @@ class PolicyWalk(RuleBasedStateMachine):
 def test_policy_walk():
     PolicyWalk.TestCase.settings = settings(max_examples=25, stateful_step_count=30, deadline=None)
     run_state_machine_as_test(PolicyWalk)
+
+
+def _claims_from_facts(ledger) -> dict[int, tuple]:
+    """What claims each page, derived from the ledger's raw facts: images,
+    processes and live pools, a page of pools with two owners shared."""
+    claims = {}
+    for pid, regions in ledger.processes.items():
+        for base, size in regions:
+            claims.update(dict.fromkeys(address_space.pages_covering(base, size), ("process", pid)))
+    for eid, rec in ledger.enclaves.items():
+        claims.update(dict.fromkeys(address_space.pages_covering(rec.image_base, rec.image_size),
+                                    ("image", eid)))
+    owners: dict[int, set] = {}
+    for pool in ledger.pools.values():
+        for page in address_space.pages_covering(pool.base, pool.size):
+            owners.setdefault(page, set()).add(pool.owner)
+    for page, identities in owners.items():
+        claims[page] = ("pool", *identities) if len(identities) == 1 else ("shared", None)
+    return claims
+
+
+def _owners_from_pools(view: SnapshotView) -> dict:
+    """Each pool page's owner, derived from the view's pool entries."""
+    owners = {}
+    for page, pools in view.pools_by_page.items():
+        identities = {identity for identity, _, _ in pools}
+        owners[page] = identities.pop() if len(identities) == 1 else reference_oracle._SHARED
+    return owners
+
+
+@pytest.mark.parametrize("mode", ["off", "single-ept", "multi-ept"])
+def test_the_kept_owner_maps_match_the_facts(mode):
+    """After every event of 40 random traces, the ledger's claims map equals
+    a derivation from its enclaves, processes and pools, and the shadow
+    view's owner map equals a derivation from its pool entries."""
+    shared = 0
+    for seed in range(40):
+        sim = Simulation(mode)
+        shadow = _Shadow(sim.allocations)    # reads each allocation row as the replay adds it
+        for index, event in enumerate(gen_random_trace(seed, length=200, attack_probability=0.4)):
+            sim.step(event)
+            shadow.step(index, event)
+            assert sim.policy._claims == _claims_from_facts(sim.policy), (seed, index)
+            assert shadow.view.page_owner == _owners_from_pools(shadow.view), (seed, index)
+            shared += reference_oracle._SHARED in shadow.view.page_owner.values()
+    assert shared > 0

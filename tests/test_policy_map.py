@@ -26,8 +26,10 @@ from memranger.policy_map import (
     _STATIC_KIND,
     DEFAULT_EPT,
     STATIC_KINDS,
+    Decision,
     DecisionKind,
     MapState,
+    SingleEptPolicy,
     static_template,
 )
 
@@ -261,6 +263,105 @@ class TestClassify:
         assert verdict.kind is DecisionKind.TEMPORARY_GRANT
 
 
+SHARED = POOL + 2 * PAGE_SIZE
+# Each target names what claims its page and which bytes it hits. The shared
+# page holds A's pool [0, 16), B's [16, 32) and a kernel pool [32, 48).
+TARGETS = {
+    "image-A": IMAGE_A + 0x100,
+    "pool-A": POOL + 8,
+    "pool-kernel": POOL + PAGE_SIZE + 8,
+    "shared-A-bytes": SHARED + 4,
+    "shared-B-bytes": SHARED + 20,
+    "shared-kernel-bytes": SHARED + 36,
+    "shared-gap": SHARED + 0x100,
+    "process": STRUCTS[0] + 0x2010,
+    "structure": STRUCTS[0] + 0x10,
+    "kernel": KERNEL_CODE,
+    "other": OTHER_CODE,
+    "free": 0x9000_0000,
+}
+SOURCES = {"A": IMAGE_A + 0x100, "B": IMAGE_B + 0x100, "kernel": KERNEL_CODE, "other": OTHER_CODE}
+R, W, X = Access.READ, Access.WRITE, Access.EXECUTE
+
+
+def _world(policy_class):
+    """Enclaves A and B, and every kind of page claim TARGETS names."""
+    policy = policy_class()
+    a = policy.on_driver_load(IMAGE_A, IMAGE_SIZE)
+    b = policy.on_driver_load(IMAGE_B, IMAGE_SIZE)
+    policy.on_alloc(SOURCES["A"], POOL, 0x100)
+    policy.on_alloc(KERNEL_CODE, POOL + PAGE_SIZE, 0x100)
+    for caller, offset in ((SOURCES["A"], 0), (SOURCES["B"], 16), (KERNEL_CODE, 32)):
+        policy.on_alloc(caller, SHARED + offset, 16)
+    policy.on_process_create(4, [(STRUCTS[0] + 0x2000, 0x200)])
+    return policy, {"default": DEFAULT_EPT, "A": a, "B": b}
+
+
+# (target, access, source code, current context) -> expected decision: a
+# context name to switch to, "redirect" or "grant". Every return of each
+# classifier has a row.
+MULTI_EPT_DECISIONS = [
+    ("image-A", X, "kernel", "default", "A"),
+    ("image-A", X, "B", "A", "redirect"),
+    ("pool-A", X, "kernel", "default", "A"),
+    ("pool-A", X, "A", "A", "redirect"),
+    ("pool-kernel", X, "kernel", "default", "redirect"),
+    ("shared-A-bytes", X, "A", "B", "A"),
+    ("shared-A-bytes", X, "A", "A", "grant"),
+    ("shared-B-bytes", X, "A", "A", "redirect"),
+    ("shared-kernel-bytes", X, "kernel", "default", "redirect"),
+    ("kernel", X, "A", "A", "default"),
+    ("other", X, "A", "A", "default"),
+    ("free", X, "A", "A", "default"),
+    ("kernel", X, "kernel", "default", "redirect"),
+    ("process", X, "kernel", "default", "redirect"),
+    ("structure", X, "A", "A", "redirect"),
+    ("structure", W, "kernel", "A", "default"),
+    ("process", R, "other", "A", "default"),
+    ("structure", W, "A", "A", "redirect"),
+    ("process", R, "kernel", "default", "redirect"),
+    ("shared-A-bytes", R, "A", "B", "A"),
+    ("shared-kernel-bytes", R, "kernel", "A", "default"),
+    ("shared-A-bytes", W, "A", "A", "grant"),
+    ("shared-kernel-bytes", R, "kernel", "default", "grant"),
+    ("shared-B-bytes", R, "A", "A", "redirect"),
+    ("shared-gap", R, "kernel", "default", "redirect"),
+    ("pool-A", R, "B", "B", "redirect"),
+    ("image-A", W, "kernel", "default", "redirect"),
+]
+SINGLE_EPT_DECISIONS = [
+    ("image-A", X, "kernel", "default", "redirect"),
+    ("pool-A", X, "A", "default", "redirect"),
+    ("pool-A", R, "A", "default", "grant"),
+    ("pool-kernel", R, "kernel", "default", "grant"),
+    ("pool-A", R, "B", "default", "redirect"),
+    ("pool-A", W, "kernel", "default", "redirect"),
+    ("shared-A-bytes", R, "A", "default", "grant"),
+    ("shared-kernel-bytes", W, "kernel", "default", "grant"),
+    ("shared-B-bytes", R, "A", "default", "redirect"),
+    ("shared-gap", R, "kernel", "default", "redirect"),
+    ("structure", W, "kernel", "default", "grant"),
+    ("process", R, "other", "default", "grant"),
+    ("structure", R, "A", "default", "redirect"),
+    ("free", W, "A", "default", "redirect"),
+]
+
+
+@pytest.mark.parametrize("policy_class, target, access, source, context, want", [
+    *[(MapState, *row) for row in MULTI_EPT_DECISIONS],
+    *[(SingleEptPolicy, *row) for row in SINGLE_EPT_DECISIONS],
+])
+def test_every_decision_cell(policy_class, target, access, source, context, want):
+    policy, contexts = _world(policy_class)
+    got = policy.classify_access(contexts[context], SOURCES[source], TARGETS[target], access)
+    if want == "redirect":
+        assert got == Decision(DecisionKind.REDIRECT_TO_FAKE)
+    elif want == "grant":
+        assert got == Decision(DecisionKind.TEMPORARY_GRANT)
+    else:
+        assert got == Decision(DecisionKind.SWITCH_EPT, contexts[want])
+
+
 def _single_ept_expectation(sim) -> dict[int, object]:
     """single-ept's table from raw region facts: protected data sealed, code
     executable, everything else plain data."""
@@ -285,7 +386,7 @@ def _single_ept_expectation(sim) -> dict[int, object]:
 def _ever_claimed(policy, history: set[int]) -> set[int]:
     """Add the pages the live facts claim now to history, a union kept over a
     trace that starts as the static pages, and return it."""
-    history.update(policy._overlay, policy.pool_pages)
+    history.update(policy._claims, policy.pool_pages)
     return history
 
 

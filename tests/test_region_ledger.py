@@ -44,6 +44,8 @@ INVALID = {
     "image-over-16-MiB": [load("A", "0x30000000", "0x1000001")],
     "huge-image": [load("A", "0x30000000", "0x7ffffffff000")],
     "huge-process-region": [process(4, ("0x100000000", "0x7fff00000000"))],
+    "image-on-the-decoy-page": [load("T", "0xffffffffe000")],
+    "process-on-the-decoy-page": [process(4, ("0xfffffffff000", "0x100"))],
 }
 
 
