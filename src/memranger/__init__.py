@@ -30,7 +30,6 @@ from .kernel_sim import (
     ExitProcess,
     Free,
     LoadDriver,
-    Mode,
     RunReport,
     Schedule,
     SimConfig,
@@ -67,7 +66,6 @@ __all__ = [
     "GPA_LIMIT",
     "LoadDriver",
     "MapState",
-    "Mode",
     "NONE",
     "OracleChecker",
     "PAGE_SIZE",

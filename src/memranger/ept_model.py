@@ -91,9 +91,6 @@ class Ept:
             flat[page] = entry
         self.mutations += 1
 
-    def set_page_attrs(self, page: int, attrs: int) -> None:
-        self.set_page_entry(page, EptEntry(self.entry_for(page).pfn, attrs))
-
     def translate(self, gpa: int, access: Access) -> int | None:
         """Pure lookup: host address on success, None on refusal."""
         if not 0 <= gpa < GPA_LIMIT:

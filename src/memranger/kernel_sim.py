@@ -10,8 +10,9 @@ against one of three protection modes:
 * ``multi-ept``  - per-driver contexts with fake-page redirection and
   identity-checked grants.
 
-The mode picks the policy class and names the report; every mode replays
-through the same handlers and the same dispatcher.execute_access.
+POLICIES maps each mode's name to its policy class, and the name also names
+the report; every mode replays through the same handlers and the same
+dispatcher.execute_access.
 
 The policies live in policy_map; this module owns the replay (Simulation),
 its configuration and report (SimConfig, CostModel, RunReport), the pool
@@ -31,7 +32,6 @@ import random
 import string
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from enum import Enum
 from pathlib import Path
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, POOL_ARENA
@@ -67,12 +67,6 @@ PROCESS_SLOT_COUNT = (OS_STRUCTURES[1] - 0x2000) // PROCESS_SLOT_STRIDE
 def image_fill(name: str) -> bytes:
     """Deterministic one-byte fill pattern for a driver image."""
     return bytes([0x41 + sum(name.encode()) % 26])
-
-
-class Mode(Enum):
-    OFF = "off"
-    SINGLE_EPT = "single-ept"
-    MULTI_EPT = "multi-ept"
 
 
 @dataclass(frozen=True)
@@ -544,18 +538,21 @@ class ActorInfo:
     enclave_id: int | None = None
 
 
-_POLICIES = {Mode.OFF: RegionLedger, Mode.SINGLE_EPT: SingleEptPolicy, Mode.MULTI_EPT: MapState}
+# Mode name -> its policy class; mode off keeps the bare ledger: the same
+# input checks, no contexts.
+POLICIES = {"off": RegionLedger, "single-ept": SingleEptPolicy, "multi-ept": MapState}
 
 
 class Simulation:
     """One trace replay: regions, frames, policy, vcpu, and the access log."""
 
-    def __init__(self, mode, config: SimConfig | None = None):
-        self.mode = mode if isinstance(mode, Mode) else Mode(mode)
+    def __init__(self, mode: str, config: SimConfig | None = None):
+        if mode not in POLICIES:
+            raise ValueError(f"unknown mode {mode!r}: expected one of {', '.join(POLICIES)}")
+        self.mode = mode
         self.config = config or SimConfig()
         self.store = FrameStore()
-        # mode off keeps the bare ledger: the same input checks, no contexts
-        self.policy = _POLICIES[self.mode]()
+        self.policy = POLICIES[mode]()
         self.vcpu = VcpuState(current_ept=DEFAULT_EPT)
         for (base, size), fill in (
             (OS_KERNEL_CODE, OS_KERNEL_FILL),
@@ -763,7 +760,7 @@ class Simulation:
         counters = dict(self.vcpu.counters)
         cost_model = self.config.cost_model
         return RunReport(
-            mode=self.mode.value,
+            mode=self.mode,
             config={
                 "force_page_aligned": self.config.force_page_aligned,
                 "cost_model": cost_model.as_dict(),

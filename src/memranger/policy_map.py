@@ -9,24 +9,24 @@ for a kernel-side caller. What claims each page is decided once, when an
 event changes the layout, into one claims map: ("image", eid), ("process",
 pid), ("pool", owner) when the page's live pools have one owner, or
 ("shared", None) when they have two; _claim_pool_pages is the one place that
-reads owners out of pool_pages. A page off the map reads as (its static
-kind, None), or as ("free", None). Each event hook updates the facts and
-then restamps the pages it changed in every translation context. A policy
-subclass says two things only: which contexts exist (_context_ids) and which
-bits a page holds in a context (_attrs, a pure function of the page's claim,
-whose static branch is _static_attrs(kind, context)). Mode ``off`` uses the
-ledger bare, with no contexts to stamp.
+reads owners out of pool_pages. claim_of reads any page's claim: a page
+off the map reads as its static claim, (kind, None), or as ("free", None).
+Each event hook updates the facts and then restamps the pages it changed in
+every translation context; _restamp is the one writer of rule leaves. A
+policy subclass says two things only: which contexts exist (_context_ids)
+and which bits a page holds in a context (_attrs, a pure function of the
+page's claim that states every kind, static kinds included). Mode ``off``
+uses the ledger bare, with no contexts to stamp.
 
 The static regions are address_space's three constants (kernel code, kernel
 structures, the pre-existing driver); _STATIC_KIND gives each of their pages
-its kind, once, at import. A static page's leaf in a context follows from
-its kind and the bits _static_attrs gives that kind, which no event changes.
-The leaves are built once per bits-per-kind into a template that every
-context with those bits, in every ledger, shares by reference as its
-read-only base map (static_template). A new context therefore writes only
-the pages of images, processes and pools into its own map; a page an event
-restamps, or a single-step window opens, gets its own leaf over the
-template.
+its claim, once, at import. A static page's leaf in a context follows from
+its claim alone, which no event changes. The leaves are built once per
+bits-per-kind into a template that every context with those bits, in every
+ledger, shares by reference as its read-only base map (static_template). A
+new context therefore writes only the pages of images, processes and pools
+into its own map; a page an event restamps, or a single-step window opens,
+gets its own leaf over the template.
 
 * MapState (``multi-ept``) keeps one default context plus one per enclave:
   - the default context opens the kernel's world and seals every enclave's
@@ -117,15 +117,15 @@ def _check_range(base: int, size: int, what: str) -> None:
 
 STATIC_KINDS = ("kernel", "structure", "other")
 
-# Static page -> its kind. Shared by every ledger and never written.
+# Static page -> its claim, (kind, None). Shared by every ledger and never written.
 _STATIC_KIND = {
-    page: kind
+    page: (kind, None)
     for kind, region in zip(STATIC_KINDS, (OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER))
     for page in pages_covering(*region)
 }
 _FREE = ("free", None)           # the claim of a page nothing claims
 _SHARED = ("shared", None)       # the claim of a page whose live pools have two owners
-_KERNEL_SIDE = ("kernel", "other")   # the static kinds of kernel-side code
+_KERNEL_SIDE = (("kernel", None), ("other", None))   # the claims of kernel-side code
 
 
 @lru_cache(maxsize=16)
@@ -134,7 +134,7 @@ def static_template(bits: tuple[int, ...]) -> dict[int, EptEntry]:
     bits[i]: the read-only base map of every context whose rule gives those
     bits. Shared by reference, so nothing may write it."""
     of_kind = dict(zip(STATIC_KINDS, bits))
-    return {page: EptEntry(page, of_kind[kind]) for page, kind in _STATIC_KIND.items()}
+    return {page: EptEntry(page, of_kind[kind]) for page, (kind, _) in _STATIC_KIND.items()}
 
 
 def _region_pages(regions) -> dict[int, None]:
@@ -163,37 +163,42 @@ class RegionLedger:
         """Contexts the facts call for; the bare ledger keeps none."""
         return []
 
-    def _attrs(self, page: int, ept_id: int) -> int:
-        """Bits a page holds in a context, from its claim alone."""
+    def _attrs(self, claim: tuple, ept_id: int) -> int:
+        """Bits a page with this claim holds in a context."""
         raise NotImplementedError
 
-    def _static_attrs(self, kind: str, ept_id: int) -> int:
-        """Bits a static page of the kind holds in a context while no image,
-        process or pool claims it."""
-        raise NotImplementedError
-
-    def _restamp(self, pages) -> None:
-        """Give every page its rule's bits in every context."""
-        for ept_id, ept in self.epts.items():
-            for page in pages:
-                ept.set_page_attrs(page, self._attrs(page, ept_id))
+    def _restamp(self, pages, epts=None) -> None:
+        """Give every page its rule's bits on its identity frame in the given
+        contexts, every context by default. Between events no single-step
+        window is open, so every leaf's frame is the identity one."""
+        contexts = (self.epts if epts is None else epts).items()
+        if not contexts:
+            return                       # mode off: no claim to look up
+        for page in pages:
+            claim = self.claim_of(page)
+            for ept_id, ept in contexts:
+                ept.set_page_entry(page, EptEntry(page, self._attrs(claim, ept_id)))
 
     def _sync_contexts(self) -> None:
         """Drop contexts the facts no longer call for and create the missing
         ones: each reads the static pages from its rule's shared template and
-        gets its own leaf for every claimed page. A fresh context maps every
-        page identity, so those leaves are written directly."""
+        gets its own leaf for every claimed page."""
         wanted = self._context_ids()
         for ept_id in [e for e in self.epts if e not in wanted]:
             del self.epts[ept_id]
+        fresh = {}
         for ept_id in wanted:
             if ept_id not in self.epts:
-                bits = tuple(self._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
-                ept = self.epts[ept_id] = Ept(ept_id, static_template(bits))
-                for page in self._claims:
-                    ept.set_page_entry(page, EptEntry(page, self._attrs(page, ept_id)))
+                bits = tuple(self._attrs((kind, None), ept_id) for kind in STATIC_KINDS)
+                fresh[ept_id] = self.epts[ept_id] = Ept(ept_id, static_template(bits))
+        self._restamp(self._claims, fresh)
 
     # -- queries -----------------------------------------------------------
+
+    def claim_of(self, page: int) -> tuple:
+        """The page's claim: its image, process or pools, else its static
+        claim, else free."""
+        return self._claims.get(page) or _STATIC_KIND.get(page, _FREE)
 
     def _byte_pool(self, gpa: int) -> AllocatedPool | None:
         for pool in self.pool_pages.get(gpa >> PAGE_SHIFT, ()):
@@ -327,8 +332,8 @@ class MapState(RegionLedger):
     def _context_ids(self) -> list[int]:
         return [DEFAULT_EPT, *self.enclaves]
 
-    def _attrs(self, page: int, ept_id: int) -> int:
-        kind, who = self._claims.get(page) or (_STATIC_KIND.get(page, "free"), None)
+    def _attrs(self, claim: tuple, ept_id: int) -> int:
+        kind, who = claim
         if kind == "image":
             return RWX if ept_id == who else NONE
         if kind == "process":
@@ -339,19 +344,17 @@ class MapState(RegionLedger):
             return RWX if ept_id == who else NONE
         if kind == "shared":
             return NONE                                        # sealed for every owner
-        return RW if kind == "free" else self._static_attrs(kind, ept_id)
-
-    def _static_attrs(self, kind: str, ept_id: int) -> int:
+        if kind == "free":
+            return RW
         if kind == "kernel" or ept_id == DEFAULT_EPT:
             return RWX                   # the default context opens the kernel's world
-        return NONE if kind == "structure" else RW
+        return NONE if kind == "structure" else RW            # pre-existing drivers: no execute
 
     # -- violation brain -----------------------------------------------------
 
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
         """Decide what a refused translation means. Called on violations only."""
-        page = dst >> PAGE_SHIFT
-        kind, who = self._claims.get(page) or (_STATIC_KIND.get(page, "free"), None)
+        kind, who = self.claim_of(dst >> PAGE_SHIFT)
         if kind == "shared":
             # the pool holding the byte decides: its owner is granted in the
             # owner's home context; bytes outside enclaves never run as code
@@ -387,18 +390,13 @@ class SingleEptPolicy(RegionLedger):
     def _context_ids(self) -> list[int]:
         return [DEFAULT_EPT]
 
-    def _attrs(self, page: int, ept_id: int) -> int:
-        kind, who = self._claims.get(page) or (_STATIC_KIND.get(page, "free"), None)
-        if kind == "image":
-            return RWX
+    def _attrs(self, claim: tuple, ept_id: int) -> int:
+        kind, who = claim
+        if kind in ("image", "kernel", "other"):
+            return RWX                   # code is never sealed
         if kind == "pool" and who is None or kind == "free":
             return RW
-        if kind in STATIC_KINDS:
-            return self._static_attrs(kind, ept_id)
-        return NONE                      # a process, an enclave's pool or a shared page
-
-    def _static_attrs(self, kind: str, ept_id: int) -> int:
-        return NONE if kind == "structure" else RWX
+        return NONE         # kernel structures, a process, an enclave's pool or a shared page
 
     def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
         if access == EXECUTE:

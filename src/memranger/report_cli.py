@@ -24,16 +24,16 @@ from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, FrameSto
 from .ept_model import READ, WRITE
 from .errors import SimulationError, TraceParseError
 from .kernel_sim import (
-    ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, OS_KERNEL_FILL, OS_STRUCT_FILL,
-    OTHER_DRIVER_FILL, SECRET_FILL, AccessEvent, Alloc, CostModel, CreateProcess, ExitProcess,
-    Free, LoadDriver, Mode, RunReport, Schedule, SimConfig, UnloadDriver, gen_benchmark_trace,
+    ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, OS_KERNEL_FILL, OS_STRUCT_FILL, OTHER_DRIVER_FILL,
+    POLICIES, SECRET_FILL, AccessEvent, Alloc, CostModel, CreateProcess, ExitProcess,
+    Free, LoadDriver, RunReport, Schedule, SimConfig, UnloadDriver, gen_benchmark_trace,
     gen_demo1_trace, gen_privesc_trace, gen_random_trace, image_fill, parse_trace, run_trace,
     serialize_trace,
 )
 from .reference_oracle import SnapshotView
 
 COMPARE_SCHEMA = "ranger-compare/1"
-MODES = tuple(mode.value for mode in Mode)
+MODES = tuple(POLICIES)
 
 
 # -- shadow replay -------------------------------------------------------------

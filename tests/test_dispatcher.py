@@ -5,7 +5,7 @@ import pytest
 
 from memranger.address_space import GPA_LIMIT, OS_KERNEL_CODE, PAGE_SIZE, FrameStore
 from memranger.dispatcher import RETRY_BUDGET, VcpuState, execute_access, switch_ept
-from memranger.ept_model import NONE, Access, Ept
+from memranger.ept_model import NONE, Access, Ept, EptEntry
 from memranger.errors import PolicyLivelockError, SimulationError
 from memranger.policy_map import DEFAULT_EPT, MapState, RegionLedger, SingleEptPolicy, switch_to
 
@@ -212,7 +212,7 @@ class _PingPongPolicy:
     def __init__(self):
         self.epts = {0: Ept(0), 1: Ept(1)}
         for ept in self.epts.values():
-            ept.set_page_attrs(0x7000_0000 >> 12, NONE)
+            ept.set_page_entry(0x7000_0000 >> 12, EptEntry(0x7000_0000 >> 12, NONE))
 
     def classify_access(self, current_ept, src, dst, access):
         return switch_to(1 - current_ept)

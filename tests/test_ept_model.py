@@ -57,7 +57,7 @@ def test_fresh_context_identity_maps_rw():
 
 def test_a_refusal_leaves_the_refusing_entry_in_place():
     ept = Ept(3)
-    ept.set_page_attrs(5, NONE)
+    ept.set_page_entry(5, EptEntry(5, NONE))
     assert ept.translate(5 * PAGE_SIZE + 0x10, Access.READ) is None
     assert ept.entry_for(5) == EptEntry(5, NONE)
 
@@ -65,7 +65,7 @@ def test_a_refusal_leaves_the_refusing_entry_in_place():
 def test_mutations_counter_tracks_writes():
     ept = Ept(0)
     before = ept.mutations
-    ept.set_page_attrs(1, NONE)
+    ept.set_page_entry(1, EptEntry(1, NONE))
     ept.set_page_entry(2, EptEntry(5, RW))
     assert ept.mutations == before + 2
     ept.translate(0x100, Access.READ)  # lookups are pure
@@ -74,8 +74,8 @@ def test_mutations_counter_tracks_writes():
 
 def test_materialized_leaves_mirror_the_radix():
     ept = Ept(0)
-    ept.set_page_attrs(10, NONE)
-    ept.set_page_attrs(600, RWX)  # different top-level slot
+    ept.set_page_entry(10, EptEntry(10, NONE))
+    ept.set_page_entry(600, EptEntry(600, RWX))  # different top-level slot
     leaves = dict(ept.materialized_leaves())
     assert leaves == {10: EptEntry(10, NONE), 600: EptEntry(600, RWX)}
     for page, entry in leaves.items():
@@ -89,8 +89,8 @@ def test_materialized_leaves_mirror_the_radix():
 @given(st.integers(0, GPA_LIMIT - 1), st.sampled_from(list(Access)))
 def test_translate_agrees_with_entry_for(gpa, access):
     ept = Ept(0)
-    ept.set_page_attrs(0, NONE)
-    ept.set_page_attrs(1, RWX)
+    ept.set_page_entry(0, EptEntry(0, NONE))
+    ept.set_page_entry(1, EptEntry(1, RWX))
     entry = ept.entry_for(gpa >> 12)
     result = ept.translate(gpa, access)
     if entry.attrs & ACCESS_BIT[access]:
@@ -103,13 +103,13 @@ def test_translate_agrees_with_entry_for(gpa, access):
 def test_a_write_the_base_or_default_already_gives_drops_the_own_leaf():
     template = {5: EptEntry(5, NONE)}
     ept = Ept(1, template)
-    ept.set_page_attrs(7, NONE)
+    ept.set_page_entry(7, EptEntry(7, NONE))
     before = {page: ept.entry_for(page) for page in (5, 7, 9)}
     saved = ept.entry_for(5)
     ept.set_page_entry(5, EptEntry(0xFA4E, RWX))   # a single-step window over a template page
     assert dict(ept.materialized_leaves()) == {5: EptEntry(0xFA4E, RWX), 7: EptEntry(7, NONE)}
     ept.set_page_entry(5, saved)                  # restored: the template gives it again
-    ept.set_page_attrs(7, RW)                     # the identity default
+    ept.set_page_entry(7, EptEntry(7, RW))        # the identity default
     ept.set_page_entry(9, EptEntry(9, RW))        # never written, already the default
     assert list(ept.materialized_leaves()) == []
     assert {page: ept.entry_for(page) for page in (5, 9)} == {5: before[5], 9: before[9]}

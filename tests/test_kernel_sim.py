@@ -482,6 +482,17 @@ class TestAllocator:
         assert alloc.holes == [(base, base + 0x1000)]
         assert alloc.take(0x1000, "natural") == base
 
+    def test_the_bump_tail_joins_the_holes_when_the_bump_overflows(self):
+        """A take past the arena's end turns the space left before the end
+        into a hole, coalesced with the freed hole before it, then fits first."""
+        base = 0x5000_0000
+        alloc = BumpAllocator(base, 0x2000)
+        alloc.take(0x800, "natural")
+        second = alloc.take(0x1000, "natural")
+        alloc.release(second)
+        assert alloc.take(0xC00, "natural") == base + 0x800
+        assert alloc.holes == [(base + 0x1400, base + 0x2000)]
+
     def test_release_of_an_unknown_base_is_rejected(self):
         alloc = BumpAllocator(0x5000_0000, 0x2000)
         live = alloc.take(0x40, "natural")
@@ -1046,6 +1057,13 @@ def test_a_pool_target_is_refused_by_its_first_failing_rule(setup, index, offset
 def test_unknown_mode_rejected():
     with pytest.raises(Exception):
         Simulation("paranoid")
+
+
+@pytest.mark.parametrize("start", [Simulation, lambda mode: run_trace([], mode)],
+                         ids=["Simulation", "run_trace"])
+def test_an_unknown_mode_is_refused_naming_the_modes(start):
+    with pytest.raises(ValueError, match="'paranoid'.*off, single-ept, multi-ept$"):
+        start("paranoid")
 
 
 def test_benchmark_trace_shape():

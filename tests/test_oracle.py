@@ -64,7 +64,7 @@ def test_corruption_is_caught():
     checker = OracleChecker()
     assert checker.verify(state, state.epts) == []
     # sabotage one leaf behind the policy's back
-    state.epts[DEFAULT_EPT].set_page_attrs(0x3000_0000 >> 12, RWX)
+    state.epts[DEFAULT_EPT].set_page_entry(0x3000_0000 >> 12, EptEntry(0x3000_0000 >> 12, RWX))
     found = checker.verify(state, state.epts)
     assert found, "hand-flipped leaf went unnoticed"
     assert found[0].page == 0x3000_0000 >> 12
@@ -100,14 +100,14 @@ def test_leaf_on_a_page_no_region_claimed_is_caught():
     assert checker.verify(state, state.epts) == []
     page = 0x6000_0000 >> 12
     ept = state.epts[DEFAULT_EPT]
-    ept.set_page_attrs(page, RWX)
+    ept.set_page_entry(page, EptEntry(page, RWX))
     planted = [Mismatch(DEFAULT_EPT, page, "rw-", "rwx")]
     assert checker.verify(state, state.epts) == planted
     state.on_driver_load(0x3000_0000, IMAGE_SIZE)
     assert checker.verify(state, state.epts) == planted
     assert OracleChecker().verify(state, state.epts) == planted
     assert check_against(rebuild(snapshot_from_map(state)), state.epts) == planted
-    ept.set_page_attrs(page, RW)
+    ept.set_page_entry(page, EptEntry(page, RW))
     assert checker.verify(state, state.epts) == []
     assert check_against(rebuild(snapshot_from_map(state)), state.epts) == []
 
@@ -136,7 +136,7 @@ def test_replaced_context_is_read_again():
     states = fresh(), fresh()
     for state, attrs in zip(states, (RWX, NONE)):
         eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
-        state.epts[eid].set_page_attrs(page, attrs)     # RWX is what the rule gives
+        state.epts[eid].set_page_entry(page, EptEntry(page, attrs))   # RWX is what the rule gives
     kept, other = states
     assert kept.epts[eid].mutations == other.epts[eid].mutations
     checker = OracleChecker()
@@ -296,7 +296,7 @@ def test_oracle_does_not_share_the_engines_static_regions(monkeypatch, mutant):
     if mutant == "structure-page-dropped":
         monkeypatch.delitem(policy_map._STATIC_KIND, page)
     else:
-        monkeypatch.setitem(policy_map._STATIC_KIND, page, "other")
+        monkeypatch.setitem(policy_map._STATIC_KIND, page, ("other", None))
     policy_map.static_template.cache_clear()
     try:
         state = fresh()

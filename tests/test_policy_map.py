@@ -414,7 +414,7 @@ def test_single_ept_table_matches_raw_facts(seed):
 
 
 def _template_key(policy, ept_id):
-    return tuple(policy._static_attrs(kind, ept_id) for kind in STATIC_KINDS)
+    return tuple(policy._attrs((kind, None), ept_id) for kind in STATIC_KINDS)
 
 
 @pytest.mark.parametrize("mode", ["single-ept", "multi-ept"])
@@ -462,5 +462,5 @@ def test_every_tracked_leaf_follows_the_rule(mode):
             for ept_id, ept in policy.epts.items():
                 pages = sorted(claimed | _own_leaves(ept))
                 got = [ept.entry_for(page) for page in pages]
-                want = [EptEntry(page, policy._attrs(page, ept_id)) for page in pages]
+                want = [EptEntry(page, policy._attrs(policy.claim_of(page), ept_id)) for page in pages]
                 assert got == want, (seed, index, ept_id)

@@ -2,6 +2,7 @@
 mode rejects the same malformed traces."""
 
 import json
+import re
 
 import pytest
 
@@ -28,6 +29,10 @@ def process(pid: int, *regions) -> dict:
     return {"ev": "create_process", "pid": pid, "regions": [list(r) for r in regions]}
 
 
+def read(dst: dict) -> dict:
+    return {"ev": "access", "actor": "os_kernel", "access": "read", "dst": dst}
+
+
 def trace_text(events) -> str:
     return "".join(json.dumps(event) + "\n" for event in events)
 
@@ -46,6 +51,26 @@ INVALID = {
     "huge-process-region": [process(4, ("0x100000000", "0x7fff00000000"))],
     "image-on-the-decoy-page": [load("T", "0xffffffffe000")],
     "process-on-the-decoy-page": [process(4, ("0xfffffffff000", "0x100"))],
+    "image_of-offset-at-size": [load("A", "0x30000000"),
+                                read({"ref": "image_of", "driver": "A", "offset": "0x2000"})],
+    "eprocess-offset-at-size": [process(4, ("0x20002000", "0x200")),
+                                read({"ref": "eprocess", "pid": 4, "offset": "0x200"})],
+    "os_kernel_code-offset-at-size": [read({"ref": "os_kernel_code", "offset": "0x100000"})],
+    "os_structures-offset-at-size": [read({"ref": "os_structures", "offset": "0x10000"})],
+    "other_driver-offset-at-size": [read({"ref": "other_driver", "offset": "0x20000"})],
+    "pool_of-without-a-driver": [read({"ref": "pool_of"})],
+    "image_of-a-kernel-actor": [read({"ref": "image_of", "driver": "os_kernel"})],
+}
+
+# The one refusal each target row above must meet.
+TARGET_REFUSALS = {
+    "image_of-offset-at-size": "offset 0x2000 outside image_of",
+    "eprocess-offset-at-size": "offset 0x200 outside eprocess",
+    "os_kernel_code-offset-at-size": "offset 0x100000 outside os_kernel_code",
+    "os_structures-offset-at-size": "offset 0x10000 outside os_structures",
+    "other_driver-offset-at-size": "offset 0x20000 outside other_driver",
+    "pool_of-without-a-driver": "pool_of needs a driver name",
+    "image_of-a-kernel-actor": "no loaded image for 'os_kernel'",
 }
 
 
@@ -58,8 +83,19 @@ def test_invalid_trace_rejected_in_every_mode(events, tmp_path, capsys):
             run_trace(parsed, mode)
     path = tmp_path / "bad.trace"
     path.write_text(text)
-    assert main(["run", str(path), "--mode", "single-ept"]) == 1
-    assert "simulation failed" in capsys.readouterr().err
+    for mode in MODES:
+        assert main(["run", str(path), "--mode", mode]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("simulation failed: "), err
+
+
+@pytest.mark.parametrize("name, message", TARGET_REFUSALS.items(), ids=TARGET_REFUSALS.keys())
+def test_an_unresolvable_target_is_refused_by_its_own_rule(name, message):
+    events = parse_trace(trace_text(INVALID[name]))
+    for mode in MODES:
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            run_trace(events, mode)
 
 
 BAD_FILES = {

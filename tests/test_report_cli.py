@@ -476,6 +476,31 @@ class TestCli:
         ticks = {m: payload["modes"][m]["modeled_total_ticks"] for m in payload["modes"]}
         assert ticks["off"] < ticks["multi-ept"] < ticks["single-ept"]
 
+    def test_compare_fails_when_the_ordering_breaks(self, demo, tmp_path, capsys):
+        """Under an all-zero cost model every mode costs 0 ticks, so neither
+        strict inequality holds: compare says FAIL in both reports and exits 2."""
+        model = tmp_path / "zero.json"
+        model.write_text(json.dumps(dict.fromkeys(CostModel().as_dict(), 0)))
+        capsys.readouterr()
+        assert main(["compare", demo, "--cost-model", str(model)]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "ORDERING VERDICT: FAIL (off=0 >= multi-ept=0; multi-ept=0 >= single-ept=0)")
+        assert main(["compare", demo, "--cost-model", str(model), "--report", "json"]) == 2
+        assert json.loads(capsys.readouterr().out)["verdict"]["ordering"] == "FAIL"
+
+    def test_compare_with_a_missing_cost_model_exits_one(self, demo, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["compare", demo, "--cost-model", str(tmp_path / "nope.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+
+    def test_gen_into_a_missing_directory_exits_one(self, tmp_path, capsys):
+        out_path = tmp_path / "nope" / "x.trace"
+        assert main(["gen", "demo1", "-o", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith(f"{out_path}: ")
+
     def test_gen_seed_env_override(self, tmp_path, monkeypatch, capsys):
         first = tmp_path / "a.trace"
         second = tmp_path / "b.trace"
