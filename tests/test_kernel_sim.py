@@ -825,6 +825,17 @@ def test_valid_generator_arguments_give_the_pinned_bytes():
     assert digest.hexdigest() == "7604e20f806fcdf2b6437756a891be1fa4c87c6b37b9ada3fc578f2b20b0e6f9"
 
 
+def test_long_random_traces_give_the_pinned_bytes():
+    """Long traces reach what 300 events do not: process slots run out (the
+    Schedule fallback) and drivers churn through many names."""
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for p in (0.0, 0.3, 1.0):
+            trace = gen_random_trace(seed, length=2000, attack_probability=p)
+            digest.update(serialize_trace(trace).encode())
+    assert digest.hexdigest() == "63d23373a80570276ce2ca8e31b570a47e768f75d2760e5bc3df9f4049082f79"
+
+
 def test_reports_keep_the_pinned_bytes():
     """Refactors of the replay must not move a report by one byte, in any
     mode: counters, log, allocations, digests and ticks all feed this hash."""
