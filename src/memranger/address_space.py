@@ -51,8 +51,6 @@ __all__ = [
     "DECOY_PFN",
     "split_gpa",
     "join_gpa",
-    "page_of",
-    "offset_in_page",
     "pages_covering",
     "FrameStore",
 ]
@@ -82,15 +80,6 @@ def join_gpa(pml4: int, pdpt: int, pd: int, pt: int, offset: int) -> int:
         if not 0 <= part <= width:
             raise ValueError(f"index {part} out of range")
     return (pml4 << 39) | (pdpt << 30) | (pd << 21) | (pt << PAGE_SHIFT) | offset
-
-
-def page_of(gpa: int) -> int:
-    check_gpa(gpa)
-    return gpa >> PAGE_SHIFT
-
-
-def offset_in_page(gpa: int) -> int:
-    return gpa & OFFSET_MASK
 
 
 def _range_end(base: int, size: int) -> int:

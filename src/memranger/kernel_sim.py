@@ -17,9 +17,13 @@ dispatcher.execute_access.
 The policies live in policy_map; this module owns the replay (Simulation),
 its configuration and report (SimConfig, CostModel, RunReport), the pool
 allocator, the trace JSON-lines codec and the trace generators (demo,
-privilege-escalation, benchmark, seeded random). Each event class states its
-fields once; its construction checks them, so the codec and the replay never
-check an event, and the codec reads and writes them from that same statement.
+privilege-escalation, benchmark, seeded random). The seeded random generator
+keeps only live facts (drivers, pools, processes) in one world object: one
+table states its action mix, one method states each actor's legal and illegal
+targets, and every choice is drawn from one seeded rng. Each event class
+states its fields once; its construction checks them, so the codec and the
+replay never check an event, and the codec reads and writes them from that
+same statement.
 A run is priced once, when its report is made, from the counters the
 dispatcher keeps.
 """
@@ -688,9 +692,9 @@ class Simulation:
             self._fetch(event.actor)
         align = "page" if self.config.force_page_aligned else event.align
         base = self.allocator.take(event.size, align)
+        pool = self.policy.on_alloc(info.code, base, event.size)     # refuses before any byte moves
         fill = SECRET_FILL if info.kind == "driver" else FOREIGN_POOL_FILL
         self.store.fill_gpa_range(base, event.size, fill)
-        pool = self.policy.on_alloc(info.code, base, event.size)
         ordinal = self.ordinals.get(event.actor, 0)
         self.ordinals[event.actor] = ordinal + 1
         self.pools.setdefault(event.actor, {})[ordinal] = pool
@@ -881,64 +885,168 @@ def _driver_names():
             yield letter + suffix
 
 
-class _RandomTraceState:
-    """Generator-side mirror of liveness, enough to label legality."""
+# Access menu rows: (target kind, driver, index, pid, size to draw an offset
+# in, access). The rows that name no live region are built here, once.
+_STRUCTURES = tuple(("os_structures", None, 0, None, PROCESS_SLOT_BASE - OS_STRUCTURES[0], access)
+                    for access in ("read", "write", "execute"))
+_KERNEL_CODE_READ = ("os_kernel_code", None, 0, None, OS_KERNEL_CODE[1], "read")
+_DRIVER_READS = (("other_driver", None, 0, None, OTHER_DRIVER[1], "read"), _KERNEL_CODE_READ)
 
-    def __init__(self, rng: random.Random):
+
+def _lowest_free(used, count: int) -> int | None:
+    """The lowest slot below count that is not in used, or None if all are."""
+    if len(used) == count:
+        return None
+    used = set(used)
+    return next(slot for slot in range(count) if slot not in used)
+
+
+class _World:
+    """The random generator's live world: loaded drivers, live pools and live
+    processes, enough to label every access it draws. Every draw comes from
+    the one seeded rng; each action returns its event, or None when it cannot
+    act."""
+
+    def __init__(self, rng: random.Random, attack_probability: float):
         self.rng = rng
-        self.events: list[TraceEvent] = []
-        self.drivers: dict[str, int] = {}          # name -> image slot index
-        self.free_slots = [0, 1]
-        self.names = _driver_names()
-        self.sizes: dict[str, list[int]] = {}      # actor -> size of each allocation
-        self.live: dict[str, list[int]] = {}       # actor -> its live ordinals, ascending
-        self.pids: list[int] = []
-        self.free_pid_slots = list(range(PROCESS_SLOT_COUNT))
-        self.pid_slot: dict[int, int] = {}
+        self.attack_probability = attack_probability
+        self.drivers: dict[str, int] = {}              # name -> image slot index
+        self.pools: dict[str, dict[int, int]] = {      # live actor -> live ordinal -> size
+            "os_kernel": {}, "other_driver_0": {}}
+        self.made: dict[str, int] = {}                 # actor -> allocations made
+        self.pids: dict[int, int] = {}                 # live pid -> region slot, in creation order
         self.next_pid = 4
+        self.names = _driver_names()
 
-    def load_driver(self):
-        if not self.free_slots:
-            return False
-        name = next(self.names)
-        slot = self.free_slots.pop(0)
-        self.drivers[name] = slot
-        self.events.append(LoadDriver(name, IMAGE_SLOTS[slot]))
-        return True
+    def actor(self, per_driver: int, per_kernel: int) -> str:
+        """Draw an actor: each loaded driver per_driver times in name order,
+        then os_kernel per_kernel times, then other_driver_0 once."""
+        return self.rng.choice([*sorted([*self.drivers] * per_driver), *["os_kernel"] * per_kernel,
+                                "other_driver_0"])
 
-    def unload_driver(self, name: str):
-        slot = self.drivers.pop(name)
-        self.free_slots.append(slot)
-        self.free_slots.sort()
-        self.live.pop(name, None)
-        self.events.append(UnloadDriver(name))
+    def pool_rows(self, owner: str, kind: str, driver: str | None = None) -> list[tuple]:
+        rows = []
+        for ordinal, size in self.pools[owner].items():
+            rows.append((kind, driver, ordinal, None, size, "read"))
+            rows.append((kind, driver, ordinal, None, size, "write"))
+        return rows
 
-    def create_process(self):
-        if not self.free_pid_slots:
-            return False
-        pid = self.next_pid
-        self.next_pid += 4
-        slot = self.free_pid_slots.pop(0)
-        self.pid_slot[pid] = slot
-        self.pids.append(pid)
-        base = PROCESS_SLOT_BASE + slot * PROCESS_SLOT_STRIDE
-        self.events.append(CreateProcess(pid, ((base, PROCESS_REGION_SIZE),)))
-        return True
+    def process_rows(self) -> list[tuple]:
+        rows = []
+        for pid in self.pids:
+            rows.append(("eprocess", None, 0, pid, PROCESS_REGION_SIZE, "read"))
+            rows.append(("eprocess", None, 0, pid, PROCESS_REGION_SIZE, "write"))
+        return rows
 
-    def exit_process(self, pid: int):
-        self.pids.remove(pid)
-        self.free_pid_slots.append(self.pid_slot.pop(pid))
-        self.free_pid_slots.sort()
-        self.events.append(ExitProcess(pid))
+    def foreign_rows(self, actor: str, image_accesses: tuple[str, ...]) -> list[tuple]:
+        """Rows for every other loaded driver's pools and image."""
+        rows = []
+        for victim in sorted(self.drivers):
+            if victim != actor:
+                rows += self.pool_rows(victim, "pool_of", victim)
+                for access in image_accesses:
+                    rows.append(("image_of", victim, 0, None, IMAGE_SIZE, access))
+        return rows
 
-    def alloc(self, actor: str):
+    def targets(self, actor: str, legal: bool) -> list[tuple]:
+        """The menu rows actor may touch (legal) or must be refused (illegal).
+
+        The kernel side may read and write kernel structures, process records
+        and its own pools, and read kernel code; it may not touch a driver's
+        pools or write a driver's image. A driver may read and write its own
+        pools and read its own image, the unprotected driver and kernel code;
+        it may not touch another driver's pools or image, a process record or
+        kernel structures."""
+        if actor not in self.drivers:
+            if legal:
+                return [*_STRUCTURES[:2], *self.process_rows(), *self.pool_rows(actor, "own_pool"),
+                        _KERNEL_CODE_READ]
+            return self.foreign_rows(actor, ("write",))
+        if legal:
+            return [*self.pool_rows(actor, "own_pool"),
+                    ("image_of", actor, 0, None, IMAGE_SIZE, "read"), *_DRIVER_READS]
+        return [*self.foreign_rows(actor, ("read", "write")), *self.process_rows(), *_STRUCTURES]
+
+    def access(self) -> AccessEvent:
         rng = self.rng
+        actor = self.actor(3, 2)
+        legal = rng.random() >= self.attack_probability
+        kind, driver, index, pid, size, access = rng.choice(self.targets(actor, legal))
+        dst = DstRef(kind, driver, index, pid, rng.randrange(max(size - 3, 1) // 4 or 1) * 4)
+        payload = None
+        if access == "write":
+            payload = bytes([0xA0 + rng.randrange(16)]) * 4 if legal else DEFAULT_WRITE
+        return AccessEvent(actor, dst, access, payload, "legal" if legal else "illegal")
+
+    def schedule(self) -> Schedule:
+        return Schedule(self.actor(1, 1))
+
+    def alloc(self, actor: str | None = None) -> Alloc:
+        """An allocation by actor, or by a weighted draw when it is None."""
+        rng = self.rng
+        if actor is None:
+            actor = self.actor(3, 2)
         size = rng.choice((0x80, 0x100, 0x200, 0x1000))
         align = rng.choice(("page", "natural"))
-        sizes = self.sizes.setdefault(actor, [])
-        self.live.setdefault(actor, []).append(len(sizes))
-        sizes.append(size)
-        self.events.append(Alloc(actor, size, align))
+        ordinal = self.made.get(actor, 0)
+        self.made[actor] = ordinal + 1
+        self.pools[actor][ordinal] = size
+        return Alloc(actor, size, align)
+
+    def free(self) -> Free | Alloc:
+        victims = [(actor, ordinal) for actor in sorted(self.pools) for ordinal in self.pools[actor]]
+        if not victims:
+            return self.alloc()
+        actor, ordinal = self.rng.choice(victims)
+        del self.pools[actor][ordinal]
+        return Free(actor, ordinal)
+
+    def process(self) -> ExitProcess | CreateProcess | None:
+        if len(self.pids) >= 2 and self.rng.random() < 0.5:
+            pid = self.rng.choice(list(self.pids))       # creation order is pid order
+            del self.pids[pid]
+            return ExitProcess(pid)
+        return self.create_process()
+
+    def create_process(self) -> CreateProcess | None:
+        slot = _lowest_free(self.pids.values(), PROCESS_SLOT_COUNT)
+        if slot is None:
+            return None
+        pid = self.next_pid
+        self.next_pid += 4
+        self.pids[pid] = slot
+        return CreateProcess(pid, ((PROCESS_SLOT_BASE + slot * PROCESS_SLOT_STRIDE, PROCESS_REGION_SIZE),))
+
+    def driver(self) -> UnloadDriver | LoadDriver | None:
+        if len(self.drivers) >= 2 and self.rng.random() < 0.5:
+            name = self.rng.choice(sorted(self.drivers))
+            del self.drivers[name]
+            del self.pools[name]
+            self.made.pop(name, None)
+            return UnloadDriver(name)
+        return self.load_driver()
+
+    def load_driver(self) -> LoadDriver | None:
+        slot = _lowest_free(self.drivers.values(), len(IMAGE_SLOTS))
+        if slot is None:
+            return None
+        name = next(self.names)
+        self.drivers[name] = slot
+        self.pools[name] = {}
+        return LoadDriver(name, IMAGE_SLOTS[slot])
+
+
+# The action mix: each action with the upper end of its share of [0, 1); one
+# roll per event picks the first action whose bound lies above it.
+_ACTION_MIX = (
+    (0.62, _World.access),
+    (0.72, _World.schedule),
+    (0.82, _World.alloc),
+    (0.87, _World.free),
+    (0.92, _World.process),
+    (1.0, _World.driver),
+)
+_BOUNDS, _ACTIONS = zip(*_ACTION_MIX)
 
 
 def gen_random_trace(seed: int, length: int = 200,
@@ -949,119 +1057,13 @@ def gen_random_trace(seed: int, length: int = 200,
     _check_count("length", length, 0)
     if not 0.0 <= attack_probability <= 1.0:    # also rejects NaN
         raise ValueError(f"attack_probability must lie in [0, 1], not {attack_probability}")
-    rng = random.Random(seed)
-    st = _RandomTraceState(rng)
-
-    def offset_in(size: int) -> int:
-        return rng.randrange(max(size - 3, 1) // 4 or 1) * 4
-
-    no_ref = (None, 0, None)
-
-    # fixed opening so every trace has victims from the start
-    st.load_driver()                      # A
-    st.load_driver()                      # B
-    st.create_process()                   # pid 4
-    first, second = sorted(st.drivers)
-    st.events.append(Schedule(first))
-    st.alloc(first)
-    st.events.append(Schedule(second))
-    st.alloc(second)
-
-    def driver_names() -> list[str]:
-        return sorted(st.drivers)
-
-    def weighted_actor() -> str:
-        choices: list[str] = []
-        for name in driver_names():
-            choices.extend([name] * 3)
-        choices.extend(["os_kernel", "os_kernel", "other_driver_0"])
-        return rng.choice(choices)
-
-    # menu entries: (target kind, its (driver, index, pid), size to draw an offset in, access)
-    def add_pools(menu: list, owner: str, kind: str, driver: str | None = None) -> None:
-        for ordinal in st.live.get(owner, ()):
-            which, size = (driver, ordinal, None), st.sizes[owner][ordinal]
-            menu.append((kind, which, size, "read"))
-            menu.append((kind, which, size, "write"))
-
-    def legal_access(actor: str) -> AccessEvent:
-        menu: list[tuple] = []
-        if actor in st.drivers:
-            add_pools(menu, actor, "own_pool")
-            menu.append(("image_of", (actor, 0, None), IMAGE_SIZE, "read"))
-            menu.append(("other_driver", no_ref, OTHER_DRIVER[1], "read"))
-        else:
-            menu.append(("os_structures", no_ref, 0x2000, "read"))
-            menu.append(("os_structures", no_ref, 0x2000, "write"))
-            for pid in st.pids:
-                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "read"))
-                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "write"))
-            add_pools(menu, actor, "own_pool")
-        menu.append(("os_kernel_code", no_ref, OS_KERNEL_CODE[1], "read"))
-        kind, which, size, access = rng.choice(menu)
-        dst = DstRef(kind, *which, offset_in(size))
-        payload = bytes([0xA0 + rng.randrange(16)]) * 4 if access == "write" else None
-        return AccessEvent(actor, dst, access, payload, "legal")
-
-    def attack_access(actor: str) -> AccessEvent | None:
-        menu: list[tuple] = []
-        if actor in st.drivers:
-            for victim in driver_names():
-                if victim != actor:
-                    add_pools(menu, victim, "pool_of", victim)
-                    menu.append(("image_of", (victim, 0, None), IMAGE_SIZE, "read"))
-                    menu.append(("image_of", (victim, 0, None), IMAGE_SIZE, "write"))
-            for pid in st.pids:
-                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "read"))
-                menu.append(("eprocess", (None, 0, pid), PROCESS_REGION_SIZE, "write"))
-            menu.append(("os_structures", no_ref, 0x2000, "read"))
-            menu.append(("os_structures", no_ref, 0x2000, "write"))
-            menu.append(("os_structures", no_ref, 0x2000, "execute"))
-        else:
-            for victim in driver_names():
-                add_pools(menu, victim, "pool_of", victim)
-                menu.append(("image_of", (victim, 0, None), IMAGE_SIZE, "write"))
-        if not menu:
-            return None
-        kind, which, size, access = rng.choice(menu)
-        dst = DstRef(kind, *which, offset_in(size))
-        payload = DEFAULT_WRITE if access == "write" else None
-        return AccessEvent(actor, dst, access, payload, "illegal")
-
-    def all_actors() -> list[str]:
-        return driver_names() + ["os_kernel", "other_driver_0"]
-
-    while len(st.events) < length:
-        roll = rng.random()
-        if roll < 0.62:
-            actor = weighted_actor()
-            event = None
-            if rng.random() < attack_probability:
-                event = attack_access(actor)
-            if event is None:
-                event = legal_access(actor)
-            st.events.append(event)
-        elif roll < 0.72:
-            st.events.append(Schedule(rng.choice(all_actors())))
-        elif roll < 0.82:
-            st.alloc(weighted_actor())
-        elif roll < 0.87:
-            victims = [(actor, ordinal) for actor in sorted(st.live) for ordinal in st.live[actor]]
-            if victims:
-                actor, ordinal = rng.choice(victims)
-                st.live[actor].remove(ordinal)
-                st.events.append(Free(actor, ordinal))
-            else:
-                st.alloc(weighted_actor())
-        elif roll < 0.92:
-            if len(st.pids) >= 2 and rng.random() < 0.5:
-                st.exit_process(rng.choice(sorted(st.pids)))
-            elif not st.create_process():
-                st.events.append(Schedule(rng.choice(all_actors())))
-        else:
-            if len(st.drivers) >= 2 and rng.random() < 0.5:
-                st.unload_driver(rng.choice(driver_names()))
-            elif not st.load_driver():
-                st.events.append(Schedule(rng.choice(all_actors())))
-
-    return st.events[:length]
+    world = _World(random.Random(seed), attack_probability)
+    # fixed opening so every trace has victims from the start: A, B, pid 4
+    events = [world.load_driver(), world.load_driver(), world.create_process()]
+    for name in sorted(world.drivers):
+        events += (Schedule(name), world.alloc(name))
+    while len(events) < length:
+        action = _ACTIONS[bisect.bisect(_BOUNDS, world.rng.random())]
+        # an action that cannot act (no free image or process slot) schedules
+        events.append(action(world) or world.schedule())
+    return events[:length]

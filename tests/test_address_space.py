@@ -12,8 +12,6 @@ from memranger.address_space import (
     ZERO_PAGE,
     FrameStore,
     join_gpa,
-    offset_in_page,
-    page_of,
     pages_covering,
     pattern_page,
     split_gpa,
@@ -60,13 +58,6 @@ def test_join_rejects_oversized_index():
         join_gpa(512, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         join_gpa(0, 0, 0, 0, PAGE_SIZE)
-
-
-def test_page_helpers():
-    assert page_of(0) == 0
-    assert page_of(PAGE_SIZE - 1) == 0
-    assert page_of(PAGE_SIZE) == 1
-    assert offset_in_page(PAGE_SIZE + 7) == 7
 
 
 def test_pages_covering_edges():

@@ -663,7 +663,10 @@ _FREE_BASES = (IMAGE_SLOTS[0], IMAGE_SLOTS[1], IMAGE_SLOTS[0] + 0x10_0000)
 @st.composite
 def _traces(draw):
     """The opening, then up to 25 events drawn from a rough model of the live
-    world, so most are valid, with one in eight drawn from _EVENTS instead."""
+    world, so most are valid, with one in eight drawn from _EVENTS instead.
+    It stays apart from gen_random_trace's world: it makes invalid events,
+    legal executes, reloads of a name and images off the two slots, none of
+    which that generator makes."""
     drivers = {"A": IMAGE_SLOTS[0], "B": IMAGE_SLOTS[1]}
     allocs = {"A": 1, "B": 1}                      # allocations made per actor
     pids = [4]
@@ -1063,6 +1066,24 @@ def test_a_pool_target_is_refused_by_its_first_failing_rule(setup, index, offset
                                                                             offset=0x3f), "read")]
     for mode in MODES:
         assert run_trace(resolved, mode).log[-1].dst == kernel_sim.POOL_ARENA[0] + 0x3f
+
+
+@pytest.mark.parametrize("region, setup, label", [
+    ((POOL_ARENA[0], IMAGE_SIZE), LoadDriver("A", POOL_ARENA[0]), "image:A"),
+    ((POOL_ARENA[0], 0x200), CreateProcess(4, ((POOL_ARENA[0], 0x200),)),
+     "eprocess:4"),
+], ids=["image", "process"])
+def test_a_refused_alloc_writes_no_byte(region, setup, label):
+    """An allocation the ledger refuses leaves the region it would overlap
+    as it was: the pool fill comes only after the ledger accepts the pool."""
+    for mode in MODES:
+        sim = Simulation(mode)
+        sim.step(setup)
+        before, digest = sim.store.read_gpa_range(*region), sim.digests()[label]
+        with pytest.raises(SimulationError, match="^allocation overlaps configured region at page 0x50000$"):
+            sim.step(Alloc("os_kernel", 0x100))
+        assert sim.store.read_gpa_range(*region) == before
+        assert sim.digests()[label] == digest
 
 
 def test_unknown_mode_rejected():

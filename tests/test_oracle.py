@@ -82,13 +82,21 @@ def test_wrong_frame_is_caught():
 
 
 def test_missing_context_is_caught():
+    """A context the table expects but the engine lacks, and one the engine
+    holds that the table does not know, are each one mismatch, from the
+    sweep and from the incremental checker alike; restoring the real contexts
+    clears the checker."""
     state = fresh()
     eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
     policy = rebuild(snapshot_from_map(state))
     epts = dict(state.epts)
     del epts[eid]
+    epts[99] = Ept(99)
     found = check_against(policy, epts)
-    assert any(m.ept == eid and m.actual == "missing" for m in found)
+    assert found == [Mismatch(eid, -1, "present", "missing"), Mismatch(99, -1, "absent", "present")]
+    checker = OracleChecker()
+    assert checker.verify(state, epts) == found
+    assert checker.verify(state, state.epts) == []
 
 
 def test_leaf_on_a_page_no_region_claimed_is_caught():
@@ -449,7 +457,9 @@ class TestLegality:
 
 
 class PolicyWalk(RuleBasedStateMachine):
-    """Random event walks; the brute-force table must agree after every step."""
+    """Random event walks; the brute-force table must agree after every step.
+    It drives the ledger directly, with no trace, so it stays apart from
+    gen_random_trace's world, and it uses six image slots where that uses two."""
 
     def __init__(self):
         super().__init__()
