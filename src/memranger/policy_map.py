@@ -2,15 +2,17 @@
 
 RegionLedger holds the region facts every mode shares (driver images, live
 pools, process regions), rejects any change that would make them overlap
-each other, the machine's static regions or the decoy frame's page, and
-answers ownership queries. Each live pool is one record, kept by its base in
-pools and indexed by page in pool_pages; its owner is an enclave id, or None
-for a kernel-side caller. What claims each page is decided once, when an
-event changes the layout, into one claims map: ("image", eid), ("process",
-pid), ("pool", owner) when the page's live pools have one owner, or
-("shared", None) when they have two; _claim_pool_pages is the one place that
-reads owners out of pool_pages. claim_of reads any page's claim: a page
-off the map reads as its static claim, (kind, None), or as ("free", None).
+each other, the machine's static regions or the decoy frame's page, keeps
+pools wholly inside the pool arena and images and processes out of it (so
+it never refuses a pool the allocator placed), and answers ownership
+queries. Each live pool is one record, kept by its base in pools and indexed
+by page in pool_pages; its owner is an enclave id, or None for a kernel-side
+caller. What claims each page is decided once, when an event changes the
+layout, into one claims map: ("image", eid), ("process", pid), ("pool",
+owner) when the page's live pools have one owner, or ("shared", None) when
+they have two; _claim_pool_pages is the one place that reads owners out of
+pool_pages. claim_of reads any page's claim: a page off the map reads as its
+static claim, (kind, None), or as ("free", None).
 Each event hook updates the facts and then restamps the pages it changed in
 every translation context; _restamp is the one writer of rule leaves. A
 policy subclass says two things only: which contexts exist (_context_ids)
@@ -113,6 +115,8 @@ def _check_range(base: int, size: int, what: str) -> None:
         raise SimulationError(f"{what}: outside 48-bit space")
     if base + size > DECOY_PFN << PAGE_SHIFT:
         raise SimulationError(f"{what}: overlaps the decoy frame's page {DECOY_PFN:#x}")
+    if base < POOL_ARENA[0] + POOL_ARENA[1] and POOL_ARENA[0] < base + size:
+        raise SimulationError(f"{what}: overlaps the pool arena")
 
 
 STATIC_KINDS = ("kernel", "structure", "other")
@@ -274,13 +278,11 @@ class RegionLedger:
         """Record an allocation and return its live record. A pool whose
         caller is not enclaved stays open data, recorded only so that
         overlaps and shared pages are seen."""
-        if size <= 0 or base < 0 or base + size > GPA_LIMIT:
-            raise SimulationError(f"allocation [{base:#x}, +{size:#x}) out of range")
-        pages = pages_covering(base, size)
         end = base + size
+        if size <= 0 or base < POOL_ARENA[0] or end > POOL_ARENA[0] + POOL_ARENA[1]:
+            raise SimulationError(f"allocation [{base:#x}, +{size:#x}) outside the pool arena")
+        pages = pages_covering(base, size)
         for page in pages:
-            if page in _STATIC_KIND or self._claims.get(page, _FREE)[0] in ("image", "process"):
-                raise SimulationError(f"allocation overlaps configured region at page {page:#x}")
             for pool in self.pool_pages.get(page, ()):
                 if pool.base < end and base < pool.end:
                     raise SimulationError(f"allocation overlaps live pool at {pool.base:#x}")

@@ -27,16 +27,19 @@ the template or the engine's rules itself.
 
 check_against is the from-scratch reference: for every context it compares
 the table's pages and the context's own leaves, so a stray leaf on a page no
-region claims is caught too. OracleChecker finds the same mismatches by one
-incremental rule, applied per context. It keeps a copy of the own leaves it
-last compared and compares the pages whose own leaf differs from that copy;
-after a layout change, also the pages claimed before or after it; and for a
-context object it has not seen before, every table page and every own leaf.
-The base a context reads is shared and never written, so its own map is the
-only thing that changes an effective leaf: a leaf written by any path, not
-only through Ept.set_page_entry, shows in the difference. Each compared
-(context, page) pair enters or leaves one mismatch set, and every check
-reports the whole set.
+region claims is caught too, and it alone reports mismatches. OracleChecker
+only proves a clean state still clean. It keeps a copy of each context's own
+leaves at its last check and compares the candidates: the pages whose own
+leaf differs from that copy; after a layout change, the pages claimed before
+or after it; for a context object not seen before, every table page and own
+leaf. When the last check found something, the contexts differ from the
+table's or a candidate disagrees, it returns check_against's list as is. The
+proof, from a clean state: expected bits change only in a layout change and
+only on pages claimed before or after it (static rows never change, and
+unclaimed pages expect RW); an effective leaf changes only through the
+context's own map (the shared template is never written), whatever path
+writes it; a new or replaced context object is read in full. So if every
+candidate agrees, no other page can disagree.
 """
 
 from dataclasses import dataclass
@@ -279,16 +282,17 @@ def check_against(policy: FlatPolicy, epts: dict[int, Ept]) -> list[Mismatch]:
 
 
 class OracleChecker:
-    """Stateful wrapper: rebuilds on layout changes and compares only what
-    may have changed since its last check (see the module docstring)."""
+    """Stateful wrapper: rebuilds on layout changes, proves a clean state
+    still clean by comparing only what may have changed, and otherwise
+    answers with check_against (see the module docstring)."""
 
     def __init__(self):
         self._version = None
         self._policy: FlatPolicy | None = None
         self._checked: FlatPolicy | None = None           # table of the last check
-        # id -> (context, copy of the own leaves it held when last compared)
+        # id -> (context, copy of the own leaves it held when last checked)
         self._seen: dict[int, tuple[Ept, dict[int, EptEntry]]] = {}
-        self._bad: dict[tuple[int, int], Mismatch] = {}   # (context, page) -> mismatch
+        self._clean = True      # the last check returned []; nothing seen yet is read in full
 
     def policy_for(self, map_state) -> FlatPolicy:
         if self._policy is None or map_state.layout_version != self._version:
@@ -297,13 +301,13 @@ class OracleChecker:
         return self._policy
 
     def verify(self, map_state, epts: dict[int, Ept]) -> list[Mismatch]:
-        """Every mismatch a fresh check_against would report, sorted."""
+        """[] when the contexts agree with the table, else check_against's list."""
         policy = self.policy_for(map_state)
         relaid: frozenset[int] = frozenset()
         if policy is not self._checked:
             before = self._checked.claimed if self._checked is not None else frozenset()
             relaid = policy.claimed | before
-        bad, seen = self._bad, {}
+        clean, seen = self._clean and epts.keys() == policy.table.keys(), {}
         for ept_id, row in policy.table.items():
             ept = epts.get(ept_id)
             if ept is None:
@@ -316,21 +320,10 @@ class OracleChecker:
                     pages = relaid.union(page for page, _ in own.items() ^ kept.items())
                     kept = own.copy()
             else:
-                self._forget(ept_id)
                 kept, pages = own.copy(), _every_page(row, ept)
-            for page in pages:
-                found = _compare(ept_id, row, ept, page)
-                if found is None:
-                    bad.pop((ept_id, page), None)
-                else:
-                    bad[(ept_id, page)] = found
+            clean = clean and all(_compare(ept_id, row, ept, page) is None for page in pages)
             seen[ept_id] = (ept, kept)
-        for ept_id in self._seen.keys() - seen.keys():
-            self._forget(ept_id)
         self._checked, self._seen = policy, seen
-        return sorted([*bad.values(), *_context_mismatches(policy, epts)])
-
-    def _forget(self, ept_id: int) -> None:
-        """Drop a context's pairs from the mismatch set."""
-        for key in [key for key in self._bad if key[0] == ept_id]:
-            del self._bad[key]
+        found = [] if clean else check_against(policy, epts)
+        self._clean = not found
+        return found

@@ -185,6 +185,12 @@ def test_write_requires_payload(world):
         execute_access(vcpu, policy, store, KERNEL_CODE, 0x9000_0000, Access.WRITE)
 
 
+def test_unknown_access_kind_rejected(world):
+    policy, store, vcpu, _, _ = world
+    with pytest.raises(SimulationError, match="^unknown access kind 'fetch'$"):
+        execute_access(vcpu, policy, store, KERNEL_CODE, 0x9000_0000, "fetch")
+
+
 def test_page_straddling_access_rejected(world):
     policy, store, vcpu, _, _ = world
     with pytest.raises(SimulationError):

@@ -3,6 +3,7 @@ the one access-kind type."""
 
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from memranger.address_space import GPA_LIMIT, PAGE_SIZE
@@ -60,6 +61,17 @@ def test_a_refusal_leaves_the_refusing_entry_in_place():
     ept.set_page_entry(5, EptEntry(5, NONE))
     assert ept.translate(5 * PAGE_SIZE + 0x10, Access.READ) is None
     assert ept.entry_for(5) == EptEntry(5, NONE)
+
+
+def test_a_page_or_address_outside_the_space_is_refused():
+    ept = Ept(0)
+    for page in (-1, GPA_LIMIT // PAGE_SIZE):
+        with pytest.raises(ValueError, match=f"^page {page:#x} outside 48-bit space$"):
+            ept.set_page_entry(page, EptEntry(0, RW))
+    for gpa in (-1, GPA_LIMIT):
+        with pytest.raises(ValueError, match=f"^gpa {gpa:#x} outside 48-bit space$"):
+            ept.translate(gpa, Access.READ)
+    assert ept.mutations == 0
 
 
 def test_mutations_counter_tracks_writes():

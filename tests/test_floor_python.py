@@ -3,8 +3,9 @@
 The suite itself runs on one interpreter; this test finds an installed one of
 the floor version (requires-python) and replays the demo, the privilege-
 escalation scenario and one random trace in every mode under it, each run
-audited by verify_run, and checks that a trace event's construction hook
-refuses a bad field there as it does here. It is skipped where no such
+audited by verify_run and each multi-ept run checked by the oracle after
+every event, and checks that a trace event's construction hook refuses a bad
+field there as it does here. It is skipped where no such
 interpreter is installed.
 """
 
@@ -25,12 +26,13 @@ FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
                                  (ROOT / "pyproject.toml").read_text()).groups()))
 
 # Prints the interpreter's version, then per trace a hash of its written
-# lines, and per trace and mode the verdict's counts (its summary without the
-# samples) and a hash of the whole report.
+# lines, per trace and mode the verdict's counts (its summary without the
+# samples) and a hash of the whole report, and per trace the number of
+# mismatches the oracle reported over its multi-ept run.
 REPLAY = """
 import hashlib, json, sys
-from memranger import (gen_demo1_trace, gen_privesc_trace, gen_random_trace, run_trace,
-                       serialize_trace, verify_run)
+from memranger import (OracleChecker, gen_demo1_trace, gen_privesc_trace, gen_random_trace,
+                       run_trace, serialize_trace, verify_run)
 from memranger.report_cli import MODES
 
 print(*sys.version_info[:2])
@@ -38,11 +40,17 @@ traces = {"demo1": gen_demo1_trace(), "privesc": gen_privesc_trace(),
           "random-3": gen_random_trace(3, length=400)}
 for name, events in traces.items():
     print(name, "trace", hashlib.sha256(serialize_trace(events).encode()).hexdigest())
+    checker, found = OracleChecker(), []
+
+    def check(sim, index, event):
+        found.extend(checker.verify(sim.policy, sim.policy.epts))
+
     for mode in MODES:
-        report = run_trace(events, mode)
+        report = run_trace(events, mode, after_event=check if mode == "multi-ept" else None)
         counts = {k: v for k, v in verify_run(events, report).summary().items() if k != "samples"}
         print(name, mode, json.dumps(counts, sort_keys=True, separators=(",", ":")),
               hashlib.sha256(report.to_json().encode()).hexdigest())
+    print(name, "oracle", len(found))
 """
 
 
@@ -100,9 +108,9 @@ def _run(python: str, script: str) -> list[str]:
 
 def test_floor_python_replays_every_mode_as_this_one_does():
     """Under the floor version every trace is written as the same bytes, every
-    run ends, every multi-ept run passes its audit, and every verdict and
-    report is byte-for-byte the one this interpreter gives (the weaker modes
-    leak by design, the same way under both)."""
+    run ends, every multi-ept run passes its audit and its oracle checks, and
+    every verdict and report is byte-for-byte the one this interpreter gives
+    (the weaker modes leak by design, the same way under both)."""
     python = _floor_python()
     if python is None:
         pytest.skip(f"no working Python {'.'.join(map(str, FLOOR))} installed")
@@ -110,8 +118,10 @@ def test_floor_python_replays_every_mode_as_this_one_does():
     assert floor[0] == " ".join(map(str, FLOOR))
     lines = [line.split() for line in floor[1:]]
     assert [tuple(line[:2]) for line in lines] == [
-        (name, mode) for name in ("demo1", "privesc", "random-3") for mode in ("trace", *MODES)]
+        (name, mode) for name in ("demo1", "privesc", "random-3")
+        for mode in ("trace", *MODES, "oracle")]
     assert all(json.loads(line[2])["ok"] for line in lines if line[1] == "multi-ept")
+    assert [line[2] for line in lines if line[1] == "oracle"] == ["0"] * 3
     assert floor[1:] == here[1:]
 
 

@@ -235,6 +235,45 @@ def test_planted_leaf_is_reported_until_restored():
     assert check_against(rebuild(snapshot_from_map(state)), state.epts) == []
 
 
+def test_the_reference_runs_only_when_a_check_finds_something(monkeypatch):
+    """On clean runs the checker never calls the from-scratch reference. After
+    one planted leaf it calls it on every check, across a layout change too,
+    until a check after the restore finds nothing, and returns its list as is."""
+    calls = []
+    reference = reference_oracle.check_against
+
+    def counted(policy, epts):
+        calls.append(reference(policy, epts))
+        return calls[-1]
+
+    monkeypatch.setattr(reference_oracle, "check_against", counted)
+    for seed in range(10):
+        checker = OracleChecker()
+
+        def hook(sim, index, event, checker=checker):
+            assert checker.verify(sim.policy, sim.policy.epts) == []
+
+        run_trace(gen_random_trace(seed, length=200), "multi-ept", after_event=hook)
+    assert calls == []
+    state = fresh()
+    checker = OracleChecker()
+    eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+    assert checker.verify(state, state.epts) == [] and calls == []
+    page = STRUCTS[0] >> 12
+    ept = state.epts[eid]
+    good = ept.entry_for(page)
+    ept.set_page_entry(page, EptEntry(good.pfn, RWX))
+    for check in range(4):
+        if check == 2:
+            state.on_alloc(KERNEL_CODE, POOL_PAGE, 0x100)
+        found = checker.verify(state, state.epts)
+        assert len(calls) == check + 1 and found is calls[-1]
+        assert found == [Mismatch(eid, page, "---", "rwx")]
+    ept.set_page_entry(page, good)
+    assert checker.verify(state, state.epts) == [] and len(calls) == 5
+    assert checker.verify(state, state.epts) == [] and len(calls) == 5
+
+
 def test_unchanged_check_reads_no_leaf(monkeypatch):
     """A check after an event that changed neither the layout nor any
     context's leaves reads no leaf at all."""

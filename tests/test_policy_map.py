@@ -1,8 +1,10 @@
 """Policy choreography: who may touch what, in which translation context."""
 
+import re
+
 import pytest
 
-from memranger.address_space import PAGE_SHIFT, PAGE_SIZE, pages_covering
+from memranger.address_space import DECOY_PFN, PAGE_SHIFT, PAGE_SIZE, pages_covering
 from memranger.address_space import OS_KERNEL_CODE as KERNEL
 from memranger.address_space import OS_STRUCTURES as STRUCTS
 from memranger.address_space import OTHER_DRIVER as OTHER
@@ -132,6 +134,40 @@ def test_alloc_overlap_rejected(loaded):
     state, _, _ = loaded
     with pytest.raises(SimulationError):
         state.on_alloc(IMAGE_A + 0x100, POOL + 0x80, 0x100)
+
+
+ARENA_END = POOL_ARENA[0] + POOL_ARENA[1]
+
+
+@pytest.mark.parametrize("base, size", [
+    (POOL_ARENA[0] - PAGE_SIZE, 0x100),
+    (ARENA_END - 0x80, 0x100),
+    (ARENA_END, 0x100),
+    (DECOY_PFN << PAGE_SHIFT, 0x100),
+    (POOL_ARENA[0], POOL_ARENA[1] + PAGE_SIZE),
+], ids=["below-the-arena", "straddling-its-end", "past-its-end", "on-the-decoy-page",
+        "larger-than-the-arena"])
+def test_a_pool_off_the_arena_is_refused(state, base, size):
+    """A pool must lie wholly inside the pool arena, so none reaches the decoy
+    frame's page or outgrows the arena; the refusal leaves the ledger as it was."""
+    seen = state.layout_version
+    message = f"allocation [{base:#x}, +{size:#x}) outside the pool arena"
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        state.on_alloc(KERNEL_CODE, base, size)
+    assert state.pools == {} and state.pool_pages == {} and state.layout_version == seen
+
+
+def test_a_pool_may_fill_the_arena(state):
+    state.on_alloc(KERNEL_CODE, *POOL_ARENA)
+    assert state.pools[POOL_ARENA[0]].size == POOL_ARENA[1]
+
+
+def test_free_of_an_unknown_base_is_refused(loaded):
+    state, _, _ = loaded
+    seen = state.layout_version
+    with pytest.raises(SimulationError, match=f"^free of unknown pool base {POOL + 0x10:#x}$"):
+        state.on_free(POOL + 0x10)
+    assert state.layout_version == seen and POOL in state.pools
 
 
 def test_shared_page_locks_for_everyone(state):

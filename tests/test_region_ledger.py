@@ -14,11 +14,13 @@ from memranger.kernel_sim import (
     DstRef,
     Free,
     LoadDriver,
+    Schedule,
     Simulation,
+    event_to_dict,
     parse_trace,
     run_trace,
 )
-from memranger.report_cli import MODES, main, verify_run
+from memranger.report_cli import MODES, _Shadow, main, verify_run
 
 
 def load(name: str, base: str, size: str = "0x2000") -> dict:
@@ -153,6 +155,26 @@ def test_events_the_codec_rejects_fail_in_every_mode(build, line):
         build()
     with pytest.raises(TraceParseError):
         parse_trace(json.dumps(line) + "\n")
+
+
+# Each consumer of a built event, and what it raises for something that is
+# not one: a direct caller can pass anything, though no parsed trace holds it
+NON_EVENT_REFUSALS = {
+    "Simulation.step": (lambda thing: Simulation("multi-ept").step(thing),
+                        SimulationError, "unknown event {!r}"),
+    "_Shadow.step": (lambda thing: _Shadow([]).step(0, thing), SimulationError,
+                     "unknown event {!r}"),
+    "event_to_dict": (event_to_dict, TypeError, "not a trace event: {!r}"),
+}
+
+
+@pytest.mark.parametrize("consume, error, message", NON_EVENT_REFUSALS.values(),
+                         ids=NON_EVENT_REFUSALS.keys())
+def test_a_non_event_is_refused(consume, error, message):
+    thing = {"ev": "schedule", "actor": "os_kernel"}    # the line, not the event
+    with pytest.raises(error, match=f"^{re.escape(message.format(thing))}$"):
+        consume(thing)
+    consume(Schedule("os_kernel"))
 
 
 # Builders of events with a field of the wrong type or value
