@@ -113,7 +113,7 @@ def soak(seed: int, length: int) -> int:
             print(f"first oracle mismatch after event {index}: {found[0]}")
         mismatches += len(found)
         if index % LEAF_CHECK_EVERY == LEAF_CHECK_EVERY - 1:
-            claimed = checker.policy_for(policy).claimed
+            claimed = checker.policy_for(policy).claims
             for ept_id, ept in policy.epts.items():
                 outside = [page for page, _ in ept.materialized_leaves() if page not in claimed]
                 if outside:
@@ -142,7 +142,7 @@ def soak(seed: int, length: int) -> int:
     print(f"late/early: {means['late'] / means['early']:.2f}")
     leaves = ", ".join(f"{ept_id}: {sum(1 for _ in ept.materialized_leaves())}"
                        for ept_id, ept in sorted(policy.epts.items()))
-    print(f"own leaves per context: {leaves}; pages claimed: {len(checker.policy_for(policy).claimed)}")
+    print(f"own leaves per context: {leaves}; pages claimed: {len(checker.policy_for(policy).claims)}")
     counts = {k: v for k, v in verdict.summary().items() if k != "samples"}
     print(f"oracle mismatches {mismatches}, final sweep {len(swept)},"
           f" stray own leaves {stray}, stray pool records {stray_pools},"

@@ -13,36 +13,44 @@ and the shadow verifier keeps one live through its replay. Its identities are
 opaque: the oracle's are context ids, the shadow's are driver names. The
 legality predicate, SnapshotView.legal, takes the actor's identity.
 
-The expected table is total over live state: rebuild lists the static pages
-and the pages live images, pools and processes claim, and every page off the
-table is expected to translate identity, readable and writable. The expected
-side stays brute force: after every layout change every claimed page is
-classified again from the raw facts. The one exception is the rows of the
-static pages (kernel code, OS structures, other driver): no event changes
-them, so they are computed once, at import, with the oracle's own _pages.
-The actual side is read only through Ept.entry_for and
-Ept.materialized_leaves, so a context's own leaves and the engine's shared
-template alike are read as the translation sees them; the oracle never reads
-the template or the engine's rules itself.
+The expected side is total over live state: rebuild classifies every page
+live images, pools and processes claim (the claims map, page -> claim) and
+lists the contexts the facts call for; a claimed page's bits in a context
+are a function of its claim and the context id, a static page's come from
+the static rows, and every other page is expected to translate identity,
+readable and writable. The expected side stays brute force: after every
+layout change every claimed page is classified again from the raw facts.
+The static rows (kernel code, OS structures, other driver) are the one
+thing computed ahead: no event changes them, so they are built once, at
+import, with the oracle's own _pages. A context's full row, its bits on every
+static and claimed page, is built only when something reads it: a full read
+of a context, check_against, or a test. The actual side is read only
+through Ept.entry_for and Ept.materialized_leaves, so a context's own leaves
+and the engine's shared template alike are read as the translation sees
+them; the oracle never reads the template or the engine's rules itself.
 
 check_against is the from-scratch reference: for every context it compares
-the table's pages and the context's own leaves, so a stray leaf on a page no
+the row's pages and the context's own leaves, so a stray leaf on a page no
 region claims is caught too, and it alone reports mismatches. OracleChecker
-only proves a clean state still clean. It keeps a copy of each context's own
-leaves at its last check and compares the candidates: the pages whose own
-leaf differs from that copy; after a layout change, the pages claimed before
-or after it; for a context object not seen before, every table page and own
-leaf. When the last check found something, the contexts differ from the
-table's or a candidate disagrees, it returns check_against's list as is. The
-proof, from a clean state: expected bits change only in a layout change and
-only on pages claimed before or after it (static rows never change, and
-unclaimed pages expect RW); an effective leaf changes only through the
-context's own map (the shared template is never written), whatever path
-writes it; a new or replaced context object is read in full. So if every
-candidate agrees, no other page can disagree.
+only proves a clean state still clean. It keeps the claims map of its last
+check and a copy of each context's own leaves at that check, and compares
+the candidates: the pages whose own leaf differs from that copy; after a
+layout change, the pages whose claim changed (the symmetric difference of
+the last-checked and the new claims maps); for a context object not seen
+before, every row page and own leaf. A check after which nothing changed
+(the same layout, the same context objects, every own map equal to its
+copy) compares nothing. Each context's compare stops at the first
+disagreement. When the last check found something, the contexts differ from
+the policy's, or a candidate disagrees, it returns check_against's list as
+is. The proof, from a clean state: a page's expected bits in a context
+already seen change only when its claim changes (static rows never change,
+and unclaimed pages expect RW), so only the pages whose claim changed can
+newly disagree there; an effective leaf changes only through the context's
+own map (the shared template is never written), whatever path writes it; a
+new or replaced context object is read in full. So if every candidate
+agrees, no other page can disagree.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SHIFT
@@ -178,18 +186,46 @@ def _render(bits: int) -> str:
     return ("r" if bits & R else "-") + ("w" if bits & W else "-") + ("x" if bits & X else "-")
 
 
-@dataclass
 class FlatPolicy:
-    """Ground-truth attribute table: context id -> {page: permission bits}.
-
-    Every row lists the same pages, universe: the static pages and the pages
-    live regions claim (claimed). A page off the table expects identity RW in
+    """Ground truth over live state: the claim of every page a live region
+    claims (claims) and the contexts the facts call for (ept_ids). A
+    context's row, its expected bits on every static and claimed page, is
+    built on first read (row); a page off every row expects identity RW in
     every context.
     """
 
-    universe: list[int]
-    table: dict[int, dict[int, int]]
-    claimed: frozenset[int]
+    def __init__(self, claims: dict[int, tuple], ept_ids: list[int]):
+        self.claims = claims
+        self.ept_ids = ept_ids
+        self._rows: dict[int, dict[int, int]] = {}
+
+    def bits(self, ept_id: int, page: int) -> int:
+        """Expected bits of one page in one context: from its claim, else
+        from the static row."""
+        claim = self.claims.get(page)
+        if claim is None:
+            return _static_row(ept_id).get(page, RW)
+        return _expected(claim, ept_id)
+
+    def row(self, ept_id: int) -> dict[int, int]:
+        """Expected bits of every static and claimed page in one context; a
+        claim overrides a static one on the same page (a process region may
+        lie over a structure page)."""
+        row = self._rows.get(ept_id)
+        if row is None:
+            dynamic = {page: _expected(claim, ept_id) for page, claim in self.claims.items()}
+            row = self._rows[ept_id] = {**_static_row(ept_id), **dynamic}
+        return row
+
+    @property
+    def table(self) -> dict[int, dict[int, int]]:
+        """Context id -> row, for every context the facts call for."""
+        return {ept_id: self.row(ept_id) for ept_id in self.ept_ids}
+
+    @property
+    def universe(self) -> list[int]:
+        """The pages every row lists: the static pages and the claimed ones."""
+        return list(self.row(0))
 
 
 # Each static region with the bits its pages hold in the default context and
@@ -199,47 +235,46 @@ _STATIC_BITS = (
     (OS_STRUCTURES, RWX, NONE),
     (OTHER_DRIVER, RWX, RW),
 )
-# Expected rows of the static pages, shared by every rebuild and never mutated.
+# Expected rows of the static pages, shared by every policy and never mutated.
 _DEFAULT_ROW = {page: bits for region, bits, _ in _STATIC_BITS for page in _pages(*region)}
 _ENCLAVE_ROW = {page: bits for region, _, bits in _STATIC_BITS for page in _pages(*region)}
 
 
+def _static_row(ept_id: int) -> dict[int, int]:
+    return _DEFAULT_ROW if ept_id == 0 else _ENCLAVE_ROW
+
+
 def rebuild(view: SnapshotView) -> FlatPolicy:
-    """Recompute the expected table from the view's raw facts, reading each
+    """Recompute the ground truth from the view's raw facts, reading each
     enclave identity as its context id (the default context is 0).
 
-    Only the static pages' rows are computed ahead (_DEFAULT_ROW and
-    _ENCLAVE_ROW). Every page a live region claims is classified again from
-    the view on every call, and its bits in every context recomputed; its
-    claim overrides a static one on the same page (a process region may lie
-    over a structure page).
+    Every page a live region claims is classified again from the view on
+    every call; a page claimed twice keeps the last claim (pools over images
+    over processes). Only the static pages' rows are computed ahead
+    (_DEFAULT_ROW and _ENCLAVE_ROW); the policy builds a context's row when
+    something reads it.
     """
-    kinds: dict[int, tuple] = {}
+    claims: dict[int, tuple] = {}
     for pid, regions in view.processes.items():
         for base, size in regions:
             for page in _pages(base, size):
-                kinds[page] = ("process", pid)
+                claims[page] = ("process", pid)
     for eid, (base, end) in view.images.items():
         for page in _pages(base, end - base):
-            kinds[page] = ("image", eid)
+            claims[page] = ("image", eid)
     for page, owner in view.page_owner.items():
-        kinds[page] = ("pool", owner)
-
-    table = {}
-    for ept_id, static_row in [(0, _DEFAULT_ROW)] + [(eid, _ENCLAVE_ROW) for eid in view.images]:
-        dynamic = {page: _expected(kind, ept_id) for page, kind in kinds.items()}
-        table[ept_id] = {**static_row, **dynamic}
-    return FlatPolicy(universe=list(table[0]), table=table, claimed=frozenset(kinds))
+        claims[page] = ("pool", owner)
+    return FlatPolicy(claims, [0, *view.images])
 
 
-def _expected(kind: tuple, ept_id: int) -> int:
+def _expected(claim: tuple, ept_id: int) -> int:
     """Expected bits of a claimed page in context ept_id."""
-    tag = kind[0]
+    tag = claim[0]
     if tag == "process":
         return RWX if ept_id == 0 else NONE
     if tag == "image":
-        return RWX if ept_id == kind[1] else NONE
-    owner = kind[1]                          # a pool page
+        return RWX if ept_id == claim[1] else NONE
+    owner = claim[1]                         # a pool page
     if owner is _SHARED:
         return NONE                          # shared page: sealed in every context
     if owner is None:
@@ -281,6 +316,16 @@ def check_against(policy: FlatPolicy, epts: dict[int, Ept]) -> list[Mismatch]:
     return sorted(mismatches)
 
 
+def _agrees(ept: Ept, want: dict[int, int]) -> bool:
+    """Whether every wanted page's effective leaf is its identity frame with
+    the wanted bits; stops at the first disagreement."""
+    for page, bits in want.items():
+        entry = ept.entry_for(page)
+        if entry.pfn != page or entry.attrs != bits:
+            return False
+    return True
+
+
 class OracleChecker:
     """Stateful wrapper: rebuilds on layout changes, proves a clean state
     still clean by comparing only what may have changed, and otherwise
@@ -289,7 +334,7 @@ class OracleChecker:
     def __init__(self):
         self._version = None
         self._policy: FlatPolicy | None = None
-        self._checked: FlatPolicy | None = None           # table of the last check
+        self._checked: FlatPolicy | None = None           # policy of the last check
         # id -> (context, copy of the own leaves it held when last checked)
         self._seen: dict[int, tuple[Ept, dict[int, EptEntry]]] = {}
         self._clean = True      # the last check returned []; nothing seen yet is read in full
@@ -300,15 +345,27 @@ class OracleChecker:
             self._version = map_state.layout_version
         return self._policy
 
+    def _quiet(self, policy: FlatPolicy, epts: dict[int, Ept]) -> bool:
+        """Nothing changed since a clean check: the same policy, the same
+        context objects, and each one's own leaves equal to their copy."""
+        if not (self._clean and policy is self._checked and epts.keys() == self._seen.keys()):
+            return False
+        for ept_id, (ept, kept) in self._seen.items():
+            if epts[ept_id] is not ept or ept.materialized_leaves().mapping != kept:
+                return False
+        return True
+
     def verify(self, map_state, epts: dict[int, Ept]) -> list[Mismatch]:
-        """[] when the contexts agree with the table, else check_against's list."""
+        """[] when the contexts agree with the policy, else check_against's list."""
         policy = self.policy_for(map_state)
+        if self._quiet(policy, epts):
+            return []
         relaid: frozenset[int] = frozenset()
         if policy is not self._checked:
-            before = self._checked.claimed if self._checked is not None else frozenset()
-            relaid = policy.claimed | before
-        clean, seen = self._clean and epts.keys() == policy.table.keys(), {}
-        for ept_id, row in policy.table.items():
+            before = self._checked.claims if self._checked is not None else {}
+            relaid = frozenset(page for page, _ in policy.claims.items() ^ before.items())
+        clean, seen = self._clean and epts.keys() == set(policy.ept_ids), {}
+        for ept_id in policy.ept_ids:
             ept = epts.get(ept_id)
             if ept is None:
                 continue
@@ -319,9 +376,10 @@ class OracleChecker:
                 if own != kept:
                     pages = relaid.union(page for page, _ in own.items() ^ kept.items())
                     kept = own.copy()
-            else:
-                kept, pages = own.copy(), _every_page(row, ept)
-            clean = clean and all(_compare(ept_id, row, ept, page) is None for page in pages)
+                want = {page: policy.bits(ept_id, page) for page in pages}
+            else:       # read in full: every row page and own leaf
+                kept, want = own.copy(), {**dict.fromkeys(own, RW), **policy.row(ept_id)}
+            clean = clean and _agrees(ept, want)
             seen[ept_id] = (ept, kept)
         self._checked, self._seen = policy, seen
         found = [] if clean else check_against(policy, epts)

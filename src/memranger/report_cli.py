@@ -166,12 +166,11 @@ class _Shadow:
         access = event.access
         legal = self.view.legal(self._enclave_of(event.actor), dst, access)
         data = None
+        # in-page: the engine refuses a page-crossing access before any report exists
         if access == READ:
-            # in-page: the engine refuses a page-crossing access before any report exists
             data = self.store.read_gpa(dst, 4) if legal else bytes(4)
         elif access == WRITE and legal:
-            payload = event.payload if event.payload is not None else DEFAULT_WRITE
-            self.store.fill_gpa_range(dst, len(payload), payload)
+            self.store.write_gpa(dst, event.payload if event.payload is not None else DEFAULT_WRITE)
         return _new_expectation(Expectation, (dst, legal, data))
 
     def digests(self) -> dict[str, str]:

@@ -49,8 +49,9 @@ def corpus():
     """Replay the whole corpus once; retain only aggregate facts per trace.
 
     The checker after every event compares the pages whose own leaf changed
-    since its previous check, and after a layout change the pages claimed
-    before or after it; after a trace's last event one more sweep reads every
+    since its previous check, and after a layout change the pages whose
+    claim changed, building a context's expected row only when it reads that
+    context in full; after a trace's last event one more sweep reads every
     context's table pages and own leaves from scratch, so the incremental
     answer is backed by an uncached one.
     """

@@ -605,6 +605,69 @@ def test_a_trace_past_the_arena_reuses_freed_pools():
     assert verify_run(events, report).ok
 
 
+def _last_word_trace() -> list:
+    """The last 4-byte word of a page-sized pool, an image and a process
+    record, each written and read by its owner and by a foreign actor, with
+    the owner's read after the foreign write. The generator never draws
+    these offsets."""
+    image = DstRef("image_of", driver="A", offset=IMAGE_SIZE - 4)
+    record = DstRef("eprocess", pid=4, offset=0x200 - 4)
+    targets = [  # (owner, its reference, foreign actor, its reference) to the last word
+        ("A", DstRef("own_pool", offset=0xffc), "B", DstRef("pool_of", driver="A", offset=0xffc)),
+        ("A", image, "B", image),
+        ("os_kernel", record, "A", record),
+    ]
+    events = [LoadDriver("A", IMAGE_SLOTS[0]), LoadDriver("B", IMAGE_SLOTS[1]),
+              CreateProcess(4, ((PROCESS_SLOT_BASE, 0x200),)), Alloc("A", 0x1000, "page")]
+    for owner, dst, foreign, foreign_dst in targets:
+        events += [
+            AccessEvent(owner, dst, "write", payload=b"\x11\x22\x33\x44", expect="legal"),
+            AccessEvent(owner, dst, "read", expect="legal"),
+            AccessEvent(foreign, foreign_dst, "write", payload=b"\x55\x66\x77\x88",
+                        expect="illegal"),
+            AccessEvent(owner, dst, "read", expect="legal"),
+            AccessEvent(foreign, foreign_dst, "read", expect="illegal"),
+        ]
+    return events
+
+
+# Regions whose foreign reads each mode lets through: single-ept seals
+# protected data only and never code, so an image's bytes stay readable.
+_LEAKING = {"off": {"pool_of", "image_of", "eprocess"}, "single-ept": {"image_of"},
+            "multi-ept": set()}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_last_word_of_each_region_is_guarded(mode):
+    """Accesses ending exactly at a pool's, an image's and a process record's
+    end: each mode's audit reports as leaks exactly the foreign reads the
+    mode lets through, which then see the foreign write's bytes, and reads
+    zeros elsewhere; multi-ept verifies clean, its decisions agree with the
+    labels, and the oracle stays clean after every event."""
+    events = _last_word_trace()
+    checker = OracleChecker()
+    mismatches = []
+
+    def audit(sim, index, event):
+        mismatches.extend(checker.verify(sim.policy, sim.policy.epts))
+
+    report = run_trace(events, mode, after_event=audit if mode == "multi-ept" else None)
+    verdict = verify_run(events, report)
+    foreign_reads = {events[r.event].dst.kind: r for r in report.log
+                     if r.access == "read" and r.expect == "illegal"}
+    assert len(foreign_reads) == 3
+    leaking = _LEAKING[mode]
+    assert sorted(leak["event"] for leak in verdict.leaks) == sorted(
+        r.event for kind, r in foreign_reads.items() if kind in leaking)
+    for kind, record in foreign_reads.items():
+        assert record.data == (b"\x55\x66\x77\x88" if kind in leaking else bytes(4)), kind
+    if mode == "multi-ept":
+        assert verdict.ok, verdict.summary()
+        assert mismatches == []
+        assert all((r.decision == "redirect_to_fake") == (r.expect == "illegal")
+                   for r in report.log if r.expect is not None)
+
+
 # Small worlds for the cross-mode property: an opening that loads two
 # drivers, creates a process and allocates, then up to 25 events over three
 # driver names and a few pids, with regions of at most a few pages and

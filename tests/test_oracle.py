@@ -137,6 +137,65 @@ def test_released_page_left_unstamped_is_caught(monkeypatch):
     assert checker.verify(state, state.epts) == stale
 
 
+def _two_drivers_a_process_and_pools():
+    """A ledger with two loaded drivers, a process, an open pool and one pool
+    of each driver; its checker, after one clean check; driver A's context id."""
+    state = fresh()
+    a = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+    state.on_driver_load(0x3100_0000, IMAGE_SIZE)
+    state.on_alloc(0x3000_0100, POOL_PAGE, 0x100)
+    state.on_alloc(0x3100_0100, POOL_PAGE + 0x1000, 0x1000)
+    state.on_alloc(KERNEL_CODE, POOL_PAGE + 0x2000, 0x80)
+    state.on_process_create(4, [(0x7000_0000, 0x200)])
+    checker = OracleChecker()
+    assert checker.verify(state, state.epts) == []
+    return state, checker, a
+
+
+@pytest.mark.parametrize("caller, base, changed", [
+    (0x3100_0100, POOL_PAGE + 0x3000, [POOL_PAGE + 0x3000]),     # a fresh page
+    (0x3000_0100, POOL_PAGE + 0x100, []),                        # the owner's page again
+    (0x3100_0100, POOL_PAGE + 0x100, [POOL_PAGE]),               # the page turns shared
+], ids=["fresh-page", "same-owner", "shared"])
+def test_a_check_after_an_alloc_reads_only_the_pages_whose_claim_changed(
+        monkeypatch, caller, base, changed):
+    """After an Alloc of one page, the check reads in each context the leaf of
+    that page only if its claim changed, and no other leaf, though two images,
+    a process and three other pools are live."""
+    state, checker, _ = _two_drivers_a_process_and_pools()
+    reads = []
+    entry_for = Ept.entry_for
+
+    def counted(self, page):
+        reads.append((self.id, page))
+        return entry_for(self, page)
+
+    monkeypatch.setattr(Ept, "entry_for", counted)
+    state.on_alloc(caller, base, 0x10)
+    assert checker.verify(state, state.epts) == []
+    pages = [gpa >> PAGE_SHIFT for gpa in changed]
+    assert sorted(reads) == sorted((ept_id, page) for ept_id in state.epts for page in pages)
+
+
+@pytest.mark.parametrize("change", ["shared-alloc", "unload", "process-exit"])
+def test_an_unstamped_claim_change_is_caught(monkeypatch, change):
+    """A claim change the engine forgets to restamp leaves stale leaves on
+    the pages whose claim changed, with no leaf written: an alloc that makes
+    a page shared, an unload (of the image and the driver's pool) and a
+    process exit. The checker reports exactly what a fresh sweep reports."""
+    state, checker, a = _two_drivers_a_process_and_pools()
+    monkeypatch.setattr(type(state), "_restamp", lambda self, pages, epts=None: None)
+    if change == "shared-alloc":
+        state.on_alloc(0x3100_0100, POOL_PAGE + 0x100, 0x10)
+    elif change == "unload":
+        state.on_driver_unload(a)
+    else:
+        state.on_process_exit(4)
+    stale = check_against(rebuild(snapshot_from_map(state)), state.epts)
+    assert stale and all(m.page >= 0 for m in stale)
+    assert checker.verify(state, state.epts) == stale
+
+
 def test_replaced_context_is_read_again():
     """A context replaced by another object under the same id, with the same
     number of writes and the layout unchanged, is read again in full."""
