@@ -37,6 +37,7 @@ import string
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, POOL_ARENA
 from .address_space import PAGE_SIZE, FrameStore
@@ -546,6 +547,9 @@ class ActorInfo:
 # input checks, no contexts.
 POLICIES = {"off": RegionLedger, "single-ept": SingleEptPolicy, "multi-ept": MapState}
 
+# The pools of an actor that has none: one shared, read-only empty map.
+_NO_POOLS = MappingProxyType({})
+
 
 class Simulation:
     """One trace replay: regions, frames, policy, vcpu, and the access log."""
@@ -600,7 +604,7 @@ class Simulation:
         self.scheduled = target
 
     def _pool_addr(self, owner: str, index: int, offset: int) -> int:
-        pool = self.pools.get(owner, {}).get(index)
+        pool = self.pools.get(owner, _NO_POOLS).get(index)
         if pool is not None and 0 <= offset < pool.size:
             return pool.base + offset
         # a miss: the first of the four refusals that applies

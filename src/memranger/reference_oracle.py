@@ -117,7 +117,7 @@ class SnapshotView:
 
     def byte_pool_identity(self, gpa: int):
         """Identity of the live pool whose bytes contain gpa, or a miss marker."""
-        for identity, base, end in self.pools_by_page.get(gpa >> PAGE_SHIFT, []):
+        for identity, base, end in self.pools_by_page.get(gpa >> PAGE_SHIFT, ()):
             if base <= gpa < end:
                 return identity
         return _NO_POOL

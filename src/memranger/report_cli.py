@@ -8,6 +8,9 @@ against it: illegal reads must observe zeros, legal reads must observe true
 bytes, and final region digests must equal a replay in which illegal writes
 never happened.
 
+The audit works out a repeated access event object once per shadow state
+and compares every log record with it (see verify_run).
+
 Exit codes: 0 clean, 1 malformed input, 2 property violation.
 """
 
@@ -34,6 +37,10 @@ from .reference_oracle import SnapshotView
 
 COMPARE_SCHEMA = "ranger-compare/1"
 MODES = tuple(POLICIES)
+
+# Entries verify_run's memo holds before it is emptied (about 1 MB), so the
+# audit's memory follows live state, not the number of distinct trace lines.
+_MEMO_ENTRIES = 4096
 
 
 # -- shadow replay -------------------------------------------------------------
@@ -79,7 +86,9 @@ class _Shadow:
     enclave identities are driver names: a loaded driver is its own identity
     and every other actor is None. Each event class has one handler in
     _SHADOW_HANDLERS; step applies one event and returns an access event's
-    Expectation, None for any other event."""
+    Expectation, None for any other event. step never reads memo, which
+    verify_run keeps: id(event) -> (event, its Expectation), valid while
+    this state stays unchanged."""
 
     def __init__(self, allocations):
         self.store = FrameStore()
@@ -93,6 +102,7 @@ class _Shadow:
         self.ordinals: dict[str, int] = {}                      # allocations made, frees included
         self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
         self.alloc_rows = iter(allocations)
+        self.memo: dict[int, tuple] = {}
 
     def step(self, index: int, event) -> Expectation | None:
         handle = _SHADOW_HANDLERS.get(type(event))
@@ -219,8 +229,16 @@ def _mismatch(record, want: str | None) -> dict:
 def verify_run(events, report: RunReport) -> VerifyResult:
     """Audit a run report against the independent shadow replay, in lockstep
     with its log: the shadow applies event i, the log's records of event i
-    are checked against it, then event i + 1 follows, so the shadow holds
-    one event's expectation at a time.
+    are checked against it, then event i + 1 follows.
+
+    An access that changed nothing (a read, an execute, an illegal write)
+    leaves its Expectation in the shadow's memo, keyed by id(event) and
+    holding the event so that its id cannot be reused, and a repeat of the
+    same event object reuses it. That is exact: the expectation is a
+    function of the event and the shadow's state (live pools, view, store),
+    which only a load, unload, process create or exit, alloc, free or legal
+    write changes, and each of those empties the memo, as does a full one
+    (_MEMO_ENTRIES entries).
 
     Each read event must log exactly one read, by the event's actor at the
     address the shadow resolves, and no other event any. A read of the
@@ -232,8 +250,22 @@ def verify_run(events, report: RunReport) -> VerifyResult:
     checked_reads = 0
     records = iter(report.log)
     record = next(records, None)
+    memo = shadow.memo
     for index, event in enumerate(events):
-        expected = shadow.step(index, event)
+        known = memo.get(id(event))
+        if known is not None:
+            expected = known[1]
+        else:
+            expected = shadow.step(index, event)
+            if expected is None:
+                if type(event) is not Schedule:
+                    memo.clear()
+            elif expected.legal and event.access == WRITE:
+                memo.clear()
+            else:
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.clear()
+                memo[id(event)] = (event, expected)
         want = expected.data if expected is not None else None    # bytes: a read is due
         while record is not None and record.event <= index:
             if record.event == index and want is not None and record.access == "read":

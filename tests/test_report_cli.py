@@ -15,15 +15,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memranger.address_space import OS_STRUCTURES
 from memranger.kernel_sim import (
     IMAGE_SIZE,
+    PROCESS_REGION_SIZE,
+    PROCESS_SLOT_BASE,
+    PROCESS_SLOT_STRIDE,
     REPORT_SCHEMA,
     AccessEvent,
     Alloc,
     CostModel,
+    CreateProcess,
     DstRef,
+    ExitProcess,
     Free,
     LoadDriver,
+    Schedule,
     SimConfig,
     UnloadDriver,
     gen_benchmark_trace,
@@ -34,7 +41,9 @@ from memranger.kernel_sim import (
     run_trace,
     serialize_trace,
 )
-from memranger.report_cli import COMPARE_SCHEMA, MODES, _Shadow, main, verify_run
+from memranger.report_cli import (
+    _MEMO_ENTRIES, COMPARE_SCHEMA, MODES, _Shadow, main, verify_run,
+)
 
 
 class TestCostModel:
@@ -377,6 +386,165 @@ def test_a_reloaded_driver_is_one_identity_in_the_shadow(mode):
         verdict = verify_run(events, report)
         assert verdict.ok, verdict.summary()
         assert verdict.checked_reads == 3
+
+
+def _slot(n: int) -> tuple:
+    return ((PROCESS_SLOT_BASE + n * PROCESS_SLOT_STRIDE, PROCESS_REGION_SIZE),)
+
+
+# Probes: access event objects that each trace below repeats across one
+# change to the shadow's state.
+_LOADS = [LoadDriver("A", 0x3000_0000), LoadDriver("B", 0x3100_0000)]
+_OWN_READ = AccessEvent("A", DstRef("own_pool"), "read")
+_KERNEL_POOL_READ = AccessEvent("B", DstRef("pool_of", driver="os_kernel"), "read")
+_SLOT_READ = AccessEvent("os_kernel", DstRef("os_structures",
+                                             offset=PROCESS_SLOT_BASE - OS_STRUCTURES[0]), "read")
+_RECORD_READ = AccessEvent("os_kernel", DstRef("eprocess", pid=4), "read")
+
+
+@pytest.mark.parametrize("events, probe, field, reported", [
+    pytest.param([*_LOADS, Alloc("A", 0x10), _OWN_READ,
+                  AccessEvent("A", DstRef("own_pool"), "write", payload=b"\x5a" * 4), _OWN_READ],
+                 _OWN_READ, "data", "wrong_data", id="legal-write"),
+    # A's pool joins the kernel's page, so B's read of the kernel's bytes turns illegal
+    pytest.param([*_LOADS, Alloc("os_kernel", 0x10), _KERNEL_POOL_READ, Alloc("A", 0x10),
+                  _KERNEL_POOL_READ],
+                 _KERNEL_POOL_READ, "data", "leaks", id="alloc"),
+    # and back: A's pool leaves the page to the kernel's alone
+    *(pytest.param([*_LOADS, Alloc("os_kernel", 0x10), Alloc("A", 0x10), _KERNEL_POOL_READ,
+                    departure, _KERNEL_POOL_READ],
+                   _KERNEL_POOL_READ, "data", "wrong_data", id=name)
+      for name, departure in (("free", Free("A", 0)), ("unload", UnloadDriver("A")))),
+    # the kernel reads a process slot before and after it holds a record
+    pytest.param([_SLOT_READ, CreateProcess(4, _slot(0)), _SLOT_READ],
+                 _SLOT_READ, "data", "wrong_data", id="process-create"),
+    # An exit alone changes no expectation of an event that still resolves:
+    # pid 4 returns at another slot, so the same event reads another address.
+    pytest.param([CreateProcess(4, _slot(0)), _RECORD_READ, ExitProcess(4),
+                  CreateProcess(4, _slot(1)), _RECORD_READ],
+                 _RECORD_READ, "dst", "wrong_data", id="process-exit"),
+])
+def test_a_repeated_event_is_audited_afresh_after_a_state_change(events, probe, field, reported):
+    """The probe's record after the change is doctored to carry the field the
+    probe's earlier record logged: the stale bytes, legality or address. An
+    expectation reused across the change would pass it; the audit reports
+    it, by its own seq."""
+    report = run_trace(events, "multi-ept")
+    assert verify_run(events, report).ok
+    first, last = (next(r for r in report.log if r.event == i and r.access == "read")
+                   for i, event in enumerate(events) if event is probe)
+    assert getattr(first, field) != getattr(last, field)
+    log = list(report.log)
+    log[last.seq] = last._replace(**{field: getattr(first, field)})
+    verdict = verify_run(events, replace(report, log=log))
+    assert not verdict.ok
+    entries = getattr(verdict, reported)
+    assert [(e["seq"], e["event"]) for e in entries] == [(last.seq, last.event)]
+    assert len(verdict.leaks) + len(verdict.wrong_data) == 1 and not verdict.digest_mismatches
+
+
+class _PeakMemo(dict):
+    """A memo that keeps the most entries it ever held."""
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+class _NoMemo(dict):
+    """A memo that keeps nothing, so the audit steps the shadow through every event."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _audit(events, report, memo_type) -> tuple:
+    """verify_run's result with the shadow's memo replaced by a memo_type,
+    and the shadow, which counts the events it stepped."""
+    shadows = []
+
+    class Probe(_Shadow):
+        def __init__(self, allocations):
+            super().__init__(allocations)
+            self.memo = memo_type()
+            self.steps = 0
+            shadows.append(self)
+
+        def step(self, index, event):
+            self.steps += 1
+            return super().step(index, event)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("memranger.report_cli._Shadow", Probe)
+        verdict = verify_run(events, report)
+    return verdict, shadows[0]
+
+
+def _doctored(report):
+    """The report with every fifth read record reading 0badf00d."""
+    reads = [r.seq for r in report.log if r.access == "read"][::5]
+    log = list(report.log)
+    for seq in reads:
+        log[seq] = log[seq]._replace(data=bytes.fromhex("0badf00d"))
+    return replace(report, log=log)
+
+
+def _assert_exact_and_bounded(events, report) -> _Shadow:
+    """The memoised audit gives the very VerifyResult of one that steps every
+    event, on the report and on a doctored copy, and its memo never holds
+    more than the bound; returns the memoised audit's shadow."""
+    for audited in (report, _doctored(report)):
+        verdict, shadow = _audit(events, audited, _PeakMemo)
+        reference, stepped = _audit(events, audited, _NoMemo)
+        assert stepped.steps == len(events)
+        assert verdict == reference
+        assert shadow.memo.peak <= _MEMO_ENTRIES
+    return shadow
+
+
+@pytest.mark.parametrize("attack_probability", [0.3, 0.6])
+@pytest.mark.parametrize("mode", MODES)
+def test_the_memoised_audit_matches_one_that_steps_every_event(mode, attack_probability):
+    for seed in range(20):
+        events = gen_random_trace(seed, attack_probability=attack_probability)
+        _assert_exact_and_bounded(events, run_trace(events, mode))
+
+
+def test_a_repetition_is_reused_and_still_checked():
+    """In gen_benchmark_trace(3000) every read after the first 1,024 repeats
+    an event object with nothing changed since, so the shadow steps it no
+    more; a tampered 500th repetition is still reported by its seq."""
+    events = gen_benchmark_trace(3000)
+    report = run_trace(events, "multi-ept")
+    shadow = _assert_exact_and_bounded(events, report)
+    assert shadow.steps == len(events) - (3000 - 1024)
+    assert shadow.memo.peak == 1024
+    seen, repeats = set(), []
+    for record in report.log:
+        if record.access == "read":
+            event = events[record.event]
+            if event in seen:
+                repeats.append(record)
+            seen.add(event)
+    tampered = repeats[499]._replace(data=bytes.fromhex("0badf00d"))
+    log = list(report.log)
+    log[tampered.seq] = tampered
+    verdict = verify_run(events, replace(report, log=log))
+    assert [e["seq"] for e in verdict.wrong_data] == [tampered.seq]
+    assert verdict.checked_reads == 3000 and not verdict.leaks
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_memo_stays_within_its_bound(mode):
+    """More distinct reads than the bound, read twice over between layout
+    events: the memo is emptied when full and the audit stays exact."""
+    distinct = _MEMO_ENTRIES + 100
+    reads = [AccessEvent("X", DstRef("own_pool", offset=4 * slot), "read")
+             for slot in range(distinct)]
+    events = [LoadDriver("X", 0x3000_0000), Schedule("X"), Alloc("X", 4 * distinct, "page"),
+              *reads, *reads]
+    assert _assert_exact_and_bounded(events, run_trace(events, mode)).memo.peak == _MEMO_ENTRIES
 
 
 class TestCli:
