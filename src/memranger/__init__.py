@@ -15,7 +15,7 @@ from .address_space import (
     split_gpa,
 )
 from .dispatcher import VcpuState, execute_access, switch_ept
-from .ept_model import NONE, RW, RWX, Access, Ept, EptEntry
+from .ept_model import NONE, RW, RWX, Ept, EptEntry
 from .errors import (
     PolicyLivelockError,
     SimulationError,
@@ -43,20 +43,17 @@ from .kernel_sim import (
     run_trace,
     serialize_trace,
 )
-from .policy_map import Decision, DecisionKind, MapState
+from .policy_map import MapState
 from .reference_oracle import OracleChecker, rebuild, snapshot_from_map
 from .report_cli import main, verify_run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Access",
     "AccessEvent",
     "Alloc",
     "CostModel",
     "CreateProcess",
-    "Decision",
-    "DecisionKind",
     "DstRef",
     "Ept",
     "EptEntry",

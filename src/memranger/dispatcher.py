@@ -2,9 +2,10 @@
 
 Runs one guest access against the current translation context. Its addresses
 must lie in the modelled space, or it is rejected before anything moves. A
-refused translation goes to the policy, which either switches contexts for a
-retry or has the leaf opened for one single-stepped instruction (the decoy
-frame for a redirect, the real frame for a grant): the access runs, and the
+refused translation goes to the policy, which either names a context (its int
+id) to switch to for a retry or has the leaf opened for one single-stepped
+instruction, REDIRECT through the decoy frame or GRANT through the real one:
+the access runs, the decision's label goes into its record as it is, and the
 leaf is restored bit for bit on the single-step exit.
 
 A policy that keeps no contexts (mode ``off``) runs with translation off:
@@ -21,9 +22,9 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .address_space import GPA_LIMIT, OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, FrameStore
-from .ept_model import ACCESS_BIT, EXECUTE, READ, WRITE, Access, EptEntry
+from .ept_model import ACCESS_BIT, EXECUTE, READ, WRITE, EptEntry
 from .errors import PolicyLivelockError, SimulationError
-from .policy_map import DecisionKind, RegionLedger
+from .policy_map import GRANT, REDIRECT, RegionLedger
 
 RETRY_BUDGET = 4
 
@@ -40,8 +41,8 @@ class AccessRecord(NamedTuple):
     actor: str
     src: int
     dst: int
-    access: Access | str        # the access kind, a member or its trace string
-    decision: str               # "allow" | "redirect_to_fake" | "temporary_grant"
+    access: str                 # "read" | "write" | "execute"
+    decision: str               # "allow" | REDIRECT | GRANT
     ept_before: int
     ept_after: int
     traps: int
@@ -71,15 +72,15 @@ _RENDER = {
     "actor": attrgetter("actor"),
     "src": lambda record: f"{record.src:#x}",
     "dst": lambda record: f"{record.dst:#x}",
-    "access": lambda record: str.__str__(record.access),    # the plain string, also for a member
+    "access": attrgetter("access"),
     "ept_before": attrgetter("ept_before"),
     "ept_after": attrgetter("ept_after"),
     "decision": attrgetter("decision"),
     "trapped": lambda record: record.traps > 0,
     "traps": attrgetter("traps"),
     "switches": attrgetter("switches"),
-    "redirected": lambda record: record.decision == "redirect_to_fake",
-    "granted": lambda record: record.decision == "temporary_grant",
+    "redirected": lambda record: record.decision == REDIRECT,
+    "granted": lambda record: record.decision == GRANT,
     "data": lambda record: None if record.data is None else record.data.hex(),
     "seq": attrgetter("seq"),
     "event": attrgetter("event"),
@@ -128,7 +129,7 @@ def execute_access(
     store: FrameStore,
     src: int,
     dst: int,
-    access: Access,
+    access: str,
     payload: bytes | None = None,
     actor: str = "",
     home_ept: int | None = None,
@@ -165,7 +166,7 @@ def execute_access(
     ept_before = vcpu.current_ept
     traps = 0
     switches = 0
-    decision_label = "allow"
+    label = "allow"
 
     if home_ept is not None and home_ept != vcpu.current_ept:
         switches += 1
@@ -181,14 +182,14 @@ def execute_access(
         traps += 1
         counters["ept_violations"] += 1
         decision = policy.classify_access(vcpu.current_ept, src, dst, access)
-        if decision.kind is not DecisionKind.SWITCH_EPT:
+        if type(decision) is not int:    # a window's label; context 0 is falsy
             break
         switches += 1
         if switches > RETRY_BUDGET:
             raise PolicyLivelockError(
                 f"access to {dst:#x} still faulting after {RETRY_BUDGET} switches"
             )
-        switch_ept(vcpu, policy, decision.target_ept)
+        switch_ept(vcpu, policy, decision)
 
     saved = None
     if hpa is None:
@@ -196,13 +197,12 @@ def execute_access(
         # one instruction, through the decoy frame or the real one
         page = dst >> PAGE_SHIFT
         saved = ept.entry_for(page)
-        redirect = decision.kind is DecisionKind.REDIRECT_TO_FAKE
+        label = decision
+        redirect = decision == REDIRECT
         if redirect:
-            decision_label = "redirect_to_fake"
             counters["redirects"] += 1
             window_pfn = store.fake_pfn
-        else:    # TEMPORARY_GRANT
-            decision_label = "temporary_grant"
+        else:    # GRANT
             counters["grants"] += 1
             window_pfn = saved.pfn
         ept.set_page_entry(page, _new_tuple(EptEntry, (window_pfn, saved.attrs | ACCESS_BIT[access])))
@@ -229,6 +229,6 @@ def execute_access(
     if traps:
         counters["exec_trapped_accesses" if access == EXECUTE else "rw_trapped_accesses"] += 1
     return _new_tuple(AccessRecord, (
-        seq, event, actor, src, dst, access, decision_label,
+        seq, event, actor, src, dst, access, label,
         ept_before, vcpu.current_ept, traps, switches, data, expect,
     ))

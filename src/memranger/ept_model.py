@@ -12,6 +12,10 @@ attributes are the int R|W|X, bits 0-2 as in an Intel EPT entry. (The
 address_space.split_gpa.) A refused translation returns None, not an
 exception.
 
+An access kind is the trace's own string, "read", "write" or "execute",
+whether the trace or the scheduler makes the access; ACCESS_BIT gives each
+its bit, and its keys, in that order, are the kinds.
+
 Every leaf write goes through Ept.set_page_entry into the context's own map,
 never into the base. A write that gives a page what the base or the identity
 default already gives drops the page's own leaf instead of storing it, so
@@ -19,24 +23,11 @@ the own map holds only the pages that differ, not every page ever written,
 and a context's effective leaves change exactly when its own map does.
 """
 
-from enum import Enum
 from typing import ItemsView, Mapping, NamedTuple
 
 from .address_space import GPA_LIMIT, OFFSET_MASK, PAGE_SHIFT, PFN_LIMIT, check_gpa
 
-
-class Access(str, Enum):
-    """An access kind. Each member is the trace's own string: it compares and
-    hashes as that string, so a member and the plain string are
-    interchangeable wherever an access kind is read."""
-
-    READ = "read"
-    WRITE = "write"
-    EXECUTE = "execute"
-
-
-# Bound once: reading a member through the enum class costs about 100 ns.
-READ, WRITE, EXECUTE = Access.READ, Access.WRITE, Access.EXECUTE
+READ, WRITE, EXECUTE = "read", "write", "execute"
 
 R, W, X = 1, 2, 4
 RWX = R | W | X
@@ -91,7 +82,7 @@ class Ept:
             flat[page] = entry
         self.mutations += 1
 
-    def translate(self, gpa: int, access: Access) -> int | None:
+    def translate(self, gpa: int, access: str) -> int | None:
         """Pure lookup: host address on success, None on refusal."""
         if not 0 <= gpa < GPA_LIMIT:
             check_gpa(gpa)                  # raises, with the one out-of-space message

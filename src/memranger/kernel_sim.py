@@ -42,7 +42,7 @@ from types import MappingProxyType
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, POOL_ARENA
 from .address_space import PAGE_SIZE, FrameStore
 from .dispatcher import AccessRecord, VcpuState, execute_access, switch_ept
-from .ept_model import EXECUTE, WRITE, Access
+from .ept_model import ACCESS_BIT, EXECUTE, WRITE
 from .errors import SimulationError, TraceParseError
 from .policy_map import DEFAULT_EPT, AllocatedPool, MapState, RegionLedger, SingleEptPolicy
 
@@ -366,7 +366,7 @@ class DstRef:
 class AccessEvent:
     actor: str = _spec(STR)
     dst: DstRef = _spec(_nested(DstRef))
-    access: str = _spec(_one_of(tuple(access.value for access in Access)))
+    access: str = _spec(_one_of(tuple(ACCESS_BIT)))
     payload: bytes | None = _spec(HEX_BYTES, None)
     expect: str | None = _spec(_one_of(("legal", "illegal")), None)   # the generator's own label
 
@@ -466,7 +466,7 @@ class BumpAllocator:
     natural packs at 16 bytes; a page allocation starts on a page and never
     shares one, since its extent runs to the end of its last page. Every
     address the bump gives is the one a bump-only arena gives, so a trace that
-    never fills the arena keeps its layout.
+    never fills the arena keeps its layout. A refused request changes nothing.
     """
 
     def __init__(self, base: int, size: int):
@@ -483,13 +483,17 @@ class BumpAllocator:
         start, end = _placed(self.cursor, size, grain)
         if end <= self.end:
             if start > self.cursor:
-                self._free(self.cursor, start)    # the gap before an aligned start
+                _free(self.holes, self.cursor, start)    # the gap before an aligned start
             self.cursor = end
         else:
-            if self.cursor < self.end:            # the bump is over: its tail is a hole
-                self._free(self.cursor, self.end)
-                self.cursor = self.end
-            start, end = self._first_fit(size, grain)
+            # the bump is over and its tail is a hole, but a refused request
+            # must leave the allocator as it was: place it first, then commit
+            holes = self.holes
+            if self.cursor < self.end:
+                holes = holes.copy()
+                _free(holes, self.cursor, self.end)
+            start, end = _first_fit(holes, size, grain)
+            self.holes, self.cursor = holes, self.end
         self._extents[start] = end
         return start
 
@@ -498,26 +502,29 @@ class BumpAllocator:
         end = self._extents.pop(base, None)
         if end is None:
             raise SimulationError(f"release of unknown pool base {base:#x}")
-        self._free(base, end)
+        _free(self.holes, base, end)
 
-    def _first_fit(self, size: int, grain: int) -> tuple[int, int]:
-        holes = self.holes
-        for i, (low, high) in enumerate(holes):
-            start, end = _placed(low, size, grain)
-            if end <= high:
-                holes[i:i + 1] = [hole for hole in ((low, start), (end, high)) if hole[0] < hole[1]]
-                return start, end
-        raise SimulationError("pool arena exhausted")
 
-    def _free(self, low: int, high: int) -> None:
-        holes = self.holes
-        i = bisect.bisect_left(holes, (low,))
-        if i > 0 and holes[i - 1][1] == low:
-            i -= 1
-            low = holes.pop(i)[0]
-        if i < len(holes) and holes[i][0] == high:
-            high = holes.pop(i)[1]
-        holes.insert(i, (low, high))
+def _first_fit(holes: list[tuple[int, int]], size: int, grain: int) -> tuple[int, int]:
+    """Carve an allocation out of the first hole it fits; raises, with holes
+    untouched, when none does."""
+    for i, (low, high) in enumerate(holes):
+        start, end = _placed(low, size, grain)
+        if end <= high:
+            holes[i:i + 1] = [hole for hole in ((low, start), (end, high)) if hole[0] < hole[1]]
+            return start, end
+    raise SimulationError("pool arena exhausted")
+
+
+def _free(holes: list[tuple[int, int]], low: int, high: int) -> None:
+    """Add [low, high) to the sorted holes, merged with its neighbours."""
+    i = bisect.bisect_left(holes, (low,))
+    if i > 0 and holes[i - 1][1] == low:
+        i -= 1
+        low = holes.pop(i)[0]
+    if i < len(holes) and holes[i][0] == high:
+        high = holes.pop(i)[1]
+    holes.insert(i, (low, high))
 
 
 def _placed(cursor: int, size: int, grain: int) -> tuple[int, int]:
@@ -892,7 +899,7 @@ def _driver_names():
 # Access menu rows: (target kind, driver, index, pid, size to draw an offset
 # in, access). The rows that name no live region are built here, once.
 _STRUCTURES = tuple(("os_structures", None, 0, None, PROCESS_SLOT_BASE - OS_STRUCTURES[0], access)
-                    for access in ("read", "write", "execute"))
+                    for access in ACCESS_BIT)
 _KERNEL_CODE_READ = ("os_kernel_code", None, 0, None, OS_KERNEL_CODE[1], "read")
 _DRIVER_READS = (("other_driver", None, 0, None, OTHER_DRIVER[1], "read"), _KERNEL_CODE_READ)
 
@@ -978,7 +985,7 @@ class _World:
         kind, driver, index, pid, size, access = rng.choice(self.targets(actor, legal))
         dst = DstRef(kind, driver, index, pid, rng.randrange(max(size - 3, 1) // 4 or 1) * 4)
         payload = None
-        if access == "write":
+        if access == WRITE:
             payload = bytes([0xA0 + rng.randrange(16)]) * 4 if legal else DEFAULT_WRITE
         return AccessEvent(actor, dst, access, payload, "legal" if legal else "illegal")
 

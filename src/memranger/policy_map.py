@@ -44,18 +44,19 @@ gets its own leaf over the template.
 Allocation ownership is attributed by the caller's code address, which lies
 in an image or in kernel-side code, never in a pool. classify_access is each
 policy's violation brain: for a refused translation it reads the target
-page's claim and picks switch / redirect / grant. The dispatcher checks an
+page's claim and returns a context id (an int) to switch to, or the label of
+the single-step window to open, REDIRECT or GRANT, which the dispatcher
+writes into the access's record as it is. The dispatcher checks an
 access's addresses before any translation, so every address it is asked
 about lies in the modelled space.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from .address_space import DECOY_PFN, GPA_LIMIT, PAGE_SHIFT, pages_covering
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, POOL_ARENA
-from .ept_model import EXECUTE, NONE, RW, RWX, Access, Ept, EptEntry
+from .ept_model import EXECUTE, NONE, RW, RWX, Ept, EptEntry
 from .errors import SimulationError
 
 DEFAULT_EPT = 0
@@ -86,24 +87,10 @@ class EnclaveRecord:
         return self.image_end - self.image_base
 
 
-class DecisionKind(Enum):
-    SWITCH_EPT = "switch_ept"
-    REDIRECT_TO_FAKE = "redirect_to_fake"
-    TEMPORARY_GRANT = "temporary_grant"
-
-
-@dataclass(frozen=True)
-class Decision:
-    kind: DecisionKind
-    target_ept: int | None = None
-
-
-REDIRECT = Decision(DecisionKind.REDIRECT_TO_FAKE)
-GRANT = Decision(DecisionKind.TEMPORARY_GRANT)
-
-
-def switch_to(ept_id: int) -> Decision:
-    return Decision(DecisionKind.SWITCH_EPT, target_ept=ept_id)
+# The decisions that open a single-step window, as a record labels them; any
+# other decision is the int id of the context to switch to.
+REDIRECT = "redirect_to_fake"
+GRANT = "temporary_grant"
 
 
 def _check_range(base: int, size: int, what: str) -> None:
@@ -354,8 +341,9 @@ class MapState(RegionLedger):
 
     # -- violation brain -----------------------------------------------------
 
-    def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
-        """Decide what a refused translation means. Called on violations only."""
+    def classify_access(self, current_ept: int, src: int, dst: int, access: str) -> int | str:
+        """Decide what a refused translation means: a context to switch to,
+        REDIRECT or GRANT. Called on violations only."""
         kind, who = self.claim_of(dst >> PAGE_SHIFT)
         if kind == "shared":
             # the pool holding the byte decides: its owner is granted in the
@@ -365,7 +353,7 @@ class MapState(RegionLedger):
                     pool.owner is None and access == EXECUTE):
                 return REDIRECT
             home = DEFAULT_EPT if pool.owner is None else pool.owner
-            return GRANT if current_ept == home else switch_to(home)
+            return GRANT if current_ept == home else home
         if access == EXECUTE:
             # code runs in its home context: an enclave's own, else the default
             if kind == "image" or kind == "pool" and who is not None:
@@ -374,10 +362,10 @@ class MapState(RegionLedger):
                 home = DEFAULT_EPT
             else:
                 return REDIRECT
-            return REDIRECT if current_ept == home else switch_to(home)
+            return REDIRECT if current_ept == home else home
         if kind == "process" or kind == "structure":
             if current_ept != DEFAULT_EPT and _STATIC_KIND.get(src >> PAGE_SHIFT) in _KERNEL_SIDE:
-                return switch_to(DEFAULT_EPT)
+                return DEFAULT_EPT
         return REDIRECT
 
 
@@ -400,7 +388,7 @@ class SingleEptPolicy(RegionLedger):
             return RW
         return NONE         # kernel structures, a process, an enclave's pool or a shared page
 
-    def classify_access(self, current_ept: int, src: int, dst: int, access: Access) -> Decision:
+    def classify_access(self, current_ept: int, src: int, dst: int, access: str) -> int | str:
         if access == EXECUTE:
             return REDIRECT
         kind, who = self._claims.get(dst >> PAGE_SHIFT, _FREE)

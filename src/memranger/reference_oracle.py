@@ -54,7 +54,7 @@ agrees, no other page can disagree.
 from typing import NamedTuple
 
 from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, PAGE_SHIFT
-from .ept_model import EXECUTE, NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
+from .ept_model import EXECUTE, NONE, RW, RWX, Ept, EptEntry, R, W, X
 
 BAD_PFN_BITS = 0xFF    # sentinel: leaf points at a non-identity frame
 
@@ -132,7 +132,7 @@ class SnapshotView:
         return any(_within(gpa, region)
                    for regions in self.processes.values() for region in regions)
 
-    def legal(self, actor, dst: int, access: Access) -> bool:
+    def legal(self, actor, dst: int, access: str) -> bool:
         """Minimal-privilege legality: does the actor, by its enclave identity
         (None for the kernel and pre-existing drivers), get true data at dst?"""
         execute = access == EXECUTE
@@ -218,11 +218,6 @@ class FlatPolicy:
         return row
 
     @property
-    def table(self) -> dict[int, dict[int, int]]:
-        """Context id -> row, for every context the facts call for."""
-        return {ept_id: self.row(ept_id) for ept_id in self.ept_ids}
-
-    @property
     def universe(self) -> list[int]:
         """The pages every row lists: the static pages and the claimed ones."""
         return list(self.row(0))
@@ -291,26 +286,27 @@ def _compare(ept_id: int, row: dict[int, int], ept: Ept, page: int) -> Mismatch 
 
 
 def _every_page(row: dict[int, int], ept: Ept) -> set[int]:
-    """The pages a from-scratch read of a context covers: the table's and the
+    """The pages a from-scratch read of a context covers: the row's and the
     context's own leaves; every other page reads as the identity default."""
     return {*row, *(page for page, _ in ept.materialized_leaves())}
 
 
 def _context_mismatches(policy: FlatPolicy, epts: dict[int, Ept]) -> list[Mismatch]:
-    """Contexts the table calls for that are missing, and surplus ones."""
+    """Contexts the facts call for that are missing, and surplus ones."""
     return [Mismatch(ept_id, -1, "present", "missing")
-            for ept_id in policy.table if ept_id not in epts] + [
+            for ept_id in policy.ept_ids if ept_id not in epts] + [
             Mismatch(ept_id, -1, "absent", "present")
-            for ept_id in epts if ept_id not in policy.table]
+            for ept_id in epts if ept_id not in policy.ept_ids]
 
 
 def check_against(policy: FlatPolicy, epts: dict[int, Ept]) -> list[Mismatch]:
-    """Compare every context against the expected table, from scratch; []
+    """Compare every context against its expected row, from scratch; []
     means agreement. The mismatches come sorted."""
     mismatches = _context_mismatches(policy, epts)
-    for ept_id, row in policy.table.items():
+    for ept_id in policy.ept_ids:
         ept = epts.get(ept_id)
         if ept is not None:
+            row = policy.row(ept_id)
             found = (_compare(ept_id, row, ept, page) for page in _every_page(row, ept))
             mismatches.extend(m for m in found if m is not None)
     return sorted(mismatches)

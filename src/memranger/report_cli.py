@@ -268,7 +268,7 @@ def verify_run(events, report: RunReport) -> VerifyResult:
                 memo[id(event)] = (event, expected)
         want = expected.data if expected is not None else None    # bytes: a read is due
         while record is not None and record.event <= index:
-            if record.event == index and want is not None and record.access == "read":
+            if record.event == index and want is not None and record.access == READ:
                 checked_reads += 1
                 got = record.data or b""
                 if not expected.legal and any(got):
@@ -276,7 +276,7 @@ def verify_run(events, report: RunReport) -> VerifyResult:
                 elif got != want or record.dst != expected.dst or record.actor != event.actor:
                     result.wrong_data.append(_mismatch(record, want.hex()))
                 want = None
-            elif record.event < index or record.access == "read":
+            elif record.event < index or record.access == READ:
                 result.wrong_data.append(_mismatch(record, None))
             record = next(records, None)
         if want is not None:

@@ -5,9 +5,9 @@ import pytest
 
 from memranger.address_space import GPA_LIMIT, OS_KERNEL_CODE, PAGE_SIZE, FrameStore
 from memranger.dispatcher import RETRY_BUDGET, VcpuState, execute_access, switch_ept
-from memranger.ept_model import NONE, Access, Ept, EptEntry
+from memranger.ept_model import EXECUTE, NONE, READ, WRITE, Ept, EptEntry
 from memranger.errors import PolicyLivelockError, SimulationError
-from memranger.policy_map import DEFAULT_EPT, MapState, RegionLedger, SingleEptPolicy, switch_to
+from memranger.policy_map import DEFAULT_EPT, MapState, RegionLedger, SingleEptPolicy
 
 IMAGE_A = 0x3000_0000
 IMAGE_B = 0x3100_0000
@@ -35,7 +35,7 @@ def world():
 def test_legal_access_is_untrapped(world):
     policy, store, vcpu, a, _ = world
     switch_ept(vcpu, policy, a)
-    record = execute_access(vcpu, policy, store, CODE_A, POOL_A + 4, Access.READ)
+    record = execute_access(vcpu, policy, store, CODE_A, POOL_A + 4, READ)
     assert record.data == SECRET
     assert record["trapped"] is False
     assert record["decision"] == "allow"
@@ -47,7 +47,7 @@ def test_foreign_read_redirects_and_restores(world):
     switch_ept(vcpu, policy, b)
     page = POOL_A >> 12
     before = policy.epts[b].entry_for(page)
-    record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 4, Access.READ)
+    record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 4, READ)
     assert record.data == bytes(4)               # decoy frame, not the secret
     assert record["decision"] == "redirect_to_fake"
     assert record["redirected"] is True
@@ -61,7 +61,7 @@ def test_foreign_write_lands_in_the_decoy(world):
     policy, store, vcpu, a, b = world
     switch_ept(vcpu, policy, b)
     record = execute_access(
-        vcpu, policy, store, CODE_B, POOL_A + 4, Access.WRITE, payload=b"\x00" * 4
+        vcpu, policy, store, CODE_B, POOL_A + 4, WRITE, payload=b"\x00" * 4
     )
     assert record["redirected"] is True
     # victim bytes untouched; decoy frame scrubbed after the window closed
@@ -74,7 +74,7 @@ def test_decoy_frame_reads_zero_after_a_redirected_write(world):
     policy, store, vcpu, a, b = world
     switch_ept(vcpu, policy, b)
     record = execute_access(
-        vcpu, policy, store, CODE_B, POOL_A + 4, Access.WRITE, payload=b"\x5a" * 4
+        vcpu, policy, store, CODE_B, POOL_A + 4, WRITE, payload=b"\x5a" * 4
     )
     assert record["redirected"] is True and vcpu.counters["mtf_windows"] == 1
     # the restore drops the decoy's entry, no copy left behind
@@ -86,10 +86,10 @@ def test_fetch_then_access_discipline(world):
     """An owner reaches its pool by faulting on the fetch, never on the data."""
     policy, store, vcpu, a, _ = world
     assert vcpu.current_ept == DEFAULT_EPT
-    fetch = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, Access.EXECUTE)
+    fetch = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, EXECUTE)
     assert fetch["ept_after"] == a
     assert fetch["trapped"] is True
-    record = execute_access(vcpu, policy, store, CODE_A, POOL_A, Access.READ)
+    record = execute_access(vcpu, policy, store, CODE_A, POOL_A, READ)
     assert record.data == SECRET
     assert record["trapped"] is False
     assert record["decision"] == "allow"
@@ -97,7 +97,7 @@ def test_fetch_then_access_discipline(world):
 
 def test_execute_fetch_switches_into_the_enclave(world):
     policy, store, vcpu, a, _ = world
-    record = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, Access.EXECUTE)
+    record = execute_access(vcpu, policy, store, KERNEL_CODE, CODE_A, EXECUTE)
     assert record["ept_after"] == a
     assert record["switches"] == 1
     assert vcpu.counters["tlb_flushes"] == 1
@@ -113,7 +113,7 @@ def test_window_writes_the_leaf_twice_and_restores_it(world):
     ept = policy.epts[b]
     for dst, decision in ((POOL_A + 4, "redirect_to_fake"), (POOL_A + 0x104, "temporary_grant")):
         before, writes = ept.entry_for(page), ept.mutations
-        record = execute_access(vcpu, policy, store, CODE_B, dst, Access.READ)
+        record = execute_access(vcpu, policy, store, CODE_B, dst, READ)
         assert record["decision"] == decision
         assert record["ept_after"] == b
         assert ept.mutations == writes + 2
@@ -127,7 +127,7 @@ def test_home_restore_happens_before_translation(world):
     # kernel code is executable everywhere, so without the explicit home the
     # fetch would silently keep running inside the enclave
     record = execute_access(
-        vcpu, policy, store, KERNEL_CODE, KERNEL_CODE, Access.EXECUTE,
+        vcpu, policy, store, KERNEL_CODE, KERNEL_CODE, EXECUTE,
         home_ept=DEFAULT_EPT,
     )
     assert record["ept_after"] == DEFAULT_EPT
@@ -142,7 +142,7 @@ def test_locked_page_grant_relocks(world):
     page = POOL_A >> 12
     assert policy.epts[a].entry_for(page).attrs == NONE
     switch_ept(vcpu, policy, b)
-    record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 0x104, Access.READ)
+    record = execute_access(vcpu, policy, store, CODE_B, POOL_A + 0x104, READ)
     assert record.data == b"\x22" * 4
     assert record["decision"] == "temporary_grant"
     assert record["granted"] is True
@@ -174,7 +174,7 @@ def test_single_ept_shared_page_goes_by_the_byte_owner(src, dst, decision, data)
     page = POOL_A >> 12
     assert policy.epts[DEFAULT_EPT].entry_for(page).attrs == NONE
     vcpu = VcpuState(current_ept=DEFAULT_EPT)
-    record = execute_access(vcpu, policy, store, src, dst, Access.READ)
+    record = execute_access(vcpu, policy, store, src, dst, READ)
     assert (record.decision, record.data, record.traps) == (decision, data, 1)
     assert policy.epts[DEFAULT_EPT].entry_for(page).attrs == NONE
 
@@ -182,7 +182,7 @@ def test_single_ept_shared_page_goes_by_the_byte_owner(src, dst, decision, data)
 def test_write_requires_payload(world):
     policy, store, vcpu, _, _ = world
     with pytest.raises(SimulationError):
-        execute_access(vcpu, policy, store, KERNEL_CODE, 0x9000_0000, Access.WRITE)
+        execute_access(vcpu, policy, store, KERNEL_CODE, 0x9000_0000, WRITE)
 
 
 def test_unknown_access_kind_rejected(world):
@@ -195,7 +195,7 @@ def test_page_straddling_access_rejected(world):
     policy, store, vcpu, _, _ = world
     with pytest.raises(SimulationError):
         execute_access(
-            vcpu, policy, store, KERNEL_CODE, 0x9000_0FFE, Access.WRITE, payload=b"1234"
+            vcpu, policy, store, KERNEL_CODE, 0x9000_0FFE, WRITE, payload=b"1234"
         )
 
 
@@ -221,25 +221,25 @@ class _PingPongPolicy:
             ept.set_page_entry(0x7000_0000 >> 12, EptEntry(0x7000_0000 >> 12, NONE))
 
     def classify_access(self, current_ept, src, dst, access):
-        return switch_to(1 - current_ept)
+        return 1 - current_ept
 
 
 def test_livelock_budget_trips():
     policy = _PingPongPolicy()
     vcpu = VcpuState(current_ept=0)
     with pytest.raises(PolicyLivelockError):
-        execute_access(vcpu, policy, FrameStore(), 0x1000, 0x7000_0000, Access.READ)
+        execute_access(vcpu, policy, FrameStore(), 0x1000, 0x7000_0000, READ)
     assert vcpu.counters["ept_violations"] == RETRY_BUDGET + 1
 
 
 @pytest.mark.parametrize("policy_class", [RegionLedger, SingleEptPolicy, MapState])
 @pytest.mark.parametrize("src, dst, access", [
-    (-5, POOL_A + 4, Access.READ),              # an untrapped read at the parent
-    (2**60, 0x9000_0000, Access.READ),          # likewise: nothing traps on open data
-    (GPA_LIMIT, POOL_A + 4, Access.WRITE),
-    (KERNEL_CODE, -1, Access.READ),
-    (KERNEL_CODE, GPA_LIMIT, Access.EXECUTE),
-    (KERNEL_CODE, 2**60, Access.READ),
+    (-5, POOL_A + 4, READ),              # an untrapped read at the parent
+    (2**60, 0x9000_0000, READ),          # likewise: nothing traps on open data
+    (GPA_LIMIT, POOL_A + 4, WRITE),
+    (KERNEL_CODE, -1, READ),
+    (KERNEL_CODE, GPA_LIMIT, EXECUTE),
+    (KERNEL_CODE, 2**60, READ),
 ], ids=["src-negative", "src-huge", "src-at-limit", "dst-negative", "dst-at-limit", "dst-huge"])
 def test_out_of_range_address_is_rejected_at_the_door(policy_class, src, dst, access):
     """An access whose src or dst lies outside [0, GPA_LIMIT) raises before

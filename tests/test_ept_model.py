@@ -1,5 +1,5 @@
 """Per-context translation hierarchies: permissions, remaps, refusals, and
-the one access-kind type."""
+access kinds that are the trace's own strings."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memranger.address_space import GPA_LIMIT, PAGE_SIZE
-from memranger.dispatcher import AccessRecord
 from memranger.ept_model import (
     ACCESS_BIT,
     EXECUTE,
@@ -16,21 +15,28 @@ from memranger.ept_model import (
     RW,
     RWX,
     WRITE,
-    Access,
     Ept,
     EptEntry,
     R,
     W,
     X,
 )
-from memranger.kernel_sim import gen_demo1_trace, run_trace
+from memranger.kernel_sim import (
+    gen_benchmark_trace,
+    gen_demo1_trace,
+    gen_privesc_trace,
+    gen_random_trace,
+    run_trace,
+)
+from memranger.report_cli import MODES
 
 
 def test_rwx_bits_packing():
     """R, W and X are bits 0-2 of a leaf, as in an Intel EPT entry."""
     assert (R, W, X) == (1, 2, 4)
     assert (NONE, RW, RWX) == (0, 3, 7)
-    assert ACCESS_BIT == {Access.READ: 1, Access.WRITE: 2, Access.EXECUTE: 4}
+    assert ACCESS_BIT == {"read": 1, "write": 2, "execute": 4}
+    assert (READ, WRITE, EXECUTE) == tuple(ACCESS_BIT)
 
 
 def test_rwx_permits():
@@ -40,7 +46,7 @@ def test_rwx_permits():
     for attrs in range(8):
         ept = Ept(0)
         ept.set_page_entry(7, EptEntry(99, attrs))
-        for access, bit in ((Access.READ, 1), (Access.WRITE, 2), (Access.EXECUTE, 4)):
+        for access, bit in ((READ, 1), (WRITE, 2), (EXECUTE, 4)):
             got = ept.translate(gpa, access)
             if attrs & bit:
                 assert got == 99 * PAGE_SIZE + 0x20
@@ -51,15 +57,15 @@ def test_rwx_permits():
 
 def test_fresh_context_identity_maps_rw():
     ept = Ept(0)
-    assert ept.translate(0x1234, Access.READ) == 0x1234
-    assert ept.translate(0x1234, Access.WRITE) == 0x1234
-    assert ept.translate(0x1234, Access.EXECUTE) is None
+    assert ept.translate(0x1234, READ) == 0x1234
+    assert ept.translate(0x1234, WRITE) == 0x1234
+    assert ept.translate(0x1234, EXECUTE) is None
 
 
 def test_a_refusal_leaves_the_refusing_entry_in_place():
     ept = Ept(3)
     ept.set_page_entry(5, EptEntry(5, NONE))
-    assert ept.translate(5 * PAGE_SIZE + 0x10, Access.READ) is None
+    assert ept.translate(5 * PAGE_SIZE + 0x10, READ) is None
     assert ept.entry_for(5) == EptEntry(5, NONE)
 
 
@@ -70,7 +76,7 @@ def test_a_page_or_address_outside_the_space_is_refused():
             ept.set_page_entry(page, EptEntry(0, RW))
     for gpa in (-1, GPA_LIMIT):
         with pytest.raises(ValueError, match=f"^gpa {gpa:#x} outside 48-bit space$"):
-            ept.translate(gpa, Access.READ)
+            ept.translate(gpa, READ)
     assert ept.mutations == 0
 
 
@@ -80,7 +86,7 @@ def test_mutations_counter_tracks_writes():
     ept.set_page_entry(1, EptEntry(1, NONE))
     ept.set_page_entry(2, EptEntry(5, RW))
     assert ept.mutations == before + 2
-    ept.translate(0x100, Access.READ)  # lookups are pure
+    ept.translate(0x100, READ)  # lookups are pure
     assert ept.mutations == before + 2
 
 
@@ -91,14 +97,14 @@ def test_materialized_leaves_mirror_the_radix():
     leaves = dict(ept.materialized_leaves())
     assert leaves == {10: EptEntry(10, NONE), 600: EptEntry(600, RWX)}
     for page, entry in leaves.items():
-        got = ept.translate(page * PAGE_SIZE, Access.READ)
+        got = ept.translate(page * PAGE_SIZE, READ)
         if entry.attrs & R:
             assert got == entry.pfn * PAGE_SIZE
         else:
             assert got is None
 
 
-@given(st.integers(0, GPA_LIMIT - 1), st.sampled_from(list(Access)))
+@given(st.integers(0, GPA_LIMIT - 1), st.sampled_from(list(ACCESS_BIT)))
 def test_translate_agrees_with_entry_for(gpa, access):
     ept = Ept(0)
     ept.set_page_entry(0, EptEntry(0, NONE))
@@ -129,41 +135,18 @@ def test_a_write_the_base_or_default_already_gives_drops_the_own_leaf():
     assert template == {5: EptEntry(5, NONE)}
 
 
-def test_an_access_kind_is_its_trace_string():
-    """Each member is the trace's own string: the same value, the same hash,
-    and the member is what the string names."""
-    assert (READ, WRITE, EXECUTE) == (Access.READ, Access.WRITE, Access.EXECUTE)
-    for member, text in ((READ, "read"), (WRITE, "write"), (EXECUTE, "execute")):
-        assert Access(text) is member
-        assert member == text and text == member
-        assert hash(member) == hash(text)
-        assert ACCESS_BIT[text] == ACCESS_BIT[member]
-    assert [member.value for member in Access] == ["read", "write", "execute"]
-
-
-def test_translate_reads_a_member_and_its_string_alike():
-    """For every combination of bits, a lookup by member and by the trace
-    string give the same answer, for every access kind."""
-    gpa = 7 * PAGE_SIZE + 0x20
-    for attrs in range(8):
-        ept = Ept(0)
-        ept.set_page_entry(7, EptEntry(99, attrs))
-        for member in Access:
-            assert ept.translate(gpa, member.value) == ept.translate(gpa, member)
-        for member in Access:    # the identity default, off every own leaf
-            assert ept.translate(gpa + PAGE_SIZE, member.value) == ept.translate(gpa + PAGE_SIZE, member)
-
-
-def test_a_record_made_with_a_member_renders_the_plain_string():
-    """The scheduler's fetch passes the member, a trace access its string; both
-    records render the plain string, in as_dict() and in the report's JSON."""
-    report = run_trace(gen_demo1_trace(), "multi-ept")
-    kinds = {type(record.access) for record in report.log}
-    assert kinds == {Access, str}
-    rendered = json.loads(report.to_json())["log"]
-    for record, row in zip(report.log, rendered, strict=True):
-        assert type(record.as_dict()["access"]) is str
-        assert type(record["access"]) is str
-        assert record.as_dict()["access"] == row["access"] == Access(record.access).value
-    record = AccessRecord(0, 0, "drv", 0x10, 0x20, EXECUTE, "allow", 0, 0, 0, 0, None, None)
-    assert record.as_dict()["access"] == "execute" and type(record.as_dict()["access"]) is str
+@pytest.mark.parametrize("mode", MODES)
+def test_every_record_access_is_a_plain_string(mode):
+    """Whether the trace or the scheduler made the access, every record's
+    access kind is exactly a str, one of the kinds, and renders as itself in
+    an f-string, in as_dict() and in the report's JSON."""
+    traces = [gen_demo1_trace(), gen_privesc_trace(), gen_benchmark_trace(n_accesses=300),
+              *(gen_random_trace(seed, length=200, attack_probability=0.5) for seed in range(3))]
+    for events in traces:
+        report = run_trace(events, mode)
+        rendered = json.loads(report.to_json())["log"]
+        kinds = {record.access for record in report.log}
+        assert EXECUTE in kinds and kinds <= set(ACCESS_BIT)    # the scheduler's fetches too
+        for record, row in zip(report.log, rendered, strict=True):
+            assert type(record.access) is str
+            assert f"{record.access}" == record.as_dict()["access"] == row["access"] == record.access

@@ -27,7 +27,8 @@ FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
 
 # Prints the interpreter's version, then per trace a hash of its written
 # lines, per trace and mode the verdict's counts (its summary without the
-# samples) and a hash of the whole report, and per trace the number of
+# samples), a hash of the whole report and a hash of every record's access
+# kind and decision as an f-string renders them, and per trace the number of
 # mismatches the oracle reported over its multi-ept run.
 REPLAY = """
 import hashlib, json, sys
@@ -48,8 +49,10 @@ for name, events in traces.items():
     for mode in MODES:
         report = run_trace(events, mode, after_event=check if mode == "multi-ept" else None)
         counts = {k: v for k, v in verify_run(events, report).summary().items() if k != "samples"}
+        rendered = " ".join(f"{record.access}/{record.decision}" for record in report.log)
         print(name, mode, json.dumps(counts, sort_keys=True, separators=(",", ":")),
-              hashlib.sha256(report.to_json().encode()).hexdigest())
+              hashlib.sha256(report.to_json().encode()).hexdigest(),
+              hashlib.sha256(rendered.encode()).hexdigest())
     print(name, "oracle", len(found))
 """
 
@@ -109,8 +112,9 @@ def _run(python: str, script: str) -> list[str]:
 def test_floor_python_replays_every_mode_as_this_one_does():
     """Under the floor version every trace is written as the same bytes, every
     run ends, every multi-ept run passes its audit and its oracle checks, and
-    every verdict and report is byte-for-byte the one this interpreter gives
-    (the weaker modes leak by design, the same way under both)."""
+    every verdict, report and record's rendered access kind and decision is
+    byte-for-byte the one this interpreter gives (the weaker modes leak by
+    design, the same way under both)."""
     python = _floor_python()
     if python is None:
         pytest.skip(f"no working Python {'.'.join(map(str, FLOOR))} installed")

@@ -493,6 +493,35 @@ class TestAllocator:
         assert alloc.take(0xC00, "natural") == base + 0x800
         assert alloc.holes == [(base + 0x1400, base + 0x2000)]
 
+    @pytest.mark.parametrize("align", ["natural", "page"])
+    def test_a_refused_request_leaves_the_allocator_as_it_was(self, align):
+        """A request too large for the bump and for every hole is refused
+        before anything moves: the cursor, the holes and every later address
+        are those of an allocator that never saw it, in the bump phase and
+        after it."""
+        base, size = POOL_ARENA
+        extent = 0x100 if align == "natural" else PAGE_SIZE
+
+        def history(refuse: bool):
+            alloc = BumpAllocator(base, size)
+            first = alloc.take(0x100, align)
+            alloc.take(0x100, align)
+            alloc.release(first)
+            states = []
+            for fill in (False, True):       # in the bump phase, then with the arena full
+                if fill:
+                    alloc.take(alloc.end - alloc.cursor, "natural")
+                if refuse:
+                    with pytest.raises(SimulationError, match="pool arena exhausted"):
+                        alloc.take(0x200_0000, align)
+                states.append((alloc.cursor, list(alloc.holes), alloc.take(0x100, align)))
+            return states
+
+        kept = history(refuse=False)
+        assert history(refuse=True) == kept
+        assert kept[0] == (base + 2 * extent, [(base, base + extent)], base + 2 * extent)
+        assert kept[1][2] == base         # the full arena reuses the first hole
+
     def test_release_of_an_unknown_base_is_rejected(self):
         alloc = BumpAllocator(0x5000_0000, 0x2000)
         live = alloc.take(0x40, "natural")

@@ -13,7 +13,7 @@ from memranger.address_space import OS_KERNEL_CODE as KERNEL
 from memranger.address_space import OS_STRUCTURES as STRUCTS
 from memranger.address_space import OTHER_DRIVER
 from memranger.address_space import PAGE_SHIFT
-from memranger.ept_model import NONE, RW, RWX, Access, Ept, EptEntry, R, W, X
+from memranger.ept_model import ACCESS_BIT, EXECUTE, NONE, READ, RW, RWX, WRITE, Ept, EptEntry, R, W, X
 from memranger.kernel_sim import Simulation, gen_random_trace, run_trace
 from memranger.policy_map import DEFAULT_EPT, MapState
 from memranger.reference_oracle import (
@@ -419,10 +419,10 @@ def _inside(gpa: int, region: tuple[int, int]) -> bool:
     return region[0] <= gpa < region[0] + region[1]
 
 
-def _set_rule(view: SnapshotView, actor, dst: int, access: Access) -> bool:
+def _set_rule(view: SnapshotView, actor, dst: int, access: str) -> bool:
     """The legality predicate as it reads over the set of the page's pool
     owners: the reference the predicate's one scan must agree with."""
-    execute = access == Access.EXECUTE
+    execute = access == EXECUTE
     if execute and view.image_enclave(dst) is not None:
         return True
     pools = view.pools_by_page.get(dst >> PAGE_SHIFT, ())
@@ -486,36 +486,36 @@ class TestLegality:
         return snapshot_from_map(state)
 
     def test_owner_reads_own_pool(self, view):
-        assert view.legal(self.a, 0x5000_0010, Access.READ)
+        assert view.legal(self.a, 0x5000_0010, READ)
 
     def test_neighbor_cannot(self, view):
-        assert not view.legal(self.b, 0x5000_0010, Access.READ)
-        assert not view.legal(None, 0x5000_0010, Access.READ)
+        assert not view.legal(self.b, 0x5000_0010, READ)
+        assert not view.legal(None, 0x5000_0010, READ)
 
     def test_unenclaved_pools_stay_open(self, view):
         # only enclave allocations are guarded; plain kernel heap is not
-        assert view.legal(None, 0x5000_2010, Access.WRITE)
-        assert view.legal(self.a, 0x5000_2010, Access.WRITE)
+        assert view.legal(None, 0x5000_2010, WRITE)
+        assert view.legal(self.a, 0x5000_2010, WRITE)
 
     def test_structures_are_kernel_only(self, view):
-        assert view.legal(None, STRUCTS[0], Access.WRITE)
-        assert not view.legal(self.a, STRUCTS[0], Access.WRITE)
+        assert view.legal(None, STRUCTS[0], WRITE)
+        assert not view.legal(self.a, STRUCTS[0], WRITE)
 
     def test_process_memory_is_kernel_only(self, view):
         slot = STRUCTS[0] + 0x2000
-        assert view.legal(None, slot + 8, Access.WRITE)
-        assert not view.legal(self.a, slot + 8, Access.WRITE)
+        assert view.legal(None, slot + 8, WRITE)
+        assert not view.legal(self.a, slot + 8, WRITE)
 
     def test_image_code_may_run_but_not_be_read(self, view):
         # calling into another driver is normal; peeking at its bytes is not
-        assert view.legal(self.a, 0x3000_0200, Access.EXECUTE)
-        assert view.legal(self.b, 0x3000_0200, Access.EXECUTE)
-        assert not view.legal(self.b, 0x3000_0200, Access.READ)
-        assert not view.legal(self.b, 0x3000_0200, Access.WRITE)
+        assert view.legal(self.a, 0x3000_0200, EXECUTE)
+        assert view.legal(self.b, 0x3000_0200, EXECUTE)
+        assert not view.legal(self.b, 0x3000_0200, READ)
+        assert not view.legal(self.b, 0x3000_0200, WRITE)
 
     def test_kernel_code_runs_for_everyone(self, view):
-        assert view.legal(self.a, KERNEL_CODE, Access.EXECUTE)
-        assert view.legal(None, KERNEL[0] + 0x80, Access.EXECUTE)
+        assert view.legal(self.a, KERNEL_CODE, EXECUTE)
+        assert view.legal(None, KERNEL[0] + 0x80, EXECUTE)
 
     def test_locked_page_bytes_stay_private(self):
         state = fresh()
@@ -525,11 +525,12 @@ class TestLegality:
         state.on_alloc(0x3100_0100, 0x5000_0010, 16)
         view = snapshot_from_map(state)
         # two owners share the page, so it is sealed in every context
-        assert [row[0x5000_0000 >> 12] for row in rebuild(view).table.values()] == [NONE] * 3
-        assert view.legal(a, 0x5000_0004, Access.READ)
-        assert view.legal(b, 0x5000_0014, Access.READ)
-        assert not view.legal(a, 0x5000_0014, Access.READ)
-        assert not view.legal(b, 0x5000_0004, Access.READ)
+        policy = rebuild(view)
+        assert [policy.row(ept_id)[0x5000_0000 >> 12] for ept_id in policy.ept_ids] == [NONE] * 3
+        assert view.legal(a, 0x5000_0004, READ)
+        assert view.legal(b, 0x5000_0014, READ)
+        assert not view.legal(a, 0x5000_0014, READ)
+        assert not view.legal(b, 0x5000_0004, READ)
 
     def test_execute_asks_the_image_first_and_data_the_pools(self):
         """An open pool laid over an enclave's image: a layout no trace can
@@ -538,8 +539,8 @@ class TestLegality:
         view = SnapshotView()
         view.images[1] = (0x3000_0000, 0x3000_0000 + IMAGE_SIZE)
         view.add_pool(None, 0x3000_0000, 16)
-        assert view.legal(None, 0x3000_0008, Access.EXECUTE)
-        assert view.legal(None, 0x3000_0008, Access.READ)
+        assert view.legal(None, 0x3000_0008, EXECUTE)
+        assert view.legal(None, 0x3000_0008, READ)
 
     @settings(max_examples=300, deadline=None)
     @given(_views())
@@ -548,7 +549,7 @@ class TestLegality:
         rule over the page's set of pool owners does."""
         view, addresses = drawn
         for actor in (None, "A", "B"):
-            for access in Access:
+            for access in ACCESS_BIT:
                 for dst in addresses:
                     assert view.legal(actor, dst, access) == _set_rule(view, actor, dst, access), (
                         actor, f"{dst:#x}", access)

@@ -8,7 +8,7 @@ from memranger.address_space import DECOY_PFN, PAGE_SHIFT, PAGE_SIZE, pages_cove
 from memranger.address_space import OS_KERNEL_CODE as KERNEL
 from memranger.address_space import OS_STRUCTURES as STRUCTS
 from memranger.address_space import OTHER_DRIVER as OTHER
-from memranger.ept_model import NONE, RW, RWX, Access, EptEntry
+from memranger.ept_model import EXECUTE, NONE, READ, RW, RWX, WRITE, EptEntry
 from memranger.errors import SimulationError
 from memranger.kernel_sim import (
     IMAGE_SIZE,
@@ -27,9 +27,9 @@ from memranger.kernel_sim import (
 from memranger.policy_map import (
     _STATIC_KIND,
     DEFAULT_EPT,
+    GRANT,
+    REDIRECT,
     STATIC_KINDS,
-    Decision,
-    DecisionKind,
     MapState,
     SingleEptPolicy,
     static_template,
@@ -238,31 +238,29 @@ class TestClassify:
 
     def test_execute_of_image_switches_home(self, loaded):
         state, a, _ = loaded
-        verdict = state.classify_access(DEFAULT_EPT, KERNEL_CODE, IMAGE_A + 0x100, Access.EXECUTE)
-        assert verdict.kind is DecisionKind.SWITCH_EPT
-        assert verdict.target_ept == a
+        verdict = state.classify_access(DEFAULT_EPT, KERNEL_CODE, IMAGE_A + 0x100, EXECUTE)
+        assert verdict == a
 
     def test_execute_of_foreign_image_redirects_in_home(self, loaded):
         state, a, b = loaded
         # already in the image's context: nothing left to switch to
-        verdict = state.classify_access(a, IMAGE_B + 0x100, IMAGE_A + 0x100, Access.EXECUTE)
-        assert verdict.kind is DecisionKind.REDIRECT_TO_FAKE
+        verdict = state.classify_access(a, IMAGE_B + 0x100, IMAGE_A + 0x100, EXECUTE)
+        assert verdict == REDIRECT
 
     def test_structure_write_from_kernel_switches_back(self, loaded):
         state, a, _ = loaded
-        verdict = state.classify_access(a, KERNEL_CODE, STRUCTS[0], Access.WRITE)
-        assert verdict.kind is DecisionKind.SWITCH_EPT
-        assert verdict.target_ept == DEFAULT_EPT
+        verdict = state.classify_access(a, KERNEL_CODE, STRUCTS[0], WRITE)
+        assert verdict == DEFAULT_EPT
 
     def test_structure_write_from_driver_redirects(self, loaded):
         state, a, _ = loaded
-        verdict = state.classify_access(a, IMAGE_A + 0x100, STRUCTS[0], Access.WRITE)
-        assert verdict.kind is DecisionKind.REDIRECT_TO_FAKE
+        verdict = state.classify_access(a, IMAGE_A + 0x100, STRUCTS[0], WRITE)
+        assert verdict == REDIRECT
 
     def test_foreign_pool_read_redirects(self, loaded):
         state, a, b = loaded
-        verdict = state.classify_access(b, IMAGE_B + 0x100, POOL, Access.READ)
-        assert verdict.kind is DecisionKind.REDIRECT_TO_FAKE
+        verdict = state.classify_access(b, IMAGE_B + 0x100, POOL, READ)
+        assert verdict == REDIRECT
 
     @pytest.fixture
     def locked(self, state):
@@ -274,29 +272,28 @@ class TestClassify:
 
     def test_locked_page_owner_granted_at_home(self, locked):
         state, a, b = locked
-        verdict = state.classify_access(a, IMAGE_A + 0x100, POOL + 4, Access.WRITE)
-        assert verdict.kind is DecisionKind.TEMPORARY_GRANT
-        verdict = state.classify_access(b, IMAGE_B + 0x100, POOL + 20, Access.READ)
-        assert verdict.kind is DecisionKind.TEMPORARY_GRANT
+        verdict = state.classify_access(a, IMAGE_A + 0x100, POOL + 4, WRITE)
+        assert verdict == GRANT
+        verdict = state.classify_access(b, IMAGE_B + 0x100, POOL + 20, READ)
+        assert verdict == GRANT
 
     def test_locked_page_owner_routed_home_first(self, locked):
         state, a, b = locked
-        verdict = state.classify_access(b, IMAGE_A + 0x100, POOL + 4, Access.READ)
-        assert verdict.kind is DecisionKind.SWITCH_EPT
-        assert verdict.target_ept == a
+        verdict = state.classify_access(b, IMAGE_A + 0x100, POOL + 4, READ)
+        assert verdict == a
 
     def test_locked_page_wrong_bytes_redirect(self, locked):
         state, a, _ = locked
         # A touching B's half of the page
-        verdict = state.classify_access(a, IMAGE_A + 0x100, POOL + 20, Access.READ)
-        assert verdict.kind is DecisionKind.REDIRECT_TO_FAKE
+        verdict = state.classify_access(a, IMAGE_A + 0x100, POOL + 20, READ)
+        assert verdict == REDIRECT
 
     def test_locked_page_kernel_bytes_grant_in_default(self, state):
         state.on_driver_load(IMAGE_A, IMAGE_SIZE)
         state.on_alloc(IMAGE_A + 0x100, POOL, 16)
         state.on_alloc(KERNEL_CODE, POOL + 16, 16)
-        verdict = state.classify_access(DEFAULT_EPT, KERNEL_CODE, POOL + 20, Access.READ)
-        assert verdict.kind is DecisionKind.TEMPORARY_GRANT
+        verdict = state.classify_access(DEFAULT_EPT, KERNEL_CODE, POOL + 20, READ)
+        assert verdict == GRANT
 
 
 SHARED = POOL + 2 * PAGE_SIZE
@@ -317,7 +314,7 @@ TARGETS = {
     "free": 0x9000_0000,
 }
 SOURCES = {"A": IMAGE_A + 0x100, "B": IMAGE_B + 0x100, "kernel": KERNEL_CODE, "other": OTHER_CODE}
-R, W, X = Access.READ, Access.WRITE, Access.EXECUTE
+R, W, X = READ, WRITE, EXECUTE
 
 
 def _world(policy_class):
@@ -390,12 +387,8 @@ SINGLE_EPT_DECISIONS = [
 def test_every_decision_cell(policy_class, target, access, source, context, want):
     policy, contexts = _world(policy_class)
     got = policy.classify_access(contexts[context], SOURCES[source], TARGETS[target], access)
-    if want == "redirect":
-        assert got == Decision(DecisionKind.REDIRECT_TO_FAKE)
-    elif want == "grant":
-        assert got == Decision(DecisionKind.TEMPORARY_GRANT)
-    else:
-        assert got == Decision(DecisionKind.SWITCH_EPT, contexts[want])
+    expected = {"redirect": REDIRECT, "grant": GRANT, **contexts}[want]
+    assert got == expected and type(got) is type(expected)
 
 
 def _single_ept_expectation(sim) -> dict[int, object]:
