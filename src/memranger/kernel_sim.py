@@ -21,9 +21,10 @@ privilege-escalation, benchmark, seeded random). The seeded random generator
 keeps only live facts (drivers, pools, processes) in one world object: one
 table states its action mix, one method states each actor's legal and illegal
 targets, and every choice is drawn from one seeded rng. Each event class
-states its fields once; its construction checks them, so the codec and the
-replay never check an event, and the codec reads and writes them from that
-same statement.
+states its fields once; its construction runs a check compiled from that
+statement, so the codec and the replay never check an event. The decoder
+reads the fields from the same statement, and the encoder writes each event
+with a line writer compiled from it, which writes what json.dumps would.
 A run is priced once, when its report is made, from the counters the
 dispatcher keeps.
 """
@@ -165,20 +166,26 @@ class RunReport:
 # name and default (None: it may be null or absent), _spec its codec form and
 # JSON key. From these, once at import, _event compiles the class's field check
 # into one expression, which every construction runs: an event that breaks its
-# spec is refused as it is built, so no consumer checks an event again. The
-# decoder and the encoder walk the same spec rows, so they agree on every key.
+# spec is refused as it is built, so no consumer checks an event again. It
+# compiles the class's writer the same way, one expression that writes the
+# event as json.dumps would write its JSON object. The decoder walks the same
+# spec rows, so the two agree on every key.
 
 @dataclass(frozen=True, eq=False)
 class _Form:
     """A field's codec form: its check over one value ({v} in test), what an
-    error says a good value is, the conversion from JSON, which hands back a
-    value it cannot convert for the check to refuse, and the conversion to
-    JSON."""
+    error says a good value is, its JSON text ({v} in write), as json.dumps
+    writes it, and the conversion from JSON, which hands back a value it
+    cannot convert for the check to refuse."""
     test: str
     what: str
+    write: str
     decode: Callable | None = None      # None: the JSON value is the field value
-    encode: Callable | None = None      # None: the field value is the JSON value
     nested: type | None = None          # the event class a JSON object decodes to
+
+
+# the string quoting json.dumps itself uses under ensure_ascii
+_quoted = json.encoder.encode_basestring_ascii
 
 
 def _int(value):
@@ -212,42 +219,50 @@ def _hex(value: int) -> str:
 
 # INT is written decimal, which json reads back for any 64-bit integer; HEX,
 # for addresses, sizes and offsets, is an INT written as a hex string
-INT = _Form("type({v}) is int and -2**63 <= {v} < 2**63", "a 64-bit integer", _int)
-HEX = replace(INT, encode=_hex)
-STR = _Form("type({v}) is str", "a string")
-HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string", _hex_bytes,
-                  bytes.hex)
+INT = _Form("type({v}) is int and -2**63 <= {v} < 2**63", "a 64-bit integer",
+            "int.__repr__({v})", _int)
+HEX = replace(INT, write="'\"%#x\"' % {v}")
+STR = _Form("type({v}) is str", "a string", "_quoted({v})")
+HEX_BYTES = _Form("type({v}) is bytes and len({v}) > 0", "a non-empty hex string",
+                  "'\"' + {v}.hex() + '\"'", _hex_bytes)
 # each base and size of a region pair is bounded as an INT is
 REGIONS = _Form("type({v}) is tuple and len({v}) > 0 and all(type(r) is tuple and len(r) == 2"
                 " and " + INT.test.replace("{v}", "r[0]") + " and " + INT.test.replace("{v}", "r[1]")
                 + " for r in {v})",
-                "a non-empty list of [base, size] pairs of 64-bit integers", _regions,
-                lambda regions: [[_hex(base), _hex(size)] for base, size in regions])
+                "a non-empty list of [base, size] pairs of 64-bit integers",
+                "'[' + ', '.join('[\"%#x\", \"%#x\"]' % r for r in {v}) + ']'", _regions)
 
 
 def _one_of(values: tuple) -> _Form:
-    return _Form(f"type({{v}}) is str and {{v}} in {values!r}", "one of " + ", ".join(values))
+    return _Form(f"type({{v}}) is str and {{v}} in {values!r}", "one of " + ", ".join(values),
+                 STR.write)
 
 
 def _nested(cls) -> _Form:
-    """A field holding a cls, which was checked when it was built."""
-    return _Form(f"type({{v}}) is {cls.__name__}", "an object", encode=_written, nested=cls)
+    """A field holding a cls, which was checked when it was built; its class's
+    writer writes it."""
+    return _Form(f"type({{v}}) is {cls.__name__}", "an object",
+                 f"_WRITERS[{cls.__name__}]({{v}})", nested=cls)
 
 
-def _spec(form: _Form, default=MISSING, key: str | None = None):
-    return field(default=default, metadata={"form": form, "key": key})
+def _spec(form: _Form, default=MISSING, key: str | None = None, skip: str | None = None):
+    """A field's spec row; skip states, over the event ({v}), when the writer
+    leaves the field out, which by default is when its value is None."""
+    return field(default=default, metadata={"form": form, "key": key, "skip": skip})
 
 
 # event class -> (name, JSON key, form, default, that field's check) per field, in order
 _SPECS: dict[type, tuple] = {}
+_WRITERS: dict[type, Callable] = {}     # event class -> its writer: event -> JSON text
 _EVENT_OF: dict[str, type] = {}         # trace name ("ev") -> event class
 _NAME_OF: dict[type, str] = {}          # event class -> trace name
 
 
-def _compiled(test: str) -> Callable:
-    """The check test states over {v}, as a function; test is built from the
-    spec's own constants only, the way dataclasses builds __init__."""
-    return eval("lambda e: " + test.replace("{v}", "e"), globals())
+def _compiled(expr: str) -> Callable:
+    """expr, an expression over {v}, as a function of {v}; expr is built
+    from the spec's own constants only, the way dataclasses builds
+    __init__."""
+    return eval("lambda e: " + expr.replace("{v}", "e"), globals())
 
 
 def _fault(cls, values) -> tuple:
@@ -265,7 +280,10 @@ def _shown(value) -> str:
 def _event(ev: str | None = None):
     """Make cls a frozen dataclass whose construction runs the field check its
     spec states, raising TraceParseError (line 0) that names the first bad
-    field."""
+    field, and compile its writer: its trace name as "ev", if it has one, then
+    each field its spec does not skip, in order, under its key, in its form,
+    with json.dumps's separators. A class without a trace name starts with a
+    field that is always written."""
     def derive(cls):
         def __post_init__(self):
             if not check(self):
@@ -275,14 +293,25 @@ def _event(ev: str | None = None):
 
         cls.__post_init__ = __post_init__       # the __init__ dataclass writes calls it
         cls = dataclass(frozen=True)(cls)
-        rows, tests = [], []
+        rows, tests, values = [], [], []
+        line = "{" if ev is None else '{"ev": ' + json.dumps(ev)
         for f in fields(cls):
-            form = f.metadata["form"]
+            form, key = f.metadata["form"], f.metadata["key"] or f.name
             test = form.test if f.default is not None else "{v} is None or " + form.test
-            rows.append((f.name, f.metadata["key"] or f.name, form, f.default, _compiled(test)))
+            rows.append((f.name, key, form, f.default, _compiled(test)))
             tests.append("(" + test.replace("{v}", "{v}." + f.name) + ")")
+            piece = ("" if line == "{" else ", ") + json.dumps(key) + ": "
+            value = "(" + form.write.replace("{v}", "{v}." + f.name) + ")"
+            skip = f.metadata["skip"] or (f"{{v}}.{f.name} is None" if f.default is None else None)
+            if skip is None:
+                line += piece + "%s"
+            else:
+                line += "%s"
+                value = f"('' if {skip} else {piece!r} + {value})"
+            values.append(value)
         rows = _SPECS[cls] = tuple(rows)
         check = _compiled(" and ".join(tests))
+        _WRITERS[cls] = _compiled(f"{line + '}'!r} % ({', '.join(values)},)")
         if ev is not None:
             _EVENT_OF[ev] = cls
             _NAME_OF[cls] = ev
@@ -291,22 +320,6 @@ def _event(ev: str | None = None):
 
 
 _INDEXED_KINDS = ("own_pool", "pool_of", "other_driver")   # target kinds that take an index
-
-
-def _written(value) -> dict:
-    """value's fields as JSON: each field that is not None, under its key, in
-    its form. A target's index is written where its kind takes one or it is
-    not 0, so a target whose kind takes none reads back as itself."""
-    out = {}
-    for name, key, form, _, _ in _SPECS[type(value)]:
-        item = getattr(value, name)
-        if item is not None:
-            out[key] = item if form.encode is None else form.encode(item)
-    if type(value) is DstRef and value.index == 0 and value.kind not in _INDEXED_KINDS:
-        del out["index"]
-    return out
-
-
 ALIGNS = ("natural", "page")    # "natural" packs at 16 bytes, "page" at 4 KiB
 
 
@@ -357,7 +370,9 @@ class DstRef:
     kind: str = _spec(_one_of(("own_pool", "pool_of", "image_of", "eprocess",
                                "os_kernel_code", "os_structures", "other_driver")), key="ref")
     driver: str | None = _spec(STR, None)
-    index: int = _spec(INT, 0)
+    # written where the kind takes an index or it is not 0, so a target whose
+    # kind takes none reads back as itself
+    index: int = _spec(INT, 0, skip="{v}.index == 0 and {v}.kind not in _INDEXED_KINDS")
     pid: int | None = _spec(INT, None)
     offset: int = _spec(HEX, 0)
 
@@ -379,11 +394,15 @@ TraceEvent = (
 
 # -- JSON-lines codec --------------------------------------------------------
 
-def event_to_dict(event: TraceEvent) -> dict:
-    name = _NAME_OF.get(type(event))
-    if name is None:
+def _line(event: TraceEvent) -> str:
+    """event's JSON text, as its class's writer writes it."""
+    if type(event) not in _NAME_OF:
         raise TypeError(f"not a trace event: {event!r}")
-    return {"ev": name, **_written(event)}
+    return _WRITERS[type(event)](event)
+
+
+def event_to_dict(event: TraceEvent) -> dict:
+    return json.loads(_line(event))
 
 
 def _decoded(cls, obj: dict, line: int, prefix: str = ""):
@@ -427,18 +446,22 @@ def serialize_trace(events) -> str:
     for event in events:
         known = lines.get(id(event))
         if known is None:
-            known = lines[id(event)] = (event, json.dumps(event_to_dict(event)) + "\n")
+            known = lines[id(event)] = (event, _line(event) + "\n")
         out.append(known[1])
     return "".join(out)
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
-    """Decode a JSON-lines trace. Each distinct stripped line is decoded once
-    per call and a repeat reuses its (frozen) event, so an error names the
-    line where its text first appears."""
+    """Decode a JSON-lines trace. A line ends at \\n, \\r\\n or \\r only: a
+    string or a comment may hold any other character str.splitlines breaks
+    at. Each distinct stripped line is decoded once per call and a repeat
+    reuses its (frozen) event, so an error names the line where its text first
+    appears."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     events = []
     decoded: dict[str, TraceEvent] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         raw = raw.strip()
         event = decoded.get(raw)
         if event is None:

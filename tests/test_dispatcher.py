@@ -42,6 +42,22 @@ def test_legal_access_is_untrapped(world):
     assert vcpu.counters["ept_violations"] == 0
 
 
+
+def test_an_int_index_reads_the_record_as_a_tuple(world):
+    """A string key reads the record's dict form; an int reads its fields
+    in order, as tuple unpacking does."""
+    policy, store, vcpu, a, _ = world
+    switch_ept(vcpu, policy, a)
+    record = execute_access(vcpu, policy, store, CODE_A, POOL_A + 4, READ, seq=7)
+    assert record[0] == record.seq == 7
+    assert record[5] == record.access == "read"
+    seq, event, actor, src, dst, access, *rest = record
+    assert (seq, event, actor, src, dst, access) == record[:6] == (
+        record.seq, record.event, record.actor, record.src, record.dst, record.access)
+    assert rest == [record.decision, record.ept_before, record.ept_after, record.traps,
+                    record.switches, record.data, record.expect]
+    assert record["dst"] == hex(POOL_A + 4) != record[4]
+
 def test_foreign_read_redirects_and_restores(world):
     policy, store, vcpu, a, b = world
     switch_ept(vcpu, policy, b)

@@ -126,12 +126,13 @@ class TestCodec:
         and dropped at once still each get their own line, though a freed
         object's id may come back for the next one."""
         encoded = []
+        for cls in kernel_sim._EVENT_OF.values():      # each event class's compiled writer
 
-        def counting(event):
-            encoded.append(event)
-            return event_to_dict(event)
+            def counting(event, write=kernel_sim._WRITERS[cls]):
+                encoded.append(event)
+                return write(event)
 
-        monkeypatch.setattr(kernel_sim, "event_to_dict", counting)
+            monkeypatch.setitem(kernel_sim._WRITERS, cls, counting)
         events = gen_benchmark_trace(3000, quantum=64)
         text = serialize_trace(events)
         # the generator builds 1,024 distinct reads, 3 set-up events and 2 preemption events
@@ -141,6 +142,19 @@ class TestCodec:
         names = [f"D{i}" for i in range(500)]
         lines = serialize_trace(Schedule(name) for name in names).splitlines()
         assert [json.loads(line)["actor"] for line in lines] == names
+
+    def test_a_line_ends_only_at_a_line_break(self):
+        """Only \\n, \\r\\n and \\r end a line: a raw U+2028 in a name and
+        the other breaks str.splitlines knows in a comment stay in their line,
+        so an error names the line it is on."""
+        good = serialize_trace([Schedule("A")]).strip()
+        text = ('{"ev": "schedule", "actor": "A\u2028B"}\r\n'
+                "# note\u2028more\u2029\x85\x0b\x0c\x1c\x1d\x1emore\r"
+                f"{good}\n")
+        assert parse_trace(text) == [Schedule("A\u2028B"), Schedule("A")]
+        with pytest.raises(TraceParseError, match="bad json") as info:
+            parse_trace(text + "# one\u2028line\n{oops\n")
+        assert info.value.line == 5
 
     def test_rejects_bad_access_kind(self):
         with pytest.raises(TraceParseError):
@@ -262,6 +276,59 @@ def test_the_encoder_writes_exactly_the_spec_keys():
                 number = getattr(value, spec[key][0])
                 assert written[key] == (hex(number) if key in _HEX_KEYS else number), key
     assert event_to_dict(FULL_EVENTS[2])["regions"] == [[hex(PROCESS_SLOT_BASE), "0x200"]]
+
+
+# Field values that stress the writer: strings json.dumps must escape, the
+# 64-bit bounds, negative numbers and regions of several pairs
+_AWKWARD = st.sampled_from(['"', "\\", '"\\"', "\x00\x1f\x7f", "\u00e9\u4e2d", "\u2028\u2029\x85",
+                            "\ud800", "\U0001f600", "%s"])
+_STRINGS = _AWKWARD | st.text(max_size=6)
+_INT64 = st.sampled_from([0, -1, 2**63 - 1, -2**63]) | st.integers(-2**63, 2**63 - 1)
+_KINDS = ("own_pool", "pool_of", "image_of", "eprocess", "os_kernel_code", "os_structures",
+          "other_driver")
+_DSTS = st.builds(DstRef, st.sampled_from(_KINDS), st.none() | _STRINGS, st.just(0) | _INT64,
+                  st.none() | _INT64, _INT64)
+_EVENTS = st.one_of(
+    st.builds(LoadDriver, _STRINGS, _INT64, _INT64),
+    st.builds(UnloadDriver, _STRINGS),
+    st.builds(CreateProcess, _INT64,
+              st.lists(st.tuples(_INT64, _INT64), min_size=1, max_size=3).map(tuple)),
+    st.builds(ExitProcess, _INT64),
+    st.builds(Alloc, _STRINGS, _INT64, st.sampled_from(["natural", "page"])),
+    st.builds(Free, _STRINGS, _INT64),
+    st.builds(Schedule, _STRINGS),
+    st.builds(AccessEvent, _STRINGS, _DSTS, st.sampled_from(["read", "write", "execute"]),
+              st.none() | st.binary(min_size=1, max_size=6),
+              st.none() | st.sampled_from(["legal", "illegal"])),
+)
+
+
+def _assert_written_as_json_dumps(event):
+    line = serialize_trace([event])
+    assert line.endswith("\n") and line.count("\n") == 1
+    line = line[:-1]
+    assert line == json.dumps(json.loads(line))
+    assert line == json.dumps(event_to_dict(event))
+    assert parse_trace(line + "\n") == [event]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EVENTS)
+def test_the_writer_writes_what_json_dumps_writes(event):
+    """Each compiled writer gives json.dumps's own text of the event's JSON
+    object, which reads back as the event."""
+    _assert_written_as_json_dumps(event)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("index", [0, 3])
+def test_every_target_kind_is_written_as_json_dumps_writes_it(kind, index):
+    """A target's index is left out exactly where its kind takes none and it
+    is 0, and the line is json.dumps's either way."""
+    dst = DstRef(kind, "B", index, -4, -0x10)
+    _assert_written_as_json_dumps(AccessEvent("A\u2028\"", dst, "read"))
+    written = event_to_dict(AccessEvent("A", dst, "read"))["dst"]
+    assert ("index" in written) == (index != 0 or kind in ("own_pool", "pool_of", "other_driver"))
 
 
 _NAMES_JSON = st.sampled_from(["A", "B", "os_kernel", ""]) | st.text(max_size=3)

@@ -58,6 +58,28 @@ def test_full_choreography_agrees():
     assert checker.verify(state, state.epts) == []
 
 
+
+def test_the_universe_is_every_static_and_claimed_page():
+    """FlatPolicy.universe lists row 0's pages: every page of a static region
+    and every page a live region claims."""
+    state = fresh()
+    a = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
+    state.on_alloc(0x3000_0100, POOL_PAGE, 0x1800)
+    state.on_process_create(4, [(STRUCTS[0] + 0x2000, 0x200)])
+    policy = rebuild(snapshot_from_map(state))
+    universe = policy.universe
+    assert universe == list(policy.row(0))
+
+    def pages(base, size):
+        return set(range(base >> PAGE_SHIFT, (base + size - 1 >> PAGE_SHIFT) + 1))
+
+    static = pages(*KERNEL) | pages(*STRUCTS) | pages(*OTHER_DRIVER)
+    claimed = pages(0x3000_0000, IMAGE_SIZE) | pages(POOL_PAGE, 0x1800) | pages(STRUCTS[0] + 0x2000, 0x200)
+    assert set(policy.claims) == claimed and len(claimed) == 5
+    assert set(universe) == static | claimed
+    assert len(universe) == len(set(universe))
+    assert policy.ept_ids == [0, a]
+
 def test_corruption_is_caught():
     state = fresh()
     eid = state.on_driver_load(0x3000_0000, IMAGE_SIZE)
