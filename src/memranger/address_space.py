@@ -5,10 +5,11 @@ wide and splits 9/9/9/9/12 across the four paging levels plus the page
 offset. A page frame number (pfn) is the gpa shifted down by the page bits.
 
 The machine's three static regions (its kernel code, its kernel structures
-and one pre-existing driver) and its pool arena are fixed from boot; the
-engine and both checkers read them from here. The last page of the space,
-DECOY_PFN, holds the decoy frame that redirected accesses land on, so no
-region may claim it.
+and one pre-existing driver), each with its boot fill and digest label, and
+its pool arena are fixed from boot; the engine and both checkers read them
+from here, and both replayers boot and digest the static regions through
+FrameStore. The last page of the space, DECOY_PFN, holds the decoy frame that
+redirected accesses land on, so no region may claim it.
 
 The frame store holds guest memory by gpa; a frame never filled or written
 reads as zeros. Filled frames are shared pattern pages until their first
@@ -33,27 +34,16 @@ OFFSET_MASK = PAGE_SIZE - 1
 OS_KERNEL_CODE = (0x1000_0000, 0x0010_0000)
 OS_STRUCTURES = (0x2000_0000, 0x0001_0000)
 OTHER_DRIVER = (0x2800_0000, 0x0002_0000)
+# Each static region's digest label and boot fill, the pattern tiled across it at boot.
+STATIC_REGIONS = (
+    ("os_kernel_code", OS_KERNEL_CODE, b"\x90"),
+    ("os_structures", OS_STRUCTURES, b"\x55"),
+    ("other_driver:0", OTHER_DRIVER, b"\xcc"),
+)
 # The pool arena, (base, size), that every allocation comes from.
 POOL_ARENA = (0x5000_0000, 0x0100_0000)
 # The page of the decoy frame: the last of the space, reserved from boot.
 DECOY_PFN = PFN_LIMIT - 1
-
-__all__ = [
-    "PAGE_SIZE",
-    "PAGE_SHIFT",
-    "GPA_BITS",
-    "GPA_LIMIT",
-    "PFN_LIMIT",
-    "OS_KERNEL_CODE",
-    "OS_STRUCTURES",
-    "OTHER_DRIVER",
-    "POOL_ARENA",
-    "DECOY_PFN",
-    "split_gpa",
-    "join_gpa",
-    "pages_covering",
-    "FrameStore",
-]
 
 
 def check_gpa(gpa: int) -> int:
@@ -135,6 +125,14 @@ class FrameStore:
     def __init__(self):
         self.frames: dict[int, bytes | bytearray] = {}
 
+    @classmethod
+    def booted(cls) -> "FrameStore":
+        """The machine's memory at boot: each static region tiled with its fill."""
+        store = cls()
+        for _, (base, size), fill in STATIC_REGIONS:
+            store.fill_gpa_range(base, size, fill)
+        return store
+
     def read_gpa(self, gpa: int, length: int) -> bytes:
         """The length bytes at gpa, which must stay inside one page."""
         offset = gpa & OFFSET_MASK
@@ -169,9 +167,6 @@ class FrameStore:
     def read_gpa_range(self, base: int, size: int) -> bytes:
         """Direct (policy-free) readout of a byte range, identity-mapped."""
         end = _range_end(base, size)
-        if base >> PAGE_SHIFT == (end - 1) >> PAGE_SHIFT:      # one page: one slice
-            offset = base & OFFSET_MASK
-            return bytes(self.frames.get(base >> PAGE_SHIFT, ZERO_PAGE)[offset:offset + size])
         frames = self.frames
         return b"".join(frames.get(pfn, ZERO_PAGE)[offset:offset + length]
                         for pfn, offset, length in self._pieces(base, end))
@@ -210,3 +205,7 @@ class FrameStore:
         for pfn, offset, length in self._pieces(base, end):
             digest.update(memoryview(frames.get(pfn, ZERO_PAGE))[offset:offset + length])
         return digest.hexdigest()
+
+    def static_digests(self) -> dict[str, str]:
+        """The digest of each static region, under its label."""
+        return {label: self.digest_gpa_range(*region) for label, region, _ in STATIC_REGIONS}

@@ -32,9 +32,9 @@ RETRY_BUDGET = 4
 class AccessRecord(NamedTuple):
     """One logged access, kept compact: ints, the shared label strings and the
     raw bytes a read observed. Its dict form, the one a report prints, is
-    rendered only on demand, by as_dict(), and record[key], record.get(key)
-    and dict(record) read that same form: src and dst as hex strings, data as
-    a hex string, and trapped, redirected and granted derived."""
+    rendered only on demand, by as_dict(), and record[key] reads one key of
+    that same form: src and dst as hex strings, data as a hex string, and
+    trapped, redirected and granted derived."""
 
     seq: int                    # position in the run's log
     event: int                  # index of the trace event that made the access
@@ -53,17 +53,10 @@ class AccessRecord(NamedTuple):
     def as_dict(self) -> dict:
         return {key: read(self) for key, read in _RENDER.items()}
 
-    def keys(self):
-        return _RENDER.keys()
-
     def __getitem__(self, key):
         if type(key) is str:
             return _RENDER[key](self)
         return tuple.__getitem__(self, key)
-
-    def get(self, key: str, default=None):
-        read = _RENDER.get(key)
-        return default if read is None else read(self)
 
 
 # The dict form of a record, one reader per key, in the order a report has

@@ -57,9 +57,6 @@ SCHEDULER_STUB = OS_KERNEL_CODE[0] + 0x40
 
 # Planted content, one recognizable pattern per region family.
 SECRET_FILL = b"\xde\xad\xbe\xef"
-OS_KERNEL_FILL = b"\x90"
-OS_STRUCT_FILL = b"\x55"
-OTHER_DRIVER_FILL = b"\xcc"
 FOREIGN_POOL_FILL = b"\x11"
 DEFAULT_WRITE = b"\xab\xab\xab\xab"
 
@@ -105,9 +102,6 @@ class CostModel:
         if not isinstance(raw, dict):
             raise ValueError("cost model file must hold a json object")
         return cls.from_dict(raw)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     def ticks(self, counters: dict) -> int:
         """The modeled total of a run: each price times the counter it is
@@ -254,6 +248,7 @@ def _spec(form: _Form, default=MISSING, key: str | None = None, skip: str | None
 # event class -> (name, JSON key, form, default, that field's check) per field, in order
 _SPECS: dict[type, tuple] = {}
 _WRITERS: dict[type, Callable] = {}     # event class -> its writer: event -> JSON text
+_KEYS: dict[type, frozenset] = {}       # event class -> the JSON keys its object may hold
 _EVENT_OF: dict[str, type] = {}         # trace name ("ev") -> event class
 _NAME_OF: dict[type, str] = {}          # event class -> trace name
 
@@ -310,6 +305,7 @@ def _event(ev: str | None = None):
                 value = f"('' if {skip} else {piece!r} + {value})"
             values.append(value)
         rows = _SPECS[cls] = tuple(rows)
+        _KEYS[cls] = frozenset([row[1] for row in rows] + ([] if ev is None else ["ev"]))
         check = _compiled(" and ".join(tests))
         _WRITERS[cls] = _compiled(f"{line + '}'!r} % ({', '.join(values)},)")
         if ev is not None:
@@ -406,10 +402,13 @@ def event_to_dict(event: TraceEvent) -> dict:
 
 
 def _decoded(cls, obj: dict, line: int, prefix: str = ""):
-    """cls built from obj, each value converted by its field's form; a missing
-    field without a default is passed as MISSING, which no check accepts. A
-    refusal names the field by its path from the line and shows its JSON
-    value."""
+    """cls built from obj, each value converted by its field's form; a key
+    that no field states is refused, and a missing field without a default is
+    passed as MISSING, which no check accepts. A refusal names the field by
+    its path from the line and shows its JSON value."""
+    if not _KEYS[cls].issuperset(obj):
+        unknown = next(key for key in obj if key not in _KEYS[cls])
+        raise TraceParseError(f"unknown field {prefix + str(unknown)!r}", line)
     args = []
     for _, key, form, default, _ in _SPECS[cls]:
         if key not in obj:
@@ -589,15 +588,9 @@ class Simulation:
             raise ValueError(f"unknown mode {mode!r}: expected one of {', '.join(POLICIES)}")
         self.mode = mode
         self.config = config or SimConfig()
-        self.store = FrameStore()
+        self.store = FrameStore.booted()
         self.policy = POLICIES[mode]()
         self.vcpu = VcpuState(current_ept=DEFAULT_EPT)
-        for (base, size), fill in (
-            (OS_KERNEL_CODE, OS_KERNEL_FILL),
-            (OS_STRUCTURES, OS_STRUCT_FILL),
-            (OTHER_DRIVER, OTHER_DRIVER_FILL),
-        ):
-            self.store.fill_gpa_range(base, size, fill)
         self.allocator = BumpAllocator(*POOL_ARENA)
         self.actors: dict[str, ActorInfo] = {
             "os_kernel": ActorInfo("os_kernel", "os", OS_KERNEL_CODE[0] + CODE_ENTRY_OFFSET),
@@ -775,11 +768,7 @@ class Simulation:
 
     def digests(self) -> dict[str, str]:
         """sha256 of every region alive at end of trace, keyed by stable label."""
-        out = {
-            "os_kernel_code": self.store.digest_gpa_range(*OS_KERNEL_CODE),
-            "os_structures": self.store.digest_gpa_range(*OS_STRUCTURES),
-            "other_driver:0": self.store.digest_gpa_range(*OTHER_DRIVER),
-        }
+        out = self.store.static_digests()
         for name, info in self.actors.items():
             if info.kind == "driver":
                 image = self.policy.enclaves[info.enclave_id]
@@ -796,18 +785,14 @@ class Simulation:
 
     def report(self) -> RunReport:
         counters = dict(self.vcpu.counters)
-        cost_model = self.config.cost_model
         return RunReport(
             mode=self.mode,
-            config={
-                "force_page_aligned": self.config.force_page_aligned,
-                "cost_model": cost_model.as_dict(),
-            },
+            config=asdict(self.config),
             counters=counters,
             log=list(self.log),
             allocations=list(self.allocations),
             digests=self.digests(),
-            modeled_total_ticks=cost_model.ticks(counters),
+            modeled_total_ticks=self.config.cost_model.ticks(counters),
         )
 
 

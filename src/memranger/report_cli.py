@@ -27,11 +27,10 @@ from .address_space import OS_KERNEL_CODE, OS_STRUCTURES, OTHER_DRIVER, FrameSto
 from .ept_model import READ, WRITE
 from .errors import SimulationError, TraceParseError
 from .kernel_sim import (
-    ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, OS_KERNEL_FILL, OS_STRUCT_FILL, OTHER_DRIVER_FILL,
-    POLICIES, SECRET_FILL, AccessEvent, Alloc, CostModel, CreateProcess, ExitProcess,
-    Free, LoadDriver, RunReport, Schedule, SimConfig, UnloadDriver, gen_benchmark_trace,
-    gen_demo1_trace, gen_privesc_trace, gen_random_trace, image_fill, parse_trace, run_trace,
-    serialize_trace,
+    ALIGNS, DEFAULT_WRITE, FOREIGN_POOL_FILL, POLICIES, SECRET_FILL, AccessEvent, Alloc,
+    CostModel, CreateProcess, ExitProcess, Free, LoadDriver, RunReport, Schedule, SimConfig,
+    UnloadDriver, gen_benchmark_trace, gen_demo1_trace, gen_privesc_trace, gen_random_trace,
+    image_fill, parse_trace, run_trace, serialize_trace,
 )
 from .reference_oracle import SnapshotView
 
@@ -91,13 +90,7 @@ class _Shadow:
     this state stays unchanged."""
 
     def __init__(self, allocations):
-        self.store = FrameStore()
-        for (base, size), fill in (
-            (OS_KERNEL_CODE, OS_KERNEL_FILL),
-            (OS_STRUCTURES, OS_STRUCT_FILL),
-            (OTHER_DRIVER, OTHER_DRIVER_FILL),
-        ):
-            self.store.fill_gpa_range(base, size, fill)
+        self.store = FrameStore.booted()
         self.view = SnapshotView()
         self.ordinals: dict[str, int] = {}                      # allocations made, frees included
         self.live: dict[str, dict[int, tuple[int, int]]] = {}   # live (base, size) by ordinal
@@ -184,11 +177,7 @@ class _Shadow:
         return _new_expectation(Expectation, (dst, legal, data))
 
     def digests(self) -> dict[str, str]:
-        out = {
-            "os_kernel_code": self.store.digest_gpa_range(*OS_KERNEL_CODE),
-            "os_structures": self.store.digest_gpa_range(*OS_STRUCTURES),
-            "other_driver:0": self.store.digest_gpa_range(*OTHER_DRIVER),
-        }
+        out = self.store.static_digests()
         for name, (base, end) in self.view.images.items():
             out[f"image:{name}"] = self.store.digest_gpa_range(base, end - base)
         for name, pools in self.live.items():

@@ -73,7 +73,7 @@ def corpus():
         report = run_trace(events, "multi-ept", after_event=hook)
         oracle_mismatches += len(found)
         for record in report.log:
-            expect = record.get("expect")
+            expect = record["expect"]
             if expect == "illegal" and record["decision"] != "redirect_to_fake":
                 label_disagreements += 1
             elif expect == "legal" and record["decision"] == "redirect_to_fake":
@@ -121,7 +121,7 @@ def test_c02_no_secret_ever_leaks(corpus, capsys):
             if record["decision"] == "redirect_to_fake":
                 if record["data"].strip("0"):
                     dirty_reads += 1
-            elif record.get("expect") == "illegal" and secret in record["data"]:
+            elif record["expect"] == "illegal" and secret in record["data"]:
                 dirty_reads += 1
     checked = sum(v.checked_reads for _, _, _, v in corpus["runs"])
     ok = leaks == 0 and dirty_reads == 0

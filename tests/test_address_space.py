@@ -9,6 +9,7 @@ from memranger.address_space import (
     GPA_LIMIT,
     PAGE_SIZE,
     PFN_LIMIT,
+    STATIC_REGIONS,
     ZERO_PAGE,
     FrameStore,
     join_gpa,
@@ -159,6 +160,21 @@ class TestFrameStore:
         store.fill_gpa_range(0x2000, 64, b"\x5a")
         expected = hashlib.sha256(b"\x5a" * 64).hexdigest()
         assert store.digest_gpa_range(0x2000, 64) == expected
+
+    def test_boot_fills_each_static_region_and_digests_it_under_its_label(self):
+        """The booted store holds each static region tiled with its fill and
+        nothing else, and its static digests are each region's digest_gpa_range
+        under its label, a fresh sha256 of the fill."""
+        store = FrameStore.booted()
+        assert [label for label, _, _ in STATIC_REGIONS] == [
+            "os_kernel_code", "os_structures", "other_driver:0"]
+        for _, (base, size), fill in STATIC_REGIONS:
+            assert store.read_gpa_range(base, size) == fill * size
+        assert len(store.frames) == sum(size // PAGE_SIZE for _, (_, size), _ in STATIC_REGIONS)
+        digests = store.static_digests()
+        assert digests == {label: store.digest_gpa_range(*region) for label, region, _ in STATIC_REGIONS}
+        assert digests == {label: hashlib.sha256(fill * size).hexdigest()
+                           for label, (_, size), fill in STATIC_REGIONS}
 
     def test_fake_frame_starts_and_rezeros_clean(self):
         store, other = FrameStore(), FrameStore()

@@ -93,6 +93,32 @@ def test_the_static_regions_are_stated_once():
     assert assigned == {name: ["address_space.py"] for name in names}
 
 
+def test_the_static_regions_boot_content_is_stated_once():
+    """Each static region's boot fill and digest label are stated in
+    address_space alone, and no other module fills or digests a static
+    region itself: the engine and the shadow boot and digest the static
+    regions through FrameStore."""
+    fills = {b"\x90", b"\x55", b"\xcc"}
+    labels = {"os_kernel_code", "os_structures", "other_driver:0"}
+    regions = {"OS_KERNEL_CODE", "OS_STRUCTURES", "OTHER_DRIVER"}
+    stated, touched = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and (node.value in fills or node.value == "other_driver:0"):
+                stated.append((path.name, node.value))
+            elif isinstance(node, ast.Dict):    # a dict keyed by the labels
+                stated += [(path.name, key.value) for key in node.keys
+                           if isinstance(key, ast.Constant) and key.value in labels]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("fill_gpa_range", "digest_gpa_range")
+                  and any(isinstance(name, ast.Name) and name.id in regions
+                          for arg in node.args for name in ast.walk(arg))):
+                touched.append((path.name, node.lineno))
+    assert {name for name, _ in stated} == {"address_space.py"}, stated
+    assert {value for _, value in stated} == fills | {"other_driver:0"}
+    assert touched == []
+
+
 @pytest.mark.parametrize("line, module", [
     ("import memranger", "__init__"),
     ("import memranger.dispatcher", "dispatcher"),

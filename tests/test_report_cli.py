@@ -9,7 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +32,7 @@ from memranger.kernel_sim import (
     LoadDriver,
     Schedule,
     SimConfig,
+    Simulation,
     UnloadDriver,
     gen_benchmark_trace,
     gen_demo1_trace,
@@ -72,7 +73,7 @@ class TestCostModel:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(CostModel(vmexit_cost=9).as_dict()))
+        path.write_text(json.dumps(asdict(CostModel(vmexit_cost=9))))
         assert CostModel.from_file(path) == CostModel(vmexit_cost=9)
 
     def test_file_must_hold_an_object(self, tmp_path):
@@ -134,6 +135,16 @@ def _shadow_replay(events, allocations) -> tuple[list, dict]:
     and its final digests."""
     shadow = _Shadow(allocations)
     return [shadow.step(index, event) for index, event in enumerate(events)], shadow.digests()
+
+
+def test_the_engine_and_the_shadow_boot_the_same_machine():
+    """A fresh Simulation in every mode and a fresh shadow hold equal frames
+    and report the same digests."""
+    shadow = _Shadow([])
+    for mode in MODES:
+        sim = Simulation(mode)
+        assert sim.store.frames == shadow.store.frames
+        assert sim.digests() == shadow.digests()
 
 
 class TestVerification:
@@ -648,7 +659,7 @@ class TestCli:
         """Under an all-zero cost model every mode costs 0 ticks, so neither
         strict inequality holds: compare says FAIL in both reports and exits 2."""
         model = tmp_path / "zero.json"
-        model.write_text(json.dumps(dict.fromkeys(CostModel().as_dict(), 0)))
+        model.write_text(json.dumps(dict.fromkeys(asdict(CostModel()), 0)))
         capsys.readouterr()
         assert main(["compare", demo, "--cost-model", str(model)]) == 2
         assert capsys.readouterr().out.splitlines()[-1] == (
